@@ -114,8 +114,9 @@ impl PolicyEnv for RealEnv {
 }
 
 /// Environment for one hook invocation inside the simulator: the invoking
-/// (virtual) CPU and the virtual clock are captured by the caller.
-pub struct SimHookEnv {
+/// (virtual) CPU and the virtual clock are captured by the caller, the
+/// long-lived state is borrowed from the policy set that fires the hook.
+pub struct SimHookEnv<'a> {
     /// Invoking virtual CPU.
     pub cpu: u32,
     /// Its socket.
@@ -131,12 +132,12 @@ pub struct SimHookEnv {
     /// Pseudo-random value for this invocation.
     pub random: u64,
     /// Priorities registered through the control plane.
-    pub priorities: Arc<Mutex<std::collections::HashMap<u64, i64>>>,
+    pub priorities: &'a Mutex<std::collections::HashMap<u64, i64>>,
     /// Simulator handle for scheduler-context queries (`cpu_online`).
-    pub sim: Option<ksim::Sim>,
+    pub sim: Option<&'a ksim::Sim>,
 }
 
-impl PolicyEnv for SimHookEnv {
+impl PolicyEnv for SimHookEnv<'_> {
     fn cpu_id(&self) -> u32 {
         self.cpu
     }
@@ -227,7 +228,7 @@ mod tests {
             lock_id: 0,
             cores_per_socket: 10,
             random: 42,
-            priorities: Arc::new(Mutex::new([(5u64, 2i64)].into_iter().collect())),
+            priorities: &Mutex::new([(5u64, 2i64)].into_iter().collect()),
             sim: None,
         };
         assert_eq!(env.cpu_id(), 31);
@@ -251,8 +252,8 @@ mod tests {
             lock_id: 0,
             cores_per_socket: 10,
             random: 0,
-            priorities: Arc::new(Mutex::new(Default::default())),
-            sim: Some(sim),
+            priorities: &Mutex::new(Default::default()),
+            sim: Some(&sim),
         };
         assert!(!env.cpu_online(7));
         assert!(env.cpu_online(8));

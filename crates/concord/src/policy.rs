@@ -207,7 +207,7 @@ impl BytecodePolicy {
         self.expect_hook(HookKind::CmpNode, "cmp_node")?;
         let p = Arc::clone(self);
         Ok(Arc::new(move |ctx: &CmpNodeCtx| {
-            let mut buf = hookctx::marshal_cmp_node(ctx);
+            let mut buf = hookctx::cmp_node_bytes(ctx);
             p.run(&mut buf) != 0
         }))
     }
@@ -222,7 +222,7 @@ impl BytecodePolicy {
         self.expect_hook(HookKind::SkipShuffle, "skip_shuffle")?;
         let p = Arc::clone(self);
         Ok(Arc::new(move |ctx: &SkipShuffleCtx| {
-            let mut buf = hookctx::marshal_skip_shuffle(ctx);
+            let mut buf = hookctx::skip_shuffle_bytes(ctx);
             p.run(&mut buf) != 0
         }))
     }
@@ -237,7 +237,7 @@ impl BytecodePolicy {
         self.expect_hook(HookKind::ScheduleWaiter, "schedule_waiter")?;
         let p = Arc::clone(self);
         Ok(Arc::new(move |ctx: &ScheduleWaiterCtx| {
-            let mut buf = hookctx::marshal_schedule_waiter(ctx);
+            let mut buf = hookctx::schedule_waiter_bytes(ctx);
             p.run(&mut buf) != 0
         }))
     }
@@ -263,7 +263,7 @@ impl BytecodePolicy {
         }
         let p = Arc::clone(self);
         Ok(Arc::new(move |ctx: &LockEventCtx| {
-            let mut buf = hookctx::marshal_event(ctx);
+            let mut buf = hookctx::event_bytes(ctx);
             p.run(&mut buf);
         }))
     }
@@ -402,8 +402,8 @@ impl SimBytecodePolicy {
             lock_id: ctx_lock_id(ctx),
             cores_per_socket: self.cores_per_socket,
             random: self.next_random(),
-            priorities: Arc::clone(&self.priorities),
-            sim: Some(self.sim.clone()),
+            priorities: &self.priorities,
+            sim: Some(&self.sim),
         };
         let outcome = prog
             .prepared()
@@ -447,7 +447,7 @@ impl SimPolicy for SimBytecodePolicy {
     fn cmp_node(&self, ctx: &CmpNodeCtx) -> Decision {
         match &self.cmp {
             Some(prog) => {
-                let mut buf = hookctx::marshal_cmp_node(ctx);
+                let mut buf = hookctx::cmp_node_bytes(ctx);
                 let (ret, cost) = self.run(
                     HookKind::CmpNode,
                     prog,
@@ -464,7 +464,7 @@ impl SimPolicy for SimBytecodePolicy {
     fn skip_shuffle(&self, ctx: &SkipShuffleCtx) -> Decision {
         match &self.skip {
             Some(prog) => {
-                let mut buf = hookctx::marshal_skip_shuffle(ctx);
+                let mut buf = hookctx::skip_shuffle_bytes(ctx);
                 let (ret, cost) = self.run(
                     HookKind::SkipShuffle,
                     prog,
@@ -484,7 +484,7 @@ impl SimPolicy for SimBytecodePolicy {
     fn schedule_waiter(&self, ctx: &ScheduleWaiterCtx) -> Decision {
         match &self.sched {
             Some(prog) => {
-                let mut buf = hookctx::marshal_schedule_waiter(ctx);
+                let mut buf = hookctx::schedule_waiter_bytes(ctx);
                 let (ret, cost) = self.run(
                     HookKind::ScheduleWaiter,
                     prog,
@@ -501,7 +501,7 @@ impl SimPolicy for SimBytecodePolicy {
     fn on_event(&self, kind: HookKind, ctx: &LockEventCtx) -> u64 {
         match self.events.get(&kind) {
             Some(prog) => {
-                let mut buf = hookctx::marshal_event(ctx);
+                let mut buf = hookctx::event_bytes(ctx);
                 let (_, cost) = self.run(kind, prog, &mut buf, ctx.cpu, ctx.tid);
                 cost
             }

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full CI pass: release build, the whole test suite, clippy with warnings
-# denied, then the smoke run (one sweep point per figure, including the
-# containment-overhead ablation and the table1 watchdog column, both of
-# which assert their budgets).
+# denied, the gate bins, the benchmark's harness tests and a one-second
+# pass over its workloads, then the smoke run (one sweep point per figure,
+# including the containment-overhead ablation and the table1 watchdog
+# column, both of which assert their budgets).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -62,6 +63,24 @@ C3_SCHED_GATE="${C3_SCHED_GATE:-1}" C3_SCHED_SEEDS="${C3_SCHED_SEEDS:-}" \
 echo "== fleet_gate (C3_FLEET_GATE=${C3_FLEET_GATE:-1}) =="
 C3_FLEET_GATE="${C3_FLEET_GATE:-1}" C3_FLEET_SEEDS="${C3_FLEET_SEEDS:-}" \
     cargo run -p c3-bench --release --bin fleet_gate
+
+# The benchmark (BENCHMARK.json, benchmark/): its harness's own unit tests,
+# then every workload for one second, end to end and traced. The numbers
+# of a one-second run mean nothing; what is held here is each run's result
+# line, which carries the workload's correctness oracle.
+echo "== benchmark harness tests =="
+(cd benchmark && cargo test --offline -q)
+
+echo "== benchmark/run.sh --quick =="
+quick_out="$(benchmark/run.sh --quick)"
+# A run's result is its last line: the one before the next "== " header.
+results="$(awk '/^== /{ if (runs++) print last; next } { last = $0 } END { print last }' <<< "$quick_out")"
+if [ "$(wc -l <<< "$results")" -ne 10 ] ||
+    grep -qv '^{"correct": true, "attempted": [0-9]*, "failed": 0,' <<< "$results"; then
+    echo "benchmark --quick FAILED: want 10 result lines, all correct with 0 failed ops:" >&2
+    echo "$results" >&2
+    exit 1
+fi
 
 echo "== scripts/smoke.sh =="
 ./scripts/smoke.sh
