@@ -17,6 +17,13 @@
 //!
 //! Skip with `C3_BENCH_GATE=0` (e.g. on loaded shared builders where
 //! wall-clock ratios are noise).
+//!
+//! A third tripwire is on the DES and is a count, so it runs even then:
+//! on the lock2/ShflNuma point at 80 threads, seed 42, at least
+//! [`IN_PLACE_FLOOR`] of all events must be delivered in place (`ksim`'s
+//! `SimStats::in_place`). The rows it prints beside that — ns per event
+//! and events per second on a timer-only run, that point and a
+//! page_fault2 point — are the ones committed in `BENCH_ksim.json`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,6 +35,8 @@ use cbpf::interp::{run_with_budget, DEFAULT_BUDGET};
 use cbpf::map::{Map, MapDef, MapKind};
 use cbpf::program::{Program, ProgramBuilder};
 use cbpf::ExecTier;
+use c3_bench::workloads::{lock2_point, page_fault2_point, RwSeries, SpinSeries};
+use ksim::{SimBuilder, SimStats};
 
 /// Minimum prepared-vs-legacy speedup on `map_mix`. The measured ratio
 /// is ~1.5-2x; 1.3x leaves headroom for builder noise while still
@@ -38,6 +47,13 @@ const PREPARED_FLOOR: f64 = 1.3;
 const JIT_FLOOR: f64 = 2.0;
 const ROUNDS: usize = 9;
 const ITERS: u32 = 40_000;
+/// Minimum share of the lock2/ShflNuma/80 events delivered in place. The
+/// count is 110 944 of 202 201 (0.549) and repeats exactly; it falls only
+/// if timers stop completing in place.
+const IN_PLACE_FLOOR: f64 = 0.40;
+/// Virtual window of a DES row, as the figures use.
+const DES_WINDOW_NS: u64 = 3_000_000;
+const DES_ROUNDS: usize = 5;
 
 fn map_mix_program() -> Program {
     let map = Arc::new(Map::new(MapDef {
@@ -125,9 +141,62 @@ fn tier_pair(prog: &Program, layout: &CtxLayout, env: &FixedEnv) -> (f64, f64) {
     (interp, jit)
 }
 
+/// 80 tasks that do nothing but sleep for seeded spans: every event is a
+/// timer, and with 80 of them due within one span of each other almost
+/// none is the next event — the cost of the heap route alone.
+fn timer_only(seed: u64) -> SimStats {
+    let sim = SimBuilder::new().seed(seed).build();
+    for cpu in sim.topology().compact_placement(80) {
+        sim.spawn_on(cpu, |t| async move {
+            while t.now() < DES_WINDOW_NS {
+                t.advance(50 + t.rng_u64() % 400).await;
+            }
+        });
+    }
+    sim.run()
+}
+
+/// Prints one DES row (quietest of [`DES_ROUNDS`] runs) and returns the
+/// share of its events that were delivered in place.
+fn des_row(name: &str, run: impl Fn() -> SimStats) -> f64 {
+    let mut best = f64::INFINITY;
+    let mut stats = run();
+    for _ in 0..DES_ROUNDS {
+        let start = Instant::now();
+        stats = run();
+        best = best.min(start.elapsed().as_nanos() as f64 / stats.events as f64);
+    }
+    let share = stats.in_place as f64 / stats.events as f64;
+    println!(
+        "bench_gate: des {name}: {} events, {} in place ({share:.3}), \
+         {best:.1} ns/event, {:.2} M events/s",
+        stats.events,
+        stats.in_place,
+        1e3 / best
+    );
+    share
+}
+
 fn main() {
+    // Gate 3 (a count; not skipped): timers that are provably next
+    // complete in place.
+    des_row("timer_only x80", || timer_only(42));
+    let share = des_row("lock2 shfl_numa x80", || {
+        lock2_point(80, SpinSeries::ShflNuma, DES_WINDOW_NS, 42).1
+    });
+    des_row("page_fault2 bravo x40", || {
+        page_fault2_point(40, RwSeries::Bravo, DES_WINDOW_NS, 42).1
+    });
+    if share < IN_PLACE_FLOOR {
+        eprintln!(
+            "bench_gate: FAIL — lock2 shfl_numa x80 in-place share {share:.3} is below the \
+             {IN_PLACE_FLOOR} floor"
+        );
+        std::process::exit(1);
+    }
+
     if std::env::var("C3_BENCH_GATE").as_deref() == Ok("0") {
-        println!("bench_gate: skipped (C3_BENCH_GATE=0)");
+        println!("bench_gate: wall-clock gates skipped (C3_BENCH_GATE=0)");
         return;
     }
 

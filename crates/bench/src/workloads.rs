@@ -5,7 +5,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use concord::Concord;
-use ksim::{Sim, SimBuilder, TaskCtx};
+use ksim::{Sim, SimBuilder, SimStats, TaskCtx};
 use simlocks::{NativePolicy, SimBravo, SimMcsLock, SimNeutralRwLock, SimShflLock};
 
 use crate::hashtable::HashTable;
@@ -90,6 +90,14 @@ fn placement(sim: &Sim, n: u32) -> Vec<ksim::CpuId> {
     sim.topology().compact_placement(n as usize)
 }
 
+/// Runs `sim` to completion; returns operations per virtual millisecond
+/// and the run's statistics.
+fn finish(sim: &Sim, ops: &Cell<u64>, window_ns: u64, what: &str) -> (f64, SimStats) {
+    let stats = sim.run();
+    assert!(stats.stuck_tasks.is_empty(), "deadlock in {what}");
+    (ops.get() as f64 / (window_ns as f64 / 1e6), stats)
+}
+
 enum RwLockImpl {
     Stock(SimNeutralRwLock),
     Bravo(SimBravo, u64),
@@ -148,6 +156,16 @@ impl RwLockImpl {
 /// Runs the `page_fault2` pattern (Fig. 2(a)); returns faults per virtual
 /// millisecond.
 pub fn run_page_fault2(threads: u32, series: RwSeries, window_ns: u64, seed: u64) -> f64 {
+    page_fault2_point(threads, series, window_ns, seed).0
+}
+
+/// [`run_page_fault2`] with the simulator's own account of the run.
+pub fn page_fault2_point(
+    threads: u32,
+    series: RwSeries,
+    window_ns: u64,
+    seed: u64,
+) -> (f64, SimStats) {
     let sim = sim_for(seed);
     let lock = Rc::new(match series {
         RwSeries::Stock => RwLockImpl::Stock(SimNeutralRwLock::new(&sim)),
@@ -176,14 +194,22 @@ pub fn run_page_fault2(threads: u32, series: RwSeries, window_ns: u64, seed: u64
             }
         });
     }
-    let stats = sim.run();
-    assert!(stats.stuck_tasks.is_empty(), "deadlock in page_fault2");
-    ops.get() as f64 / (window_ns as f64 / 1e6)
+    finish(&sim, &ops, window_ns, "page_fault2")
 }
 
 /// Runs the `lock2` pattern (Fig. 2(b)); returns acquisitions per virtual
 /// millisecond.
 pub fn run_lock2(threads: u32, series: SpinSeries, window_ns: u64, seed: u64) -> f64 {
+    lock2_point(threads, series, window_ns, seed).0
+}
+
+/// [`run_lock2`] with the simulator's own account of the run.
+pub fn lock2_point(
+    threads: u32,
+    series: SpinSeries,
+    window_ns: u64,
+    seed: u64,
+) -> (f64, SimStats) {
     let sim = sim_for(seed);
     let ops = Rc::new(Cell::new(0u64));
     let data: Rc<Vec<ksim::SimWord>> = Rc::new(
@@ -243,14 +269,22 @@ pub fn run_lock2(threads: u32, series: SpinSeries, window_ns: u64, seed: u64) ->
             }
         });
     }
-    let stats = sim.run();
-    assert!(stats.stuck_tasks.is_empty(), "deadlock in lock2");
-    ops.get() as f64 / (window_ns as f64 / 1e6)
+    finish(&sim, &ops, window_ns, "lock2")
 }
 
 /// Runs the global-lock hash-table pattern (Fig. 2(c)); returns operations
 /// per virtual millisecond.
 pub fn run_hashtable(threads: u32, series: HtSeries, window_ns: u64, seed: u64) -> f64 {
+    hashtable_point(threads, series, window_ns, seed).0
+}
+
+/// [`run_hashtable`] with the simulator's own account of the run.
+pub fn hashtable_point(
+    threads: u32,
+    series: HtSeries,
+    window_ns: u64,
+    seed: u64,
+) -> (f64, SimStats) {
     let sim = sim_for(seed);
     let lock = Rc::new(SimShflLock::new(&sim));
     match series {
@@ -302,9 +336,7 @@ pub fn run_hashtable(threads: u32, series: HtSeries, window_ns: u64, seed: u64) 
             }
         });
     }
-    let stats = sim.run();
-    assert!(stats.stuck_tasks.is_empty(), "deadlock in hashtable");
-    ops.get() as f64 / (window_ns as f64 / 1e6)
+    finish(&sim, &ops, window_ns, "hashtable")
 }
 
 #[cfg(test)]
@@ -361,6 +393,36 @@ mod tests {
         let a = run_lock2(8, SpinSeries::ShflNuma, W, 7);
         let b = run_lock2(8, SpinSeries::ShflNuma, W, 7);
         assert_eq!(a, b);
+    }
+
+    /// `(events, trace_hash, final_time_ns, transfers)` of three figure
+    /// points at seed 42 over the figures' 3 ms window, recorded at the
+    /// commit before timers were delivered in place. How an event reaches
+    /// its task is not part of the run: none of these may move.
+    #[test]
+    fn figure_points_repeat_their_recorded_runs() {
+        const WINDOW: u64 = 3_000_000;
+        let pins = [
+            (
+                "lock2 ShflNuma 80",
+                lock2_point(80, SpinSeries::ShflNuma, WINDOW, 42).1,
+                (202_201, 0xa6e0_9379_b781_8834, 3_030_272, 22_345),
+            ),
+            (
+                "hashtable ConcordNoop 40",
+                hashtable_point(40, HtSeries::ConcordNoop, WINDOW, 42).1,
+                (107_000, 0xf71a_15e5_961c_8c12, 3_019_393, 18_414),
+            ),
+            (
+                "page_fault2 Bravo 8",
+                page_fault2_point(8, RwSeries::Bravo, WINDOW, 42).1,
+                (97_408, 0xb920_feb2_9ec2_aa0a, 3_000_150, 9),
+            ),
+        ];
+        for (name, s, want) in pins {
+            let got = (s.events, s.trace_hash, s.final_time_ns, s.transfers);
+            assert_eq!(got, want, "{name}");
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use std::sync::OnceLock;
 
 use cbpf::helpers::{HelperId, PolicyEnv};
 use cbpf::verifier::{verify_with_rules, HookRules};
-use cbpf::{compile_dsl, CtxLayout, FieldAccess, JitMode, OptConfig, PreparedProgram};
+use cbpf::{compile_dsl, CtxLayout, JitMode, OptConfig, PreparedProgram};
 use ksim::{
     CpuId, Histogram, Injection, PctStrategy, RandomDelayStrategy, ReplayStrategy, SchedAction,
     SchedController, SchedPoint, ScheduleStrategy, SimBuilder, SplitMix64,
@@ -44,6 +44,7 @@ use simlocks::{
     SimShflLock, SimTasLock, SimTicketLock, UnfairStealLock,
 };
 
+use crate::hookctx::{build_layout, packed, put32, put64, Fields};
 use crate::watchdog::{detect, WatchdogConfig, WindowStats};
 
 /// Seed used for the uninjected baseline run of fixtures whose hazard
@@ -393,6 +394,9 @@ impl Fixture {
         let monitor = Rc::new(Monitor::new());
         self.spawn_workload(&sim, &monitor);
         let stats = sim.run();
+        // A deadlocked schedule ends with stuck tasks, whose futures would
+        // keep the whole simulation alive past this call.
+        sim.teardown();
 
         let mut violation = monitor.take_violation();
         if violation.is_none() && !stats.stuck_tasks.is_empty() {
@@ -701,23 +705,29 @@ impl StrategySpec {
     }
 }
 
+/// The fields of a schedule-point context: the one table behind both the
+/// layout a policy is verified against and the offsets the marshalling
+/// writes through (see [`crate::hookctx`]).
+const SCHED_FIELDS: Fields = &[&[
+    ("lock_id", 8),
+    ("now_ns", 8),
+    ("point_index", 8),
+    ("task_seq", 8),
+    ("rnd", 8),
+    ("site", 4),
+    ("task", 4),
+    ("cpu", 4),
+    ("socket", 4),
+]];
+
+/// Size in bytes of a marshalled schedule-point context.
+const SCHED_CTX_BYTES: usize = packed(SCHED_FIELDS, None);
+
 /// Context layout a schedule policy sees at each point. All fields are
 /// read-only: the program's influence flows only through its return value.
 pub fn sched_ctx_layout() -> &'static CtxLayout {
     static LAYOUT: OnceLock<CtxLayout> = OnceLock::new();
-    LAYOUT.get_or_init(|| {
-        CtxLayout::builder()
-            .field("lock_id", 8, FieldAccess::ReadOnly)
-            .field("now_ns", 8, FieldAccess::ReadOnly)
-            .field("point_index", 8, FieldAccess::ReadOnly)
-            .field("task_seq", 8, FieldAccess::ReadOnly)
-            .field("rnd", 8, FieldAccess::ReadOnly)
-            .field("site", 4, FieldAccess::ReadOnly)
-            .field("task", 4, FieldAccess::ReadOnly)
-            .field("cpu", 4, FieldAccess::ReadOnly)
-            .field("socket", 4, FieldAccess::ReadOnly)
-            .build()
-    })
+    LAYOUT.get_or_init(|| build_layout(SCHED_FIELDS))
 }
 
 /// Verifier rules for schedule policies: decision-hook strictness (128
@@ -796,7 +806,7 @@ impl PolicyEnv for SchedEnv {
 /// A [`ScheduleStrategy`] whose decisions come from a verified cbpf
 /// program: the test schedule is itself a policy.
 pub struct PolicySchedStrategy {
-    prepared: PreparedProgram,
+    prepared: Rc<PreparedProgram>,
     env: SchedEnv,
     rng: SplitMix64,
 }
@@ -810,54 +820,39 @@ impl PolicySchedStrategy {
             .map_err(|e| ExploreError::Policy(e.to_string()))?;
         verify_with_rules(&prog, layout, &sched_rules())
             .map_err(|e| ExploreError::Policy(e.to_string()))?;
-        Ok(PolicySchedStrategy {
-            // Eager jit: a schedule campaign invokes the policy at every
-            // decision point of every schedule, so the compile cost
-            // amortizes within the first schedule.
-            prepared: prog.prepare_with_jit(layout, OptConfig::default(), JitMode::Eager),
-            env: SchedEnv::default(),
-            rng: SplitMix64::new(seed ^ 0x9051_c7ed_0bad_f00d),
-        })
+        // Eager jit: a campaign invokes the policy at every decision point
+        // of every schedule, so the compile cost amortizes at once.
+        let prepared = prog.prepare_with_jit(layout, OptConfig::default(), JitMode::Eager);
+        Ok(PolicySchedStrategy::over(Rc::new(prepared), seed))
     }
 
-    fn marshal(&self, p: &SchedPoint, rnd: u64) -> Vec<u8> {
-        struct Offs {
-            size: usize,
-            now: usize,
-            index: usize,
-            seq: usize,
-            rnd: usize,
-            site: usize,
-            task: usize,
-            cpu: usize,
-            socket: usize,
+    fn over(prepared: Rc<PreparedProgram>, seed: u64) -> PolicySchedStrategy {
+        PolicySchedStrategy {
+            prepared,
+            env: SchedEnv::default(),
+            rng: SplitMix64::new(seed ^ 0x9051_c7ed_0bad_f00d),
         }
-        static OFFS: OnceLock<Offs> = OnceLock::new();
-        let o = OFFS.get_or_init(|| {
-            let l = sched_ctx_layout();
-            let f = |n: &str| l.field(n).expect("declared").offset;
-            Offs {
-                size: l.size(),
-                now: f("now_ns"),
-                index: f("point_index"),
-                seq: f("task_seq"),
-                rnd: f("rnd"),
-                site: f("site"),
-                task: f("task"),
-                cpu: f("cpu"),
-                socket: f("socket"),
-            }
-        });
-        let mut buf = vec![0u8; o.size];
-        buf[0..8].copy_from_slice(&p.lock_id.to_le_bytes());
-        buf[o.now..o.now + 8].copy_from_slice(&p.now_ns.to_le_bytes());
-        buf[o.index..o.index + 8].copy_from_slice(&p.index.to_le_bytes());
-        buf[o.seq..o.seq + 8].copy_from_slice(&p.task_seq.to_le_bytes());
-        buf[o.rnd..o.rnd + 8].copy_from_slice(&rnd.to_le_bytes());
-        buf[o.site..o.site + 4].copy_from_slice(&p.site.code().to_le_bytes());
-        buf[o.task..o.task + 4].copy_from_slice(&p.task.0.to_le_bytes());
-        buf[o.cpu..o.cpu + 4].copy_from_slice(&p.cpu.to_le_bytes());
-        buf[o.socket..o.socket + 4].copy_from_slice(&p.socket.to_le_bytes());
+    }
+
+    /// The strategy `compile(src, seed)` would give, over the program this
+    /// one already compiled: a DSL program has no maps, so everything a
+    /// schedule can observe is the fresh environment and random stream.
+    pub fn reseeded(&self, seed: u64) -> PolicySchedStrategy {
+        PolicySchedStrategy::over(Rc::clone(&self.prepared), seed)
+    }
+
+    fn marshal(p: &SchedPoint, rnd: u64) -> [u8; SCHED_CTX_BYTES] {
+        const F: Fields = SCHED_FIELDS;
+        let mut buf = [0u8; SCHED_CTX_BYTES];
+        put64(&mut buf, const { packed(F, Some("lock_id")) }, p.lock_id);
+        put64(&mut buf, const { packed(F, Some("now_ns")) }, p.now_ns);
+        put64(&mut buf, const { packed(F, Some("point_index")) }, p.index);
+        put64(&mut buf, const { packed(F, Some("task_seq")) }, p.task_seq);
+        put64(&mut buf, const { packed(F, Some("rnd")) }, rnd);
+        put32(&mut buf, const { packed(F, Some("site")) }, p.site.code());
+        put32(&mut buf, const { packed(F, Some("task")) }, p.task.0);
+        put32(&mut buf, const { packed(F, Some("cpu")) }, p.cpu);
+        put32(&mut buf, const { packed(F, Some("socket")) }, p.socket);
         buf
     }
 }
@@ -871,7 +866,7 @@ impl ScheduleStrategy for PolicySchedStrategy {
         self.env.pid.set(u64::from(p.task.0));
         self.env.rnd.set(rnd);
         self.env.points.set(p.index);
-        let mut ctx = self.marshal(p, rnd);
+        let mut ctx = PolicySchedStrategy::marshal(p, rnd);
         let ret = match self.prepared.run(&mut ctx, &self.env, POLICY_DECIDE_BUDGET) {
             Ok(report) => report.ret,
             // A verified program can only fail by budget; treat as Proceed.
@@ -983,10 +978,20 @@ pub fn explore(
     spec: &StrategySpec,
     cfg: &ExploreConfig,
 ) -> Result<ExploreReport, ExploreError> {
+    // A schedule policy is compiled and verified once per campaign — so a
+    // rejected program fails here, before any schedule runs — and re-seeded
+    // per schedule.
+    let policy = match spec {
+        StrategySpec::Policy { src } => Some(PolicySchedStrategy::compile(src, 0)?),
+        _ => None,
+    };
     let baseline = fixture.baseline_window();
     for i in 0..cfg.schedules {
         let seed = schedule_seed(cfg.base_seed, i);
-        let strat = spec.build(seed)?;
+        let strat = match &policy {
+            Some(p) => Box::new(p.reseeded(seed)),
+            None => spec.build(seed)?,
+        };
         let out = fixture.run(seed, Some(strat), baseline.as_ref());
         if let Some(v) = out.violation {
             let repro = shrink(
@@ -1274,6 +1279,7 @@ impl Repro {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ksim::SchedSite;
 
     #[test]
     fn zoo_baselines_clean() {
@@ -1334,6 +1340,83 @@ mod tests {
     #[test]
     fn default_policy_compiles_and_verifies() {
         PolicySchedStrategy::compile(default_policy_src(), 1).unwrap();
+    }
+
+    // As in `hookctx`: the table sizes the buffer, so the two cannot
+    // disagree; a changed table moves offsets and must be re-pinned here.
+    const _: () = assert!(SCHED_CTX_BYTES == 56);
+
+    #[test]
+    fn stack_marshal_matches_the_layout_by_name() {
+        let layout = sched_ctx_layout();
+        assert_eq!(layout.size(), SCHED_CTX_BYTES);
+        let p = SchedPoint {
+            index: 0x1111_2222_3333_4444,
+            task_seq: 0x5555_6666_7777_8888,
+            site: SchedSite::Window,
+            task: ksim::TaskId(0x9999_aaaa),
+            cpu: 0xbbbb_cccc,
+            socket: 0xdddd_eeee,
+            lock_id: 0x0123_4567_89ab_cdef,
+            now_ns: 0xfedc_ba98_7654_3210,
+        };
+        let rnd = 0x0f0f_f0f0_5a5a_a5a5;
+        let mut want = vec![0u8; layout.size()];
+        for (name, v) in [
+            ("lock_id", p.lock_id),
+            ("now_ns", p.now_ns),
+            ("point_index", p.index),
+            ("task_seq", p.task_seq),
+            ("rnd", rnd),
+            ("site", u64::from(p.site.code())),
+            ("task", u64::from(p.task.0)),
+            ("cpu", u64::from(p.cpu)),
+            ("socket", u64::from(p.socket)),
+        ] {
+            layout.write(&mut want, name, v);
+        }
+        assert_eq!(PolicySchedStrategy::marshal(&p, rnd)[..], want[..]);
+    }
+
+    #[test]
+    fn reseeded_policy_decides_as_a_fresh_compile_would() {
+        let first = PolicySchedStrategy::compile(default_policy_src(), 0).unwrap();
+        for seed in [1, 77, u64::MAX] {
+            let mut fresh = PolicySchedStrategy::compile(default_policy_src(), seed).unwrap();
+            let mut shared = first.reseeded(seed);
+            let mut acted = 0;
+            for i in 0..200u64 {
+                let p = SchedPoint {
+                    index: i,
+                    task_seq: i / 4,
+                    site: SchedSite::ALL[(i % 7) as usize],
+                    task: ksim::TaskId((i % 4) as u32),
+                    cpu: (i % 4) as u32 * 10,
+                    socket: (i % 4) as u32,
+                    lock_id: 1,
+                    now_ns: i * 300,
+                };
+                let a = fresh.decide(&p);
+                assert_eq!(a, shared.decide(&p), "seed {seed}, point {i}");
+                acted += u32::from(a != SchedAction::Proceed);
+            }
+            assert!(acted > 0, "the default policy injects somewhere");
+        }
+    }
+
+    #[test]
+    fn rejected_policy_fails_the_campaign_before_any_schedule() {
+        let spec = StrategySpec::Policy {
+            src: "return foo(".to_string(),
+        };
+        let cfg = ExploreConfig {
+            schedules: 0,
+            ..ExploreConfig::default()
+        };
+        assert!(matches!(
+            explore(Fixture::BrokenTicket, &spec, &cfg),
+            Err(ExploreError::Policy(_))
+        ));
     }
 
     #[test]

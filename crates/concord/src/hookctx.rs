@@ -16,7 +16,7 @@ use locks::hooks::{
 };
 
 /// One context field: name and width in bytes.
-type Field = (&'static str, usize);
+pub(crate) type Field = (&'static str, usize);
 /// A context's fields in declaration order, as runs of fields that several
 /// contexts share. All are read-only: decision hooks return decisions,
 /// they never mutate lock state (§4.2).
@@ -24,7 +24,7 @@ type Field = (&'static str, usize);
 /// These tables are the single source of both the [`CtxLayout`] a policy
 /// is verified against and the compile-time offsets and buffer sizes the
 /// marshalling below writes through, so the two cannot drift apart.
-type Fields = &'static [&'static [Field]];
+pub(crate) type Fields = &'static [&'static [Field]];
 
 macro_rules! node_fields {
     ($prefix:literal) => {
@@ -71,7 +71,7 @@ pub const EVENT_CTX_BYTES: usize = packed(EVENT_FIELDS, None);
 /// order, natural alignment, total rounded up to 8) and returns the offset
 /// of field `name`, or the total size for `None`. Evaluated at compile
 /// time only; naming a field the table lacks fails the build.
-const fn packed(fields: Fields, name: Option<&str>) -> usize {
+pub(crate) const fn packed(fields: Fields, name: Option<&str>) -> usize {
     let mut at = 0;
     let mut run = 0;
     while run < fields.len() {
@@ -108,7 +108,7 @@ const fn str_eq(a: &str, b: &str) -> bool {
     true
 }
 
-fn build_layout(fields: Fields) -> CtxLayout {
+pub(crate) fn build_layout(fields: Fields) -> CtxLayout {
     let mut b = CtxLayout::builder();
     for &(name, width) in fields.iter().copied().flatten() {
         b = b.field(name, width, FieldAccess::ReadOnly);
@@ -214,12 +214,12 @@ macro_rules! node_offsets {
 }
 
 #[inline]
-fn put64(buf: &mut [u8], off: usize, v: u64) {
+pub(crate) fn put64(buf: &mut [u8], off: usize, v: u64) {
     buf[off..off + 8].copy_from_slice(&v.to_le_bytes());
 }
 
 #[inline]
-fn put32(buf: &mut [u8], off: usize, v: u32) {
+pub(crate) fn put32(buf: &mut [u8], off: usize, v: u32) {
     buf[off..off + 4].copy_from_slice(&v.to_le_bytes());
 }
 

@@ -95,10 +95,6 @@ impl CacheModel {
         }
     }
 
-    pub(crate) fn latency(&self) -> &LatencyModel {
-        &self.lat
-    }
-
     pub(crate) fn alloc_line(&mut self) -> LineId {
         let id = LineId(self.lines.len() as u32);
         self.lines.push(Line {

@@ -10,7 +10,7 @@
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -32,9 +32,17 @@ struct Event {
     task: TaskId,
 }
 
+impl Event {
+    /// `(time, seq)` as one integer: heap sifts compare events by one
+    /// 128-bit comparison instead of a branch per field.
+    fn key(&self) -> u128 {
+        u128::from(self.time) << 64 | u128::from(self.seq)
+    }
+}
+
 impl Ord for Event {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -59,10 +67,17 @@ pub(crate) struct Shared {
     heap: RefCell<BinaryHeap<Reverse<Event>>>,
     tasks: RefCell<Vec<TaskSlot>>,
     pub(crate) cache: RefCell<CacheModel>,
+    /// The cache model's latency constants, readable without borrowing it.
+    lat: LatencyModel,
     topo: Topology,
     rng: RefCell<SplitMix64>,
     live: Cell<usize>,
     events_processed: Cell<u64>,
+    /// Events a [`Delay`] delivered to itself without the heap.
+    in_place: Cell<u64>,
+    /// Deadline of the `run_until` call in progress; tasks are only ever
+    /// polled from inside one.
+    deadline: Cell<u64>,
     trace_hash: Cell<u64>,
     next_obj_id: Cell<u64>,
     trace_log: RefCell<Option<Vec<(u64, u32)>>>,
@@ -95,6 +110,50 @@ impl Shared {
     pub(crate) fn now(&self) -> u64 {
         self.now.get()
     }
+
+    /// Delivers the event `(time, task)`: everything the run observes of an
+    /// event other than the poll itself. The run loop and the in-place
+    /// route both come through here, so they cannot drift apart.
+    fn begin_event(&self, time: u64, task: TaskId) {
+        debug_assert!(time >= self.now.get(), "time went backwards");
+        self.now.set(time);
+        self.events_processed.set(self.events_processed.get() + 1);
+        let mixed = self
+            .trace_hash
+            .get()
+            .wrapping_mul(0x100_0000_01b3)
+            .rotate_left(17)
+            .wrapping_add(time ^ u64::from(task.0) << 32);
+        self.trace_hash.set(mixed);
+        if let Some(log) = self.trace_log.borrow_mut().as_mut() {
+            log.push((time, task.0));
+        }
+    }
+
+    /// Delivers `task`'s own wake-up at `at` without the heap when it is
+    /// provably the next event the run loop would pop and hand back to it:
+    /// no queued event is due at or before `at` (an equal-time one holds a
+    /// lower sequence number and goes first), `at` is within the deadline
+    /// of the `run_until` in progress, and `cpu` is not descheduled at
+    /// `at`. Tasks are linear `async` chains, so no other task can run
+    /// between the `Pending` this replaces and that pop; returning `Ready`
+    /// here is the same run. Returns whether the event was delivered.
+    fn deliver_in_place(&self, task: TaskId, cpu: CpuId, at: u64) -> bool {
+        if at > self.deadline.get() {
+            return false;
+        }
+        if let Some(Reverse(top)) = self.heap.borrow().peek() {
+            if top.time <= at {
+                return false;
+            }
+        }
+        if self.offline_until.borrow()[cpu.0 as usize] > at {
+            return false;
+        }
+        self.begin_event(at, task);
+        self.in_place.set(self.in_place.get() + 1);
+        true
+    }
 }
 
 /// Aggregate results of a simulation run.
@@ -104,6 +163,11 @@ pub struct SimStats {
     pub final_time_ns: u64,
     /// Number of events the executor processed.
     pub events: u64,
+    /// How many of `events` were delivered in place, without the heap: a
+    /// timer that was provably the next event completed inside the poll
+    /// that set it. Depends on how the run was sliced into `run_until`
+    /// calls; no other field does.
+    pub in_place: u64,
     /// Tasks that ran to completion.
     pub tasks_completed: usize,
     /// Tasks still suspended when the heap drained (parked or watching a
@@ -188,10 +252,13 @@ impl SimBuilder {
                 )),
                 tasks: RefCell::new(Vec::new()),
                 cache: RefCell::new(CacheModel::new(self.latency)),
+                lat: self.latency,
                 topo: self.topology,
                 rng: RefCell::new(SplitMix64::new(self.seed)),
                 live: Cell::new(0),
                 events_processed: Cell::new(0),
+                in_place: Cell::new(0),
+                deadline: Cell::new(0),
                 trace_hash: Cell::new(0xcbf2_9ce4_8422_2325),
                 next_obj_id: Cell::new(1),
                 trace_log: RefCell::new(None),
@@ -273,67 +340,43 @@ impl Sim {
     pub fn run_until(&self, deadline_ns: u64) -> SimStats {
         let waker = noop_waker();
         let mut cx = Context::from_waker(&waker);
+        let sh = &*self.shared;
+        sh.deadline.set(deadline_ns);
         loop {
-            let ev = match self.shared.heap.borrow_mut().pop() {
-                Some(Reverse(ev)) => ev,
-                None => break,
+            let ev = match sh.heap.borrow_mut().peek_mut() {
+                Some(top) if top.0.time <= deadline_ns => PeekMut::pop(top).0,
+                // Later events stay queued for a later `run_until`.
+                _ => break,
             };
-            if ev.time > deadline_ns {
-                // Put it back for a later `run_until` call.
-                self.shared.heap.borrow_mut().push(Reverse(ev));
-                break;
-            }
-            debug_assert!(ev.time >= self.shared.now.get(), "time went backwards");
-            // A task on a preempted vCPU cannot run: defer its event to
-            // the end of the offline window.
-            {
-                let tasks = self.shared.tasks.borrow();
-                if let Some(slot) = tasks.get(ev.task.0 as usize) {
-                    let until = self.shared.offline_until.borrow()[slot.cpu.0 as usize];
-                    if until > ev.time {
-                        drop(tasks);
-                        self.shared.schedule(ev.task, until);
-                        continue;
-                    }
-                }
-            }
-            self.shared.now.set(ev.time);
-            self.shared
-                .events_processed
-                .set(self.shared.events_processed.get() + 1);
-            let h = self.shared.trace_hash.get();
-            let mixed = h
-                .wrapping_mul(0x100_0000_01b3)
-                .rotate_left(17)
-                .wrapping_add(ev.time ^ u64::from(ev.task.0) << 32);
-            self.shared.trace_hash.set(mixed);
-            if let Some(log) = self.shared.trace_log.borrow_mut().as_mut() {
-                log.push((ev.time, ev.task.0));
-            }
-
+            let idx = ev.task.0 as usize;
             // Take the future out so the poll can re-borrow the task table.
             let mut fut = {
-                let mut tasks = self.shared.tasks.borrow_mut();
-                let slot = &mut tasks[ev.task.0 as usize];
+                let mut tasks = sh.tasks.borrow_mut();
+                let slot = &mut tasks[idx];
+                // A task on a preempted vCPU cannot run: defer its event to
+                // the end of the offline window.
+                let until = sh.offline_until.borrow()[slot.cpu.0 as usize];
+                if until > ev.time {
+                    sh.schedule(ev.task, until);
+                    continue;
+                }
+                sh.begin_event(ev.time, ev.task);
                 if slot.done {
                     continue;
                 }
                 match slot.future.take() {
                     Some(f) => f,
-                    // Already being polled — impossible on one thread.
+                    // Torn down: its events are delivered to nobody.
                     None => continue,
                 }
             };
-            match fut.as_mut().poll(&mut cx) {
-                Poll::Ready(()) => {
-                    let mut tasks = self.shared.tasks.borrow_mut();
-                    tasks[ev.task.0 as usize].done = true;
-                    self.shared.live.set(self.shared.live.get() - 1);
-                }
-                Poll::Pending => {
-                    let mut tasks = self.shared.tasks.borrow_mut();
-                    tasks[ev.task.0 as usize].future = Some(fut);
-                }
+            let done = fut.as_mut().poll(&mut cx).is_ready();
+            let mut tasks = sh.tasks.borrow_mut();
+            if done {
+                tasks[idx].done = true;
+                sh.live.set(sh.live.get() - 1);
+            } else {
+                tasks[idx].future = Some(fut);
             }
         }
         self.stats()
@@ -352,6 +395,7 @@ impl Sim {
         SimStats {
             final_time_ns: self.shared.now(),
             events: self.shared.events_processed.get(),
+            in_place: self.shared.in_place.get(),
             tasks_completed: tasks.iter().filter(|s| s.done).count(),
             stuck_tasks: stuck,
             loads,
@@ -359,6 +403,26 @@ impl Sim {
             transfers,
             trace_hash: self.shared.trace_hash.get(),
         }
+    }
+
+    /// Ends the simulation: drops the futures of the tasks that never
+    /// finished, and with them everything they captured. Such a future
+    /// holds its [`TaskCtx`], which holds the simulator, which holds the
+    /// task table: a run that ends with stuck tasks is a reference cycle
+    /// that dropping every `Sim` handle does not free. Call it once the
+    /// final [`SimStats`] are taken; the stuck tasks stay reported as
+    /// stuck, and events still queued for them are delivered to nobody.
+    pub fn teardown(&self) {
+        let unfinished: Vec<_> = self
+            .shared
+            .tasks
+            .borrow_mut()
+            .iter_mut()
+            .filter_map(|slot| slot.future.take())
+            .collect();
+        // Dropped here, outside the borrow: a captured value's `Drop` may
+        // call back into the simulator.
+        drop(unfinished);
     }
 
     /// Allocates a fresh cache line (used by `SimWord`/`SimCell`).
@@ -466,7 +530,7 @@ impl TaskCtx {
 
     /// The latency constants of the machine this task runs on.
     pub fn latency(&self) -> LatencyModel {
-        *self.shared.cache.borrow().latency()
+        self.shared.lat
     }
 
     /// Deterministic pseudo-random 64-bit value.
@@ -478,9 +542,9 @@ impl TaskCtx {
     ///
     /// Models computation (critical-section work, backoff) without burning
     /// host CPU. `advance(0)` completes immediately without suspension.
-    pub fn advance(&self, ns: u64) -> Delay {
+    pub fn advance(&self, ns: u64) -> Delay<'_> {
         Delay {
-            ctx: self.clone(),
+            ctx: self,
             ns,
             armed: false,
         }
@@ -491,9 +555,9 @@ impl TaskCtx {
     /// Follows `std::thread::park` token semantics: an `unpark` that arrives
     /// before the `park` makes the `park` return immediately. Spurious
     /// wake-ups are possible; callers must re-check their condition.
-    pub fn park(&self) -> Park {
+    pub fn park(&self) -> Park<'_> {
         Park {
-            ctx: self.clone(),
+            ctx: self,
             armed: false,
         }
     }
@@ -510,9 +574,9 @@ impl TaskCtx {
         }
         if slot.parked {
             slot.parked = false;
-            let wake = self.shared.cache.borrow().latency().wake_latency;
             drop(tasks);
-            self.shared.schedule(target, self.shared.now() + wake);
+            self.shared
+                .schedule(target, self.shared.now() + self.shared.lat.wake_latency);
         } else {
             slot.unpark_token = true;
         }
@@ -604,27 +668,31 @@ impl TaskCtx {
 }
 
 /// Future returned by [`TaskCtx::advance`].
-pub struct Delay {
-    ctx: TaskCtx,
+pub struct Delay<'a> {
+    ctx: &'a TaskCtx,
     ns: u64,
     armed: bool,
 }
 
-impl Future for Delay {
+impl Future for Delay<'_> {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         if self.ns == 0 {
             return Poll::Ready(());
         }
+        let ctx = self.ctx;
         if !self.armed {
+            let at = ctx.shared.now() + self.ns;
+            if ctx.shared.deliver_in_place(ctx.id, ctx.cpu, at) {
+                return Poll::Ready(());
+            }
             self.armed = true;
-            let at = self.ctx.shared.now() + self.ns;
-            self.ctx.shared.schedule(self.ctx.id, at);
+            ctx.shared.schedule(ctx.id, at);
             // Remember the deadline so spurious polls stay pending.
             self.ns = at;
             Poll::Pending
-        } else if self.ctx.shared.now() >= self.ns {
+        } else if ctx.shared.now() >= self.ns {
             Poll::Ready(())
         } else {
             Poll::Pending
@@ -633,12 +701,12 @@ impl Future for Delay {
 }
 
 /// Future returned by [`TaskCtx::park`].
-pub struct Park {
-    ctx: TaskCtx,
+pub struct Park<'a> {
+    ctx: &'a TaskCtx,
     armed: bool,
 }
 
-impl Future for Park {
+impl Future for Park<'_> {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
@@ -870,6 +938,95 @@ mod tests {
         });
         sim.run();
         assert!(!sim.trace().is_empty(), "capture stays on after take");
+    }
+
+    #[test]
+    fn lone_timer_is_delivered_in_place_and_traced() {
+        let sim = SimBuilder::new().build();
+        sim.capture_trace(true);
+        sim.spawn_on(CpuId(0), |t| async move {
+            t.advance(10).await;
+            t.advance(20).await;
+        });
+        let stats = sim.run();
+        // The spawn event comes off the heap; with nothing else queued,
+        // each timer is the next event and completes inside that poll.
+        assert_eq!((stats.events, stats.in_place), (3, 2));
+        assert_eq!(*sim.trace(), [(0, 0), (10, 0), (30, 0)]);
+    }
+
+    #[test]
+    fn equal_time_queued_event_goes_before_an_in_place_candidate() {
+        let sim = SimBuilder::new().build();
+        let order = Rc::new(RefCell::new(Vec::new()));
+        for cpu in 0..2u32 {
+            let order = Rc::clone(&order);
+            sim.spawn_on(CpuId(cpu), move |t| async move {
+                t.advance(100).await;
+                order.borrow_mut().push((t.now(), cpu));
+                t.advance(50).await;
+                order.borrow_mut().push((t.now(), cpu));
+            });
+        }
+        let stats = sim.run();
+        // Task 1 asks for t=100 while task 0's wake-up at t=100 is queued
+        // with a lower sequence number: the tie is task 0's, so task 1 goes
+        // through the heap behind it. The same again at t=150.
+        assert_eq!(*order.borrow(), [(100, 0), (100, 1), (150, 0), (150, 1)]);
+        assert_eq!((stats.events, stats.in_place), (6, 0));
+    }
+
+    #[test]
+    fn timer_past_the_deadline_waits_for_the_next_run_until() {
+        let sim = SimBuilder::new().build();
+        sim.spawn_on(CpuId(0), |t| async move {
+            for _ in 0..10 {
+                t.advance(100).await;
+            }
+        });
+        let first = sim.run_until(450);
+        // t=500 is past the deadline: it is queued, not delivered.
+        assert_eq!((first.final_time_ns, first.events, first.in_place), (400, 5, 4));
+        let stats = sim.run();
+        assert_eq!((stats.final_time_ns, stats.events, stats.in_place), (1_000, 11, 9));
+        assert_eq!(stats.tasks_completed, 1);
+    }
+
+    #[test]
+    fn timer_inside_an_offline_window_is_still_deferred() {
+        let sim = SimBuilder::new().build();
+        let done_at = Rc::new(Cell::new(0u64));
+        let (d, s) = (Rc::clone(&done_at), sim.clone());
+        sim.spawn_on(CpuId(3), move |t| async move {
+            s.preempt_cpu(CpuId(3), 10_000);
+            t.advance(100).await;
+            d.set(t.now());
+        });
+        let stats = sim.run();
+        assert_eq!(done_at.get(), 10_000);
+        assert_eq!(stats.in_place, 0);
+    }
+
+    #[test]
+    fn teardown_frees_what_stuck_tasks_captured() {
+        let sim = SimBuilder::new().build();
+        let captured = Rc::new(());
+        let weak = Rc::downgrade(&captured);
+        let s = sim.clone();
+        sim.spawn_on(CpuId(0), move |t| async move {
+            let _held = (captured, s);
+            t.park().await;
+        });
+        let stats = sim.run();
+        assert_eq!(stats.stuck_tasks, vec![TaskId(0)]);
+        assert!(weak.upgrade().is_some(), "the stuck future owns its captures");
+        sim.teardown();
+        assert!(weak.upgrade().is_none());
+        // Still reported, and running on is harmless.
+        assert_eq!(sim.run().stuck_tasks, vec![TaskId(0)]);
+        let shared = Rc::downgrade(&sim.shared);
+        drop(sim);
+        assert!(shared.upgrade().is_none(), "the simulator itself is freed");
     }
 
     #[test]
