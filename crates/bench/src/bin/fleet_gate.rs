@@ -9,13 +9,15 @@
 //! runs a second time and the two reports must be bit-identical,
 //! pinning the deterministic-replay contract at the CI gate. The inert
 //! run must additionally exercise the degraded-mode path: a partitioned
-//! host keeps serving its last-known-good snapshot.
+//! host keeps serving its last-known-good snapshot. The gate also holds
+//! the store to O(delta) publishes, as a ratio of two costs measured in
+//! this process: a one-binding publish at 1 M tenants against the same
+//! publish at 100 k.
 //!
 //! With `--bench`, regenerates the EXPERIMENTS.md propagation table
 //! instead: p50/p99 propagation latency (virtual time, commit →
 //! host-applied) over the gate seeds, plus control-plane store
-//! throughput at 100 k and 1 M tenants through the sharded
-//! `cbpf::map`-backed tenant index.
+//! throughput at 100 k and 1 M tenants.
 //!
 //! Skip with `C3_FLEET_GATE=0`.
 
@@ -114,11 +116,19 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-/// Store throughput at `tenants` scale: one bulk publish binding every
-/// tenant (the initial fleet bring-up), a burst of incremental
-/// publishes on top (each pays the snapshot copy — the price of
-/// immutable versions), and a resolve sweep through the sharded index.
-fn bench_store(tenants: usize) {
+/// What [`bench_store`] measured at one fleet size.
+struct StoreCosts {
+    bulk_binds_per_s: f64,
+    /// Median wall time of a one-binding publish, milliseconds.
+    incr_publish_ms: f64,
+    resolves_per_s: f64,
+}
+
+/// Store costs at `tenants` scale: one bulk publish binding every
+/// tenant (the initial fleet bring-up), a run of one-binding publishes
+/// on top (each rebuilds one chunk of the head and shares the rest),
+/// and a resolve sweep across the whole table.
+fn bench_store(tenants: usize) -> StoreCosts {
     let artifact = seal_demo_artifact();
     let store = PolicyStore::new(tenants);
     let all: Vec<u64> = (0..tenants as u64).collect();
@@ -129,37 +139,54 @@ fn bench_store(tenants: usize) {
         .expect("bulk publish");
     let bulk = t.elapsed();
 
-    const INCREMENTAL: usize = 8;
-    let t = Instant::now();
-    for i in 0..INCREMENTAL as u64 {
-        store
-            .publish(&Delta::bind_all(
-                &[i * 17 % tenants as u64],
-                2000 + i,
-                Arc::clone(&artifact),
-            ))
-            .expect("incremental publish");
-    }
-    let incr = t.elapsed();
+    const INCREMENTAL: u64 = 64;
+    let mut incr: Vec<u64> = (0..INCREMENTAL)
+        .map(|i| {
+            let delta =
+                Delta::bind_all(&[i * 17 % tenants as u64], 2000 + i, Arc::clone(&artifact));
+            let t = Instant::now();
+            store.publish(&delta).expect("incremental publish");
+            t.elapsed().as_nanos() as u64
+        })
+        .collect();
+    incr.sort_unstable();
 
     const RESOLVES: usize = 1_000_000;
     let t = Instant::now();
     let mut hits = 0usize;
     for i in 0..RESOLVES as u64 {
-        // Splitmix-striped probes so the sweep touches every shard.
+        // Splitmix-striped probes so the sweep touches every chunk.
         let tenant = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) % tenants as u64;
-        hits += usize::from(store.index().lookup(tenant).is_some());
+        hits += usize::from(store.resolve(tenant).is_some());
     }
     let resolve = t.elapsed();
     assert_eq!(hits, RESOLVES, "resolve sweep missed bound tenants");
 
+    StoreCosts {
+        bulk_binds_per_s: tenants as f64 / bulk.as_secs_f64(),
+        incr_publish_ms: percentile(&incr, 0.5) as f64 / 1e6,
+        resolves_per_s: RESOLVES as f64 / resolve.as_secs_f64(),
+    }
+}
+
+/// A one-binding publish must not grow with the fleet: at most
+/// [`PUBLISH_SCALING_BOUND`]× from 100 k to 1 M tenants, both measured
+/// here, in one process, under the same host noise. (Copying the table
+/// per publish, as the store once did, is 178× on this pair.)
+fn gate_publish_scaling() -> bool {
+    const PUBLISH_SCALING_BOUND: f64 = 4.0;
+    let small = bench_store(100_000).incr_publish_ms;
+    let large = bench_store(1_000_000).incr_publish_ms;
+    let ratio = large / small;
     println!(
-        "| {tenants} | {} | {:.1} | {:.2} | {:.1} |",
-        store.index().shard_count(),
-        tenants as f64 / bulk.as_secs_f64() / 1e6,
-        incr.as_secs_f64() * 1e3 / INCREMENTAL as f64,
-        RESOLVES as f64 / resolve.as_secs_f64() / 1e6,
+        "fleet_gate: one-binding publish {small:.4} ms at 100k tenants, {large:.4} ms at 1M \
+         ({ratio:.2}x, bound {PUBLISH_SCALING_BOUND}x)"
     );
+    if ratio > PUBLISH_SCALING_BOUND {
+        eprintln!("fleet_gate: FAIL — publish cost grows with fleet size");
+        return false;
+    }
+    true
 }
 
 /// `--bench`: the EXPERIMENTS.md propagation + store-throughput tables.
@@ -186,10 +213,17 @@ fn bench(seeds: &[u64]) {
         dedups,
     );
     println!();
-    println!("| tenants | shards | bulk bind (M/s) | incr publish (ms) | resolve (M/s) |");
-    println!("|---|---|---|---|---|");
-    bench_store(100_000);
-    bench_store(1_000_000);
+    println!("| tenants | bulk bind (M/s) | incr publish (ms) | resolve (M/s) |");
+    println!("|---|---|---|---|");
+    for tenants in [100_000, 1_000_000] {
+        let c = bench_store(tenants);
+        println!(
+            "| {tenants} | {:.1} | {:.3} | {:.1} |",
+            c.bulk_binds_per_s / 1e6,
+            c.incr_publish_ms,
+            c.resolves_per_s / 1e6,
+        );
+    }
 }
 
 fn main() {
@@ -203,7 +237,7 @@ fn main() {
         return;
     }
     println!("fleet_gate: sweeping seeds {seeds:?}");
-    let mut failed = false;
+    let mut failed = !gate_publish_scaling();
     for &seed in &seeds {
         if !gate_seed(seed) {
             failed = true;

@@ -51,6 +51,32 @@ impl VerifiedProgram {
         })
     }
 
+    /// The same verified code over fresh, empty instances of its maps:
+    /// what one more attach site gets when map state must not be shared
+    /// with the sites that already run `self`.
+    ///
+    /// The verifier is not run again. Its verdict is a function of the
+    /// instructions, the maps' [`MapDef`](crate::map::MapDef)s, the
+    /// layout and the rules — it never looks at a map's contents — and
+    /// all four are copied unchanged; only the lowering, which captures
+    /// the map instances, is redone.
+    pub fn with_fresh_maps(&self) -> VerifiedProgram {
+        let maps = self
+            .prog
+            .maps()
+            .iter()
+            .map(|m| Arc::new(Map::new(m.def().clone())))
+            .collect();
+        let prog = Program::new(self.prog.name(), self.prog.insns().to_vec(), maps);
+        let prepared = prog.prepare(&self.layout);
+        VerifiedProgram {
+            prog: Arc::new(prog),
+            layout: self.layout.clone(),
+            rules: self.rules.clone(),
+            prepared: Arc::new(prepared),
+        }
+    }
+
     /// The hook rules the program was verified under.
     pub fn rules(&self) -> &HookRules {
         &self.rules
@@ -176,6 +202,41 @@ mod tests {
             VerifiedProgram::new(bad, &CtxLayout::empty(), &HookRules::permissive()),
             Err(VerifyError::BadProgramSize { .. })
         ));
+    }
+
+    #[test]
+    fn fresh_maps_keep_the_defs_and_share_no_instance() {
+        let def = MapDef {
+            name: "m".into(),
+            kind: MapKind::Array,
+            key_size: 4,
+            value_size: 8,
+            max_entries: 1,
+        };
+        let mut b = ProgramBuilder::new("p");
+        let mid = b.register_map(Arc::new(Map::new(def.clone())));
+        b.ldmap(Reg::R1, mid);
+        b.mov_imm(Reg::R0, 0);
+        b.exit();
+        let first = VerifiedProgram::new(
+            b.build().unwrap(),
+            &CtxLayout::empty(),
+            &HookRules::permissive(),
+        )
+        .unwrap();
+        first.program().maps()[0]
+            .update(&0u32.to_le_bytes(), &7u64.to_le_bytes(), 0)
+            .unwrap();
+
+        let second = first.with_fresh_maps();
+        assert_eq!(second.program().insns(), first.program().insns());
+        assert_eq!(second.program().name(), "p");
+        let (old, new) = (&first.program().maps()[0], &second.program().maps()[0]);
+        assert!(!Arc::ptr_eq(old, new));
+        assert_eq!(new.def(), &def);
+        let value = |m: &Map| m.lookup_copy(&0u32.to_le_bytes(), 0);
+        assert_eq!(value(old), Some(7u64.to_le_bytes().to_vec()));
+        assert_eq!(value(new), Some(0u64.to_le_bytes().to_vec()));
     }
 
     #[test]

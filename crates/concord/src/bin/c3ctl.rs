@@ -631,10 +631,9 @@ impl Ctl {
                     .map(|i| HostState::new(i, Arc::clone(&genesis)))
                     .collect();
                 println!(
-                    "  fleet session: {} host(s), store head {} ({} index shard(s))",
+                    "  fleet session: {} host(s), store head {}",
                     hosts.len(),
-                    store.head(),
-                    store.index().shard_count()
+                    store.head()
                 );
                 self.fleet = Some(CtlFleet {
                     store,

@@ -9,9 +9,11 @@
 //!
 //! * [`store`] — the durable heart: a CAS-versioned [`PolicyStore`]
 //!   (single op-head counter, writers retry-merge on conflict and
-//!   provably converge) holding immutable snapshots of the complete
-//!   `tenant → policy → sealed artifact` state, with a sharded
-//!   `cbpf::map` [`TenantIndex`] for O(1) per-tenant resolution;
+//!   provably converge) holding immutable, structurally shared
+//!   snapshots of the complete `tenant → policy → sealed artifact`
+//!   state: a publish costs O(delta), the head is read through one
+//!   epoch-protected pointer with no lock, and old versions live as
+//!   long as someone holds them;
 //! * [`world`] — the simulated fleet: daemon and hosts as `ksim` tasks
 //!   over a seeded lossy `ksim::net` transport, with leases, degraded
 //!   mode, anti-entropy reconciliation and a crash-at-every-step chaos
@@ -37,7 +39,7 @@ pub mod world;
 
 pub use real::RealFleetHost;
 pub use rollout::FleetTarget;
-pub use store::{Delta, PolicyStore, Snapshot, StoreError, TenantIndex};
+pub use store::{Bindings, Delta, PolicyStore, Snapshot, StoreError};
 pub use world::{
     fleet_sweep, run_fleet, DeliverOutcome, FleetConfig, FleetMsg, FleetReport, HostState,
     PartitionEvent,

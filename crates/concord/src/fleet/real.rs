@@ -4,18 +4,22 @@
 //! A [`RealFleetHost`] owns a `tenant → lock` mapping (which registered
 //! locks this host serves for which fleet tenants) and applies each
 //! delivered snapshot as **one** `PatchManager::apply_transaction`: every
-//! sealed artifact is re-opened through `cbpf::wire::open` (checksum,
-//! digest, full re-verification — the host never trusts the wire), and
-//! either every lock moves to the new version or none does. Combined
+//! sealed artifact the host's locks are bound to is re-opened through
+//! `cbpf::wire::open` (checksum, digest, full re-verification — the host
+//! never trusts the wire) once per delivery, each lock gets its own
+//! instances of the policy's maps, and either every lock moves to the
+//! new version or none does. Combined
 //! with the version gate (`version <= applied` ⇒ drop), at-least-once
 //! delivery becomes exactly-once livepatch effect: N duplicate
 //! deliveries of version `v` produce exactly one patch transaction, a
 //! property `tests/fleet_chaos.rs` exercises directly.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use cbpf::VerifiedProgram;
 use locks::hooks::HookKind;
 
 use super::store::Snapshot;
@@ -76,25 +80,38 @@ impl<'a> RealFleetHost<'a> {
             return Ok(DeliverOutcome::Duplicate);
         }
         let prefix = format!("fleet-v{version}:");
+        // A snapshot is immutable, so one policy id is one artifact for
+        // the whole call: verify it for the first lock bound to it and
+        // not again. Nothing outlives the call — the next delivery
+        // re-verifies everything it loads.
+        let mut opened: BTreeMap<u64, VerifiedProgram> = BTreeMap::new();
         let result = self.concord.patch_manager().apply_transaction(
             self.locks
                 .iter()
-                .filter_map(|(tenant, lock)| {
-                    let policy = snapshot.bindings.get(tenant)?;
-                    Some((lock, *policy))
-                })
+                .filter_map(|(tenant, lock)| Some((lock, snapshot.bindings.get(*tenant)?)))
                 .map(|(lock, policy)| {
-                    let bytes = snapshot
-                        .artifacts
-                        .get(&policy)
-                        .ok_or_else(|| format!("policy {policy} has no sealed artifact"))?;
-                    // Re-verify on the load host: checksum, provenance
-                    // digest, then the full verifier.
-                    let prog =
-                        cbpf::wire::open(bytes, layout_for(self.hook), &rules_for(self.hook))
+                    let prog = match opened.entry(policy) {
+                        Entry::Occupied(e) => e.into_mut(),
+                        Entry::Vacant(e) => {
+                            let bytes = snapshot
+                                .artifacts
+                                .get(&policy)
+                                .ok_or_else(|| format!("policy {policy} has no sealed artifact"))?;
+                            // Re-verify on the load host: checksum,
+                            // provenance digest, then the full verifier.
+                            let prog = cbpf::wire::open(
+                                bytes,
+                                layout_for(self.hook),
+                                &rules_for(self.hook),
+                            )
                             .map_err(|e| format!("artifact for policy {policy}: {e}"))?;
+                            e.insert(prog)
+                        }
+                    };
+                    // Map state is per lock, as it was when every lock
+                    // opened the artifact for itself.
                     let bytecode = BytecodePolicy::new(
-                        prog,
+                        prog.with_fresh_maps(),
                         self.hook,
                         Arc::clone(self.concord.env()),
                     );

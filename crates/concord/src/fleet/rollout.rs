@@ -9,25 +9,27 @@
 //! inherit the crash-consistency guarantees `tests/rollout_chaos.rs`
 //! pins, without reimplementing any of it.
 //!
-//! The rollout *generation* is mapped to a store *version* on first
-//! apply: the target snapshots the store head when generation `g` first
-//! touches a host, and every later wave of `g` applies that same pinned
-//! version — a rollout never smears across concurrent publishes.
+//! The rollout *generation* is mapped to a store *snapshot* on first
+//! apply: the target takes the store's head snapshot when generation `g`
+//! first touches a host, and every later wave of `g` applies that same
+//! snapshot — a rollout never smears across concurrent publishes, and
+//! because the target holds the `Arc`, the store keeps the version
+//! reachable for as long as the rollout needs it.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use super::real::RealFleetHost;
-use super::store::PolicyStore;
+use super::store::{PolicyStore, Snapshot};
 use crate::rollout::RolloutTarget;
 
 /// [`RolloutTarget`] over named fleet hosts ("locks" are host names).
 pub struct FleetTarget<'a> {
     store: Arc<PolicyStore>,
     hosts: BTreeMap<String, RealFleetHost<'a>>,
-    /// Rollout generation → pinned store version.
-    versions: RefCell<BTreeMap<u64, u64>>,
+    /// Rollout generation → the snapshot it distributes.
+    snapshots: RefCell<BTreeMap<u64, Arc<Snapshot>>>,
 }
 
 impl<'a> FleetTarget<'a> {
@@ -36,14 +38,14 @@ impl<'a> FleetTarget<'a> {
         FleetTarget {
             store,
             hosts,
-            versions: RefCell::new(BTreeMap::new()),
+            snapshots: RefCell::new(BTreeMap::new()),
         }
     }
 
     /// The store version generation `g` is pinned to (the head at the
     /// moment its first wave ran).
     pub fn version_of(&self, generation: u64) -> Option<u64> {
-        self.versions.borrow().get(&generation).copied()
+        self.snapshots.borrow().get(&generation).map(|s| s.version)
     }
 
     /// The host registered under `name`.
@@ -54,21 +56,18 @@ impl<'a> FleetTarget<'a> {
 
 impl RolloutTarget for FleetTarget<'_> {
     fn apply_locks(&self, generation: u64, hosts: &[String]) -> Result<(), String> {
-        let version = *self
-            .versions
-            .borrow_mut()
-            .entry(generation)
-            .or_insert_with(|| self.store.head());
-        let snapshot = self
-            .store
-            .snapshot(version)
-            .ok_or_else(|| format!("store lost snapshot {version}"))?;
+        let snapshot = Arc::clone(
+            self.snapshots
+                .borrow_mut()
+                .entry(generation)
+                .or_insert_with(|| self.store.head_snapshot()),
+        );
         for name in hosts {
             let host = self
                 .hosts
                 .get(name)
                 .ok_or_else(|| format!("unknown fleet host {name}"))?;
-            host.apply(version, &snapshot)?;
+            host.apply(snapshot.version, &snapshot)?;
         }
         Ok(())
     }

@@ -10,26 +10,140 @@
 //! are totally ordered by version, and concurrent writers converge — the
 //! property `tests/fleet_model.rs` checks against a reference model.
 //!
-//! Snapshots are immutable and `Arc`-shared: a reader (or the transport)
-//! holding version `v` keeps a complete, internally consistent binding
-//! table no matter what later writers do. That immutability is what
+//! Snapshots are immutable and **persistent**: the binding table
+//! ([`Bindings`]) is a fixed spine of `Arc`-shared chunks, and a commit
+//! rebuilds only the chunks its delta touches, sharing every other chunk
+//! with its base. A publish therefore costs O(delta), not O(fleet), and
+//! a version costs the memory of what it changed. A reader (or the
+//! transport) holding version `v` still keeps a complete, internally
+//! consistent table no matter what later writers do — which is what
 //! makes the host-side apply torn-free: a host installs a whole snapshot
 //! with one pointer swap or not at all.
 //!
-//! Per-tenant resolution goes through a [`TenantIndex`]: the
-//! `tenant → policy id` half of the head snapshot mirrored into sharded
-//! `cbpf::map` hash slabs, so the hot lookup is O(1) slab probing rather
-//! than a `BTreeMap` walk, and a 1M-tenant fleet spreads across
-//! `ceil(tenants / 32768)` shards (each map caps at
-//! [`cbpf::map::MAX_MAP_ENTRIES`] slots).
+//! **Reads take no lock.** The head snapshot is published through one
+//! epoch-protected pointer; [`PolicyStore::resolve`] and
+//! [`PolicyStore::head_snapshot`] pin it, read one immutable snapshot
+//! and allocate nothing. The commit section swaps that pointer *before*
+//! it moves the head word, so a reader that saw `head() == v` gets a
+//! head snapshot of version `v` or later, never an older one.
+//!
+//! **History is bounded by ownership.** The store owns the newest
+//! [`WINDOW`] versions (the head among them) and keeps only `Weak`
+//! references to older ones, so an old version stays reachable through
+//! [`PolicyStore::snapshot`] exactly as long as someone — a host serving
+//! it, a rollout generation — still holds its `Arc`, and not a publish
+//! longer.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use cbpf::map::{Map, MapDef, MapKind, MAX_MAP_ENTRIES};
+use ksim::SplitMix64;
+use livepatch::PatchPoint;
 use parking_lot::Mutex;
 use telemetry::{self, EventKind};
+
+/// Spine width of [`Bindings`]. A publish clones the spine (`CHUNKS`
+/// reference counts) and rebuilds one chunk of `tenants / CHUNKS`
+/// entries per touched chunk: at 1 024 a 50 k-tenant fleet has ≈ 49
+/// entries a chunk and a 1 M-tenant fleet ≈ 977, so both the copy and
+/// the lookup's binary search stay small at either scale.
+const CHUNKS: usize = 1024;
+
+/// Versions the store itself keeps alive, head included; older ones
+/// live only while somebody else holds them.
+pub const WINDOW: usize = 16;
+
+/// Chunk routing: one splitmix step, so sequential tenant ids spread
+/// evenly instead of striping one chunk.
+fn chunk_of(tenant: u64) -> usize {
+    (SplitMix64::new(tenant).next_u64() % CHUNKS as u64) as usize
+}
+
+/// `(tenant, policy id)` pairs sorted by tenant.
+type Chunk = Vec<(u64, u64)>;
+
+/// A persistent `tenant → policy id` map: [`CHUNKS`] hash-routed chunks,
+/// each a tenant-sorted vector behind an `Arc`. [`Bindings::with`]
+/// derives a new map that shares every chunk it did not touch.
+#[derive(Clone)]
+pub struct Bindings {
+    chunks: Box<[Arc<Chunk>]>,
+    len: usize,
+}
+
+impl Bindings {
+    fn empty() -> Bindings {
+        let empty = Arc::new(Chunk::new());
+        Bindings {
+            chunks: (0..CHUNKS).map(|_| Arc::clone(&empty)).collect(),
+            len: 0,
+        }
+    }
+
+    /// The policy id `tenant` is bound to, if any.
+    pub fn get(&self, tenant: u64) -> Option<u64> {
+        let chunk = &self.chunks[chunk_of(tenant)];
+        let i = chunk.binary_search_by_key(&tenant, |(t, _)| *t).ok()?;
+        Some(chunk[i].1)
+    }
+
+    /// Number of bound tenants.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no tenant is bound.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Every `(tenant, policy id)` binding, in chunk-then-tenant order:
+    /// deterministic, but not sorted by tenant.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.chunks.iter().flat_map(|c| c.iter().copied())
+    }
+
+    /// This map with `delta` applied in order (the last write to a
+    /// tenant wins). Each touched chunk is rebuilt once, by one merge of
+    /// its sorted entries with its share of the delta; `self` is left as
+    /// it was and every other chunk is shared with it.
+    fn with(&self, delta: &[(u64, u64)]) -> Bindings {
+        let mut routed: Vec<(usize, u64, u64)> =
+            delta.iter().map(|&(t, p)| (chunk_of(t), t, p)).collect();
+        // Stable: writes to one tenant keep their delta order.
+        routed.sort_by_key(|&(c, t, _)| (c, t));
+        let mut next = self.clone();
+        for group in routed.chunk_by(|a, b| a.0 == b.0) {
+            let old = &self.chunks[group[0].0];
+            let mut new = Vec::with_capacity(old.len() + group.len());
+            let mut kept = 0;
+            for (i, &(_, t, p)) in group.iter().enumerate() {
+                if group.get(i + 1).is_some_and(|later| later.1 == t) {
+                    continue;
+                }
+                let upto = kept + old[kept..].partition_point(|(o, _)| *o < t);
+                new.extend_from_slice(&old[kept..upto]);
+                kept = upto;
+                if old.get(kept).is_some_and(|(o, _)| *o == t) {
+                    kept += 1;
+                } else {
+                    next.len += 1;
+                }
+                new.push((t, p));
+            }
+            new.extend_from_slice(&old[kept..]);
+            next.chunks[group[0].0] = Arc::new(new);
+        }
+        next
+    }
+}
+
+impl std::fmt::Debug for Bindings {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Bindings").field("len", &self.len).finish()
+    }
+}
 
 /// One immutable published state of the fleet: the complete
 /// `tenant → policy` binding table plus every sealed artifact those
@@ -39,7 +153,7 @@ pub struct Snapshot {
     /// The op-head value this snapshot committed as.
     pub version: u64,
     /// Complete binding table: tenant id → policy id.
-    pub bindings: BTreeMap<u64, u64>,
+    pub bindings: Bindings,
     /// Sealed wire artifacts (`cbpf::wire`) by policy id.
     pub artifacts: BTreeMap<u64, Arc<Vec<u8>>>,
 }
@@ -49,7 +163,7 @@ impl Snapshot {
     fn genesis() -> Arc<Snapshot> {
         Arc::new(Snapshot {
             version: 0,
-            bindings: BTreeMap::new(),
+            bindings: Bindings::empty(),
             artifacts: BTreeMap::new(),
         })
     }
@@ -65,9 +179,9 @@ impl Snapshot {
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         };
         mix(self.version);
-        for (t, p) in &self.bindings {
-            mix(*t);
-            mix(*p);
+        for (t, p) in self.bindings.iter() {
+            mix(t);
+            mix(p);
         }
         for (p, a) in &self.artifacts {
             mix(*p);
@@ -115,8 +229,6 @@ pub enum StoreError {
     /// A delta referenced a policy id with no artifact in the delta or
     /// the base snapshot.
     MissingArtifact(u64),
-    /// The tenant index shard rejected an insert (slab full).
-    IndexFull(String),
 }
 
 impl std::fmt::Display for StoreError {
@@ -128,96 +240,55 @@ impl std::fmt::Display for StoreError {
             StoreError::MissingArtifact(p) => {
                 write!(f, "binding references policy {p} but no artifact is published")
             }
-            StoreError::IndexFull(d) => write!(f, "tenant index full: {d}"),
         }
     }
 }
 
-/// Sharded `tenant → policy id` index over `cbpf::map` hash slabs.
-pub struct TenantIndex {
-    shards: Vec<Map>,
-    /// Power-of-two shard count, so routing is a mask.
-    mask: u64,
+/// Version → snapshot, bounded by ownership (see the module docs).
+struct History {
+    /// The newest versions, oldest first, contiguous, the head last:
+    /// at most [`WINDOW`] of them, owned.
+    recent: VecDeque<Arc<Snapshot>>,
+    /// Versions that left the window and were still held elsewhere
+    /// when last looked at.
+    older: BTreeMap<u64, Weak<Snapshot>>,
 }
 
-/// Keep hash slabs at most half full: open addressing probe chains stay
-/// short and inserts can't fail until genuinely past capacity.
-const SHARD_BUDGET: usize = MAX_MAP_ENTRIES / 2;
-
-impl TenantIndex {
-    /// An index sized for `expected_tenants` concurrent bindings.
-    pub fn new(expected_tenants: usize) -> TenantIndex {
-        let n = expected_tenants.div_ceil(SHARD_BUDGET).max(1).next_power_of_two();
-        let shards = (0..n)
-            .map(|i| {
-                Map::new(MapDef {
-                    name: format!("fleet_tenants_{i}"),
-                    kind: MapKind::Hash,
-                    key_size: 8,
-                    value_size: 8,
-                    max_entries: MAX_MAP_ENTRIES,
-                })
-            })
-            .collect();
-        TenantIndex {
-            shards,
-            mask: (n - 1) as u64,
+impl History {
+    fn get(&self, v: u64) -> Option<Arc<Snapshot>> {
+        let first = self.recent.front()?.version;
+        match v.checked_sub(first) {
+            Some(i) => self.recent.get(usize::try_from(i).ok()?).cloned(),
+            None => self.older.get(&v)?.upgrade(),
         }
     }
 
-    /// Shard routing: splitmix finalize so sequential tenant ids spread
-    /// evenly instead of striping one shard.
-    fn shard(&self, tenant: u64) -> &Map {
-        let mut x = tenant.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        &self.shards[((x ^ (x >> 31)) & self.mask) as usize]
-    }
-
-    /// Points `tenant` at `policy`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::IndexFull`] when the routed shard is out of slots.
-    pub fn bind(&self, tenant: u64, policy: u64) -> Result<(), StoreError> {
-        self.shard(tenant)
-            .update(&tenant.to_le_bytes(), &policy.to_le_bytes(), 0)
-            .map_err(|e| StoreError::IndexFull(format!("tenant {tenant}: {e:?}")))
-    }
-
-    /// The policy id `tenant` is bound to, if any. O(1): one shard
-    /// probe.
-    pub fn lookup(&self, tenant: u64) -> Option<u64> {
-        let v = self.shard(tenant).lookup_copy(&tenant.to_le_bytes(), 0)?;
-        Some(u64::from_le_bytes(v.try_into().ok()?))
-    }
-
-    /// Total bindings across every shard.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(Map::len).sum()
-    }
-
-    /// Whether no tenant is bound.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of slab shards backing the index.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Makes `head` the newest version. Returns the version this pushed
+    /// out of the window, for the caller to drop outside the lock.
+    fn push(&mut self, head: Arc<Snapshot>) -> Option<Arc<Snapshot>> {
+        self.older.retain(|_, held| held.strong_count() > 0);
+        self.recent.push_back(head);
+        if self.recent.len() <= WINDOW {
+            return None;
+        }
+        let oldest = self.recent.pop_front()?;
+        self.older.insert(oldest.version, Arc::downgrade(&oldest));
+        Some(oldest)
     }
 }
 
-/// The fleet policy store: op-head version counter, immutable snapshot
-/// history, sharded tenant index. See the module docs for the
-/// concurrency story.
+/// The fleet policy store: op-head version counter, head pointer,
+/// bounded snapshot history. See the module docs for the concurrency
+/// story.
 pub struct PolicyStore {
     /// The op-head: the single word every writer coordinates through.
     head: AtomicU64,
-    /// Version → snapshot. Only the *commit* section holds this lock;
-    /// merge work happens outside it against `Arc` snapshots.
-    snapshots: Mutex<BTreeMap<u64, Arc<Snapshot>>>,
-    index: TenantIndex,
+    /// The head snapshot, for readers. Written only inside the commit
+    /// section, and there before `head`.
+    current: PatchPoint<Arc<Snapshot>>,
+    /// Only the *commit* section and `snapshot(v)` take this lock; merge
+    /// work happens outside it against `Arc` snapshots.
+    history: Mutex<History>,
     /// CAS conflicts observed (each one cost a writer a retry-merge).
     conflicts: AtomicU64,
     /// Successful publishes.
@@ -225,15 +296,18 @@ pub struct PolicyStore {
 }
 
 impl PolicyStore {
-    /// An empty store (head 0) whose index is sized for
-    /// `expected_tenants`.
-    pub fn new(expected_tenants: usize) -> PolicyStore {
-        let mut snapshots = BTreeMap::new();
-        snapshots.insert(0, Snapshot::genesis());
+    /// An empty store (head 0). `expected_tenants` is the caller's fleet
+    /// size; the snapshot spine is fixed ([`CHUNKS`]), so nothing is
+    /// sized by it.
+    pub fn new(_expected_tenants: usize) -> PolicyStore {
+        let genesis = Snapshot::genesis();
         PolicyStore {
             head: AtomicU64::new(0),
-            snapshots: Mutex::new(snapshots),
-            index: TenantIndex::new(expected_tenants),
+            current: PatchPoint::new(Arc::clone(&genesis)),
+            history: Mutex::new(History {
+                recent: VecDeque::from([genesis]),
+                older: BTreeMap::new(),
+            }),
             conflicts: AtomicU64::new(0),
             publishes: AtomicU64::new(0),
         }
@@ -244,20 +318,15 @@ impl PolicyStore {
         self.head.load(Ordering::Acquire)
     }
 
-    /// The snapshot committed as version `v`.
+    /// The snapshot committed as version `v`, while the store's window
+    /// or any other holder keeps it alive.
     pub fn snapshot(&self, v: u64) -> Option<Arc<Snapshot>> {
-        self.snapshots.lock().get(&v).cloned()
+        self.history.lock().get(v)
     }
 
-    /// The head snapshot.
+    /// The head snapshot: version [`PolicyStore::head`] or later.
     pub fn head_snapshot(&self) -> Arc<Snapshot> {
-        let snaps = self.snapshots.lock();
-        let head = self.head.load(Ordering::Acquire);
-        Arc::clone(
-            snaps
-                .get(&head)
-                .expect("op-head always has a committed snapshot"),
-        )
+        Arc::clone(&self.current.get())
     }
 
     /// CAS conflicts writers have hit so far.
@@ -271,86 +340,82 @@ impl PolicyStore {
     }
 
     /// Resolves `tenant` to its bound policy id and sealed artifact at
-    /// the head, via the sharded index (O(1) probe, then one artifact
-    /// fetch from the head snapshot).
+    /// the head: both halves come from one pinned snapshot, so they
+    /// always belong to the same version.
     pub fn resolve(&self, tenant: u64) -> Option<(u64, Arc<Vec<u8>>)> {
-        let policy = self.index.lookup(tenant)?;
-        let art = Arc::clone(self.head_snapshot().artifacts.get(&policy)?);
+        let head = self.current.get();
+        let policy = head.bindings.get(tenant)?;
+        let art = Arc::clone(head.artifacts.get(&policy)?);
         Some((policy, art))
-    }
-
-    /// The index backing [`PolicyStore::resolve`].
-    pub fn index(&self) -> &TenantIndex {
-        &self.index
     }
 
     /// Builds the snapshot `delta` produces on top of `base`.
     fn merge(base: &Snapshot, delta: &Delta, version: u64) -> Result<Snapshot, StoreError> {
-        let mut bindings = base.bindings.clone();
         let mut artifacts = base.artifacts.clone();
         for (p, a) in &delta.artifacts {
             artifacts.insert(*p, Arc::clone(a));
         }
-        for (t, p) in &delta.bindings {
-            if !artifacts.contains_key(p) {
-                return Err(StoreError::MissingArtifact(*p));
-            }
-            bindings.insert(*t, *p);
+        if let Some((_, p)) = delta
+            .bindings
+            .iter()
+            .find(|(_, p)| !artifacts.contains_key(p))
+        {
+            return Err(StoreError::MissingArtifact(*p));
         }
         Ok(Snapshot {
             version,
-            bindings,
+            bindings: base.bindings.with(&delta.bindings),
             artifacts,
         })
+    }
+
+    /// Counts a lost race and reports it.
+    fn stale(&self, expected: u64) -> StoreError {
+        self.conflicts.fetch_add(1, Ordering::Relaxed);
+        telemetry::metrics()
+            .counter("c3_fleet_cas_conflicts_total")
+            .inc();
+        StoreError::StaleHead {
+            expected,
+            current: self.head(),
+        }
     }
 
     /// Publishes `delta` against an expected head, the conditional
     /// (no-retry) surface `c3ctl fleet publish … expect N` exposes.
     ///
-    /// The merge work runs against the snapshot at `expected_head`
-    /// without any lock; only the commit — CAS the head, insert the
-    /// snapshot, mirror the bindings into the index — runs under the
-    /// snapshot-map mutex (readers of published state never take it on
-    /// the resolve path).
+    /// The merge runs against the head snapshot without any lock. The
+    /// commit section holds the history mutex, which serializes
+    /// writers, so its compare of the head word and the later store are
+    /// one compare-and-swap; between them it swaps the head pointer, so
+    /// no reader can see the new head word with the old snapshot.
     ///
     /// # Errors
     ///
     /// [`StoreError::StaleHead`] when someone published first (the CAS
-    /// lost); [`StoreError::MissingArtifact`] /
-    /// [`StoreError::IndexFull`] on malformed or oversized deltas.
+    /// lost); [`StoreError::MissingArtifact`] on a malformed delta. On
+    /// either the store is exactly as it was.
     pub fn try_publish(&self, expected_head: u64, delta: &Delta) -> Result<u64, StoreError> {
-        let base = self
-            .snapshot(expected_head)
-            .ok_or(StoreError::StaleHead {
-                expected: expected_head,
-                current: self.head(),
-            })?;
+        let base = self.head_snapshot();
+        if base.version != expected_head {
+            return Err(self.stale(expected_head));
+        }
         let next = expected_head + 1;
         let merged = Arc::new(Self::merge(&base, delta, next)?);
 
-        let mut snaps = self.snapshots.lock();
-        if self
-            .head
-            .compare_exchange(expected_head, next, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            self.conflicts.fetch_add(1, Ordering::Relaxed);
-            telemetry::metrics()
-                .counter("c3_fleet_cas_conflicts_total")
-                .inc();
-            return Err(StoreError::StaleHead {
-                expected: expected_head,
-                current: self.head(),
-            });
+        let mut history = self.history.lock();
+        if self.head.load(Ordering::Acquire) != expected_head {
+            drop(history);
+            return Err(self.stale(expected_head));
         }
-        snaps.insert(next, Arc::clone(&merged));
-        // Mirror the delta into the index while still inside the commit
-        // section: binds land in commit order, so the index always
-        // agrees with the head snapshot.
-        for (t, p) in &delta.bindings {
-            self.index.bind(*t, *p)?;
-        }
-        drop(snaps);
+        self.current.replace(Arc::clone(&merged));
+        // Release: pairs with the Acquire in `head()`; whoever reads
+        // `next` there also sees the pointer swapped above.
+        self.head.store(next, Ordering::Release);
+        let evicted = history.push(merged);
+        drop(history);
+        drop(evicted);
+
         self.publishes.fetch_add(1, Ordering::Relaxed);
         let m = telemetry::metrics();
         m.counter("c3_fleet_publishes_total").inc();
@@ -374,9 +439,8 @@ impl PolicyStore {
     ///
     /// # Errors
     ///
-    /// Only delta errors ([`StoreError::MissingArtifact`],
-    /// [`StoreError::IndexFull`]) — staleness is absorbed by the retry
-    /// loop.
+    /// Only [`StoreError::MissingArtifact`] — staleness is absorbed by
+    /// the retry loop.
     pub fn publish(&self, delta: &Delta) -> Result<u64, StoreError> {
         loop {
             let head = self.head();
@@ -395,6 +459,7 @@ impl PolicyStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn art(tag: u8) -> Arc<Vec<u8>> {
         Arc::new(vec![tag; 8])
@@ -456,8 +521,8 @@ mod tests {
         for w in 0..8u64 {
             for i in 0..16u64 {
                 let tenant = w * 16 + i;
-                assert_eq!(store.index().lookup(tenant), Some(100 + w));
-                assert_eq!(head.bindings.get(&tenant), Some(&(100 + w)));
+                assert_eq!(store.resolve(tenant), Some((100 + w, art(w as u8))));
+                assert_eq!(head.bindings.get(tenant), Some(100 + w));
             }
         }
     }
@@ -473,18 +538,189 @@ mod tests {
         assert_eq!(store.head(), 0);
     }
 
+    /// A refused publish leaves no trace, and a committed one is at
+    /// once the head and the snapshot of its version: no version is ever
+    /// committed for some readers only.
     #[test]
-    fn index_shards_scale_with_expected_tenants() {
-        assert_eq!(TenantIndex::new(1).shard_count(), 1);
-        assert_eq!(TenantIndex::new(100_000).shard_count(), 4);
-        assert_eq!(TenantIndex::new(1_000_000).shard_count(), 32);
-        let idx = TenantIndex::new(1 << 12);
-        for t in 0..4096u64 {
-            idx.bind(t, t % 7).unwrap();
+    fn a_publish_is_whole_or_absent() {
+        let store = PolicyStore::new(64);
+        for round in 0..40u64 {
+            let tenants = [round % 5, round % 7 + 1];
+            let good = Delta::bind_all(&tenants, 10 + round % 3, art(round as u8));
+            // Rebinds a tenant and replaces a live artifact, then names a
+            // policy nobody published.
+            let orphan = Delta {
+                bindings: vec![(tenants[0], 10), (tenants[1], 999)],
+                artifacts: vec![(10, art(0xee))],
+            };
+            let probe = || tenants.map(|t| store.resolve(t));
+
+            let head = store.head();
+            let snap = store.head_snapshot();
+            let before = probe();
+            for expected in [head + 1, head.wrapping_sub(1)] {
+                assert_eq!(
+                    store.try_publish(expected, &good),
+                    Err(StoreError::StaleHead {
+                        expected,
+                        current: head
+                    })
+                );
+            }
+            for refused in [store.try_publish(head, &orphan), store.publish(&orphan)] {
+                assert_eq!(refused, Err(StoreError::MissingArtifact(999)));
+            }
+            assert_eq!(store.head(), head);
+            assert!(Arc::ptr_eq(&store.head_snapshot(), &snap));
+            assert_eq!(probe(), before);
+
+            let v = store.publish(&good).unwrap();
+            let committed = store.head_snapshot();
+            assert_eq!((v, committed.version), (head + 1, head + 1));
+            assert!(Arc::ptr_eq(&store.snapshot(v).unwrap(), &committed));
         }
-        assert_eq!(idx.len(), 4096);
-        for t in 0..4096u64 {
-            assert_eq!(idx.lookup(t), Some(t % 7));
+        assert_eq!((store.publishes(), store.conflicts()), (40, 80));
+    }
+
+    /// Bulk-binds `0..tenants` to policy 1 in a fresh store.
+    fn bulk_store(tenants: u64) -> PolicyStore {
+        let store = PolicyStore::new(tenants as usize);
+        let all: Vec<u64> = (0..tenants).collect();
+        store.publish(&Delta::bind_all(&all, 1, art(1))).unwrap();
+        store
+    }
+
+    /// Sharing as a count: a `k`-tenant delta rebuilds at most `k`
+    /// chunks of a 50 k-tenant table and shares the rest by pointer.
+    #[test]
+    fn a_delta_shares_every_chunk_it_does_not_touch() {
+        let store = bulk_store(50_000);
+        let base = store.head_snapshot();
+        let delta: Vec<u64> = (0..24).map(|i| i * 2_003 + 5).collect();
+        let v = store.publish(&Delta::bind_all(&delta, 2, art(2))).unwrap();
+        let next = store.snapshot(v).unwrap();
+        let shared = (base.bindings.chunks.iter())
+            .zip(next.bindings.chunks.iter())
+            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .count();
+        assert!(
+            shared >= CHUNKS - delta.len(),
+            "only {shared} chunks shared"
+        );
+        assert!(shared < CHUNKS);
+        assert_eq!(next.bindings.len(), 50_000);
+        assert_eq!(base.bindings.get(5), Some(1));
+        assert_eq!(next.bindings.get(5), Some(2));
+    }
+
+    /// Readers race one writer on real threads. Version `v` binds tenants
+    /// 0 and `v` to policy `v`, whose artifact is the byte `v`: a read
+    /// stitched from two versions shows as a policy without its artifact
+    /// or a snapshot whose parts disagree on its version.
+    #[test]
+    fn readers_see_one_version_at_a_time_and_never_go_back() {
+        const READERS: usize = 4;
+        const PUBLISHES: u64 = 2_000;
+        let store = PolicyStore::new(1 << 12);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        // Readers and writer start together, so swaps land under pins.
+        let start = std::sync::Barrier::new(READERS + 1);
+        std::thread::scope(|s| {
+            for _ in 0..READERS {
+                s.spawn(|| {
+                    start.wait();
+                    let (mut last_snap, mut last_policy, mut reads) = (0, 0, 0u64);
+                    // A floor of iterations guarantees overlap with the
+                    // writer even on a single-CPU host.
+                    while !done.load(Ordering::Acquire) || reads < 5_000 {
+                        let word = store.head();
+                        let snap = store.head_snapshot();
+                        assert!(word <= snap.version, "head word ran ahead of the pointer");
+                        assert!(snap.version >= last_snap, "head snapshot went backwards");
+                        last_snap = snap.version;
+                        assert_eq!(snap.bindings.get(0).unwrap_or(0), snap.version);
+                        assert_eq!(snap.artifacts.len() as u64, snap.version);
+
+                        if let Some((policy, artifact)) = store.resolve(0) {
+                            assert_eq!(*artifact, [policy as u8]);
+                            assert!(policy >= last_policy, "resolve went backwards");
+                            last_policy = policy;
+                        }
+                        // Bound for good at a version this reader has seen.
+                        if last_snap > 0 {
+                            let (policy, artifact) = store.resolve(last_snap).expect("bound");
+                            assert_eq!((policy, &**artifact), (last_snap, &[policy as u8][..]));
+                        }
+                        reads += 1;
+                    }
+                });
+            }
+            start.wait();
+            for v in 1..=PUBLISHES {
+                let delta = Delta::bind_all(&[0, v], v, Arc::new(vec![v as u8]));
+                assert_eq!(store.publish(&delta), Ok(v));
+                if v % 64 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert_eq!(store.head(), PUBLISHES);
+    }
+
+    #[test]
+    fn fingerprint_is_deterministic_and_sensitive_to_content() {
+        let build = |policy_of_7: u64| {
+            let store = bulk_store(64);
+            let mut delta = Delta::bind_all(&[7], policy_of_7, art(2));
+            delta.artifacts.push((3, art(3)));
+            store.publish(&delta).unwrap();
+            store.head_snapshot()
+        };
+        let a = build(2);
+        assert_eq!(a.fingerprint(), build(2).fingerprint());
+        assert_ne!(a.fingerprint(), build(3).fingerprint());
+        // Same bindings as a set, one pair of policies exchanged.
+        let swapped = |x: u64, y: u64| {
+            let store = PolicyStore::new(2);
+            let mut delta = Delta::bind_all(&[], 1, art(1));
+            delta.artifacts.push((2, art(1)));
+            delta.bindings = vec![(10, x), (11, y)];
+            store.publish(&delta).unwrap();
+            store.head_snapshot().fingerprint()
+        };
+        assert_ne!(swapped(1, 2), swapped(2, 1));
+    }
+
+    proptest! {
+        /// The persistent map against a `BTreeMap` over random delta
+        /// sequences, with repeats inside a delta and re-binds across
+        /// deltas; deriving a version never disturbs its base.
+        #[test]
+        fn bindings_match_a_btreemap_model(
+            deltas in proptest::collection::vec(
+                proptest::collection::vec((0u64..96, 0u64..8), 0..24),
+                1..12,
+            ),
+        ) {
+            let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+            let mut map = Bindings::empty();
+            for delta in &deltas {
+                let base: Vec<(u64, u64)> = map.iter().collect();
+                let next = map.with(delta);
+                prop_assert_eq!(map.iter().collect::<Vec<_>>(), base);
+                prop_assert_eq!(map.len(), model.len());
+                model.extend(delta.iter().copied());
+                map = next;
+
+                prop_assert_eq!(map.len(), model.len());
+                prop_assert_eq!(map.is_empty(), model.is_empty());
+                prop_assert_eq!(&map.iter().collect::<BTreeMap<_, _>>(), &model);
+                prop_assert_eq!(map.iter().count(), model.len());
+                for t in 0..96 {
+                    prop_assert_eq!(map.get(t), model.get(&t).copied());
+                }
+            }
         }
     }
 }

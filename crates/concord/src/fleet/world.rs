@@ -421,11 +421,15 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
         let hosts = hosts.clone();
         let counters = Rc::clone(&counters);
         sim.spawn_on(CpuId(0), move |t| async move {
+            // Per host: the version whose bindings were last walked, and
+            // what the walk found. A snapshot never changes, so one walk
+            // per version a host serves answers every later probe.
+            let mut walked: Vec<Option<(u64, bool)>> = vec![None; hosts.len()];
             loop {
                 if done.get() {
                     return;
                 }
-                for host in &hosts {
+                for (host, walked) in hosts.iter().zip(&mut walked) {
                     let h = host.borrow();
                     let v = h.served.version;
                     // The served snapshot must be *the* store snapshot
@@ -437,11 +441,15 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                     };
                     // And every tenant it ever bound must resolve to a
                     // sealed artifact right now (fail-safe serving).
-                    let resolvable = h
-                        .served
-                        .bindings
-                        .values()
-                        .all(|p| h.served.artifacts.contains_key(p));
+                    let resolvable = match *walked {
+                        Some((seen, ok)) if seen == v => ok,
+                        _ => {
+                            let ok = (h.served.bindings.iter())
+                                .all(|(_, p)| h.served.artifacts.contains_key(&p));
+                            *walked = Some((v, ok));
+                            ok
+                        }
+                    };
                     if !intact || !resolvable {
                         counters.borrow_mut().torn += 1;
                     } else if h.degraded && v > 0 {

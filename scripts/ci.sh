@@ -61,7 +61,9 @@ C3_SCHED_GATE="${C3_SCHED_GATE:-1}" C3_SCHED_SEEDS="${C3_SCHED_SEEDS:-}" \
 # seeds (override with C3_FLEET_SEEDS=a,b,c) — the daemon is killed at
 # every protocol step on a lossy, partitioning network, and every run
 # must converge all hosts to the store head with zero torn applies and
-# bit-identical replays. Skip with C3_FLEET_GATE=0.
+# bit-identical replays. It also times a one-binding publish at 100k and
+# at 1M tenants in its own process and fails if the second costs more
+# than 4x the first. Skip with C3_FLEET_GATE=0.
 echo "== fleet_gate (C3_FLEET_GATE=${C3_FLEET_GATE:-1}) =="
 C3_FLEET_GATE="${C3_FLEET_GATE:-1}" C3_FLEET_SEEDS="${C3_FLEET_SEEDS:-}" \
     cargo run -p c3-bench --release --bin fleet_gate

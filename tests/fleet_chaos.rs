@@ -157,6 +157,75 @@ fn real_host_apply_is_all_or_nothing() {
     assert_eq!(host.applied(), 0, "failed apply advanced the version");
 }
 
+/// A host verifies an artifact once per delivery however many of its
+/// locks are bound to it, but map state stays per lock: the policy here
+/// answers "has this instance been asked before?" out of a map.
+#[test]
+fn real_host_gives_each_lock_its_own_maps() {
+    use concord::{hookctx, PolicySpec};
+    use locks::hooks::{CmpNodeCtx, NodeView};
+
+    let concord = concord::Concord::new();
+    let mut spec = PolicySpec::from_asm(
+        "asked_before",
+        HookKind::CmpNode,
+        "ldmap r1, seen\n stw [r10-4], 0\n mov r2, r10\n add r2, -4\n \
+         call map_lookup_elem\n jeq r0, 0, no\n ldxdw r1, [r0]\n mov r2, r1\n \
+         add r2, 1\n stxdw [r0], r2\n jeq r1, 0, no\n mov r0, 1\n exit\n\
+         no:\n mov r0, 0\n exit",
+    );
+    spec.maps
+        .push(Arc::new(cbpf::map::Map::new(cbpf::map::MapDef {
+            name: "seen".into(),
+            kind: cbpf::map::MapKind::Array,
+            key_size: 4,
+            value_size: 8,
+            max_entries: 1,
+        })));
+    let loaded = concord.load(spec).expect("map policy verifies");
+    let artifact = Arc::new(cbpf::wire::seal(
+        &loaded.prog,
+        &hookctx::rules_for(loaded.hook),
+    ));
+
+    let mut locks = BTreeMap::new();
+    let mut handles = Vec::new();
+    for t in 0..2u64 {
+        let name = format!("maps_lock_{t}");
+        let l = Arc::new(ShflLock::new());
+        concord.registry().register_shfl(&name, Arc::clone(&l));
+        locks.insert(t, name);
+        handles.push(l);
+    }
+    let store = PolicyStore::new(16);
+    let v = store
+        .publish(&Delta::bind_all(&[0, 1], 800, artifact))
+        .unwrap();
+    let host = RealFleetHost::new(&concord, HookKind::CmpNode, locks);
+    let applied = host.apply(v, &store.head_snapshot());
+    assert_eq!(applied, Ok(DeliverOutcome::Applied));
+
+    let node = NodeView {
+        tid: 1,
+        cpu: 0,
+        socket: 0,
+        prio: 0,
+        cs_hint: 0,
+        held_locks: 0,
+        wait_start_ns: 0,
+    };
+    let ctx = CmpNodeCtx {
+        lock_id: 1,
+        shuffler: node,
+        curr: node,
+    };
+    let asked_before = |lock: usize| handles[lock].hooks().eval_cmp_node(&ctx);
+    assert!(!asked_before(0));
+    assert!(asked_before(0));
+    assert!(!asked_before(1), "lock 1 saw lock 0's map state");
+    assert!(asked_before(1));
+}
+
 /// Batched cross-host attach through the rollout controller: hosts are
 /// the "locks", waves are cohorts, and the staged rollout commits with
 /// every host serving the pinned store version.
@@ -194,6 +263,14 @@ fn rollout_waves_drive_fleet_hosts() {
     for name in &names {
         assert_eq!(target.host(name).unwrap().applied(), pinned);
     }
+    // The target holds the generation's snapshot, so the store still
+    // answers for that version however far the head has moved since.
+    for i in 0..2 * concord::fleet::store::WINDOW as u64 {
+        store
+            .publish(&Delta::bind_all(&[i % 4], 700, seal_demo_artifact()))
+            .unwrap();
+    }
+    assert_eq!(store.snapshot(pinned).map(|s| s.version), Some(pinned));
 }
 
 /// Every `c3_fleet_*` metric surfaces in the Prometheus exposition

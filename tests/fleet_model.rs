@@ -9,11 +9,13 @@
 //! abandons mid-protocol). A reference model — a fold of the deltas in
 //! observed commit order — predicts the exact final state:
 //!
-//! * the op-head equals the number of commits, every intermediate
-//!   snapshot survives immutably, and the head snapshot equals the
-//!   model fold;
-//! * the sharded tenant index agrees with the head snapshot for every
-//!   tenant ever bound;
+//! * the op-head equals the number of commits and the head snapshot
+//!   equals the model fold, through `resolve` as well as through the
+//!   snapshot;
+//! * history is bounded by ownership: version `v` — while it is inside
+//!   the store's window, or held by anyone — is the fold of the first
+//!   `v` commits; outside the window and unheld it may be gone, never
+//!   wrong, and a long-lived store retains no more than window + held;
 //! * a crashed (abandoned) writer either committed fully or left zero
 //!   trace — there is no partial publish;
 //! * duplicate/reordered delivery into a host's version gate never
@@ -25,7 +27,8 @@ use proptest::test_runner::ProptestConfig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use concord::fleet::{Delta, DeliverOutcome, HostState, PolicyStore, StoreError};
+use concord::fleet::store::WINDOW;
+use concord::fleet::{DeliverOutcome, Delta, HostState, PolicyStore, Snapshot, StoreError};
 
 /// Splitmix finalize, the workspace's standard derived-randomness hash.
 fn mix(seed: u64, salt: u64) -> u64 {
@@ -39,6 +42,59 @@ fn mix(seed: u64, salt: u64) -> u64 {
 
 fn artifact(tag: u64) -> Arc<Vec<u8>> {
     Arc::new(tag.to_le_bytes().to_vec())
+}
+
+/// The history invariant. `folds[v]` is the reference fold of the first
+/// `v` commits and `held` the versions the caller still owns: each of
+/// those, and each version inside the window, must be there and equal
+/// its fold; any other version may be gone, but if it is there it must
+/// equal its fold too.
+fn check_history(
+    store: &PolicyStore,
+    folds: &[BTreeMap<u64, u64>],
+    held: &BTreeMap<u64, Arc<Snapshot>>,
+) -> Result<(), TestCaseError> {
+    let head = store.head();
+    prop_assert_eq!(head as usize + 1, folds.len());
+    for (v, fold) in folds.iter().enumerate() {
+        let v = v as u64;
+        let snap = store.snapshot(v);
+        if let Some(owned) = held.get(&v) {
+            let snap = snap.as_ref().expect("a held version was dropped");
+            prop_assert!(Arc::ptr_eq(snap, owned));
+        }
+        if head - v < WINDOW as u64 {
+            prop_assert!(snap.is_some(), "version {} left the window early", v);
+        }
+        if let Some(snap) = snap {
+            prop_assert_eq!(snap.version, v);
+            prop_assert_eq!(&snap.bindings.iter().collect::<BTreeMap<_, _>>(), fold);
+            prop_assert_eq!(snap.bindings.len(), fold.len());
+        }
+    }
+    Ok(())
+}
+
+/// Versions `0..=head` still reachable through `snapshot`, once that
+/// count is at most `bound`. A replaced head pointer gives up its
+/// reference when the epoch collector frees it, which waits for every
+/// thread pinned since before the swap — and a sibling test's thread can
+/// be descheduled inside a pin — so an excess is asked about again
+/// before it is believed.
+fn retained_settled(store: &PolicyStore, bound: usize) -> usize {
+    let count = || {
+        drop(store.head_snapshot()); // unpinning runs the collector
+        (0..=store.head())
+            .filter(|v| store.snapshot(*v).is_some())
+            .count()
+    };
+    for _ in 0..10_000 {
+        if count() <= bound {
+            break;
+        }
+        std::thread::yield_now();
+    }
+    count()
 }
 
 /// One writer's protocol position.
@@ -154,27 +210,57 @@ proptest! {
         // Every StaleHead the writers saw was a genuine lost CAS.
         prop_assert_eq!(store.conflicts(), conflicts_seen);
 
-        // The head snapshot is exactly the model fold.
+        // The head snapshot is exactly the model fold, and `resolve`
+        // reads the same head.
         let head = store.head_snapshot();
-        prop_assert_eq!(&head.bindings, &model);
-        // The sharded index agrees with the head for every tenant.
+        prop_assert_eq!(&head.bindings.iter().collect::<BTreeMap<_, _>>(), &model);
         for (t, p) in &model {
-            prop_assert_eq!(store.index().lookup(*t), Some(*p));
+            prop_assert_eq!(store.resolve(*t).map(|(p, _)| p), Some(*p));
         }
-        prop_assert_eq!(store.index().len(), model.len());
+        prop_assert_eq!(head.bindings.len(), model.len());
 
-        // Every intermediate snapshot survives, versioned and
-        // monotonically richer: version v holds the fold of the first
-        // v commits.
-        let mut fold: BTreeMap<u64, u64> = BTreeMap::new();
-        for (v, w) in commit_order.iter().enumerate() {
-            for (t, p) in &deltas[*w].bindings {
-                fold.insert(*t, *p);
-            }
-            let snap = store.snapshot(v as u64 + 1).expect("snapshot evicted");
-            prop_assert_eq!(snap.version, v as u64 + 1);
-            prop_assert_eq!(&snap.bindings, &fold);
+        // Versions are monotonically richer: version v holds the fold
+        // of the first v commits (all of them inside the window here).
+        let mut folds = vec![BTreeMap::new()];
+        for w in &commit_order {
+            let mut fold = folds.last().unwrap().clone();
+            fold.extend(deltas[*w].bindings.iter().copied());
+            folds.push(fold);
         }
+        check_history(&store, &folds, &BTreeMap::new())?;
+    }
+
+    /// Past the window, a version lives exactly as long as someone
+    /// holds it, and whatever is still there is still right.
+    #[test]
+    fn history_is_bounded_by_ownership(
+        commits in 1u64..=80,
+        hold_seed in 0u64..=0xffff_ffff_ffff,
+        hold_one_in in 1u64..=8,
+    ) {
+        let store = PolicyStore::new(64);
+        let mut folds = vec![BTreeMap::new()];
+        let mut held = BTreeMap::new();
+        for c in 0..commits {
+            // Re-binds across deltas and a repeat inside one.
+            let (t, p) = (mix(hold_seed, c) % 24, 100 + c % 3);
+            let mut delta = Delta::bind_all(&[t, t + 1, t], p, artifact(p));
+            delta.bindings.push((t + 1, p));
+            let v = store.publish(&delta).unwrap();
+            let mut fold = folds.last().unwrap().clone();
+            fold.extend(delta.bindings.iter().copied());
+            folds.push(fold);
+            if mix(hold_seed, 1_000 + c).is_multiple_of(hold_one_in) {
+                held.insert(v, store.snapshot(v).unwrap());
+            }
+            // Some holders let go again.
+            if mix(hold_seed, 2_000 + c).is_multiple_of(5) {
+                held.pop_first();
+            }
+        }
+        check_history(&store, &folds, &held)?;
+        let retained = retained_settled(&store, WINDOW + held.len());
+        prop_assert!(retained <= WINDOW + held.len(), "{} retained", retained);
     }
 
     /// The host version gate: any delivery sequence with duplicates and
@@ -226,4 +312,31 @@ proptest! {
         prop_assert_eq!(host.served.version, newest);
         prop_assert_eq!(host.apply_log.last().copied(), Some(newest));
     }
+}
+
+/// A long-lived store: after 10 000 single-tenant publishes it retains
+/// the window and what is held, not the history.
+#[test]
+fn a_long_lived_store_retains_window_plus_held() {
+    const PUBLISHES: u64 = 10_000;
+    let store = PolicyStore::new(64);
+    let mut held = Vec::new();
+    for c in 0..PUBLISHES {
+        let v = store
+            .publish(&Delta::bind_all(&[c % 512], c % 4, artifact(c % 4)))
+            .unwrap();
+        if c % 1_000 == 500 {
+            held.push(store.snapshot(v).unwrap());
+        }
+    }
+    assert_eq!(store.head(), PUBLISHES);
+    assert_eq!(held.len(), 10);
+    for snap in &held {
+        let again = store.snapshot(snap.version).expect("held version");
+        assert!(Arc::ptr_eq(&again, snap));
+    }
+    assert_eq!(retained_settled(&store, WINDOW + 10), WINDOW + 10);
+    // Letting go of a version is what drops it.
+    held.pop();
+    assert_eq!(retained_settled(&store, WINDOW + 9), WINDOW + 9);
 }
