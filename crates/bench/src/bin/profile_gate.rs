@@ -16,8 +16,22 @@
 //!   also proves a window actually flows into the metrics registry.
 //!
 //! Skip with `C3_BENCH_GATE=0` (the knob shared with the other gates).
+//!
+//! A third row is a ratio of two timings taken in one loop, so it runs
+//! even then: on a recorded batch of uncontended profiled operations,
+//! analysing a record may cost at most [`ANALYZE_TO_DRAIN_CEILING`] times
+//! what draining it costs. Reading a trace is then never the expensive
+//! part of profiling a lock.
+
+use std::hint::black_box;
+use std::sync::Arc;
+use std::time::Instant;
 
 use c3_bench::workloads::{run_hashtable, HtSeries};
+use concord::{policies, Concord};
+use locks::hooks::HookKind;
+use locks::{RawLock, ShflLock};
+use telemetry::{AnalyzeConfig, Analyzer};
 
 /// The committed figures' window (`run_window_ms()` default × 1e6).
 const WINDOW_NS: u64 = 3_000_000;
@@ -34,6 +48,74 @@ const SIM_SEED: u64 = 42;
 /// starts near 4.1k.)
 const CONSERVATION_WINDOW_NS: u64 = 100_000;
 
+/// Most that analysing one record may cost, in drains of one record
+/// (1.5 to 1.7 measured; 6.6 to 7.1 while the analyzer resolved the policy
+/// label of every record).
+const ANALYZE_TO_DRAIN_CEILING: f64 = 4.0;
+/// Operations in the recorded batch: six records each, below one ring.
+const BATCH_OPS: usize = 80;
+/// Replays of the batch; their hold segments stay below the analyzer's
+/// default per-lock cap.
+const REPLAYS: u32 = 512;
+
+/// Records one batch of uncontended operations on a lock that counts on
+/// all four event hooks, then replays it [`REPLAYS`] times through the
+/// plane, timing the drain and the analysis of each replay back to back —
+/// a slow stretch of the host lengthens both. Returns ns per record of
+/// each, `(analyze, drain)`.
+fn analyze_and_drain_ns_per_record() -> (f64, f64) {
+    const LOCK: &str = "profile_gate";
+    let concord = Concord::new();
+    let lock = Arc::new(ShflLock::new());
+    concord.registry().register_shfl(LOCK, Arc::clone(&lock));
+    let counter = policies::counter_map("events");
+    for hook in [
+        HookKind::LockAcquire,
+        HookKind::LockContended,
+        HookKind::LockAcquired,
+        HookKind::LockRelease,
+    ] {
+        let loaded = concord
+            .load(policies::event_counter(hook, Arc::clone(&counter)))
+            .expect("prebuilt policy verifies");
+        concord.attach(LOCK, &loaded).expect("lock is registered");
+    }
+    telemetry::drain();
+    telemetry::set_armed(true);
+    for _ in 0..BATCH_OPS {
+        drop(black_box(lock.lock()));
+    }
+    telemetry::set_armed(false);
+    let batch = telemetry::drain();
+    assert_eq!(batch.len(), 6 * BATCH_OPS, "recorded batch is incomplete");
+
+    let mut cfg = AnalyzeConfig::default();
+    cfg.lock_names.insert(lock.id(), LOCK.to_string());
+    let mut analyzer = Analyzer::new(cfg);
+    let (mut analyze_ns, mut drain_ns) = (0u128, 0u128);
+    for _ in 0..REPLAYS {
+        for ev in &batch {
+            telemetry::plane().emit(*ev);
+        }
+        let t = Instant::now();
+        let events = telemetry::drain();
+        drain_ns += t.elapsed().as_nanos();
+        let t = Instant::now();
+        analyzer.observe_all(black_box(&events));
+        analyze_ns += t.elapsed().as_nanos();
+    }
+    let report = analyzer.finish();
+    let records = u64::from(REPLAYS) * batch.len() as u64;
+    assert!(
+        report.exact() && report.events == records,
+        "replayed batches must analyze exactly"
+    );
+    (
+        analyze_ns as f64 / records as f64,
+        drain_ns as f64 / records as f64,
+    )
+}
+
 /// Runs the fixed-seed ksim contention scenario with the plane armed and
 /// returns the analysis of the complete drained trace. Per-ring seq-gap
 /// detection cannot see a ring losing its *prefix* (the first record seen
@@ -43,7 +125,12 @@ fn analyzed_sim_trace() -> telemetry::Report {
     telemetry::drain(); // Start from empty rings.
     let dropped_before = telemetry::dropped();
     telemetry::set_armed(true);
-    run_hashtable(THREADS, HtSeries::ConcordNoop, CONSERVATION_WINDOW_NS, SIM_SEED);
+    run_hashtable(
+        THREADS,
+        HtSeries::ConcordNoop,
+        CONSERVATION_WINDOW_NS,
+        SIM_SEED,
+    );
     telemetry::set_armed(false);
     let events = telemetry::drain();
     let dropped = telemetry::dropped() - dropped_before;
@@ -67,8 +154,22 @@ fn run_noop_worst_case() -> f64 {
 }
 
 fn main() {
+    let (analyze_ns, drain_ns) = analyze_and_drain_ns_per_record();
+    let ratio = analyze_ns / drain_ns;
+    println!(
+        "profile_gate: uncontended profiled batch — analyze {analyze_ns:.1} ns/record, drain \
+         {drain_ns:.1} ns/record, ratio {ratio:.2} (ceiling {ANALYZE_TO_DRAIN_CEILING})"
+    );
+    if ratio > ANALYZE_TO_DRAIN_CEILING {
+        eprintln!(
+            "profile_gate: FAIL — analysing a record costs {ratio:.2}x draining it; the \
+             analyzer is doing per-record work that belongs to a patch or a lock"
+        );
+        std::process::exit(1);
+    }
+
     if std::env::var("C3_BENCH_GATE").as_deref() == Ok("0") {
-        println!("profile_gate: skipped (C3_BENCH_GATE=0)");
+        println!("profile_gate: remaining gates skipped (C3_BENCH_GATE=0)");
         return;
     }
 

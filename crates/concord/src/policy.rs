@@ -138,31 +138,38 @@ impl BytecodePolicy {
         self.breaker.as_ref()
     }
 
-    fn run(&self, ctx: &mut [u8]) -> u64 {
+    /// Runs the program on `ctx`. `site_ns` is the timestamp the hook
+    /// site already took (event hooks carry one in their context); a hook
+    /// span is stamped with it, or with one clock read at entry when the
+    /// site took none.
+    fn run(&self, ctx: &mut [u8], site_ns: Option<u64>) -> u64 {
         self.invocations.fetch_add(1, Ordering::Relaxed);
         if let Some(b) = &self.breaker {
             if !b.allow(self.env.ktime_ns()) {
                 return fail_safe_default(self.hook);
             }
         }
-        if telemetry::armed() {
+        let span_ts = telemetry::armed().then(|| {
             // Label policy-emitted records with the lock this invocation
             // serves (the env outlives any single hook call).
             self.env.note_lock(ctx_lock_id(ctx));
-        }
-        let outcome =
-            self.prog
-                .prepared()
-                .run_with_faults(ctx, &*self.env, HOOK_BUDGET, self.injector.as_deref());
+            site_ns.unwrap_or_else(|| self.env.ktime_ns())
+        });
+        let outcome = self.prog.prepared().run_with_faults(
+            ctx,
+            &*self.env,
+            HOOK_BUDGET,
+            self.injector.as_deref(),
+        );
         match outcome {
             Ok(report) => {
                 if let Some(b) = &self.breaker {
                     b.record_ok();
                 }
-                if telemetry::armed() {
+                if let Some(ts_ns) = span_ts {
                     telemetry::emit(
                         telemetry::EventKind::HookSpan,
-                        self.env.ktime_ns(),
+                        ts_ns,
                         self.env.cpu_id() as u16,
                         ctx_lock_id(ctx),
                         u64::from(self.hook.bit()),
@@ -208,7 +215,7 @@ impl BytecodePolicy {
         let p = Arc::clone(self);
         Ok(Arc::new(move |ctx: &CmpNodeCtx| {
             let mut buf = hookctx::cmp_node_bytes(ctx);
-            p.run(&mut buf) != 0
+            p.run(&mut buf, None) != 0
         }))
     }
 
@@ -223,7 +230,7 @@ impl BytecodePolicy {
         let p = Arc::clone(self);
         Ok(Arc::new(move |ctx: &SkipShuffleCtx| {
             let mut buf = hookctx::skip_shuffle_bytes(ctx);
-            p.run(&mut buf) != 0
+            p.run(&mut buf, None) != 0
         }))
     }
 
@@ -238,7 +245,7 @@ impl BytecodePolicy {
         let p = Arc::clone(self);
         Ok(Arc::new(move |ctx: &ScheduleWaiterCtx| {
             let mut buf = hookctx::schedule_waiter_bytes(ctx);
-            p.run(&mut buf) != 0
+            p.run(&mut buf, None) != 0
         }))
     }
 
@@ -264,7 +271,7 @@ impl BytecodePolicy {
         let p = Arc::clone(self);
         Ok(Arc::new(move |ctx: &LockEventCtx| {
             let mut buf = hookctx::event_bytes(ctx);
-            p.run(&mut buf);
+            p.run(&mut buf, Some(ctx.now_ns));
         }))
     }
 }
@@ -405,9 +412,9 @@ impl SimBytecodePolicy {
             priorities: &self.priorities,
             sim: Some(&self.sim),
         };
-        let outcome = prog
-            .prepared()
-            .run_with_faults(ctx, &env, HOOK_BUDGET, self.injector.as_deref());
+        let outcome =
+            prog.prepared()
+                .run_with_faults(ctx, &env, HOOK_BUDGET, self.injector.as_deref());
         match outcome {
             Ok(report) => {
                 if let Some(b) = &self.breaker {
@@ -426,7 +433,10 @@ impl SimBytecodePolicy {
                         HOOK_BUDGET - report.insns,
                     );
                 }
-                (report.ret, check + HOOK_CALL_NS + report.insns * NS_PER_INSN)
+                (
+                    report.ret,
+                    check + HOOK_CALL_NS + report.insns * NS_PER_INSN,
+                )
             }
             Err(e) => {
                 let kind = e.fault_kind();

@@ -23,9 +23,9 @@
 //!   budget from hook-span records, so policy overhead is first-class
 //!   alongside lock wait.
 //!
-//! **Fidelity**: the rings overwrite oldest on overrun. Per-ring sequence
-//! numbers are strictly increasing, so a gap in the seq stream of one
-//! ring proves records were lost; the analyzer counts gaps (plus timeline
+//! **Fidelity**: the rings overwrite oldest on overrun. A ring numbers its
+//! records without gaps, so a number missing from the range seen on one
+//! ring proves a record was lost; the analyzer counts those (plus timeline
 //! anomalies and capacity truncation) and reports attribution as *exact*
 //! or *lower bound* accordingly ([`Report::exact`]). The conservation law
 //! still holds for the events that were seen — what degrades is coverage,
@@ -48,6 +48,7 @@
 //! feeds top-K contended-lock gauges into the global metrics registry on
 //! every [`Continuous::step`].
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -444,8 +445,7 @@ impl Report {
                 "  shuffle: cmp={} inversions={} skips={}/{} parks={}/{}",
                 s.cmp_calls, s.inversions, s.skips, s.skip_calls, s.parks, s.sched_calls
             );
-            let permille =
-                |v: u64| v.saturating_mul(1000).checked_div(l.wait_ns).unwrap_or(0);
+            let permille = |v: u64| v.saturating_mul(1000).checked_div(l.wait_ns).unwrap_or(0);
             let tenant_name = |t: u64| {
                 if t == HANDOFF_TENANT {
                     "handoff".to_string()
@@ -523,17 +523,55 @@ struct LivePatch {
 pub struct Analyzer {
     cfg: AnalyzeConfig,
     locks: BTreeMap<u64, LockState>,
-    /// Last sequence number seen per ring bucket; gaps prove drops.
-    ring_seq: [Option<u64>; NR_RINGS],
+    /// Sequence numbers seen per ring bucket, as `(lowest, highest,
+    /// count)`: the numbers missing from that range prove drops.
+    ring_seq: [(u64, u64, u64); NR_RINGS],
     /// Live patches keyed by label hash (from patch_apply payloads).
     live_patches: BTreeMap<u64, LivePatch>,
-    /// Interned policy labels (`WaitInterval` stores an index).
+    /// Interned policy labels; records and cells store an index.
     policy_pool: Vec<String>,
-    hook_costs: BTreeMap<(u64, u64, String), HookCost>,
+    /// Lock id → interned label of the policy live on it. A label is a
+    /// function of `live_patches` and the immutable `cfg.lock_names`
+    /// only, so an entry stays true until the next patch record, and
+    /// every patch record clears the map.
+    policy_cache: BTreeMap<u64, u32>,
+    /// Dispatch cost per `(lock id, hook bit, interned policy)`.
+    hook_costs: BTreeMap<(u64, u64, u32), HookCost>,
     events: u64,
-    seq_gaps: u64,
     anomalies: u64,
     truncated: u64,
+}
+
+/// The policy label live on `lock_id`, resolved by matching live
+/// patch-label prefixes against the lock's registered name. Patch records
+/// carry only a 16-byte label prefix, so the match is prefix-tolerant in
+/// both directions; ties go to the most recent apply (then the larger
+/// hash, for determinism).
+fn policy_label<'a>(
+    lock_names: &BTreeMap<u64, String>,
+    live_patches: &'a BTreeMap<u64, LivePatch>,
+    lock_id: u64,
+) -> &'a str {
+    let Some(name) = lock_names.get(&lock_id) else {
+        return UNPATCHED;
+    };
+    let tag = format!("{name}/");
+    let mut best: Option<(&LivePatch, u64)> = None;
+    for (hash, p) in live_patches {
+        let matches =
+            p.label.starts_with(&tag) || tag.starts_with(&p.label) || p.label.contains(&tag);
+        if !matches {
+            continue;
+        }
+        let better = match best {
+            None => true,
+            Some((b, bh)) => (p.since_ns, *hash) > (b.since_ns, bh),
+        };
+        if better {
+            best = Some((p, *hash));
+        }
+    }
+    best.map_or(UNPATCHED, |(p, _)| p.label.as_str())
 }
 
 impl Analyzer {
@@ -541,63 +579,45 @@ impl Analyzer {
         Analyzer {
             cfg,
             locks: BTreeMap::new(),
-            ring_seq: [None; NR_RINGS],
+            ring_seq: [(u64::MAX, 0, 0); NR_RINGS],
             live_patches: BTreeMap::new(),
             policy_pool: vec![UNPATCHED.to_string()],
+            policy_cache: BTreeMap::new(),
             hook_costs: BTreeMap::new(),
             events: 0,
-            seq_gaps: 0,
             anomalies: 0,
             truncated: 0,
         }
     }
 
-    fn intern_policy(&mut self, label: &str) -> u32 {
-        if let Some(i) = self.policy_pool.iter().position(|p| p == label) {
-            return i as u32;
+    /// Interned label of the policy live on `lock_id`: one map lookup
+    /// per record, [`policy_label`] once per lock and patch.
+    fn policy_of(&mut self, lock_id: u64) -> u32 {
+        if let Some(&policy) = self.policy_cache.get(&lock_id) {
+            return policy;
         }
-        self.policy_pool.push(label.to_string());
-        (self.policy_pool.len() - 1) as u32
-    }
-
-    /// The policy label currently live on `lock_id`, resolved by matching
-    /// live patch-label prefixes against the lock's registered name.
-    /// Patch records carry only a 16-byte label prefix, so the match is
-    /// prefix-tolerant in both directions; ties go to the most recent
-    /// apply (then the larger hash, for determinism).
-    fn policy_label(&self, lock_id: u64) -> String {
-        let Some(name) = self.cfg.lock_names.get(&lock_id) else {
-            return UNPATCHED.to_string();
-        };
-        let tag = format!("{name}/");
-        let mut best: Option<(&LivePatch, u64)> = None;
-        for (hash, p) in &self.live_patches {
-            let matches = p.label.starts_with(&tag)
-                || tag.starts_with(&p.label)
-                || p.label.contains(&tag);
-            if !matches {
-                continue;
+        let label = policy_label(&self.cfg.lock_names, &self.live_patches, lock_id);
+        let policy = match self.policy_pool.iter().position(|p| p == label) {
+            Some(i) => i,
+            None => {
+                self.policy_pool.push(label.to_string());
+                self.policy_pool.len() - 1
             }
-            let better = match best {
-                None => true,
-                Some((b, bh)) => (p.since_ns, *hash) > (b.since_ns, bh),
-            };
-            if better {
-                best = Some((p, *hash));
-            }
-        }
-        match best {
-            Some((p, _)) => p.label.clone(),
-            None => UNPATCHED.to_string(),
-        }
+        } as u32;
+        self.policy_cache.insert(lock_id, policy);
+        policy
     }
 
     fn lock_state(&mut self, id: u64) -> Option<&mut LockState> {
-        if !self.locks.contains_key(&id) && self.locks.len() >= self.cfg.max_locks {
-            self.truncated += 1;
-            return None;
+        let full = self.locks.len() >= self.cfg.max_locks;
+        match self.locks.entry(id) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(_) if full => {
+                self.truncated += 1;
+                None
+            }
+            Entry::Vacant(e) => Some(e.insert(LockState::default())),
         }
-        Some(self.locks.entry(id).or_default())
     }
 
     /// Feed one record. Events must arrive in the plane's merged
@@ -605,17 +625,15 @@ impl Analyzer {
     pub fn observe(&mut self, ev: &TraceEvent) {
         self.events += 1;
 
-        // Per-ring drop detection: within one ring bucket the sequence is
-        // gapless unless overwrite-oldest ate records.
-        let bucket = usize::from(ev.cpu) % NR_RINGS;
-        if let Some(last) = self.ring_seq[bucket] {
-            if ev.seq > last + 1 {
-                self.seq_gaps += ev.seq - last - 1;
-            }
-        }
-        if self.ring_seq[bucket].is_none_or(|last| ev.seq > last) {
-            self.ring_seq[bucket] = Some(ev.seq);
-        }
+        // Per-ring drop detection: a ring numbers its records without
+        // gaps, so whatever is missing from the range seen was overwritten.
+        // Counted over the range, not between neighbours: a hook span
+        // carries its entry time and so sorts ahead of the records its
+        // policy emitted during the run, which the ring numbered first.
+        let (lo, hi, seen) = &mut self.ring_seq[usize::from(ev.cpu) % NR_RINGS];
+        *lo = (*lo).min(ev.seq);
+        *hi = (*hi).max(ev.seq);
+        *seen += 1;
 
         match ev.kind {
             EventKind::LockAcquire => {
@@ -650,12 +668,8 @@ impl Analyzer {
                 self.truncated += truncated;
             }
             EventKind::LockAcquired => {
-                let policy = {
-                    let label = self.policy_label(ev.a);
-                    self.intern_policy(&label)
-                };
-                let (cap_pending, cap_intervals) =
-                    (self.cfg.max_pending, self.cfg.max_intervals);
+                let policy = self.policy_of(ev.a);
+                let (cap_pending, cap_intervals) = (self.cfg.max_pending, self.cfg.max_intervals);
                 let mut anomalies = 0;
                 let mut truncated = 0;
                 if let Some(l) = self.lock_state(ev.a) {
@@ -742,7 +756,7 @@ impl Analyzer {
                 }
             }
             EventKind::HookSpan => {
-                let policy = self.policy_label(ev.a);
+                let policy = self.policy_of(ev.a);
                 let cell = self.hook_costs.entry((ev.a, ev.b, policy)).or_default();
                 cell.calls += 1;
                 cell.insns += ev.c;
@@ -762,9 +776,11 @@ impl Analyzer {
                         since_ns: ev.ts_ns,
                     },
                 );
+                self.policy_cache.clear();
             }
             EventKind::PatchRevert => {
                 self.live_patches.remove(&ev.a);
+                self.policy_cache.clear();
             }
             // Control-plane records carry no timeline information.
             _ => {}
@@ -785,15 +801,25 @@ impl Analyzer {
             locks,
             hook_costs,
             events,
-            seq_gaps,
+            ring_seq,
             anomalies,
             truncated,
             policy_pool,
             ..
         } = self;
+        let seq_gaps = ring_seq
+            .iter()
+            .filter(|(.., seen)| *seen > 0)
+            .map(|(lo, hi, seen)| (hi - lo).saturating_sub(seen - 1))
+            .sum();
 
         let mut report = Report {
-            hook_costs,
+            hook_costs: hook_costs
+                .into_iter()
+                .map(|((lock, bit, policy), cost)| {
+                    ((lock, bit, policy_pool[policy as usize].clone()), cost)
+                })
+                .collect(),
             events,
             seq_gaps,
             anomalies,
@@ -860,8 +886,7 @@ impl Analyzer {
                         if os > cur {
                             // Gap before this hold (the lock was in
                             // handoff between two holders).
-                            *lr
-                                .caused
+                            *lr.caused
                                 .entry((HANDOFF_TENANT, policy.clone()))
                                 .or_default() += os - cur;
                         }
@@ -870,8 +895,7 @@ impl Analyzer {
                     }
                 }
                 if cur < w.end_ns {
-                    *lr
-                        .caused
+                    *lr.caused
                         .entry((HANDOFF_TENANT, policy.clone()))
                         .or_default() += w.end_ns - cur;
                 }
@@ -1097,15 +1121,11 @@ impl Continuous {
         m.counter("c3_analyze_events_total").add(report.events);
         m.gauge("c3_analyze_window_wait_ns")
             .set(report.total_wait_ns().min(i64::MAX as u64) as i64);
-        m.gauge("c3_analyze_exact")
-            .set(i64::from(report.exact()));
+        m.gauge("c3_analyze_exact").set(i64::from(report.exact()));
         crate::sync_dropped_counter();
         let top = report.top_waits(inner.cfg.top_k);
         for rank in 0..inner.cfg.top_k {
-            let (id, wait) = top
-                .get(rank)
-                .map(|(id, _, w)| (*id, *w))
-                .unwrap_or((0, 0));
+            let (id, wait) = top.get(rank).map(|(id, _, w)| (*id, *w)).unwrap_or((0, 0));
             m.gauge(&format!("c3_analyze_top{rank}_lock_id"))
                 .set(id.min(i64::MAX as u64) as i64);
             m.gauge(&format!("c3_analyze_top{rank}_wait_ns"))
@@ -1263,7 +1283,15 @@ mod tests {
         }
         stream.push(ev(EventKind::LockRelease, 40, 5, 7, 1, 0, 1));
         for (i, (tid, ts)) in [(2u64, 40u64), (3, 45), (4, 50)].iter().enumerate() {
-            stream.push(ev(EventKind::LockAcquired, *ts, 6 + i as u64 * 2, 7, *tid, 0, 0));
+            stream.push(ev(
+                EventKind::LockAcquired,
+                *ts,
+                6 + i as u64 * 2,
+                7,
+                *tid,
+                0,
+                0,
+            ));
             stream.push(ev(
                 EventKind::LockRelease,
                 *ts + 2,
@@ -1299,7 +1327,15 @@ mod tests {
     fn policy_attribution_from_patch_events() {
         let mut cfg = AnalyzeConfig::default();
         cfg.lock_names.insert(7, "mmap_sem".to_string());
-        let mut apply = ev(EventKind::PatchApply, 5, 0, fnv64("mmap_sem/cmp_node"), 1, 1, 0);
+        let mut apply = ev(
+            EventKind::PatchApply,
+            5,
+            0,
+            fnv64("mmap_sem/cmp_node"),
+            1,
+            1,
+            0,
+        );
         apply.set_payload(b"mmap_sem/cmp_node");
         let mut stream = vec![apply];
         stream.extend(simple_stream().into_iter().map(|mut e| {
@@ -1314,6 +1350,135 @@ mod tests {
             "blame should carry the live patch label, got {:?}",
             key.1
         );
+    }
+
+    #[test]
+    fn a_patch_record_invalidates_the_cached_label() {
+        let mut cfg = AnalyzeConfig::default();
+        cfg.lock_names.insert(7, "mmap_sem".to_string());
+        let span = |ts, seq| ev(EventKind::HookSpan, ts, seq, 7, 8, 11, 100);
+        let mut apply = ev(EventKind::PatchApply, 20, 1, 1, 1, 1, 0);
+        apply.set_payload(b"mmap_sem/lock_acquire");
+        let stream = vec![
+            span(10, 0),
+            apply,
+            span(30, 2),
+            ev(EventKind::PatchRevert, 40, 3, 1, 1, 0, 0),
+            span(50, 4),
+        ];
+        let r = analyze(&stream, cfg);
+        // 16-byte label prefix, as the patch record carries it.
+        let calls = |policy: &str| r.hook_costs[&(7, 8, policy.to_string())].calls;
+        assert_eq!(calls(UNPATCHED), 2);
+        assert_eq!(calls("mmap_sem/lock_ac"), 1);
+    }
+
+    #[test]
+    fn records_of_one_ring_out_of_seq_order_are_not_drops() {
+        // A span stamped at hook entry sorts ahead of the record its
+        // policy emitted during the run.
+        let stream = vec![
+            ev(EventKind::LockAcquired, 10, 0, 7, 1, 0, 1),
+            ev(EventKind::HookSpan, 10, 2, 7, 32, 11, 100),
+            ev(EventKind::PolicyEmit, 15, 1, 7, 1, 0, 0),
+            ev(EventKind::LockRelease, 20, 3, 7, 1, 0, 1),
+        ];
+        let r = analyze(&stream, AnalyzeConfig::default());
+        assert_eq!(r.seq_gaps, 0);
+        assert!(r.exact());
+    }
+
+    mod cached_policy_differential {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+        use proptest::sample::select;
+
+        /// Locks 2 and 3 tie on every label cut at 16 bytes; 99 has no name.
+        const LOCKS: [u64; 4] = [1, 2, 3, 99];
+
+        fn config() -> AnalyzeConfig {
+            let mut cfg = AnalyzeConfig::default();
+            for (id, name) in [
+                (1, "dcache"),
+                (2, "dcache_lru_list_lock"),
+                (3, "dcache_lru_list_lockB"),
+            ] {
+                cfg.lock_names.insert(id, name.to_string());
+            }
+            cfg
+        }
+
+        /// Labels as patch records carry them (at most 16 bytes): exact
+        /// tags, a cut tag two locks share, a tag in the middle, one that
+        /// matches nothing and the empty label, a prefix of every tag.
+        const LABELS: [&str; 7] = [
+            "dcache/cmp_node",
+            "dcache/lock_acqu",
+            "dcache_lru_list_",
+            "x/dcache/cmp",
+            "dcache",
+            "other/cmp_node",
+            "",
+        ];
+
+        /// `(kind selector, lock, tid or hook bit, patch hash, label, ts step)`
+        type Gen = (u8, u64, u64, u64, &'static str, u64);
+
+        fn stream(gen: &[Gen]) -> Vec<TraceEvent> {
+            let mut ts = 0;
+            gen.iter()
+                .zip(0u64..)
+                .map(|(&(sel, lock, who, hash, label, step), seq)| {
+                    // Steps of 0 keep same-time applies, which tie on `since_ns`.
+                    ts += step;
+                    let mut e = match sel {
+                        0 => ev(EventKind::LockAcquire, ts, seq, lock, who, who % 2, 0),
+                        1 => ev(EventKind::LockContended, ts, seq, lock, who, who % 2, 0),
+                        2 | 3 => ev(EventKind::LockAcquired, ts, seq, lock, who, who % 2, who),
+                        4 => ev(EventKind::LockRelease, ts, seq, lock, who, who % 2, who),
+                        5..=7 => ev(EventKind::HookSpan, ts, seq, lock, 8 << (who % 4), 11, 100),
+                        8 => ev(EventKind::PatchApply, ts, seq, hash, 1, 1, 0),
+                        _ => ev(EventKind::PatchRevert, ts, seq, hash, 1, 0, 0),
+                    };
+                    if sel == 8 {
+                        e.set_payload(label.as_bytes());
+                    }
+                    e
+                })
+                .collect()
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// The cache is invisible: resolving every record's label
+            /// afresh with `policy_label` renders the same report.
+            #[test]
+            fn cached_labels_render_as_labels_resolved_per_record(
+                gen in vec(
+                    (
+                        0u8..10,
+                        select(LOCKS.to_vec()),
+                        1u64..4,
+                        0u64..3,
+                        select(LABELS.to_vec()),
+                        0u64..3,
+                    ),
+                    0..200,
+                ),
+            ) {
+                let events = stream(&gen);
+                let mut cached = Analyzer::new(config());
+                cached.observe_all(&events);
+                let mut reference = Analyzer::new(config());
+                for e in &events {
+                    reference.policy_cache.clear();
+                    reference.observe(e);
+                }
+                prop_assert_eq!(cached.finish().render(), reference.finish().render());
+            }
+        }
     }
 
     #[test]

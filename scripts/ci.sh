@@ -35,7 +35,9 @@ C3_BENCH_GATE="${C3_BENCH_GATE:-1}" cargo run -p c3-bench --release --bin teleme
 # byte-identically run-to-run) on a lossless fixed-seed ksim trace, and
 # arming the continuous analyzer must stay >= 0.95 normalized on the
 # fig2c no-op worst case without moving virtual throughput at all.
-# Shares the C3_BENCH_GATE=0 skip knob.
+# Shares the C3_BENCH_GATE=0 skip knob, except for its first row: analysing
+# a record of an uncontended profiled batch may cost at most 4x draining
+# it, both timed in one loop, so a busy host moves neither side alone.
 echo "== profile_gate (C3_BENCH_GATE=${C3_BENCH_GATE:-1}) =="
 C3_BENCH_GATE="${C3_BENCH_GATE:-1}" cargo run -p c3-bench --release --bin profile_gate
 

@@ -6,10 +6,15 @@
 //! read, context marshal, policy run and helper calls must stay off the
 //! heap. The counters are per thread, so only the firing thread's traffic
 //! is held against the zero.
+//!
+//! The same holds with the trace plane armed — a profiled lock operation
+//! emits its six records without allocating — and the analyzer that reads
+//! them back allocates only when one of its vectors doubles.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::Arc;
+use std::hint::black_box;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use cbpf::insn::{JmpOp, MemSize, Reg};
 use cbpf::program::ProgramBuilder;
@@ -17,7 +22,8 @@ use concord::{hookctx, policies, Concord, PolicySpec};
 use locks::hooks::{
     CmpNodeCtx, HookKind, LockEventCtx, NodeView, ScheduleWaiterCtx, SkipShuffleCtx,
 };
-use locks::ShflLock;
+use locks::{RawLock, ShflLock};
+use telemetry::{AnalyzeConfig, Analyzer, TraceEvent};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -65,6 +71,48 @@ const EVENTS: [HookKind; 4] = [
     HookKind::LockAcquired,
     HookKind::LockRelease,
 ];
+
+/// Uncontended operations between two drains: three transitions and three
+/// hook spans each, which stays below the 512-slot ring.
+const BATCH: u64 = 80;
+const RECORDS_PER_OP: u64 = 6;
+
+/// The armed flag is process-wide: one test at a time.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+fn heap_traffic() -> (u64, u64) {
+    (ALLOCS.get(), FREES.get())
+}
+
+/// A registered lock counting into one map from all four event hooks.
+fn profiled(concord: &Concord, name: &str) -> (Arc<ShflLock>, Arc<cbpf::Map>) {
+    let lock = Arc::new(ShflLock::new());
+    concord.registry().register_shfl(name, Arc::clone(&lock));
+    let counters = policies::counter_map("fires");
+    for kind in EVENTS {
+        let loaded = concord
+            .load(policies::event_counter(kind, Arc::clone(&counters)))
+            .expect("policy verifies");
+        concord.attach(name, &loaded).expect("lock is hookable");
+    }
+    (lock, counters)
+}
+
+/// One armed batch on `lock`: the lock side's `(allocations, frees)` and
+/// the records it left in the rings.
+fn armed_batch(lock: &ShflLock) -> ((u64, u64), Vec<TraceEvent>) {
+    let before = heap_traffic();
+    for _ in 0..BATCH {
+        drop(black_box(lock.lock()));
+    }
+    let after = heap_traffic();
+    let events = telemetry::drain();
+    assert_eq!(events.len() as u64, BATCH * RECORDS_PER_OP, "lossy batch");
+    ((after.0 - before.0, after.1 - before.1), events)
+}
 
 fn view(cpu: u32) -> NodeView {
     NodeView {
@@ -138,21 +186,14 @@ fn fire_all(lock: &ShflLock, n: u64) -> u64 {
 
 #[test]
 fn seven_hooks_fire_without_touching_the_heap() {
+    let _serial = serial();
     let concord = Concord::new();
-    let lock = Arc::new(ShflLock::new());
-    concord.registry().register_shfl(LOCK, Arc::clone(&lock));
-    let counters = policies::counter_map("fires");
-    let mut specs = vec![
+    let (lock, counters) = profiled(&concord, LOCK);
+    for spec in [
         policies::numa_aware(),
         skip_off_socket_zero(),
         policies::adaptive_parking(50_000),
-    ];
-    specs.extend(
-        EVENTS
-            .iter()
-            .map(|&kind| policies::event_counter(kind, Arc::clone(&counters))),
-    );
-    for spec in specs {
+    ] {
         let loaded = concord.load(spec).expect("policy verifies");
         concord.attach(LOCK, &loaded).expect("lock is hookable");
     }
@@ -161,9 +202,9 @@ fn seven_hooks_fire_without_touching_the_heap() {
     }
 
     fire_all(&lock, WARMUP);
-    let before = (ALLOCS.get(), FREES.get());
+    let before = heap_traffic();
     let yes = fire_all(&lock, FIRES);
-    let after = (ALLOCS.get(), FREES.get());
+    let after = heap_traffic();
 
     assert_eq!(
         (after.0 - before.0, after.1 - before.1),
@@ -177,4 +218,71 @@ fn seven_hooks_fire_without_touching_the_heap() {
         counters.percpu_sum(&0u32.to_le_bytes()),
         4 * (WARMUP + FIRES)
     );
+}
+
+#[test]
+fn an_armed_profiled_op_emits_without_touching_the_heap() {
+    let _serial = serial();
+    let concord = Concord::new();
+    let (lock, counters) = profiled(&concord, "zero_alloc_armed");
+    telemetry::drain();
+    telemetry::set_armed(true);
+    // Past the compiled tier's crossover and the plane's first touch.
+    for _ in 0..WARMUP / BATCH + 1 {
+        armed_batch(&lock);
+    }
+    let mut traffic = (0, 0);
+    let batches = FIRES / BATCH;
+    for _ in 0..batches {
+        let (lock_side, _) = armed_batch(&lock);
+        traffic = (traffic.0 + lock_side.0, traffic.1 + lock_side.1);
+    }
+    telemetry::set_armed(false);
+
+    assert_eq!(
+        traffic,
+        (0, 0),
+        "(allocations, frees) on the lock side of {batches} armed batches"
+    );
+    // lock_contended stays silent on an uncontended lock.
+    assert_eq!(
+        counters.percpu_sum(&0u32.to_le_bytes()),
+        3 * BATCH * (WARMUP / BATCH + 1 + batches)
+    );
+}
+
+#[test]
+fn the_analyzer_allocates_only_when_a_vector_doubles() {
+    const RECORDS: usize = 10_000;
+    let _serial = serial();
+    let concord = Concord::new();
+    let name = "zero_alloc_analyzed";
+    let (lock, _) = profiled(&concord, name);
+    telemetry::drain();
+    telemetry::set_armed(true);
+    let mut records = Vec::new();
+    while records.len() < RECORDS {
+        records.extend(armed_batch(&lock).1);
+    }
+    telemetry::set_armed(false);
+    records.truncate(RECORDS);
+
+    // The lock is named, so its policy label goes through the patch match.
+    let mut cfg = AnalyzeConfig::default();
+    cfg.lock_names.insert(lock.id(), name.to_string());
+    let mut analyzer = Analyzer::new(cfg);
+    let before = ALLOCS.get();
+    analyzer.observe_all(&records);
+    let allocations = ALLOCS.get() - before;
+
+    // One hold segment per operation lands in a vector that doubles; past
+    // that, a fixed handful of first-touch tree nodes and the label.
+    let bound = u64::from(RECORDS.ilog2()) + 12;
+    assert!(
+        allocations <= bound,
+        "{allocations} allocations over {RECORDS} records (bound {bound})"
+    );
+    let report = analyzer.finish();
+    assert!(report.exact() && report.conservation_holds());
+    assert_eq!(report.events, RECORDS as u64);
 }

@@ -11,6 +11,7 @@
 //! The armed flag is process-global, so every test here serializes on
 //! one mutex and drains leftovers before measuring.
 
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -29,9 +30,7 @@ static TRACE_GUARD: Mutex<()> = Mutex::new(());
 
 /// Serializes armed-plane tests and starts from an empty, disarmed plane.
 fn trace_session() -> MutexGuard<'static, ()> {
-    let guard = TRACE_GUARD
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let guard = TRACE_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::set_armed(false);
     telemetry::drain();
     guard
@@ -109,7 +108,10 @@ fn real_lock_stream_interleaves_all_three_event_classes() {
 
     let count = |k: EventKind| stream.iter().filter(|e| e.kind == k).count();
     assert!(count(EventKind::LockAcquire) > 0, "no acquire transitions");
-    assert!(count(EventKind::LockAcquired) > 0, "no acquired transitions");
+    assert!(
+        count(EventKind::LockAcquired) > 0,
+        "no acquired transitions"
+    );
     assert!(count(EventKind::LockRelease) > 0, "no release transitions");
     assert!(
         count(EventKind::LockContended) > 0,
@@ -148,6 +150,50 @@ fn real_lock_stream_interleaves_all_three_event_classes() {
         assert_eq!(ev.payload_bytes(), b"A", "trace_emit payload mangled");
         assert!(ev.b > 0, "policy emit lost the emitting tid");
     }
+
+    // A span is stamped with its hook's entry time, which for an event
+    // hook is the timestamp the site put on the transition record. On its
+    // ring (one per pinned thread here) the span follows that record with
+    // only the policy's own emissions between; in the merged stream it
+    // sorts directly after it; and it never runs ahead of the ring's next
+    // record.
+    let mut rings: BTreeMap<u16, Vec<(usize, &TraceEvent)>> = BTreeMap::new();
+    for (at, ev) in stream.iter().enumerate() {
+        rings.entry(ev.cpu).or_default().push((at, ev));
+    }
+    for ring in rings.values_mut() {
+        ring.sort_by_key(|(_, e)| e.seq);
+        for (i, (at, span)) in ring.iter().enumerate() {
+            if span.kind != EventKind::HookSpan {
+                continue;
+            }
+            let site = ring[..i]
+                .iter()
+                .rev()
+                .find(|(_, e)| e.kind != EventKind::PolicyEmit);
+            // A ring that wrapped may have lost the first span's site.
+            if let Some((site_at, site)) = site {
+                assert_eq!(site.kind, EventKind::LockAcquired, "span follows {site:?}");
+                assert_eq!(span.ts_ns, site.ts_ns, "span is not stamped at hook entry");
+                assert_eq!(
+                    *at,
+                    site_at + 1,
+                    "span does not sort directly after its site"
+                );
+            }
+            assert!(
+                ring.get(i + 1)
+                    .is_none_or(|(_, next)| span.ts_ns <= next.ts_ns),
+                "span runs ahead of the next record on its ring"
+            );
+        }
+    }
+    // Entry stamps put a span ahead of the records its policy emitted
+    // during the run, so one ring's records reach the analyzer out of seq
+    // order; that must not read as loss (a wrapped ring loses a prefix,
+    // never the middle).
+    let report = telemetry::analyze::analyze(&events, telemetry::AnalyzeConfig::default());
+    assert_eq!(report.seq_gaps, 0, "reordered records counted as drops");
 }
 
 /// Runs the contended-sim scenario and returns its drained, seq-normalized
