@@ -98,9 +98,8 @@ fn bench_pair(
     g.bench_function(&format!("{name}/legacy"), |b| {
         b.iter(|| run_with_budget(prog, &mut ctx, layout, &env, DEFAULT_BUDGET).unwrap())
     });
-    // Tiers are pinned with run_tier from here on: criterion's warmup
-    // alone crosses the hot-invocation threshold, so an unpinned `run`
-    // would silently measure the compiled tier on every row.
+    // Tiers are pinned with run_tier from here on: an unpinned `run`
+    // is the compiled tier on every row.
     //
     // Lowering alone vs lowering + the prepare-time optimizer, so the
     // optimizer's contribution is separable from the dispatch win.

@@ -6,12 +6,14 @@
 //!
 //! The prepared interpreter pays one dispatch, one budget compare and one
 //! budget add per slot. The compiled tier folds every maximal run of
-//! *pure* instructions (ALU ops, register moves, and stack accesses whose
-//! address resolves at compile time to an in-bounds frame offset) into
-//! the `pre` micro-op prefix of the next non-pure step: one dispatch and
-//! one budget charge cover the whole group. Non-pure instructions —
-//! context and map-value memory, helpers, traces, jumps, exit — each
-//! become one [`JStep`], mirroring the prepared arm one-for-one and
+//! *pure* instructions (ALU ops, register moves, stack accesses whose
+//! address resolves at compile time to an in-bounds frame offset, and
+//! context reads whose address resolves at compile time to a field the
+//! layout permits at that width) into the `pre` micro-op prefix of the
+//! next non-pure step: one dispatch and one budget charge cover the
+//! whole group. Non-pure instructions — context writes, unresolved
+//! loads, map-value memory, helpers, traces, jumps, exit — each become
+//! one [`JStep`], mirroring the prepared arm one-for-one and
 //! reusing the shared [`Runner`] methods so the two tiers cannot drift
 //! in fault semantics. A pure run whose successor is a jump target
 //! cannot merge into it (other paths enter there without the prefix), so
@@ -24,6 +26,22 @@
 //! of an exit are dropped. Registers and the frame are run-local state —
 //! a program can only observe them through the instructions that
 //! survive — so these rewrites are invisible.
+//!
+//! # Context reads
+//!
+//! `r1` enters a run as the context pointer, so the lattice is seeded
+//! with it at program entry — and keeps it across join points when no
+//! slot of the program can write `r1` (no instruction with `dst == r1`,
+//! no helper call, which clobbers `r1..r5`). A load whose address then
+//! resolves to a context offset the [`CtxPerm`] table permits at that
+//! width, ending inside the layout, becomes [`Micro::CtxLd`]: a
+//! fixed-width read at an absolute offset, with no tag match, table
+//! lookup or dispatch of its own. What makes it fault-free, and so legal
+//! inside a charge group, is the guard at the top of [`run`]: a context
+//! shorter than the layout never reaches the compiled steps — it runs on
+//! the prepared interpreter, whose per-access checks define every fault.
+//! Reads the table refuses stay generic [`JOp::Load`] steps and fault at
+//! run time exactly as the interpreter does.
 //!
 //! Two map specializations ride on the lattice:
 //!
@@ -72,13 +90,15 @@ use crate::insn::{AluOp, JmpOp, MemSize, STACK_SIZE};
 use crate::interp::{fold32, fold64, RunReport};
 use crate::map::Map;
 use crate::prepare::{
-    ptr, ptr_index, ptr_off, ptr_tag, read_le, MapOp, PInsn, PSrc, PreparedProgram, Runner, Trap,
-    TAG_MAPREF, TAG_MAPVAL, TAG_STACK,
+    ptr, ptr_index, ptr_off, ptr_tag, read_le, CtxPerm, MapOp, PInsn, PSrc, PreparedProgram,
+    Runner, Trap, TAG_CTX, TAG_MAPREF, TAG_MAPVAL, TAG_STACK,
 };
 
 /// A pure micro-op inside a step's `pre` prefix: no fault path, no
-/// observable effect — registers and compile-time-bounded frame bytes
-/// only.
+/// observable effect — it writes registers and compile-time-bounded
+/// frame bytes only, and reads those plus compile-time-permitted context
+/// fields: `CtxLd` is a read the layout permits at that width, at an
+/// absolute offset that ends inside the layout (see [`run`]'s guard).
 #[derive(Clone, Copy, Debug)]
 enum Micro {
     MovI { dst: u8, imm: u64 },
@@ -91,6 +111,7 @@ enum Micro {
     StackLd { size: MemSize, dst: u8, off: u16 },
     StackStR { size: MemSize, off: u16, src: u8 },
     StackStI { size: MemSize, off: u16, imm: u64 },
+    CtxLd { size: MemSize, dst: u8, off: u32 },
 }
 
 /// A compile-time-proven in-bounds frame window (`off + len <= 512`).
@@ -287,6 +308,17 @@ impl JitProgram {
     pub fn step_count(&self) -> usize {
         self.steps.len()
     }
+
+    /// Number of loads left as generic steps: a dispatch of their own
+    /// and the interpreter's run-time tag, permission and bounds checks.
+    /// A program that only reads its own frame and fields its layout
+    /// grants, through pointers the compiler can follow, has none.
+    pub fn generic_load_count(&self) -> usize {
+        self.steps
+            .iter()
+            .filter(|s| matches!(s.op, JOp::Load { .. }))
+            .count()
+    }
 }
 
 impl std::fmt::Debug for JitProgram {
@@ -318,14 +350,17 @@ struct Consts {
 }
 
 impl Consts {
-    fn boundary() -> Consts {
+    /// The state at a join point. `r1` is the context pointer when no
+    /// slot of the program can write it, else unknown.
+    fn boundary(r1: Option<u64>) -> Consts {
         let mut c = Consts {
             regs: [None; 11],
             stack: [None; STACK_SIZE],
             pushes: None,
         };
-        // The frame pointer is the only register with a cross-block
-        // constant value (it can never be written).
+        c.regs[1] = r1;
+        // The frame pointer can never be written, so it is constant
+        // across blocks in every program.
         c.regs[10] = Some(ptr(TAG_STACK, 0, STACK_SIZE as u32));
         c
     }
@@ -414,7 +449,9 @@ fn dead_strip(ops: &mut Vec<Micro>, exit_next: bool) {
     let mut keep = vec![true; ops.len()];
     for i in (0..ops.len()).rev() {
         match ops[i] {
-            Micro::MovI { dst, .. } => {
+            // The context is never written inside a prefix, so a context
+            // read is a plain definition of `dst`.
+            Micro::MovI { dst, .. } | Micro::CtxLd { dst, .. } => {
                 if reg_live[dst as usize] {
                     reg_live[dst as usize] = false;
                 } else {
@@ -492,7 +529,7 @@ fn dead_strip(ops: &mut Vec<Micro>, exit_next: bool) {
 fn global_strip(steps: &mut [JStep]) {
     fn scan_micro(m: &Micro, reg_read: &mut [bool; 11], stack_read: &mut bool) {
         match *m {
-            Micro::MovI { .. } | Micro::StackStI { .. } => {}
+            Micro::MovI { .. } | Micro::StackStI { .. } | Micro::CtxLd { .. } => {}
             Micro::Mov64R { src, .. } | Micro::Mov32R { src, .. } => {
                 reg_read[src as usize] = true;
             }
@@ -595,7 +632,8 @@ fn global_strip(steps: &mut [JStep]) {
                 | Micro::Alu64R { dst, .. }
                 | Micro::Alu32I { dst, .. }
                 | Micro::Alu32R { dst, .. }
-                | Micro::StackLd { dst, .. } => reg_read[dst as usize],
+                | Micro::StackLd { dst, .. }
+                | Micro::CtxLd { dst, .. } => reg_read[dst as usize],
                 Micro::StackStR { .. } | Micro::StackStI { .. } => stack_read,
             }
         };
@@ -633,6 +671,7 @@ struct Cc<'a> {
     caches: u32,
     region_maps: Vec<u32>,
     maps: &'a [Arc<Map>],
+    perm: &'a CtxPerm,
 }
 
 impl Cc<'_> {
@@ -675,6 +714,19 @@ impl Cc<'_> {
         } else {
             None
         }
+    }
+
+    /// Resolves `base + off` as a read of `n` context bytes that cannot
+    /// fault on an in-contract context: the same permission and bounds
+    /// tests as `Runner::load`, with the layout size standing in for the
+    /// context length ([`run`] sends shorter contexts elsewhere).
+    fn ctx_win(&self, base: Option<u64>, off: u64, n: usize) -> Option<u32> {
+        let addr = base?.wrapping_add(off);
+        if ptr_tag(addr) != TAG_CTX {
+            return None;
+        }
+        let o = ptr_off(addr) as usize;
+        (self.perm.read_ok(o, n) && o + n <= self.perm.size()).then_some(o as u32)
     }
 }
 
@@ -742,10 +794,10 @@ struct MemRef {
     off: u64,
 }
 
-/// One load (or `Load2` half): a pure frame micro-op when the address
-/// resolves to the frame, a region-tracked map-value step when it
-/// resolves to a registered region, else a generic step with the
-/// interpreter's runtime checks.
+/// One load (or `Load2` half): a pure micro-op when the address
+/// resolves to the frame or to a permitted context field, a
+/// region-tracked map-value step when it resolves to a registered
+/// region, else a generic step with the interpreter's runtime checks.
 fn emit_load(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, dst: u8) {
     let MemRef { size, base, off } = m;
     let nb = size.bytes();
@@ -761,6 +813,11 @@ fn emit_load(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, dst: u
             cc.blk.push(Micro::StackLd { size, dst, off: so });
             cc.c.set(dst, None);
         }
+    } else if let Some(co) = cc.ctx_win(bv, off, nb) {
+        *slot = cc.steps.len() as u32;
+        cc.blk_w += w;
+        cc.blk.push(Micro::CtxLd { size, dst, off: co });
+        cc.c.set(dst, None);
     } else if let Some((region, mo, addr)) = cc.mapval_win(bv, off, nb) {
         *slot = cc.steps.len() as u32;
         cc.emit(
@@ -971,6 +1028,34 @@ fn fast_update(c: &Consts, maps: &[Arc<Map>]) -> Option<(u32, StackWin, StackWin
     ))
 }
 
+/// Whether a slot can change `r1`: by naming it as a destination, or by
+/// calling a helper (every call zeroes `r1..r5`).
+fn may_write_r1(insn: &PInsn) -> bool {
+    match *insn {
+        PInsn::Alu64 { dst, .. }
+        | PInsn::Alu32 { dst, .. }
+        | PInsn::Mov64R { dst, .. }
+        | PInsn::Mov32R { dst, .. }
+        | PInsn::LdImm64 { dst, .. }
+        | PInsn::LdMapRef { dst, .. }
+        | PInsn::Load { dst, .. } => dst == 1,
+        PInsn::Alu2 { dst1, dst2, .. } => dst1 == 1 || dst2 == 1,
+        PInsn::Load2 { d1, d2, .. } => d1 == 1 || d2 == 1,
+        PInsn::CallEnv0 { .. }
+        | PInsn::CallEnv1 { .. }
+        | PInsn::CallTrace { .. }
+        | PInsn::CallMap { .. }
+        | PInsn::CallMapLookupBr { .. } => true,
+        PInsn::Store { .. }
+        | PInsn::Ja { .. }
+        | PInsn::Jmp { .. }
+        | PInsn::Exit
+        | PInsn::Trap { .. }
+        | PInsn::Halt
+        | PInsn::Nop => false,
+    }
+}
+
 /// Lowers a prepared program to its direct-threaded compiled form.
 /// Total, like `prepare` itself: every prepared slot has an
 /// always-correct generic mirror, and specialization only narrows how a
@@ -982,7 +1067,6 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
     // Leaders (jump targets and the entry) begin fresh steps and reset
     // the constant lattice.
     let mut lead = vec![false; n];
-    lead[0] = true;
     for insn in code.iter() {
         match *insn {
             PInsn::Ja { target }
@@ -991,14 +1075,23 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
             _ => {}
         }
     }
+    // Entry facts hold at slot 0 only if no jump re-enters there.
+    let entry_private = !lead[0];
+    lead[0] = true;
+    // With a non-empty layout every run that reaches the compiled steps
+    // has a non-empty context (see `run`), so `r1` enters as the context
+    // pointer — and stays it everywhere when nothing can write it.
+    let ctx_ptr = (p.perm.size() > 0).then(|| ptr(TAG_CTX, 0, 0));
+    let r1_fixed = ctx_ptr.filter(|_| !code.iter().any(may_write_r1));
     let mut cc = Cc {
         steps: Vec::new(),
         blk: Vec::new(),
         blk_w: 0,
-        c: Consts::boundary(),
+        c: Consts::boundary(r1_fixed),
         caches: 0,
         region_maps: Vec::new(),
         maps: &p.maps,
+        perm: &p.perm,
     };
     // Step index each slot landed at, for jump-target patching. Only
     // leader entries are ever read.
@@ -1006,10 +1099,12 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
     for pc in 0..n {
         if lead[pc] {
             cc.flush();
-            cc.c = Consts::boundary();
-            if pc == 0 {
-                // Program entry: provably zero regions registered.
+            cc.c = Consts::boundary(r1_fixed);
+            if pc == 0 && entry_private {
+                // Program entry: provably zero regions registered, and
+                // `r1` still holds what `Runner::new` put there.
                 cc.c.pushes = Some(0);
+                cc.c.regs[1] = ctx_ptr;
             }
         }
         let w = u64::from(weights[pc]);
@@ -1313,6 +1408,20 @@ fn exec_micro(m: &mut Runner<'_>, op: Micro) {
             let o = off as usize;
             m.stack[o..o + n].copy_from_slice(&imm.to_le_bytes()[..n]);
         }
+        Micro::CtxLd { size, dst, off } => {
+            // One fixed-width read per size instead of `read_le`'s
+            // variable-length copy. `run` admits only contexts at least
+            // as long as the layout, which `off + size` was proven
+            // inside at compile time, so the index checks never fire.
+            let c = &m.ctx[off as usize..];
+            let v = match size {
+                MemSize::B => u64::from(c[0]),
+                MemSize::H => u64::from(u16::from_le_bytes([c[0], c[1]])),
+                MemSize::W => u64::from(u32::from_le_bytes([c[0], c[1], c[2], c[3]])),
+                MemSize::Dw => u64::from_le_bytes([c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7]]),
+            };
+            m.set_reg(dst, v);
+        }
     }
 }
 
@@ -1380,6 +1489,13 @@ pub(crate) fn run(
     budget: u64,
     injector: Option<&FaultInjector>,
 ) -> Result<RunReport, RunError> {
+    // A context shorter than the layout is out of contract: `Micro::CtxLd`
+    // was proven in bounds against the layout, not against this buffer,
+    // and `r1` may not even be a context pointer. The interpreter's
+    // per-access checks define every fault such a run can raise.
+    if ctx.len() < p.perm.size() {
+        return p.run_interp(ctx, env, budget, injector);
+    }
     if let Some(inj) = injector {
         if let Some(fault) = inj.invocation_fault() {
             return Err(fault);

@@ -79,9 +79,7 @@ pub use interp::run_program;
 pub use jit::JitProgram;
 pub use map::{Map, MapDef, MapKind, MAX_MAP_ENTRIES};
 pub use opt::OptConfig;
-pub use prepare::{
-    default_jit_threshold, ExecTier, JitMode, PreparedProgram, DEFAULT_JIT_THRESHOLD,
-};
+pub use prepare::{ExecTier, PreparedProgram};
 pub use program::{Program, ProgramBuilder};
 pub use store::{ObjectStore, VerifiedProgram};
 pub use error::WireError;

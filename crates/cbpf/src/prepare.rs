@@ -33,7 +33,6 @@
 //! difference, which is exactly the trust contract: prepare after
 //! verification.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::ctx::{CtxLayout, FieldAccess};
@@ -230,51 +229,11 @@ fn env_sched_hint(env: &dyn PolicyEnv, code: u64) -> u64 {
     env.sched_hint(code)
 }
 
-/// When [`PreparedProgram::run`] hands execution to the compiled
-/// ([`crate::jit`]) tier instead of the prepared interpreter.
-///
-/// The two tiers are observationally identical — same [`RunReport`]
-/// (including the executed-instruction count), same context and map side
-/// effects, same faults at every budget — so tier selection is purely a
-/// performance decision and never changes results.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum JitMode {
-    /// Never compile; every run uses the prepared interpreter.
-    Off,
-    /// Compile (once) after this many invocations; runs before the
-    /// threshold use the interpreter. `Threshold(0)` compiles on first
-    /// use.
-    Threshold(u64),
-    /// Compile on the first run.
-    Eager,
-}
-
-impl Default for JitMode {
-    /// [`JitMode::Threshold`] at [`default_jit_threshold`].
-    fn default() -> Self {
-        JitMode::Threshold(default_jit_threshold())
-    }
-}
-
-/// Invocations before the auto tier compiles, when `C3_JIT_THRESHOLD` is
-/// unset.
-pub const DEFAULT_JIT_THRESHOLD: u64 = 64;
-
-/// The hot-invocation threshold for [`JitMode::default`]: the value of
-/// `C3_JIT_THRESHOLD` (read once per process), else
-/// [`DEFAULT_JIT_THRESHOLD`].
-pub fn default_jit_threshold() -> u64 {
-    static THRESHOLD: OnceLock<u64> = OnceLock::new();
-    *THRESHOLD.get_or_init(|| {
-        std::env::var("C3_JIT_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_JIT_THRESHOLD)
-    })
-}
-
-/// Pins one execution engine, bypassing [`JitMode`] selection — for
-/// differential tests and benchmarks that compare the tiers.
+/// Pins one execution engine — for differential tests and benchmarks
+/// that compare the tiers. [`PreparedProgram::run`] always takes
+/// [`ExecTier::Jit`]; the two are observationally identical (same
+/// [`RunReport`] including the executed-instruction count, same context
+/// and map side effects, same faults at every budget).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ExecTier {
     /// The prepared interpreter loop.
@@ -305,8 +264,15 @@ impl CtxPerm {
         CtxPerm { read, write }
     }
 
+    /// The layout's size in bytes: the shortest context a hook site may
+    /// pass.
     #[inline]
-    fn read_ok(&self, off: usize, n: usize) -> bool {
+    pub(crate) fn size(&self) -> usize {
+        self.read.len()
+    }
+
+    #[inline]
+    pub(crate) fn read_ok(&self, off: usize, n: usize) -> bool {
         self.read.get(off).is_some_and(|m| m & (n as u8) != 0)
     }
 
@@ -328,12 +294,8 @@ pub struct PreparedProgram {
     pub(crate) weights: Box<[u32]>,
     pub(crate) maps: Box<[Arc<Map>]>,
     pub(crate) perm: CtxPerm,
-    /// Tier policy for [`PreparedProgram::run`].
-    jit_mode: JitMode,
-    /// Interpreter invocations so far, for [`JitMode::Threshold`]. Stops
-    /// advancing once the compiled tier is built.
-    invocations: AtomicU64,
-    /// The compiled tier, built at most once per prepared program.
+    /// The compiled tier, built at most once per prepared program, by
+    /// its first run.
     jit: OnceLock<crate::jit::JitProgram>,
 }
 
@@ -367,19 +329,6 @@ impl Program {
     /// optimizer passes ([`OptConfig::none`] disables them all, which is
     /// what differential tests compare against).
     pub fn prepare_with(&self, layout: &CtxLayout, opt: OptConfig) -> PreparedProgram {
-        self.prepare_with_jit(layout, opt, JitMode::default())
-    }
-
-    /// Like [`Program::prepare_with`], with an explicit tier-selection
-    /// override: [`JitMode::Off`] pins the prepared interpreter,
-    /// [`JitMode::Eager`] compiles on first run, and
-    /// [`JitMode::Threshold`] tunes the hot-invocation crossover.
-    pub fn prepare_with_jit(
-        &self,
-        layout: &CtxLayout,
-        opt: OptConfig,
-        jit_mode: JitMode,
-    ) -> PreparedProgram {
         let insns = self.insns();
         let len = insns.len();
         let mut code = Vec::with_capacity(len + 1);
@@ -532,8 +481,6 @@ impl Program {
             weights: weights.into_boxed_slice(),
             maps: self.maps().to_vec().into_boxed_slice(),
             perm: CtxPerm::build(layout),
-            jit_mode,
-            invocations: AtomicU64::new(0),
             jit: OnceLock::new(),
         }
     }
@@ -797,7 +744,8 @@ impl PreparedProgram {
         self.run(ctx, env, DEFAULT_BUDGET).map(|r| r.ret)
     }
 
-    /// Runs the prepared form, producing the same [`RunReport`] (value and
+    /// Runs the prepared form on the compiled tier (built by the first
+    /// run), producing the same [`RunReport`] (value and
     /// executed-instruction count) the legacy interpreter reports for the
     /// source program.
     ///
@@ -812,7 +760,7 @@ impl PreparedProgram {
         env: &dyn PolicyEnv,
         budget: u64,
     ) -> Result<RunReport, RunError> {
-        self.run_inner(ctx, env, budget, None)
+        self.run_tier_with_faults(ExecTier::Jit, ctx, env, budget, None)
     }
 
     /// Like [`PreparedProgram::run`], but consults a deterministic
@@ -834,11 +782,11 @@ impl PreparedProgram {
         budget: u64,
         injector: Option<&FaultInjector>,
     ) -> Result<RunReport, RunError> {
-        self.run_inner(ctx, env, budget, injector)
+        self.run_tier_with_faults(ExecTier::Jit, ctx, env, budget, injector)
     }
 
-    /// Runs a pinned tier regardless of [`JitMode`], with the default
-    /// fault plumbing disabled — for tier-differential tests and benches.
+    /// Runs a pinned tier without a fault injector — for
+    /// tier-differential tests and benches.
     ///
     /// # Errors
     ///
@@ -859,6 +807,7 @@ impl PreparedProgram {
     /// # Errors
     ///
     /// See [`PreparedProgram::run_with_faults`].
+    #[inline]
     pub fn run_tier_with_faults(
         &self,
         tier: ExecTier,
@@ -876,49 +825,19 @@ impl PreparedProgram {
         }
     }
 
-    /// Compiles the [`crate::jit`] tier for this program, outside the
-    /// cached auto-selection path — lets benchmarks measure the one-time
-    /// compile cost repeatably.
+    /// Compiles the [`crate::jit`] tier for this program without caching
+    /// it — lets benchmarks measure the one-time compile cost repeatably.
     pub fn compile_jit(&self) -> crate::jit::JitProgram {
         crate::jit::compile(self)
     }
 
-    /// Whether the compiled tier has been built (by auto selection or a
-    /// pinned [`ExecTier::Jit`] run).
+    /// Whether the compiled tier has been built, i.e. whether the program
+    /// has run (or been pinned to [`ExecTier::Jit`]) yet.
     pub fn jit_compiled(&self) -> bool {
         self.jit.get().is_some()
     }
 
-    /// Tier selection for the auto entry points: the compiled tier once
-    /// it exists or [`JitMode`] says to build it, the interpreter before
-    /// that.
-    #[inline]
-    fn use_jit(&self) -> bool {
-        match self.jit_mode {
-            JitMode::Off => false,
-            JitMode::Eager => true,
-            JitMode::Threshold(t) => {
-                self.jit.get().is_some()
-                    || self.invocations.fetch_add(1, Ordering::Relaxed) + 1 >= t
-            }
-        }
-    }
-
-    fn run_inner(
-        &self,
-        ctx: &mut [u8],
-        env: &dyn PolicyEnv,
-        budget: u64,
-        injector: Option<&FaultInjector>,
-    ) -> Result<RunReport, RunError> {
-        if self.use_jit() {
-            let jit = self.jit.get_or_init(|| crate::jit::compile(self));
-            return crate::jit::run(self, jit, ctx, env, budget, injector);
-        }
-        self.run_interp(ctx, env, budget, injector)
-    }
-
-    fn run_interp(
+    pub(crate) fn run_interp(
         &self,
         ctx: &mut [u8],
         env: &dyn PolicyEnv,

@@ -34,7 +34,7 @@ use std::sync::OnceLock;
 
 use cbpf::helpers::{HelperId, PolicyEnv};
 use cbpf::verifier::{verify_with_rules, HookRules};
-use cbpf::{compile_dsl, CtxLayout, JitMode, OptConfig, PreparedProgram};
+use cbpf::{compile_dsl, CtxLayout, PreparedProgram};
 use ksim::{
     CpuId, Histogram, Injection, PctStrategy, RandomDelayStrategy, ReplayStrategy, SchedAction,
     SchedController, SchedPoint, ScheduleStrategy, SimBuilder, SplitMix64,
@@ -820,9 +820,7 @@ impl PolicySchedStrategy {
             .map_err(|e| ExploreError::Policy(e.to_string()))?;
         verify_with_rules(&prog, layout, &sched_rules())
             .map_err(|e| ExploreError::Policy(e.to_string()))?;
-        // Eager jit: a campaign invokes the policy at every decision point
-        // of every schedule, so the compile cost amortizes at once.
-        let prepared = prog.prepare_with_jit(layout, OptConfig::default(), JitMode::Eager);
+        let prepared = prog.prepare(layout);
         Ok(PolicySchedStrategy::over(Rc::new(prepared), seed))
     }
 

@@ -16,10 +16,33 @@ cargo test -q
 echo "== cargo clippy --workspace -- -D warnings =="
 cargo clippy --workspace -- -D warnings
 
+# The compiled tier reads context fields without a run-time check of its
+# own; what holds that to the two interpreters is one differential
+# proptest (generated cases are a fixed stream per test name, so this is
+# the same 1 024 programs every time, about a second). `cargo test` above
+# ran it unoptimized; this is the build the locks and the benchmark run.
+echo "== ctx_differential, release build =="
+cargo test -q --release -p cbpf --test ctx_differential
+
+# `PreparedProgram::run` takes the compiled tier, always. The hot-count
+# threshold that used to pick a tier went when the compiled tier stopped
+# losing on the NUMA policy (bench_gate's numa_policy row holds that);
+# it does not come back unnoticed.
+# (The brackets keep this file from matching its own pattern.)
+echo "== no tier-selection knob =="
+if grep -rn "Jit[M]ode\|C3_JIT_[T]HRESHOLD" crates tests scripts; then
+    echo "ci: the tier-selection mode or its env var is back (see above)" >&2
+    exit 1
+fi
+
 # Data-plane regression gate: asserts the prepared map_mix speedup stays
-# above its floor. Skip on noisy builders with C3_BENCH_GATE=0; its DES
-# rows still run then, because what they assert is a count (the share of
-# a lock2 figure point's events that ksim delivers in place).
+# above its floor, and that on the paper's NUMA policy the compiled tier
+# is not slower than the prepared interpreter (a ratio of two timings
+# taken in alternating rounds of one loop; the cost of entering and
+# leaving the tier on an exit-only program is printed beside it). Skip on
+# noisy builders with C3_BENCH_GATE=0; its DES rows still run then,
+# because what they assert is a count (the share of a lock2 figure
+# point's events that ksim delivers in place).
 echo "== bench_gate (C3_BENCH_GATE=${C3_BENCH_GATE:-1}) =="
 C3_BENCH_GATE="${C3_BENCH_GATE:-1}" cargo run -p c3-bench --release --bin bench_gate
 

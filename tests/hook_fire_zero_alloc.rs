@@ -61,7 +61,8 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 const LOCK: &str = "zero_alloc";
-/// Far past the compiled tier's hot-count crossover (64 invocations).
+/// The first fire compiles the policy's steps (the one allocation of its
+/// life); the rest warm the caches.
 const WARMUP: u64 = 1_000;
 const FIRES: u64 = 10_000;
 
@@ -227,7 +228,7 @@ fn an_armed_profiled_op_emits_without_touching_the_heap() {
     let (lock, counters) = profiled(&concord, "zero_alloc_armed");
     telemetry::drain();
     telemetry::set_armed(true);
-    // Past the compiled tier's crossover and the plane's first touch.
+    // Past the first run's one-time compile and the plane's first touch.
     for _ in 0..WARMUP / BATCH + 1 {
         armed_batch(&lock);
     }

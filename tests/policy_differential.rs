@@ -6,10 +6,14 @@
 
 use std::sync::Arc;
 
+use cbpf::interp::DEFAULT_BUDGET;
+use cbpf::ExecTier;
 use concord::env::RealEnv;
 use concord::policy::BytecodePolicy;
-use concord::Concord;
+use concord::{hookctx, policies, Concord, PolicySpec};
+use ksim::SplitMix64;
 use locks::hooks::{CmpNodeCtx, CmpNodeFn, NodeView, ScheduleWaiterCtx};
+use locks::ShflLock;
 use proptest::prelude::*;
 
 fn view_strategy() -> impl Strategy<Value = NodeView> {
@@ -134,4 +138,102 @@ fn no_faults_across_many_invocations() {
     let (inv, faults) = policy.stats();
     assert_eq!(inv, 10_000);
     assert_eq!(faults, 0);
+}
+
+/// The three `cmp_node` policies that compare one field of the current
+/// waiter with the same field of the shuffler, each with its native twin.
+fn two_field_policies() -> [(PolicySpec, CmpNodeFn); 3] {
+    [
+        (policies::numa_aware(), policies::numa_aware_native()),
+        (
+            policies::priority_boost(),
+            policies::priority_boost_native(),
+        ),
+        (
+            policies::lock_inheritance(),
+            policies::lock_inheritance_native(),
+        ),
+    ]
+}
+
+/// A waiter with every field the three policies read drawn from a range
+/// narrow enough that both outcomes of each comparison come up.
+fn seeded_view(rng: &mut SplitMix64) -> NodeView {
+    let cpu = (rng.next_u64() % 80) as u32;
+    NodeView {
+        tid: rng.next_u64(),
+        cpu,
+        socket: cpu / 10,
+        prio: (rng.next_u64() % 7) as i64 - 3,
+        cs_hint: rng.next_u64(),
+        held_locks: (rng.next_u64() % 4) as u32,
+        wait_start_ns: rng.next_u64(),
+    }
+}
+
+/// Every prebuilt two-field policy, installed the way an operator
+/// installs it, decides as its native twin on 4 096 seeded contexts — at
+/// the hook site, through the closure a lock calls, and on each
+/// execution tier pinned — without one run-time fault.
+#[test]
+fn two_field_policies_match_native_on_both_tiers() {
+    for (spec, native) in two_field_policies() {
+        let name = spec.name.clone();
+        let c = Concord::new();
+        let lock = Arc::new(ShflLock::new());
+        c.registry().register_shfl("l", Arc::clone(&lock));
+        let loaded = c.load(spec).expect("prebuilt policy verifies");
+        c.attach("l", &loaded)
+            .expect("lock is registered and hookable");
+        let policy =
+            BytecodePolicy::new(loaded.prog.clone(), loaded.hook, Arc::new(RealEnv::new()));
+        let closure = policy.as_cmp_node().expect("loaded for cmp_node");
+        let prepared = loaded.prog.prepared();
+        let env = RealEnv::new();
+        let mut rng = SplitMix64::new(0xc3);
+        let mut yes = 0;
+        for _ in 0..4096 {
+            let ctx = CmpNodeCtx {
+                lock_id: lock.id(),
+                shuffler: seeded_view(&mut rng),
+                curr: seeded_view(&mut rng),
+            };
+            let want = native(&ctx);
+            yes += u32::from(want);
+            assert_eq!(
+                lock.hooks().eval_cmp_node(&ctx),
+                want,
+                "{name} at the hook site"
+            );
+            assert_eq!(closure(&ctx), want, "{name} through the closure");
+            for tier in [ExecTier::Interp, ExecTier::Jit] {
+                let mut buf = hookctx::marshal_cmp_node(&ctx);
+                let report = prepared
+                    .run_tier(tier, &mut buf, &env, DEFAULT_BUDGET)
+                    .unwrap_or_else(|e| panic!("{name} faults on {tier:?}: {e}"));
+                assert_eq!(report.ret != 0, want, "{name} on {tier:?}");
+            }
+        }
+        assert!(
+            (400..3700).contains(&yes),
+            "{name}: one-sided contexts ({yes} yes)"
+        );
+        assert_eq!(policy.stats(), (4096, 0), "{name}: run-time faults");
+    }
+}
+
+/// The compiled tier reads these policies' fields as micro-ops of one
+/// charge group: compare-and-branch, the `return 0` arm, exit, and the
+/// end sentinel — four steps, none of them a load with run-time checks.
+/// (Six before context reads folded; if this goes back up, the hook-fire
+/// cost in EXPERIMENTS.md goes with it.)
+#[test]
+fn two_field_policies_compile_without_a_load_step() {
+    for (spec, _) in two_field_policies() {
+        let name = spec.name.clone();
+        let loaded = Concord::new().load(spec).expect("prebuilt policy verifies");
+        let jit = loaded.prog.prepared().compile_jit();
+        assert_eq!(jit.step_count(), 4, "{name}: {jit:?}");
+        assert_eq!(jit.generic_load_count(), 0, "{name}: {jit:?}");
+    }
 }
