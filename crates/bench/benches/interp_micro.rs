@@ -15,7 +15,6 @@ use cbpf::helpers::{FixedEnv, HelperId};
 use cbpf::insn::{AluOp, JmpOp, MemSize, Reg};
 use cbpf::interp::{run_with_budget, DEFAULT_BUDGET};
 use cbpf::map::{Map, MapDef, MapKind};
-use cbpf::opt::OptConfig;
 use cbpf::program::{Program, ProgramBuilder};
 use cbpf::ExecTier;
 use concord::hookctx;
@@ -100,17 +99,6 @@ fn bench_pair(
     });
     // Tiers are pinned with run_tier from here on: an unpinned `run`
     // is the compiled tier on every row.
-    //
-    // Lowering alone vs lowering + the prepare-time optimizer, so the
-    // optimizer's contribution is separable from the dispatch win.
-    let unopt = prog.prepare_with(layout, OptConfig::none());
-    g.bench_function(&format!("{name}/prepared_noopt"), |b| {
-        b.iter(|| {
-            unopt
-                .run_tier(ExecTier::Interp, &mut ctx, &env, DEFAULT_BUDGET)
-                .unwrap()
-        })
-    });
     let prepared = prog.prepare(layout);
     g.bench_function(&format!("{name}/prepared"), |b| {
         b.iter(|| {

@@ -1,22 +1,23 @@
 //! Fast data-plane regression gate, run by `scripts/ci.sh`.
 //!
-//! Two tripwires, both on the `interp_micro` workloads:
+//! Three wall-clock tripwires, each a ratio of two engines timed in
+//! alternating rounds of one loop ([`alternating`]), so a busy stretch of
+//! the host lands on both sides of it:
 //!
 //! * `map_mix` (map lookup + null check + read-modify-write — the
-//!   helper-bound case the prepared fast path exists for): the prepared
-//!   interpreter must stay ≥ [`PREPARED_FLOOR`]× over the legacy
-//!   interpreter.
+//!   helper-bound case): the prepared interpreter must stay ≥
+//!   [`PREPARED_FLOOR`]× over the legacy interpreter. The prepared form
+//!   rewrites nothing, so this guards the lowering both tiers share:
+//!   pre-decoded operands, resolved helpers and jump targets, the O(1)
+//!   context permission table.
 //! * the compiled ([`cbpf::jit`]) tier must stay ≥ [`JIT_FLOOR`]× over
 //!   the prepared interpreter on both `alu_chain` (dispatch-bound) and
 //!   `map_mix` (helper-bound).
-//!
 //! * `numa_policy` (the paper's six-instruction `cmp_node` policy — two
 //!   context reads, a compare, a verdict; the program `PreparedProgram::run`
 //!   executes on every hook fire): the compiled tier must not be slower
 //!   than the prepared interpreter, compiled ÷ interpreter ≤
-//!   [`NUMA_CEILING`]. The two are timed in alternating rounds of one
-//!   loop and the ratio is taken round by round, so a busy stretch of the
-//!   host lands on both. The cost of entering and leaving the compiled
+//!   [`NUMA_CEILING`]. The cost of entering and leaving the compiled
 //!   tier with nothing to run (an exit-only program) is printed beside it.
 //!
 //! Tiers are pinned with [`cbpf::ExecTier`]. The full statistics live in
@@ -43,7 +44,7 @@ use cbpf::insn::{AluOp, JmpOp, MemSize, Reg};
 use cbpf::interp::{run_with_budget, DEFAULT_BUDGET};
 use cbpf::map::{Map, MapDef, MapKind};
 use cbpf::program::{Program, ProgramBuilder};
-use cbpf::ExecTier;
+use cbpf::{ExecTier, PreparedProgram};
 use concord::hookctx;
 use ksim::{SimBuilder, SimStats};
 use locks::hooks::{CmpNodeCtx, NodeView};
@@ -116,47 +117,6 @@ fn alu_chain_program() -> Program {
     b.build().unwrap()
 }
 
-/// Minimum of `ROUNDS` timings of `ITERS` back-to-back runs, in ns/run.
-/// Min, not median: the gate compares both engines in their quiet
-/// state, and on a shared builder preemption noise is strictly additive
-/// — the minimum is the stable estimator of the undisturbed cost.
-fn measure(mut run: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let start = Instant::now();
-        for _ in 0..ITERS {
-            run();
-        }
-        best = best.min(start.elapsed().as_nanos() as f64 / f64::from(ITERS));
-    }
-    best
-}
-
-/// (prepared-interpreter ns, compiled-tier ns) for one program, tiers
-/// pinned.
-fn tier_pair(prog: &Program, layout: &CtxLayout, env: &FixedEnv) -> (f64, f64) {
-    let prepared = prog.prepare(layout);
-    for _ in 0..10_000 {
-        prepared
-            .run_tier(ExecTier::Interp, &mut [], env, DEFAULT_BUDGET)
-            .unwrap();
-        prepared
-            .run_tier(ExecTier::Jit, &mut [], env, DEFAULT_BUDGET)
-            .unwrap();
-    }
-    let interp = measure(|| {
-        let _ = prepared
-            .run_tier(ExecTier::Interp, &mut [], env, DEFAULT_BUDGET)
-            .unwrap();
-    });
-    let jit = measure(|| {
-        let _ = prepared
-            .run_tier(ExecTier::Jit, &mut [], env, DEFAULT_BUDGET)
-            .unwrap();
-    });
-    (interp, jit)
-}
-
 /// The paper's NUMA policy as `Concord::load` verifies it, its layout,
 /// and 64 marshalled contexts that take both of its paths.
 fn numa_policy() -> (Program, &'static CtxLayout, Vec<Vec<u8>>) {
@@ -188,42 +148,72 @@ fn numa_policy() -> (Program, &'static CtxLayout, Vec<Vec<u8>>) {
     )
 }
 
-/// Times the two tiers of `prog` in alternating rounds over `ctxs`
-/// (cycled) and returns (interpreter ns, compiled ns, compiled ÷
-/// interpreter): the times are the quietest round of each, the ratio is
-/// the median of the per-round ratios — each round's two halves run
-/// back to back, so what the host does to one it does to the other.
-/// (Not [`tier_pair`] with contexts: run through this loop the
-/// `alu_chain` compiled row read 26 ns instead of 18 — a context to
-/// index, a report kept alive — and the 2.0× floors are calibrated on
-/// that one.)
-fn alternating_tiers(prog: &Program, layout: &CtxLayout, ctxs: &mut [Vec<u8>]) -> (f64, f64, f64) {
-    let env = FixedEnv::new().cpu(12).numa(1);
-    let prepared = prog.prepare(layout);
-    let mut round = |tier: ExecTier| {
-        let start = Instant::now();
-        // A wrapping index, not `i % len`: a division per run would be
-        // a quarter of the compiled row.
-        let mut k = 0;
-        for _ in 0..ITERS {
-            let r = prepared.run_tier(tier, &mut ctxs[k], &env, DEFAULT_BUDGET);
-            std::hint::black_box(r).expect("verified program runs");
-            k = if k + 1 == ctxs.len() { 0 } else { k + 1 };
+/// Times `a` and `b` in alternating rounds of [`ITERS`] calls each and
+/// returns (a ns/call, b ns/call, a ÷ b): the times are the quietest
+/// round of each — preemption noise is strictly additive, so the minimum
+/// is the stable estimate of the undisturbed cost — and the ratio is the
+/// median of the per-round ratios; each round's two halves run back to
+/// back, so what the host does to one it does to the other.
+///
+/// Each round also runs a few hundred bytes deeper in the stack than the
+/// one before. Where a run's frame lands relative to the heap data it
+/// touches moves the compiled `map_mix` row between ≈ 24 and ≈ 36 ns
+/// (reproducible with ASLR off by padding the environment); it is fixed
+/// for a process, so a gate that timed one depth would pass or fail on
+/// where the loader put the stack.
+fn alternating(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64, f64) {
+    fn round(f: &mut impl FnMut(), depth: usize) -> f64 {
+        let mut ns = 0.0;
+        below(depth, &mut || {
+            let start = Instant::now();
+            for _ in 0..ITERS {
+                f();
+            }
+            ns = start.elapsed().as_nanos() as f64 / f64::from(ITERS);
+        });
+        ns
+    }
+    /// Calls `f` under `depth` extra frames of at least 64 bytes each.
+    #[inline(never)]
+    fn below(depth: usize, f: &mut dyn FnMut()) {
+        if depth == 0 {
+            f();
+        } else {
+            let pad = std::hint::black_box([0u8; 64]);
+            below(depth - 1, f);
+            std::hint::black_box(pad);
         }
-        start.elapsed().as_nanos() as f64 / f64::from(ITERS)
-    };
-    round(ExecTier::Interp);
-    round(ExecTier::Jit);
-    let (mut interp, mut jit) = (f64::INFINITY, f64::INFINITY);
+    }
+    round(&mut a, 0);
+    round(&mut b, 0);
+    let (mut best_a, mut best_b) = (f64::INFINITY, f64::INFINITY);
     let mut ratios = Vec::with_capacity(ROUNDS);
-    for _ in 0..ROUNDS {
-        let (i, j) = (round(ExecTier::Interp), round(ExecTier::Jit));
-        interp = interp.min(i);
-        jit = jit.min(j);
-        ratios.push(j / i);
+    for r in 0..ROUNDS {
+        let depth = 7 * r;
+        let (ta, tb) = (round(&mut a, depth), round(&mut b, depth));
+        best_a = best_a.min(ta);
+        best_b = best_b.min(tb);
+        ratios.push(ta / tb);
     }
     ratios.sort_by(f64::total_cmp);
-    (interp, jit, ratios[ROUNDS / 2])
+    (best_a, best_b, ratios[ROUNDS / 2])
+}
+
+/// One pinned-tier run of `prepared` per call, cycling through `ctxs`.
+/// A wrapping index, not `i % len`: a division per run would be a
+/// quarter of the compiled `numa_policy` row.
+fn cycling<'a>(
+    prepared: &'a PreparedProgram,
+    tier: ExecTier,
+    mut ctxs: Vec<Vec<u8>>,
+    env: &'a FixedEnv,
+) -> impl FnMut() + 'a {
+    let mut k = 0;
+    move || {
+        let r = prepared.run_tier(tier, &mut ctxs[k], env, DEFAULT_BUDGET);
+        std::hint::black_box(r).expect("verified program runs");
+        k = if k + 1 == ctxs.len() { 0 } else { k + 1 };
+    }
 }
 
 /// 80 tasks that do nothing but sleep for seeded spans: every event is a
@@ -292,21 +282,16 @@ fn main() {
     // Gate 1: prepared interpreter vs legacy on map_mix.
     let prog = map_mix_program();
     let prepared = prog.prepare(&layout);
-    for _ in 0..10_000 {
-        run_with_budget(&prog, &mut [], &layout, &env, DEFAULT_BUDGET).unwrap();
-        prepared
-            .run_tier(ExecTier::Interp, &mut [], &env, DEFAULT_BUDGET)
-            .unwrap();
-    }
-    let legacy = measure(|| {
-        let _ = run_with_budget(&prog, &mut [], &layout, &env, DEFAULT_BUDGET).unwrap();
-    });
-    let fast = measure(|| {
-        let _ = prepared
-            .run_tier(ExecTier::Interp, &mut [], &env, DEFAULT_BUDGET)
-            .unwrap();
-    });
-    let ratio = legacy / fast;
+    let (legacy, fast, ratio) = alternating(
+        || {
+            run_with_budget(&prog, &mut [], &layout, &env, DEFAULT_BUDGET).unwrap();
+        },
+        || {
+            prepared
+                .run_tier(ExecTier::Interp, &mut [], &env, DEFAULT_BUDGET)
+                .unwrap();
+        },
+    );
     println!(
         "bench_gate: map_mix legacy {legacy:.1} ns/run, prepared {fast:.1} ns/run, \
          speedup {ratio:.2}x (floor {PREPARED_FLOOR}x)"
@@ -324,8 +309,17 @@ fn main() {
         ("alu_chain", alu_chain_program()),
         ("map_mix", map_mix_program()),
     ] {
-        let (interp, jit) = tier_pair(&prog, &layout, &env);
-        let ratio = interp / jit;
+        let prepared = prog.prepare(&layout);
+        let tier = |tier| {
+            let prepared = &prepared;
+            let env = &env;
+            move || {
+                prepared
+                    .run_tier(tier, &mut [], env, DEFAULT_BUDGET)
+                    .unwrap();
+            }
+        };
+        let (interp, jit, ratio) = alternating(tier(ExecTier::Interp), tier(ExecTier::Jit));
         println!(
             "bench_gate: {name} prepared {interp:.1} ns/run, jit {jit:.1} ns/run, \
              speedup {ratio:.2}x (floor {JIT_FLOOR}x)"
@@ -339,13 +333,23 @@ fn main() {
     }
 
     // Gate 4: the program every hook fire runs must be faster compiled
-    // than interpreted, both timed in one alternating loop.
-    let (prog, numa_layout, mut ctxs) = numa_policy();
-    let (interp, jit, ratio) = alternating_tiers(&prog, numa_layout, &mut ctxs);
+    // than interpreted. For an odd round count the median of the
+    // reciprocal ratios is the reciprocal of the median.
+    let (prog, numa_layout, ctxs) = numa_policy();
+    let prepared = prog.prepare(numa_layout);
+    let (interp, jit, speedup) = alternating(
+        cycling(&prepared, ExecTier::Interp, ctxs.clone(), &env),
+        cycling(&prepared, ExecTier::Jit, ctxs.clone(), &env),
+    );
+    let ratio = 1.0 / speedup;
     let mut exit_only = ProgramBuilder::new("exit_only");
     exit_only.mov_imm(Reg::R0, 0);
     exit_only.exit();
-    let (_, entry, _) = alternating_tiers(&exit_only.build().unwrap(), numa_layout, &mut ctxs);
+    let exit_only = exit_only.build().unwrap().prepare(numa_layout);
+    let (_, entry, _) = alternating(
+        cycling(&exit_only, ExecTier::Interp, ctxs.clone(), &env),
+        cycling(&exit_only, ExecTier::Jit, ctxs, &env),
+    );
     println!(
         "bench_gate: numa_policy prepared {interp:.1} ns/run, jit {jit:.1} ns/run, \
          jit/prepared {ratio:.2} (ceiling {NUMA_CEILING}); exit-only entry {entry:.1} ns/run"

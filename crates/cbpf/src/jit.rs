@@ -21,11 +21,13 @@
 //!
 //! On top of the group structure the compiler runs a local constant
 //! lattice (registers plus frame bytes, reset at every join point):
-//! fully constant ALU results fold to immediate moves, constant frame
-//! stores forward to later loads, and dead register/frame writes ahead
-//! of an exit are dropped. Registers and the frame are run-local state —
-//! a program can only observe them through the instructions that
-//! survive — so these rewrites are invisible.
+//! fully constant ALU results fold to immediate moves, constant register
+//! operands of branches and stores become immediates, constant frame
+//! stores forward to later loads, and dead register/frame writes are
+//! dropped. Registers and the frame are run-local state — a program can
+//! only observe them through the instructions that survive — so these
+//! rewrites are invisible. This is the only optimizer programs get: the
+//! prepared form it starts from is the plain lowering.
 //!
 //! # Context reads
 //!
@@ -43,8 +45,11 @@
 //! Reads the table refuses stay generic [`JOp::Load`] steps and fault at
 //! run time exactly as the interpreter does.
 //!
-//! Two map specializations ride on the lattice:
+//! Three map specializations ride on the lattice:
 //!
+//! * **Lookup-then-branch.** A `map_lookup` followed by a conditional
+//!   branch that no jump lands on compiles to one [`JOp::MapLookupBr`]
+//!   step — the policy idiom "look up, test for null" under one dispatch.
 //! * **Constant-key lookup caching.** When a `map_lookup`'s map ref and
 //!   key window are compile-time constants *and every key byte is too*,
 //!   the step carries the key bytes and a per-site cache word; hot runs
@@ -74,6 +79,13 @@
 //! charge before executing, exactly like the interpreter's loop-top
 //! charge, so budget exhaustion still wins over the fault the slot
 //! itself would raise.
+//!
+//! The one step that is not charged all up front is the lookup-then-
+//! branch pair: the lookup is observable (it consults the injector and
+//! may fault), so a budget that ends on the branch must still run it.
+//! The step charges its prefix and the lookup on entry and the branch's
+//! own slot once the helper has returned, where the interpreter's loop
+//! top charges it.
 //!
 //! Fault-injection parity follows the same rule: the injector is
 //! consulted at helper steps only, keyed by the original program counter
@@ -269,12 +281,15 @@ enum JOp {
         key: StackWin,
         val: StackWin,
     },
-    /// The fused lookup-then-branch idiom, with the fast-path operands
-    /// when they resolve at compile time.
+    /// `map_lookup` and the branch in the next slot, with the fast-path
+    /// operands when they resolve at compile time. The step's weight
+    /// covers the lookup's group; `jw`, the branch slot's weight, is
+    /// charged after the helper returns.
     MapLookupBr {
         pc: u32,
         helper: u32,
         fast: Option<FastLookup>,
+        jw: u64,
         jop: JmpOp,
         jdst: u8,
         jsrc: PSrc,
@@ -381,6 +396,12 @@ impl Consts {
             PSrc::Reg(r) => self.reg(r),
             PSrc::Imm(v) => Some(v),
         }
+    }
+
+    /// `s` as an immediate when its value is known here, so the write
+    /// that set it can become dead.
+    fn imm_src(&self, s: PSrc) -> PSrc {
+        self.src(s).map_or(s, PSrc::Imm)
     }
 
     /// Helper-call clobber: `r0` unknown, `r1..r5` zeroed.
@@ -785,25 +806,14 @@ fn emit_alu(blk: &mut Vec<Micro>, c: &mut Consts, wide: bool, op: AluOp, dst: u8
     }
 }
 
-/// A lowered memory operand: access width plus the base register and
-/// constant offset it dereferences.
-#[derive(Clone, Copy)]
-struct MemRef {
-    size: MemSize,
-    base: u8,
-    off: u64,
-}
-
-/// One load (or `Load2` half): a pure micro-op when the address
-/// resolves to the frame or to a permitted context field, a
-/// region-tracked map-value step when it resolves to a registered
-/// region, else a generic step with the interpreter's runtime checks.
-fn emit_load(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, dst: u8) {
-    let MemRef { size, base, off } = m;
+/// One load: a pure micro-op when the address resolves to the frame or
+/// to a permitted context field, a region-tracked map-value step when it
+/// resolves to a registered region, else a generic step with the
+/// interpreter's runtime checks.
+fn emit_load(cc: &mut Cc<'_>, pc: u32, w: u64, size: MemSize, base: u8, off: u64, dst: u8) {
     let nb = size.bytes();
     let bv = cc.c.reg(base);
     if let Some(so) = cc.c.stack_win(bv, off, nb) {
-        *slot = cc.steps.len() as u32;
         cc.blk_w += w;
         if let Some(v) = cc.c.stack_read(so as usize, nb) {
             // Store-to-load forwarding: the frame bytes are known.
@@ -814,12 +824,10 @@ fn emit_load(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, dst: u
             cc.c.set(dst, None);
         }
     } else if let Some(co) = cc.ctx_win(bv, off, nb) {
-        *slot = cc.steps.len() as u32;
         cc.blk_w += w;
         cc.blk.push(Micro::CtxLd { size, dst, off: co });
         cc.c.set(dst, None);
     } else if let Some((region, mo, addr)) = cc.mapval_win(bv, off, nb) {
-        *slot = cc.steps.len() as u32;
         cc.emit(
             w,
             JOp::MapValLd {
@@ -833,7 +841,6 @@ fn emit_load(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, dst: u
         );
         cc.c.set(dst, None);
     } else {
-        *slot = cc.steps.len() as u32;
         cc.emit(
             w,
             JOp::Load {
@@ -848,12 +855,10 @@ fn emit_load(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, dst: u
     }
 }
 
-fn emit_store(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, src: PSrc) {
-    let MemRef { size, base, off } = m;
+fn emit_store(cc: &mut Cc<'_>, pc: u32, w: u64, size: MemSize, base: u8, off: u64, src: PSrc) {
     let nb = size.bytes();
     let bv = cc.c.reg(base);
     if let Some(so) = cc.c.stack_win(bv, off, nb) {
-        *slot = cc.steps.len() as u32;
         cc.blk_w += w;
         match cc.c.src(src) {
             Some(v) => {
@@ -874,7 +879,10 @@ fn emit_store(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, src: 
                 cc.c.stack_write_unknown(so as usize, nb);
             }
         }
-    } else if let Some((region, mo, addr)) = cc.mapval_win(bv, off, nb) {
+        return;
+    }
+    let src = cc.c.imm_src(src);
+    if let Some((region, mo, addr)) = cc.mapval_win(bv, off, nb) {
         // Fuse with an immediately preceding region-tracked load into a
         // single RMW group. The lattice proving `base` a region pointer
         // guarantees no join point since that load (leaders reset it),
@@ -933,7 +941,6 @@ fn emit_store(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, src: 
                     src,
                 }
             };
-            *slot = cc.steps.len() as u32;
             cc.steps.push(JStep {
                 weight: ld.weight + cc.blk_w + w,
                 pre: ld.pre,
@@ -941,7 +948,6 @@ fn emit_store(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, src: 
             });
             cc.blk_w = 0;
         } else {
-            *slot = cc.steps.len() as u32;
             cc.emit(
                 w,
                 JOp::MapValSt {
@@ -955,7 +961,6 @@ fn emit_store(cc: &mut Cc<'_>, slot: &mut u32, pc: u32, w: u64, m: MemRef, src: 
             );
         }
     } else {
-        *slot = cc.steps.len() as u32;
         cc.emit(
             w,
             JOp::Store {
@@ -1039,20 +1044,16 @@ fn may_write_r1(insn: &PInsn) -> bool {
         | PInsn::LdImm64 { dst, .. }
         | PInsn::LdMapRef { dst, .. }
         | PInsn::Load { dst, .. } => dst == 1,
-        PInsn::Alu2 { dst1, dst2, .. } => dst1 == 1 || dst2 == 1,
-        PInsn::Load2 { d1, d2, .. } => d1 == 1 || d2 == 1,
         PInsn::CallEnv0 { .. }
         | PInsn::CallEnv1 { .. }
         | PInsn::CallTrace { .. }
-        | PInsn::CallMap { .. }
-        | PInsn::CallMapLookupBr { .. } => true,
+        | PInsn::CallMap { .. } => true,
         PInsn::Store { .. }
         | PInsn::Ja { .. }
         | PInsn::Jmp { .. }
         | PInsn::Exit
         | PInsn::Trap { .. }
-        | PInsn::Halt
-        | PInsn::Nop => false,
+        | PInsn::Halt => false,
     }
 }
 
@@ -1068,11 +1069,8 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
     // the constant lattice.
     let mut lead = vec![false; n];
     for insn in code.iter() {
-        match *insn {
-            PInsn::Ja { target }
-            | PInsn::Jmp { target, .. }
-            | PInsn::CallMapLookupBr { target, .. } => lead[target as usize] = true,
-            _ => {}
+        if let PInsn::Ja { target } | PInsn::Jmp { target, .. } = *insn {
+            lead[target as usize] = true;
         }
     }
     // Entry facts hold at slot 0 only if no jump re-enters there.
@@ -1093,12 +1091,16 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
         maps: &p.maps,
         perm: &p.perm,
     };
-    // Step index each slot landed at, for jump-target patching. Only
-    // leader entries are ever read.
+    // Step index each leader starts, for jump-target patching. A leader
+    // flushes the pending prefix, so whatever it compiles to lands in the
+    // next step pushed (a map-value store never fuses back into the load
+    // before it there: the reset lattice cannot prove its base a region).
     let mut slot_step: Vec<u32> = vec![0; n];
-    for pc in 0..n {
+    let mut pc = 0;
+    while pc < n {
         if lead[pc] {
             cc.flush();
+            slot_step[pc] = cc.steps.len() as u32;
             cc.c = Consts::boundary(r1_fixed);
             if pc == 0 && entry_private {
                 // Program entry: provably zero regions registered, and
@@ -1108,111 +1110,55 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
             }
         }
         let w = u64::from(weights[pc]);
+        let at = pc as u32;
         match code[pc] {
-            PInsn::Nop => {
-                slot_step[pc] = cc.steps.len() as u32;
-                cc.blk_w += w;
-            }
             PInsn::Alu64 { op, dst, src } => {
-                slot_step[pc] = cc.steps.len() as u32;
                 cc.blk_w += w;
                 emit_alu(&mut cc.blk, &mut cc.c, true, op, dst, src);
             }
             PInsn::Alu32 { op, dst, src } => {
-                slot_step[pc] = cc.steps.len() as u32;
                 cc.blk_w += w;
                 emit_alu(&mut cc.blk, &mut cc.c, false, op, dst, src);
             }
             PInsn::Mov64R { dst, src } => {
-                slot_step[pc] = cc.steps.len() as u32;
                 cc.blk_w += w;
                 emit_alu(&mut cc.blk, &mut cc.c, true, AluOp::Mov, dst, PSrc::Reg(src));
             }
             PInsn::Mov32R { dst, src } => {
-                slot_step[pc] = cc.steps.len() as u32;
                 cc.blk_w += w;
                 emit_alu(&mut cc.blk, &mut cc.c, false, AluOp::Mov, dst, PSrc::Reg(src));
             }
             PInsn::LdImm64 { dst, imm } => {
-                slot_step[pc] = cc.steps.len() as u32;
                 cc.blk_w += w;
                 cc.blk.push(Micro::MovI { dst, imm });
                 cc.c.set(dst, Some(imm));
             }
             PInsn::LdMapRef { dst, map_id } => {
                 let v = ptr(TAG_MAPREF, u64::from(map_id), 0);
-                slot_step[pc] = cc.steps.len() as u32;
                 cc.blk_w += w;
                 cc.blk.push(Micro::MovI { dst, imm: v });
                 cc.c.set(dst, Some(v));
-            }
-            PInsn::Alu2 {
-                w1,
-                op1,
-                dst1,
-                src1,
-                w2,
-                op2,
-                dst2,
-                src2,
-            } => {
-                slot_step[pc] = cc.steps.len() as u32;
-                cc.blk_w += w;
-                emit_alu(&mut cc.blk, &mut cc.c, w1, op1, dst1, src1);
-                emit_alu(&mut cc.blk, &mut cc.c, w2, op2, dst2, src2);
             }
             PInsn::Load {
                 size,
                 dst,
                 base,
                 off,
-            } => {
-                let mut slot = 0u32;
-                emit_load(&mut cc, &mut slot, pc as u32, w, MemRef { size, base, off }, dst);
-                slot_step[pc] = slot;
-            }
-            PInsn::Load2 {
-                s1,
-                d1,
-                b1,
-                o1,
-                s2,
-                d2,
-                b2,
-                o2,
-            } => {
-                // The fused slot's weight covers both halves; the second
-                // half charges 0 and faults at `pc + 1`, exactly like the
-                // prepared arm.
-                let mut slot = 0u32;
-                let m1 = MemRef { size: s1, base: b1, off: o1 };
-                emit_load(&mut cc, &mut slot, pc as u32, w, m1, d1);
-                slot_step[pc] = slot;
-                let mut dead = 0u32;
-                let m2 = MemRef { size: s2, base: b2, off: o2 };
-                emit_load(&mut cc, &mut dead, (pc + 1) as u32, 0, m2, d2);
-            }
+            } => emit_load(&mut cc, at, w, size, base, off, dst),
             PInsn::Store {
                 size,
                 base,
                 off,
                 src,
-            } => {
-                let mut slot = 0u32;
-                emit_store(&mut cc, &mut slot, pc as u32, w, MemRef { size, base, off }, src);
-                slot_step[pc] = slot;
-            }
-            PInsn::Ja { target } => {
-                slot_step[pc] = cc.steps.len() as u32;
-                cc.emit(w, JOp::Ja { target });
-            }
+            } => emit_store(&mut cc, at, w, size, base, off, src),
+            PInsn::Ja { target } => cc.emit(w, JOp::Ja { target }),
             PInsn::Jmp {
                 op,
                 dst,
                 src,
                 target,
             } => {
-                slot_step[pc] = cc.steps.len() as u32;
+                let src = cc.c.imm_src(src);
                 cc.emit(
                     w,
                     JOp::Jmp {
@@ -1226,122 +1172,98 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
                 // nothing.
             }
             PInsn::CallEnv0 { f } => {
-                slot_step[pc] = cc.steps.len() as u32;
-                cc.emit(w, JOp::CallEnv0 { pc: pc as u32, f });
+                cc.emit(w, JOp::CallEnv0 { pc: at, f });
                 cc.c.clobber_helper();
             }
             PInsn::CallEnv1 { f } => {
-                slot_step[pc] = cc.steps.len() as u32;
-                cc.emit(w, JOp::CallEnv1 { pc: pc as u32, f });
+                cc.emit(w, JOp::CallEnv1 { pc: at, f });
                 cc.c.clobber_helper();
             }
             PInsn::CallTrace { helper } => {
-                slot_step[pc] = cc.steps.len() as u32;
-                cc.emit(
-                    w,
-                    JOp::CallTrace {
-                        pc: pc as u32,
-                        helper,
-                    },
-                );
+                cc.emit(w, JOp::CallTrace { pc: at, helper });
                 cc.c.clobber_helper();
             }
-            PInsn::CallMap { op, helper } => {
-                slot_step[pc] = cc.steps.len() as u32;
-                let step = match op {
-                    MapOp::Lookup => {
-                        fast_lookup(&cc.c, cc.maps, &mut cc.caches).map(|fast| JOp::MapLookupFast {
-                            pc: pc as u32,
-                            helper,
-                            fast,
-                        })
+            PInsn::CallMap {
+                op: MapOp::Lookup,
+                helper,
+            } => {
+                let fast = fast_lookup(&cc.c, cc.maps, &mut cc.caches);
+                cc.c.clobber_helper();
+                match code[pc + 1] {
+                    // No path enters between the lookup and the branch on
+                    // its result, so the pair is one step.
+                    PInsn::Jmp {
+                        op: jop,
+                        dst: jdst,
+                        src,
+                        target,
+                    } if !lead[pc + 1] => {
+                        pc += 1;
+                        // The branch reads the post-clobber registers.
+                        let jsrc = cc.c.imm_src(src);
+                        let known_map = fast.as_ref().map(|f| f.map);
+                        cc.emit(
+                            w,
+                            JOp::MapLookupBr {
+                                pc: at,
+                                helper,
+                                fast,
+                                jw: u64::from(weights[pc]),
+                                jop,
+                                jdst,
+                                jsrc,
+                                target,
+                            },
+                        );
+                        track_lookup_branch(&mut cc, known_map, jdst, jsrc, jop);
                     }
-                    MapOp::Update => {
-                        fast_update(&cc.c, cc.maps).map(|(map, key, val)| JOp::MapUpdateFast {
-                            pc: pc as u32,
+                    _ => {
+                        cc.emit(
+                            w,
+                            fast.map_or(
+                                JOp::CallMap {
+                                    pc: at,
+                                    op: MapOp::Lookup,
+                                    helper,
+                                },
+                                |fast| JOp::MapLookupFast {
+                                    pc: at,
+                                    helper,
+                                    fast,
+                                },
+                            ),
+                        );
+                        // A hit registers a region; whether it hit is
+                        // unknown.
+                        cc.c.pushes = None;
+                    }
+                }
+            }
+            PInsn::CallMap { op, helper } => {
+                let fast = match op {
+                    MapOp::Update => fast_update(&cc.c, cc.maps),
+                    // Lookups take the arm above.
+                    MapOp::Lookup | MapOp::Delete => None,
+                };
+                cc.emit(
+                    w,
+                    fast.map_or(JOp::CallMap { pc: at, op, helper }, |(map, key, val)| {
+                        JOp::MapUpdateFast {
+                            pc: at,
                             helper,
                             map,
                             key,
                             val,
-                        })
-                    }
-                    MapOp::Delete => None,
-                };
-                cc.emit(
-                    w,
-                    step.unwrap_or(JOp::CallMap {
-                        pc: pc as u32,
-                        op,
-                        helper,
+                        }
                     }),
                 );
                 cc.c.clobber_helper();
-                if op == MapOp::Lookup {
-                    // A hit registers a region; whether it hit is unknown.
-                    cc.c.pushes = None;
-                }
             }
-            PInsn::CallMapLookupBr {
-                helper,
-                jop,
-                jdst,
-                jsrc,
-                target,
-            } => {
-                slot_step[pc] = cc.steps.len() as u32;
-                let fast = fast_lookup(&cc.c, cc.maps, &mut cc.caches);
-                let known_map = fast.as_ref().map(|f| f.map);
-                cc.emit(
-                    w,
-                    JOp::MapLookupBr {
-                        pc: pc as u32,
-                        helper,
-                        fast,
-                        jop,
-                        jdst,
-                        jsrc,
-                        target,
-                    },
-                );
-                cc.c.clobber_helper();
-                // The branch reads the post-clobber registers. Testing
-                // `r0` against zero decides hit-ness on the fall-through
-                // path, which keeps the region count — and on a proven
-                // hit makes `r0` a compile-time-constant region pointer.
-                match (jdst, jsrc, jop) {
-                    (0, PSrc::Imm(0), JmpOp::Eq) => {
-                        // Fall-through ⇒ r0 ≠ 0 ⇒ hit ⇒ one region
-                        // registered.
-                        match (cc.c.pushes, known_map) {
-                            (Some(k), Some(mi)) => {
-                                cc.c.set(0, Some(ptr(TAG_MAPVAL, k, 0)));
-                                debug_assert_eq!(cc.region_maps.len() as u64, k);
-                                cc.region_maps.push(mi);
-                                cc.c.pushes = Some(k + 1);
-                            }
-                            _ => cc.c.pushes = None,
-                        }
-                    }
-                    (0, PSrc::Imm(0), JmpOp::Ne) => {
-                        // Fall-through ⇒ r0 = 0 ⇒ miss ⇒ no region.
-                        cc.c.set(0, Some(0));
-                    }
-                    _ => cc.c.pushes = None,
-                }
-            }
-            PInsn::Exit => {
-                slot_step[pc] = cc.steps.len() as u32;
-                cc.emit(w, JOp::Exit);
-            }
-            PInsn::Trap { kind } => {
-                slot_step[pc] = cc.steps.len() as u32;
-                cc.emit(w, JOp::Trap { pc: pc as u32, kind });
-            }
-            PInsn::Halt => {
-                slot_step[pc] = cc.steps.len() as u32;
-                cc.emit(w, JOp::Halt { pc: pc as u32 });
-            }
+            PInsn::Exit => cc.emit(w, JOp::Exit),
+            PInsn::Trap { kind } => cc.emit(w, JOp::Trap { pc: at, kind }),
+            PInsn::Halt => cc.emit(w, JOp::Halt { pc: at }),
         }
+        pc += 1;
     }
     cc.flush();
     let mut steps = cc.steps;
@@ -1359,6 +1281,32 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
     JitProgram {
         steps: steps.into_boxed_slice(),
         caches: (0..cc.caches).map(|_| AtomicU64::new(0)).collect(),
+    }
+}
+
+/// Region tracking across a lookup-then-branch pair. Testing `r0`
+/// against zero decides hit-ness on the fall-through path, which keeps
+/// the region count — and on a proven hit makes `r0` a
+/// compile-time-constant region pointer.
+fn track_lookup_branch(cc: &mut Cc<'_>, known_map: Option<u32>, jdst: u8, jsrc: PSrc, jop: JmpOp) {
+    match (jdst, jsrc, jop) {
+        (0, PSrc::Imm(0), JmpOp::Eq) => {
+            // Fall-through ⇒ r0 ≠ 0 ⇒ hit ⇒ one region registered.
+            match (cc.c.pushes, known_map) {
+                (Some(k), Some(mi)) => {
+                    cc.c.set(0, Some(ptr(TAG_MAPVAL, k, 0)));
+                    debug_assert_eq!(cc.region_maps.len() as u64, k);
+                    cc.region_maps.push(mi);
+                    cc.c.pushes = Some(k + 1);
+                }
+                _ => cc.c.pushes = None,
+            }
+        }
+        (0, PSrc::Imm(0), JmpOp::Ne) => {
+            // Fall-through ⇒ r0 = 0 ⇒ miss ⇒ no region.
+            cc.c.set(0, Some(0));
+        }
+        _ => cc.c.pushes = None,
     }
 }
 
@@ -1783,6 +1731,7 @@ pub(crate) fn run(
                 pc,
                 helper,
                 fast,
+                jw,
                 jop,
                 jdst,
                 jsrc,
@@ -1799,6 +1748,12 @@ pub(crate) fn run(
                 };
                 m.regs[1..6].fill(0);
                 m.regs[0] = ret;
+                // The branch slot's charge, where the interpreter's loop
+                // top takes it: after the lookup ran.
+                if *jw > budget - executed {
+                    return Err(RunError::BudgetExhausted);
+                }
+                executed += jw;
                 let rhs = m.src(*jsrc);
                 if jop.eval(m.reg(*jdst), rhs) {
                     si = *target as usize;

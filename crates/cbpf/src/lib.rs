@@ -61,7 +61,6 @@ pub mod insn;
 pub mod interp;
 pub mod jit;
 pub mod map;
-pub mod opt;
 pub mod prepare;
 pub mod program;
 pub mod store;
@@ -78,7 +77,6 @@ pub use insn::{AluOp, Insn, JmpOp, MemSize, Operand, Reg};
 pub use interp::run_program;
 pub use jit::JitProgram;
 pub use map::{Map, MapDef, MapKind, MAX_MAP_ENTRIES};
-pub use opt::OptConfig;
 pub use prepare::{ExecTier, PreparedProgram};
 pub use program::{Program, ProgramBuilder};
 pub use store::{ObjectStore, VerifiedProgram};

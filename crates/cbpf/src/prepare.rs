@@ -42,7 +42,6 @@ use crate::helpers::{mapops, HelperId, PolicyEnv};
 use crate::insn::{AluOp, Insn, JmpOp, MemSize, Operand, Reg, STACK_SIZE};
 use crate::interp::{fold32, fold64, RunReport, DEFAULT_BUDGET};
 use crate::map::Map;
-use crate::opt::OptConfig;
 use crate::program::Program;
 
 pub(crate) const TAG_STACK: u64 = 1;
@@ -109,20 +108,11 @@ pub(crate) enum PSrc {
     Imm(u64),
 }
 
-/// One lowered instruction. Jump targets are absolute indices into the
+/// One lowered instruction, one per source instruction (slot `pc` is
+/// source instruction `pc`). Jump targets are absolute indices into the
 /// prepared code; a [`PInsn::Halt`] sentinel sits one past the last real
 /// instruction so falling off the end is an ordinary dispatch.
-///
-/// The fused variants ([`PInsn::Alu2`], [`PInsn::Load2`],
-/// [`PInsn::CallMapLookupBr`]) are produced only by [`crate::opt`] — raw
-/// bytecode has no encoding for them, so a program can never name one
-/// directly. Each occupies its source pair's first slot (the second slot
-/// becomes a weight-0 [`PInsn::Nop`], preserving instruction numbering
-/// for jump targets and fault attribution).
-// PartialEq is for optimizer tests; the fn-pointer comparison in the
-// CallEnv variants is fine there (same codegen unit, exact same item).
-#[allow(unpredictable_function_pointer_comparisons)]
-#[derive(Clone, Copy, PartialEq, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub(crate) enum PInsn {
     Alu64 { op: AluOp, dst: u8, src: PSrc },
     Alu32 { op: AluOp, dst: u8, src: PSrc },
@@ -144,44 +134,6 @@ pub(crate) enum PInsn {
     Exit,
     Trap { kind: Trap },
     Halt,
-    /// Executes nothing. Weight 1 when it replaces a folded/eliminated
-    /// instruction (still counted, like the instruction it stands for);
-    /// weight 0 in the dead second slot of a fused pair.
-    Nop,
-    /// Two back-to-back ALU-class instructions under one dispatch and one
-    /// budget charge, executed strictly in sequence (`mov` canonicalizes
-    /// to `AluOp::Mov`; immediates carry pre-extended values).
-    Alu2 {
-        w1: bool,
-        op1: AluOp,
-        dst1: u8,
-        src1: PSrc,
-        w2: bool,
-        op2: AluOp,
-        dst2: u8,
-        src2: PSrc,
-    },
-    /// Two back-to-back loads. A fault in the second half is attributed
-    /// to `pc + 1`, exactly as the unfused pair reports it.
-    Load2 {
-        s1: MemSize,
-        d1: u8,
-        b1: u8,
-        o1: u64,
-        s2: MemSize,
-        d2: u8,
-        b2: u8,
-        o2: u64,
-    },
-    /// `call map_lookup` immediately followed by a conditional branch on
-    /// the result — the hot "lookup then null-check" policy idiom.
-    CallMapLookupBr {
-        helper: u32,
-        jop: JmpOp,
-        jdst: u8,
-        jsrc: PSrc,
-        target: u32,
-    },
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -286,11 +238,12 @@ impl CtxPerm {
 pub struct PreparedProgram {
     name: String,
     pub(crate) code: Box<[PInsn]>,
-    /// Per-slot budget charge, parallel to `code`. Ordinary slots charge
-    /// 1; a fused slot charges its whole source pair up front and the
-    /// dead second slot charges 0, so the executed-instruction count (and
-    /// with it the DES virtual-time accounting) is bit-identical to the
-    /// unoptimized program on every path and at every budget.
+    /// Per-slot budget charge, parallel to `code`: 1 everywhere except
+    /// `trace_emit`, which carries [`crate::helpers::TRACE_EMIT_WEIGHT`].
+    /// The interpreter charges it slot by slot; the compiled tier sums it
+    /// per charge group. Either way the executed-instruction count (and
+    /// with it the DES virtual-time accounting) is the legacy
+    /// interpreter's on every path and at every budget.
     pub(crate) weights: Box<[u32]>,
     pub(crate) maps: Box<[Arc<Map>]>,
     pub(crate) perm: CtxPerm,
@@ -318,17 +271,10 @@ impl Program {
     /// invalid instructions become traps that fault if ever reached (the
     /// verifier only accepts them in unreachable code).
     ///
-    /// Runs the prepare-time optimizer ([`crate::opt`]) with its default
-    /// configuration; use [`Program::prepare_with`] to tune or disable
-    /// individual passes.
+    /// The lowering rewrites nothing: it is the compiled tier's input, the
+    /// [`ExecTier::Interp`] reference the tier differential tests diff
+    /// against, and the fallback for contexts shorter than the layout.
     pub fn prepare(&self, layout: &CtxLayout) -> PreparedProgram {
-        self.prepare_with(layout, OptConfig::default())
-    }
-
-    /// Like [`Program::prepare`], with explicit control over the
-    /// optimizer passes ([`OptConfig::none`] disables them all, which is
-    /// what differential tests compare against).
-    pub fn prepare_with(&self, layout: &CtxLayout, opt: OptConfig) -> PreparedProgram {
         let insns = self.insns();
         let len = insns.len();
         let mut code = Vec::with_capacity(len + 1);
@@ -468,8 +414,6 @@ impl Program {
                 _ => 1,
             })
             .collect();
-        debug_assert_eq!(weights.len(), code.len());
-        crate::opt::optimize(&mut code, &mut weights, self.maps(), opt);
         // The sentinel charges like a real slot so exhausting the budget
         // exactly at the end still reports `BudgetExhausted`, not
         // `PcOutOfBounds` (legacy checks the budget before the fetch).
@@ -856,13 +800,9 @@ impl PreparedProgram {
         let mut pc: usize = 0;
         let mut executed: u64 = 0;
         loop {
-            // Weighted budget charge: a fused slot pays for its whole
-            // source pair before executing (its first half has no
-            // observable effect, so failing early is indistinguishable
-            // from the legacy fail-between-halves), keeping budget
-            // semantics and instruction counts exact at every budget.
-            // The invariant `executed <= budget` makes the subtraction
-            // safe.
+            // Weighted budget charge before the slot executes, as legacy
+            // charges before the fetch. The invariant `executed <= budget`
+            // makes the subtraction safe.
             //
             // SAFETY: `prepare` validates every jump target into
             // `[0, len]` and appends the `Halt` sentinel at index `len`
@@ -1007,78 +947,6 @@ impl PreparedProgram {
                 }
                 PInsn::Halt => {
                     return Err(RunError::PcOutOfBounds { pc: pc as i64 });
-                }
-                PInsn::Nop => {}
-                PInsn::Alu2 {
-                    w1,
-                    op1,
-                    dst1,
-                    src1,
-                    w2,
-                    op2,
-                    dst2,
-                    src2,
-                } => {
-                    // Strictly sequential: the second half reads whatever
-                    // the first half wrote, exactly like the unfused pair.
-                    let rhs = m.src(src1);
-                    let v = if w1 {
-                        fold64(op1, m.reg(dst1), rhs)
-                    } else {
-                        u64::from(fold32(op1, m.reg(dst1) as u32, rhs as u32))
-                    };
-                    m.set_reg(dst1, v);
-                    let rhs = m.src(src2);
-                    let v = if w2 {
-                        fold64(op2, m.reg(dst2), rhs)
-                    } else {
-                        u64::from(fold32(op2, m.reg(dst2) as u32, rhs as u32))
-                    };
-                    m.set_reg(dst2, v);
-                    pc += 2;
-                    continue;
-                }
-                PInsn::Load2 {
-                    s1,
-                    d1,
-                    b1,
-                    o1,
-                    s2,
-                    d2,
-                    b2,
-                    o2,
-                } => {
-                    let addr = m.reg(b1).wrapping_add(o1);
-                    let v = m.load(pc, addr, s1)?;
-                    m.set_reg(d1, v);
-                    let addr = m.reg(b2).wrapping_add(o2);
-                    let v = m.load(pc + 1, addr, s2)?;
-                    m.set_reg(d2, v);
-                    pc += 2;
-                    continue;
-                }
-                PInsn::CallMapLookupBr {
-                    helper,
-                    jop,
-                    jdst,
-                    jsrc,
-                    target,
-                } => {
-                    if let Some(inj) = injector {
-                        if let Some(fault) = inj.helper_fault(pc, helper) {
-                            return Err(fault);
-                        }
-                    }
-                    let ret = m.call_map(pc, MapOp::Lookup, helper)?;
-                    m.regs[1..6].fill(0);
-                    m.regs[0] = ret;
-                    let rhs = m.src(jsrc);
-                    if jop.eval(m.reg(jdst), rhs) {
-                        pc = target as usize;
-                    } else {
-                        pc += 2;
-                    }
-                    continue;
                 }
             }
             pc += 1;

@@ -12,8 +12,7 @@
 //! return the same `Ok(report)` or the same `Err` (variant, `pc`,
 //! `addr`) and leave the same context bytes — on contexts that are
 //! empty, one byte short, exact and longer, at every budget from 0 past
-//! the program's length, with and without a fault injector, with the
-//! prepare-time optimizer on and off.
+//! the program's length, with and without a fault injector.
 //!
 //! The programs are *not* verified: most would be rejected (that is the
 //! point — the forbidden reads must fault identically). They stay inside
@@ -30,7 +29,6 @@ use cbpf::fault::{FaultInjector, FaultPlan};
 use cbpf::helpers::{FixedEnv, HelperId};
 use cbpf::insn::{AluOp, Insn, JmpOp, MemSize, Operand, Reg};
 use cbpf::interp::run_with_budget;
-use cbpf::opt::OptConfig;
 use cbpf::program::Program;
 use cbpf::ExecTier;
 
@@ -370,32 +368,18 @@ fn plans(seed: u64) -> [FaultPlan; 3] {
     ]
 }
 
-/// Runs one prepared form of `prog` on both tiers over every context
+/// Runs the prepared form of `prog` on both tiers over every context
 /// length and budget and holds them to each other, and to the legacy
 /// interpreter wherever the two are comparable.
-///
-/// `fused` says the form went through [`cbpf::opt`], whose `Load2`
-/// charges a pair of loads before the first executes. Its contract is
-/// verified programs, where a load cannot fault; here one can, and then
-/// a budget that ends between the halves reports `BudgetExhausted` where
-/// legacy reports the first half's fault. So a fused form meets legacy
-/// at the full budget always, and at every budget when the run does not
-/// fault; the unfused form meets it everywhere.
-fn check_form(
-    prog: &Program,
-    layout: &CtxLayout,
-    prepared: &cbpf::PreparedProgram,
-    fused: bool,
-    legacy_comparable: bool,
-    fill: u64,
-) -> Result<(), TestCaseError> {
+fn check(case: &Case) -> Result<(), TestCaseError> {
+    let Case { layout, ops, fill } = case;
+    let prog = build(layout, ops);
+    let legacy_comparable = !ops.iter().any(|op| matches!(op, Op::Call { then: None }));
+    let prepared = prog.prepare(layout);
     let env = FixedEnv::new().cpu(3);
     let full = prog.insns().len() as u64 + 1;
     for len in ctx_lens(layout) {
-        let fresh = ctx_bytes(len, fill);
-        let finishes = prepared
-            .run_tier(ExecTier::Interp, &mut fresh.clone(), &env, full)
-            .is_ok();
+        let fresh = ctx_bytes(len, *fill);
         for budget in 0..=full {
             let mut ctx_interp = fresh.clone();
             let interp = prepared.run_tier(ExecTier::Interp, &mut ctx_interp, &env, budget);
@@ -412,9 +396,9 @@ fn check_form(
             // With no context at all legacy never initializes `r1` and
             // faults on the prologue's read of it; the prepared form
             // reads zero (see `cbpf::prepare`'s module docs).
-            if len > 0 && legacy_comparable && (!fused || finishes || budget == full) {
+            if len > 0 && legacy_comparable {
                 let mut ctx_legacy = fresh.clone();
-                let legacy = run_with_budget(prog, &mut ctx_legacy, layout, &env, budget);
+                let legacy = run_with_budget(&prog, &mut ctx_legacy, layout, &env, budget);
                 prop_assert_eq!(
                     &legacy,
                     &jit,
@@ -427,7 +411,7 @@ fn check_form(
         }
         // Injected faults: one injector per tier, the same plan, the
         // same sequence of runs.
-        for plan in plans(fill) {
+        for plan in plans(*fill) {
             let (inj_interp, inj_jit) =
                 (FaultInjector::new(plan.clone()), FaultInjector::new(plan));
             for budget in 0..=full {
@@ -461,22 +445,6 @@ fn check_form(
         }
     }
     Ok(())
-}
-
-fn check(case: &Case) -> Result<(), TestCaseError> {
-    let Case { layout, ops, fill } = case;
-    let prog = build(layout, ops);
-    let legacy_comparable = !ops.iter().any(|op| matches!(op, Op::Call { then: None }));
-    check_form(
-        &prog,
-        layout,
-        &prog.prepare(layout),
-        true,
-        legacy_comparable,
-        *fill,
-    )?;
-    let unfused = prog.prepare_with(layout, OptConfig::none());
-    check_form(&prog, layout, &unfused, false, legacy_comparable, *fill)
 }
 
 proptest! {

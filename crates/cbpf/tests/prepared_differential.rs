@@ -1,20 +1,32 @@
-//! Differential property tests: the prepared fast path must be
-//! observationally identical to the legacy interpreter on every program
-//! the verifier accepts — same return value, same executed-instruction
-//! count, same context side effects, same map effects, and the same
-//! faults under a constrained budget.
+//! Differential property tests for the three engines and the sharded map
+//! engine.
+//!
+//! The engine contract: on every program the verifier accepts, the
+//! legacy interpreter, the prepared interpreter ([`ExecTier::Interp`])
+//! and the compiled tier ([`ExecTier::Jit`], what `run` takes) are
+//! observationally identical — same return value, same
+//! executed-instruction count, same context, map and trace effects, and
+//! the same faults under every budget and fault-injection plan.
+//!
+//! The map engine contract: the lock-free sharded hash map is
+//! linearizable to a plain `HashMap` model under the same capacity
+//! rules.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
 use cbpf::ctx::{CtxLayout, FieldAccess};
+use cbpf::error::{FaultKind, MapError};
+use cbpf::fault::{FaultInjector, FaultPlan};
 use cbpf::helpers::{FixedEnv, HelperId};
 use cbpf::insn::{AluOp, Insn, JmpOp, MemSize, Operand, Reg};
 use cbpf::interp::run_with_budget;
 use cbpf::map::{Map, MapDef, MapKind};
-use cbpf::program::Program;
+use cbpf::program::{Program, ProgramBuilder};
 use cbpf::verifier::verify;
+use cbpf::ExecTier;
 
 const BUDGET: u64 = 1 << 16;
 
@@ -318,6 +330,369 @@ proptest! {
             let prepared = prog.prepare(&layout).run(&mut ctx_prepared, &env, budget);
             prop_assert_eq!(&legacy, &prepared, "budget behavior diverges");
             prop_assert_eq!(ctx_legacy, ctx_prepared, "partial context effects diverge");
+        }
+    }
+
+    /// The compiled tier ([`cbpf::jit`]) is observationally identical to
+    /// the prepared interpreter on arbitrary verified programs: same
+    /// report (value and executed-instruction count), same fault, same
+    /// context mutations, at full budget.
+    #[test]
+    fn jit_matches_interp_report_and_ctx(
+        prog in program_strategy(),
+        cpu in 0u32..128,
+        numa in 0u32..8,
+        time in any::<u64>(),
+        pid in any::<u64>(),
+        ctx_seed in any::<u64>(),
+    ) {
+        let layout = test_layout();
+        if verify(&prog, &layout).is_ok() {
+            let env = FixedEnv::new().cpu(cpu).numa(numa).time(time).with_pid(pid);
+            let prepared = prog.prepare(&layout);
+            let mut ctx_interp = fill_ctx(&layout, ctx_seed);
+            let interp = prepared.run_tier(ExecTier::Interp, &mut ctx_interp, &env, BUDGET);
+            let mut ctx_jit = fill_ctx(&layout, ctx_seed);
+            let jit = prepared.run_tier(ExecTier::Jit, &mut ctx_jit, &env, BUDGET);
+            prop_assert_eq!(&interp, &jit, "jit report diverges from interpreter");
+            prop_assert_eq!(&ctx_interp, &ctx_jit, "jit context effects diverge");
+        }
+    }
+
+    /// Map programs on the compiled tier: identical final map contents
+    /// and env traces. Exercises the jit's region-tracked value access,
+    /// constant-key lookup caching and RMW fusion against the
+    /// interpreter's generic paths.
+    #[test]
+    fn jit_preserves_map_side_effects(
+        body in proptest::collection::vec(insn_strategy(), 1..16),
+        key in 0i32..4,
+    ) {
+        let build = |map: Arc<Map>| {
+            let mut insns = vec![
+                Insn::LdMapRef { dst: Reg::R1, map_id: 0 },
+                Insn::Store { size: MemSize::W, base: Reg::R10, off: -4, src: Operand::Imm(key) },
+                Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R2, src: Operand::Reg(Reg::R10) },
+                Insn::Alu { wide: true, op: AluOp::Add, dst: Reg::R2, src: Operand::Imm(-4) },
+                Insn::Call { helper: HelperId::MapLookup as u32 },
+            ];
+            insns.extend(body.iter().cloned());
+            insns.push(Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R0, src: Operand::Imm(0) });
+            insns.push(Insn::Exit);
+            Program::new("fuzzjit", insns, vec![map])
+        };
+        let map_interp = seeded_map();
+        let prog_interp = build(Arc::clone(&map_interp));
+        if verify(&prog_interp, &CtxLayout::empty()).is_ok() {
+            let env_interp = FixedEnv::new();
+            let interp = prog_interp
+                .prepare(&CtxLayout::empty())
+                .run_tier(ExecTier::Interp, &mut [], &env_interp, BUDGET);
+
+            let map_jit = seeded_map();
+            let env_jit = FixedEnv::new();
+            let jit = build(Arc::clone(&map_jit))
+                .prepare(&CtxLayout::empty())
+                .run_tier(ExecTier::Jit, &mut [], &env_jit, BUDGET);
+            prop_assert_eq!(&interp, &jit, "jit report diverges");
+            prop_assert_eq!(
+                &map_snapshot(&map_interp),
+                &map_snapshot(&map_jit),
+                "jit map effects diverge"
+            );
+            prop_assert_eq!(env_interp.traces(), env_jit.traces(), "jit traces diverge");
+        }
+    }
+
+    /// Tiny budgets on the compiled tier: jit steps pre-charge whole
+    /// pure-prefix groups, so exhaustion must fire at exactly the same
+    /// budgets with the same partial context effects as the interpreter.
+    #[test]
+    fn jit_budget_accounting_is_exact(
+        prog in program_strategy(),
+        budget in 0u64..24,
+        ctx_seed in any::<u64>(),
+    ) {
+        let layout = test_layout();
+        if verify(&prog, &layout).is_ok() {
+            let env = FixedEnv::new();
+            let prepared = prog.prepare(&layout);
+            let mut ctx_interp = fill_ctx(&layout, ctx_seed);
+            let interp = prepared.run_tier(ExecTier::Interp, &mut ctx_interp, &env, budget);
+            let mut ctx_jit = fill_ctx(&layout, ctx_seed);
+            let jit = prepared.run_tier(ExecTier::Jit, &mut ctx_jit, &env, budget);
+            prop_assert_eq!(&interp, &jit, "jit budget behavior diverges");
+            prop_assert_eq!(&ctx_interp, &ctx_jit, "jit partial effects diverge");
+        }
+    }
+
+    /// Deterministic fault injection hits both tiers identically: the
+    /// same plan (seed, invocation trigger, helper rate) against the
+    /// same invocation sequence produces the same faults at the same
+    /// invocations, and the same map/trace state afterwards.
+    #[test]
+    fn jit_fault_injection_parity(
+        body in proptest::collection::vec(insn_strategy(), 1..16),
+        key in 0i32..4,
+        seed in any::<u64>(),
+        trigger in 1u64..8,
+        per_mille in 0u16..1000,
+        kind_ix in 0usize..4,
+        invocations in 1usize..12,
+    ) {
+        let kind = [FaultKind::Budget, FaultKind::Trap, FaultKind::Helper, FaultKind::Map][kind_ix];
+        let build = |map: Arc<Map>| {
+            let mut insns = vec![
+                Insn::LdMapRef { dst: Reg::R1, map_id: 0 },
+                Insn::Store { size: MemSize::W, base: Reg::R10, off: -4, src: Operand::Imm(key) },
+                Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R2, src: Operand::Reg(Reg::R10) },
+                Insn::Alu { wide: true, op: AluOp::Add, dst: Reg::R2, src: Operand::Imm(-4) },
+                Insn::Call { helper: HelperId::MapLookup as u32 },
+            ];
+            insns.extend(body.iter().cloned());
+            insns.push(Insn::Alu { wide: true, op: AluOp::Mov, dst: Reg::R0, src: Operand::Imm(0) });
+            insns.push(Insn::Exit);
+            Program::new("fuzzfault", insns, vec![map])
+        };
+        let map_interp = seeded_map();
+        let prog_interp = build(Arc::clone(&map_interp));
+        if verify(&prog_interp, &CtxLayout::empty()).is_ok() {
+            let plan = FaultPlan {
+                seed,
+                fault_on_invocation: Some(trigger),
+                repeat: false,
+                helper_fault_per_mille: per_mille,
+                kind,
+            };
+            let env_interp = FixedEnv::new();
+            let inj_interp = FaultInjector::new(plan.clone());
+            let prepared_interp = prog_interp.prepare(&CtxLayout::empty());
+            let mut got_interp = Vec::with_capacity(invocations);
+            for _ in 0..invocations {
+                got_interp.push(prepared_interp.run_tier_with_faults(
+                    ExecTier::Interp, &mut [], &env_interp, BUDGET, Some(&inj_interp),
+                ));
+            }
+
+            let map_jit = seeded_map();
+            let env_jit = FixedEnv::new();
+            let inj_jit = FaultInjector::new(plan);
+            let prepared_jit = build(Arc::clone(&map_jit)).prepare(&CtxLayout::empty());
+            let mut got_jit = Vec::with_capacity(invocations);
+            for _ in 0..invocations {
+                got_jit.push(prepared_jit.run_tier_with_faults(
+                    ExecTier::Jit, &mut [], &env_jit, BUDGET, Some(&inj_jit),
+                ));
+            }
+
+            prop_assert_eq!(&got_interp, &got_jit, "injected fault sequences diverge");
+            prop_assert_eq!(inj_interp.injected(), inj_jit.injected(), "injection counts diverge");
+            prop_assert_eq!(
+                &map_snapshot(&map_interp),
+                &map_snapshot(&map_jit),
+                "post-fault map state diverges"
+            );
+            prop_assert_eq!(env_interp.traces(), env_jit.traces(), "post-fault traces diverge");
+        }
+    }
+
+    /// The sharded lock-free hash map is equivalent to a plain `HashMap`
+    /// model under the same capacity rule, operation by operation
+    /// (update/delete/lookup over a key space larger than capacity, so
+    /// `Full`, `NoSuchKey` and tombstone-reuse paths all fire).
+    #[test]
+    fn sharded_hash_map_matches_model(
+        ops in proptest::collection::vec((0u8..3, 0u32..12u32, any::<u64>()), 1..64),
+    ) {
+        const MAX: usize = 8;
+        let map = Map::new(MapDef {
+            name: "m".into(),
+            kind: MapKind::Hash,
+            key_size: 4,
+            value_size: 8,
+            max_entries: MAX,
+        });
+        let mut model: HashMap<u32, u64> = HashMap::new();
+        for (op, key, val) in ops {
+            let k = key.to_le_bytes();
+            match op {
+                0 => {
+                    let got = map.update(&k, &val.to_le_bytes(), 0);
+                    if model.contains_key(&key) || model.len() < MAX {
+                        prop_assert_eq!(got, Ok(()));
+                        model.insert(key, val);
+                    } else {
+                        prop_assert_eq!(got, Err(MapError::Full));
+                    }
+                }
+                1 => {
+                    let got = map.delete(&k);
+                    if model.remove(&key).is_some() {
+                        prop_assert_eq!(got, Ok(()));
+                    } else {
+                        prop_assert_eq!(got, Err(MapError::NoSuchKey));
+                    }
+                }
+                _ => {
+                    let got = map.lookup_copy(&k, 0);
+                    let want = model.get(&key).map(|v| v.to_le_bytes().to_vec());
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(map.len(), model.len(), "live counts diverge");
+        }
+        let mut want: Vec<(Vec<u8>, Vec<u8>)> = model
+            .iter()
+            .map(|(k, v)| (k.to_le_bytes().to_vec(), v.to_le_bytes().to_vec()))
+            .collect();
+        want.sort();
+        prop_assert_eq!(map_snapshot(&map), want, "final contents diverge");
+    }
+
+    /// Concurrent updates from racing threads agree with the sequential
+    /// model when the per-thread key sets are disjoint (each thread's
+    /// writes land intact; no lost updates across shards).
+    #[test]
+    fn concurrent_disjoint_updates_match_model(
+        per_thread in 1usize..24,
+        seed in any::<u64>(),
+    ) {
+        const THREADS: u32 = 4;
+        let map = Arc::new(Map::new(MapDef {
+            name: "m".into(),
+            kind: MapKind::Hash,
+            key_size: 4,
+            value_size: 8,
+            max_entries: 512,
+        }));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let map = Arc::clone(&map);
+                std::thread::spawn(move || {
+                    for i in 0..per_thread as u32 {
+                        let key = t * 1000 + i;
+                        let val = seed ^ u64::from(key);
+                        map.update(&key.to_le_bytes(), &val.to_le_bytes(), t).unwrap();
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        prop_assert_eq!(map.len(), per_thread * THREADS as usize);
+        for t in 0..THREADS {
+            for i in 0..per_thread as u32 {
+                let key = t * 1000 + i;
+                let want = (seed ^ u64::from(key)).to_le_bytes().to_vec();
+                prop_assert_eq!(map.lookup_copy(&key.to_le_bytes(), 0), Some(want));
+            }
+        }
+    }
+}
+
+/// The counter shape (`event_counter`, what every `lock_profiled` hook
+/// runs): lookup, null branch, read-modify-write of the value. The
+/// compiled tier runs the lookup and the branch as one step, but a
+/// budget that ends on the branch must still run the lookup — consult
+/// the injector and fault if it says so — as the interpreter does. A
+/// step that charged the pair up front would report `BudgetExhausted`
+/// there instead, with one injection fewer.
+#[test]
+fn counter_shape_agrees_at_every_budget_and_plan() {
+    let layout = CtxLayout::builder()
+        .field("lock_id", 8, FieldAccess::ReadOnly)
+        .build();
+    let counter = |kind: MapKind, seeded: bool| {
+        let map = Arc::new(Map::new(MapDef {
+            name: "c".into(),
+            kind,
+            key_size: 4,
+            value_size: 8,
+            max_entries: 4,
+        }));
+        if seeded {
+            map.update(&0u32.to_le_bytes(), &41u64.to_le_bytes(), 0)
+                .unwrap();
+        }
+        let mut b = ProgramBuilder::new("count");
+        let mid = b.register_map(Arc::clone(&map));
+        b.ldmap(Reg::R1, mid);
+        b.store_imm(MemSize::W, Reg::R10, -4, 0);
+        b.mov(Reg::R2, Reg::R10);
+        b.alu_imm(AluOp::Add, Reg::R2, -4);
+        b.call(HelperId::MapLookup);
+        b.jmp_imm(JmpOp::Eq, Reg::R0, 0, "out");
+        b.load(MemSize::Dw, Reg::R1, Reg::R0, 0);
+        b.alu_imm(AluOp::Add, Reg::R1, 1);
+        b.store(MemSize::Dw, Reg::R0, 0, Reg::R1);
+        b.label("out");
+        b.mov_imm(Reg::R0, 0);
+        b.exit();
+        let prog = b.build().unwrap();
+        verify(&prog, &layout).unwrap();
+        (prog, map)
+    };
+    let env = FixedEnv::new();
+    let always = FaultPlan {
+        helper_fault_per_mille: 1000,
+        ..FaultPlan::inert(7)
+    };
+    // A hash hit, a hash miss, and the per-CPU array `event_counter` uses.
+    for (kind, seeded, insns) in [
+        (MapKind::Hash, true, 11),
+        (MapKind::Hash, false, 8),
+        (MapKind::PerCpuArray, false, 11),
+    ] {
+        for plan in [None, Some(always.clone())] {
+            let (legacy_prog, legacy_map) = counter(kind, seeded);
+            let (interp_prog, interp_map) = counter(kind, seeded);
+            let (jit_prog, jit_map) = counter(kind, seeded);
+            let (interp, jit) = (interp_prog.prepare(&layout), jit_prog.prepare(&layout));
+            let inj_interp = plan.clone().map(FaultInjector::new);
+            let inj_jit = plan.clone().map(FaultInjector::new);
+            let mut finished = 0;
+            for budget in 0..=insns + 1 {
+                let at = format!("{kind:?} seeded {seeded} plan {plan:?} budget {budget}");
+                let mut ctx_interp = vec![7u8; layout.size()];
+                let got_interp = interp.run_tier_with_faults(
+                    ExecTier::Interp,
+                    &mut ctx_interp,
+                    &env,
+                    budget,
+                    inj_interp.as_ref(),
+                );
+                let mut ctx_jit = vec![7u8; layout.size()];
+                let got_jit = jit.run_tier_with_faults(
+                    ExecTier::Jit,
+                    &mut ctx_jit,
+                    &env,
+                    budget,
+                    inj_jit.as_ref(),
+                );
+                assert_eq!(got_interp, got_jit, "{at}");
+                assert_eq!(ctx_interp, ctx_jit, "{at}");
+                assert_eq!(map_snapshot(&interp_map), map_snapshot(&jit_map), "{at}");
+                if plan.is_none() {
+                    let mut ctx_legacy = vec![7u8; layout.size()];
+                    let legacy =
+                        run_with_budget(&legacy_prog, &mut ctx_legacy, &layout, &env, budget);
+                    assert_eq!(legacy, got_jit, "{at}");
+                    assert_eq!(map_snapshot(&legacy_map), map_snapshot(&jit_map), "{at}");
+                }
+                if let Ok(report) = got_jit {
+                    assert_eq!(report.insns, insns, "{at}");
+                    finished += 1;
+                }
+            }
+            if let (Some(i), Some(j)) = (&inj_interp, &inj_jit) {
+                assert_eq!(i.injected(), j.injected(), "{kind:?} seeded {seeded}");
+                assert_eq!(i.invocations(), j.invocations(), "{kind:?} seeded {seeded}");
+                // Every budget that reaches the lookup faults there.
+                assert_eq!(i.injected(), insns + 2 - 5, "{kind:?} seeded {seeded}");
+            } else {
+                assert_eq!(finished, 2, "{kind:?} seeded {seeded}");
+            }
         }
     }
 }

@@ -28,14 +28,10 @@ use crate::hookctx;
 /// release — the source of the worst-case slowdown in Fig. 2(c).
 pub const TRAMPOLINE_NS: u64 = 45;
 
-/// Modeled cost of invoking a policy at a hook site (indirect call +
-/// context marshalling); the program itself is JIT-compiled, as kernel
-/// eBPF is.
-pub const HOOK_CALL_NS: u64 = 15;
-
-/// Modeled cost per bytecode instruction after JIT compilation (~2× native
-/// per the usual eBPF JIT experience).
-pub const NS_PER_INSN: u64 = 2;
+/// The hook-cost model the DES charges per policy invocation and per
+/// executed instruction; defined once, beside the analyzer that
+/// estimates hook spans with it.
+pub use telemetry::analyze::{HOOK_CALL_NS, NS_PER_INSN};
 
 /// Instruction budget per hook invocation (second-layer guard; verified
 /// policies are loop-free and cannot come close).

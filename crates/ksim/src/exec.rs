@@ -71,7 +71,6 @@ pub(crate) struct Shared {
     lat: LatencyModel,
     topo: Topology,
     rng: RefCell<SplitMix64>,
-    live: Cell<usize>,
     events_processed: Cell<u64>,
     /// Events a [`Delay`] delivered to itself without the heap.
     in_place: Cell<u64>,
@@ -255,7 +254,6 @@ impl SimBuilder {
                 lat: self.latency,
                 topo: self.topology,
                 rng: RefCell::new(SplitMix64::new(self.seed)),
-                live: Cell::new(0),
                 events_processed: Cell::new(0),
                 in_place: Cell::new(0),
                 deadline: Cell::new(0),
@@ -325,7 +323,6 @@ impl Sim {
             unpark_token: false,
             done: false,
         });
-        self.shared.live.set(self.shared.live.get() + 1);
         self.shared.schedule(id, self.shared.now());
         id
     }
@@ -374,7 +371,6 @@ impl Sim {
             let mut tasks = sh.tasks.borrow_mut();
             if done {
                 tasks[idx].done = true;
-                sh.live.set(sh.live.get() - 1);
             } else {
                 tasks[idx].future = Some(fut);
             }

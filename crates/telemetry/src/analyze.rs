@@ -62,12 +62,15 @@ use crate::ring::NR_RINGS;
 /// outside the trace). Rendered as `handoff`.
 pub const HANDOFF_TENANT: u64 = u64::MAX;
 
-/// Fixed dispatch cost of one hook invocation when estimating hook-span
-/// nanoseconds (mirrors the DES cost model in `concord::policy`).
+/// Modeled cost of invoking a policy at a hook site (indirect call +
+/// context marshalling); the program itself is JIT-compiled, as kernel
+/// eBPF is. One hook-cost model serves the DES (`concord::policy`
+/// charges it to virtual time), hook-span estimates here and the
+/// chrome-trace exporter.
 pub const HOOK_CALL_NS: u64 = 15;
 
-/// Estimated nanoseconds per executed policy instruction (mirrors the DES
-/// cost model and the chrome-trace exporter).
+/// Modeled cost per bytecode instruction after JIT compilation (~2× native
+/// per the usual eBPF JIT experience); see [`HOOK_CALL_NS`].
 pub const NS_PER_INSN: u64 = 2;
 
 /// Maximum blocking-chain depth followed before a chain is cut off.

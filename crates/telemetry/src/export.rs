@@ -13,13 +13,9 @@
 //! weighted in nanoseconds of blocked time), the latter as a per-lock CSV
 //! of contention and attribution figures.
 
-use crate::analyze::{Report, HANDOFF_TENANT};
+use crate::analyze::{Report, HANDOFF_TENANT, NS_PER_INSN};
 use crate::event::{EventKind, TraceEvent};
 use std::fmt::Write as _;
-
-/// Virtual nanoseconds one prepared-program instruction represents when
-/// rendering a hook span's duration (mirrors the DES cost model).
-const SPAN_NS_PER_INSN: u64 = 2;
 
 fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
@@ -54,7 +50,7 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
         let _ = write!(out, "\",\"cat\":\"c3\",\"pid\":1,\"tid\":{}", ev.cpu);
         match ev.kind {
             EventKind::HookSpan => {
-                let dur_us = (ev.c * SPAN_NS_PER_INSN) as f64 / 1000.0;
+                let dur_us = (ev.c * NS_PER_INSN) as f64 / 1000.0;
                 let _ = write!(out, ",\"ph\":\"X\",\"ts\":{ts_us},\"dur\":{dur_us}");
             }
             _ => {

@@ -13,8 +13,9 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
-echo "== cargo clippy --workspace -- -D warnings =="
-cargo clippy --workspace -- -D warnings
+# All targets, so the tests, benches and gate bins are linted too.
+echo "== cargo clippy --workspace --all-targets -- -D warnings =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The compiled tier reads context fields without a run-time check of its
 # own; what holds that to the two interpreters is one differential
@@ -27,19 +28,24 @@ cargo test -q --release -p cbpf --test ctx_differential
 # `PreparedProgram::run` takes the compiled tier, always. The hot-count
 # threshold that used to pick a tier went when the compiled tier stopped
 # losing on the NUMA policy (bench_gate's numa_policy row holds that);
-# it does not come back unnoticed.
+# the prepare-time optimizer and its pass switches went when the compiled
+# tier took over the one rewrite it still needed from them: the compiler
+# is the one optimizer.
+# Neither comes back unnoticed.
 # (The brackets keep this file from matching its own pattern.)
-echo "== no tier-selection knob =="
-if grep -rn "Jit[M]ode\|C3_JIT_[T]HRESHOLD" crates tests scripts; then
-    echo "ci: the tier-selection mode or its env var is back (see above)" >&2
+echo "== no tier-selection knob, no second optimizer =="
+if grep -rn "Jit[M]ode\|C3_JIT_[T]HRESHOLD\|Opt[C]onfig\|prepare_[w]ith\|cbpf::op[t]\b" \
+    crates tests scripts; then
+    echo "ci: a tier-selection mode, its env var or the prepare-time optimizer is back (see above)" >&2
     exit 1
 fi
 
-# Data-plane regression gate: asserts the prepared map_mix speedup stays
-# above its floor, and that on the paper's NUMA policy the compiled tier
-# is not slower than the prepared interpreter (a ratio of two timings
-# taken in alternating rounds of one loop; the cost of entering and
-# leaving the tier on an exit-only program is printed beside it). Skip on
+# Data-plane regression gate: the prepared map_mix speedup over legacy
+# and the compiled tier's over the prepared interpreter stay above their
+# floors, and on the paper's NUMA policy the compiled tier is not slower
+# than the prepared interpreter. Each is a ratio of two timings taken in
+# alternating rounds of one loop; the cost of entering and leaving the
+# tier on an exit-only program is printed beside the last. Skip on
 # noisy builders with C3_BENCH_GATE=0; its DES rows still run then,
 # because what they assert is a count (the share of a lock2 figure
 # point's events that ksim delivers in place).

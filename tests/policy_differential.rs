@@ -12,7 +12,7 @@ use concord::env::RealEnv;
 use concord::policy::BytecodePolicy;
 use concord::{hookctx, policies, Concord, PolicySpec};
 use ksim::SplitMix64;
-use locks::hooks::{CmpNodeCtx, CmpNodeFn, NodeView, ScheduleWaiterCtx};
+use locks::hooks::{CmpNodeCtx, CmpNodeFn, HookKind, NodeView, ScheduleWaiterCtx};
 use locks::ShflLock;
 use proptest::prelude::*;
 
@@ -226,10 +226,24 @@ fn two_field_policies_match_native_on_both_tiers() {
 /// charge group: compare-and-branch, the `return 0` arm, exit, and the
 /// end sentinel — four steps, none of them a load with run-time checks.
 /// (Six before context reads folded; if this goes back up, the hook-fire
-/// cost in EXPERIMENTS.md goes with it.)
+/// cost in EXPERIMENTS.md goes with it.) The one-field policies compare
+/// against a constant the compiler turns into an immediate, and the
+/// counter every profiling hook runs is four steps too: the lookup with
+/// its null branch, the value's read-modify-write, exit, the sentinel
+/// (six, with a generic load, if the lookup and the branch come apart).
 #[test]
 fn two_field_policies_compile_without_a_load_step() {
-    for (spec, _) in two_field_policies() {
+    let others = [
+        policies::scheduler_cooperative(10_000),
+        policies::amp_aware(16),
+        policies::adaptive_parking(50_000),
+        policies::event_counter(HookKind::LockAcquired, policies::counter_map("acq")),
+    ];
+    for spec in two_field_policies()
+        .map(|(spec, _)| spec)
+        .into_iter()
+        .chain(others)
+    {
         let name = spec.name.clone();
         let loaded = Concord::new().load(spec).expect("prebuilt policy verifies");
         let jit = loaded.prog.prepared().compile_jit();

@@ -201,17 +201,18 @@ fn fall_off_end() {
 }
 
 // ---------------------------------------------------------------------------
-// The optimized execution form is an internal representation only. The
-// fused superinstructions produced by `Program::prepare()` (`Nop`,
-// `Alu2`, `Load2`, `CallMapLookupBr`) must be unreachable from every
-// external input channel: the assembler, the binary decoder, and the
-// map/program constructors.
+// The ISA is closed. Execution forms are internal representations only —
+// the prepared slots, and the compiled tier's steps, one of which runs a
+// `map_lookup` together with the branch after it — and must be
+// unreachable from every external input channel: the assembler, the
+// binary decoder, and the map/program constructors.
 // ---------------------------------------------------------------------------
 
 #[test]
 fn fused_mnemonics_do_not_assemble() {
-    // No assembly spelling names a fused form; a user cannot hand the
-    // loader pre-fused code and skip the optimizer's invariants.
+    // No assembly spelling names a fused or no-op form (these are the
+    // mnemonics such forms would take); a user cannot hand the loader code
+    // the verifier has no rule for.
     for asm in [
         "nop\n exit",
         "alu2 r0, r1\n exit",
@@ -226,8 +227,8 @@ fn fused_mnemonics_do_not_assemble() {
 
 #[test]
 fn raw_bytecode_cannot_name_fused_opcodes() {
-    // `decode` returns the public `Insn` enum, which has no fused
-    // variants — so fused forms are unrepresentable by construction.
+    // `decode` returns the public `Insn` enum, which has no internal
+    // variants — so internal forms are unrepresentable by construction.
     // Sweep the whole opcode byte space to pin down that everything
     // outside the public ISA is rejected, not silently mapped.
     let mut accepted = 0u32;
