@@ -43,7 +43,9 @@ fn bench_maps(c: &mut Criterion) {
     let hk = 123u64.to_le_bytes();
     g.bench_function("hash_lookup_hit", |b| b.iter(|| hash.lookup_slot(&hk, 0)));
     let miss = 9999u64.to_le_bytes();
-    g.bench_function("hash_lookup_miss", |b| b.iter(|| hash.lookup_slot(&miss, 0)));
+    g.bench_function("hash_lookup_miss", |b| {
+        b.iter(|| hash.lookup_slot(&miss, 0))
+    });
     g.bench_function("hash_lookup_copy", |b| b.iter(|| hash.lookup_copy(&hk, 0)));
     g.bench_function("hash_update_existing", |b| {
         b.iter(|| hash.update(&hk, &7u64.to_le_bytes(), 0).unwrap())

@@ -174,7 +174,10 @@ fn sweep_max_batch(window: u64) {
     let batches = [1u32, 8, 32, 128, 100_000];
     let vals = run_points(&batches, |&b| run(b));
     for (batch, (total, min, max)) in batches.iter().zip(vals) {
-        println!("| {batch} | {:.0} | {min}..{max} |", total as f64 / window_ms);
+        println!(
+            "| {batch} | {:.0} | {min}..{max} |",
+            total as f64 / window_ms
+        );
     }
     println!();
 }
@@ -188,7 +191,12 @@ fn sweep_containment(window: u64) {
     let threads = [1u32, 4, 8, 16, 28];
     let points: Vec<(u32, HtSeries)> = threads
         .iter()
-        .flat_map(|&n| [(n, HtSeries::ConcordNoop), (n, HtSeries::ConcordNoopContained)])
+        .flat_map(|&n| {
+            [
+                (n, HtSeries::ConcordNoop),
+                (n, HtSeries::ConcordNoopContained),
+            ]
+        })
         .collect();
     let vals = run_points(&points, |&(n, s)| run_hashtable(n, s, window, 42));
     let mut worst = f64::INFINITY;
@@ -265,8 +273,14 @@ fn sweep_rollout(window: u64) {
             });
             let plan = RolloutPlan::staged(1, "noop", HookKind::CmpNode, &["ht".to_string()], &[]);
             let log = RolloutLog::new();
-            let out = Rollout::run(plan, &log, &target, &mut AlwaysGreen, &ChaosInjector::inert())
-                .expect("rollout ran");
+            let out = Rollout::run(
+                plan,
+                &log,
+                &target,
+                &mut AlwaysGreen,
+                &ChaosInjector::inert(),
+            )
+            .expect("rollout ran");
             assert_eq!(out, RolloutOutcome::Committed, "rollout must commit");
         } else {
             lock.set_policy(Rc::new(AttachedNoopPolicy));
@@ -311,7 +325,9 @@ fn sweep_rollout(window: u64) {
         worst = worst.min(norm);
         println!("| {n} | {direct:.0} | {rolled:.0} | {norm:.3} |");
     }
-    println!("\nworst-case rollout-applied throughput: {worst:.3} (budget: ≥0.95, expected: 1.000)");
+    println!(
+        "\nworst-case rollout-applied throughput: {worst:.3} (budget: ≥0.95, expected: 1.000)"
+    );
     assert!(
         worst >= 0.95,
         "rollout-applied policy exceeds the 5% hot-path budget: {worst:.3}"

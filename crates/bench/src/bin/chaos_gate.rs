@@ -105,11 +105,7 @@ fn print_report(r: &SweepReport) {
     println!(
         "chaos_gate: seed {} — {} crash points, {} applied / {} reverted, \
          baseline fingerprint {:#018x}",
-        r.seed,
-        r.crash_points,
-        r.applied_runs,
-        r.reverted_runs,
-        r.baseline_fingerprint
+        r.seed, r.crash_points, r.applied_runs, r.reverted_runs, r.baseline_fingerprint
     );
 }
 

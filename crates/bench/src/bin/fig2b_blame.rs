@@ -25,7 +25,10 @@ const SEED: u64 = 42;
 fn main() {
     for (name, series) in [
         ("ShflLock (native NUMA)", SpinSeries::ShflNuma),
-        ("Concord-ShflLock (bytecode NUMA)", SpinSeries::ConcordShflNuma),
+        (
+            "Concord-ShflLock (bytecode NUMA)",
+            SpinSeries::ConcordShflNuma,
+        ),
     ] {
         telemetry::drain();
         let dropped_before = telemetry::dropped();

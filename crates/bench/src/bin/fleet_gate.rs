@@ -24,9 +24,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use concord::fleet::{
-    fleet_sweep, run_fleet, seal_demo_artifact, Delta, FleetConfig, PolicyStore,
-};
+use concord::fleet::{fleet_sweep, run_fleet, seal_demo_artifact, Delta, FleetConfig, PolicyStore};
 use concord::rollout::chaos::SweepReport;
 use concord::rollout::ChaosPlan;
 

@@ -27,10 +27,7 @@ pub const SWEEP: &[u32] = &[1, 2, 4, 8, 10, 20, 30, 40, 50, 60, 70, 80];
 pub fn sweep_threads() -> Vec<u32> {
     match std::env::var("C3_BENCH_THREADS") {
         Ok(s) => {
-            let v: Vec<u32> = s
-                .split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect();
+            let v: Vec<u32> = s.split(',').filter_map(|t| t.trim().parse().ok()).collect();
             assert!(!v.is_empty(), "C3_BENCH_THREADS has no valid thread counts");
             v
         }

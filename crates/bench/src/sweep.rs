@@ -113,9 +113,7 @@ where
         .iter()
         .map(|&n| {
             let row = (0..n_series)
-                .map(|_| {
-                    seeds.iter().map(|_| it.next().unwrap()).sum::<f64>() / seeds.len() as f64
-                })
+                .map(|_| seeds.iter().map(|_| it.next().unwrap()).sum::<f64>() / seeds.len() as f64)
                 .collect();
             (n, row)
         })
@@ -159,10 +157,7 @@ mod tests {
         });
         assert_eq!(
             rows,
-            vec![
-                (1, vec![115.0, 125.0]),
-                (2, vec![215.0, 225.0]),
-            ]
+            vec![(1, vec![115.0, 125.0]), (2, vec![215.0, 225.0]),]
         );
     }
 

@@ -204,12 +204,7 @@ pub fn run_lock2(threads: u32, series: SpinSeries, window_ns: u64, seed: u64) ->
 }
 
 /// [`run_lock2`] with the simulator's own account of the run.
-pub fn lock2_point(
-    threads: u32,
-    series: SpinSeries,
-    window_ns: u64,
-    seed: u64,
-) -> (f64, SimStats) {
+pub fn lock2_point(threads: u32, series: SpinSeries, window_ns: u64, seed: u64) -> (f64, SimStats) {
     let sim = sim_for(seed);
     let ops = Rc::new(Cell::new(0u64));
     let data: Rc<Vec<ksim::SimWord>> = Rc::new(

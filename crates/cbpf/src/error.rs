@@ -509,7 +509,10 @@ impl fmt::Display for WireError {
             WireError::Truncated => write!(f, "artifact truncated"),
             WireError::ChecksumMismatch => write!(f, "artifact checksum mismatch"),
             WireError::DigestMismatch => {
-                write!(f, "verification-context digest mismatch (wrong hook or tampered payload)")
+                write!(
+                    f,
+                    "verification-context digest mismatch (wrong hook or tampered payload)"
+                )
             }
             WireError::Malformed(what) => write!(f, "malformed artifact: {what}"),
             WireError::Decode(e) => write!(f, "artifact instruction stream: {e}"),

@@ -69,10 +69,11 @@ pub mod wire;
 
 pub use ctx::{CtxLayout, FieldAccess, FieldDef};
 pub use dsl::compile as compile_dsl;
+pub use error::MapError;
+pub use error::WireError;
 pub use error::{AsmError, FaultKind, RunError, VerifyError};
 pub use fault::{FaultInjector, FaultPlan};
 pub use helpers::{FixedEnv, HelperId, PolicyEnv};
-pub use error::MapError;
 pub use insn::{AluOp, Insn, JmpOp, MemSize, Operand, Reg};
 pub use interp::run_program;
 pub use jit::JitProgram;
@@ -80,5 +81,4 @@ pub use map::{Map, MapDef, MapKind, MAX_MAP_ENTRIES};
 pub use prepare::{ExecTier, PreparedProgram};
 pub use program::{Program, ProgramBuilder};
 pub use store::{ObjectStore, VerifiedProgram};
-pub use error::WireError;
 pub use verifier::verify;

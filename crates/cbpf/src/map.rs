@@ -700,7 +700,10 @@ mod tests {
     #[test]
     fn size_mismatches_rejected() {
         let m = hash_map();
-        assert_eq!(m.update(&[0; 3], &[0; 8], 0), Err(MapError::KeySizeMismatch));
+        assert_eq!(
+            m.update(&[0; 3], &[0; 8], 0),
+            Err(MapError::KeySizeMismatch)
+        );
         assert_eq!(
             m.update(&[0; 4], &[0; 7], 0),
             Err(MapError::ValueSizeMismatch)
@@ -832,7 +835,8 @@ mod tests {
             max_entries: 1024,
         });
         for i in 0..1024u64 {
-            m.update(&i.to_le_bytes(), &(i * 3).to_le_bytes(), 0).unwrap();
+            m.update(&i.to_le_bytes(), &(i * 3).to_le_bytes(), 0)
+                .unwrap();
         }
         assert_eq!(m.len(), 1024);
         for i in (0..1024u64).step_by(2) {

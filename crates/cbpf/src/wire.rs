@@ -356,8 +356,7 @@ pub fn open(
     }
     let mut defs = Vec::with_capacity(map_count as usize);
     for _ in 0..map_count {
-        let kind =
-            map_kind_from(r.take(1)?[0]).ok_or(WireError::Malformed("unknown map kind"))?;
+        let kind = map_kind_from(r.take(1)?[0]).ok_or(WireError::Malformed("unknown map kind"))?;
         let key_size = r.u32()? as usize;
         let value_size = r.u32()? as usize;
         let max_entries = r.u32()? as usize;

@@ -71,7 +71,7 @@ use std::io::{BufRead, Write};
 use std::sync::Arc;
 
 use cbpf::store::VerifiedProgram;
-use concord::fleet::{Delta, DeliverOutcome, HostState, PolicyStore, StoreError};
+use concord::fleet::{DeliverOutcome, Delta, HostState, PolicyStore, StoreError};
 use concord::hookctx;
 use concord::profiler::Profiler;
 use concord::rollout::{
@@ -435,8 +435,7 @@ impl Ctl {
                     .clone();
                 self.next_generation += 1;
                 let generation = self.next_generation;
-                let plan =
-                    RolloutPlan::staged(generation, policy_name, loaded.hook, &locks, &[50]);
+                let plan = RolloutPlan::staged(generation, policy_name, loaded.hook, &locks, &[50]);
                 let sizes: Vec<usize> = plan.waves.iter().map(Vec::len).collect();
                 println!(
                     "  rollout gen={generation} policy={policy_name} hook={} wave sizes {sizes:?}",
@@ -446,8 +445,7 @@ impl Ctl {
                 let outcome = {
                     let target = RealTarget::new(&self.concord, loaded, BreakerConfig::default());
                     let breakers = target.breakers();
-                    let mut health =
-                        MetricsHealth::new(HealthConfig::default(), target.breakers());
+                    let mut health = MetricsHealth::new(HealthConfig::default(), target.breakers());
                     let outcome =
                         Rollout::start(plan, &log, &target, &mut health, &ChaosInjector::inert());
                     self.rollout = Some(CtlRollout {
@@ -676,10 +674,9 @@ impl Ctl {
                     &loaded.prog,
                     &hookctx::rules_for(loaded.hook),
                 ));
-                let fleet = self
-                    .fleet
-                    .as_mut()
-                    .ok_or_else(|| CtlError::Fleet("no fleet session (use `fleet start`)".into()))?;
+                let fleet = self.fleet.as_mut().ok_or_else(|| {
+                    CtlError::Fleet("no fleet session (use `fleet start`)".into())
+                })?;
                 let policy_id = match fleet.policy_ids.get(policy_name) {
                     Some(id) => *id,
                     None => {
@@ -705,12 +702,16 @@ impl Ctl {
                 Ok(())
             }
             Some("status") => {
-                let fleet = self
-                    .fleet
-                    .as_ref()
-                    .ok_or_else(|| CtlError::Fleet("no fleet session (use `fleet start`)".into()))?;
+                let fleet = self.fleet.as_ref().ok_or_else(|| {
+                    CtlError::Fleet("no fleet session (use `fleet start`)".into())
+                })?;
                 let head = fleet.store.head();
-                let min = fleet.hosts.iter().map(|h| h.served.version).min().unwrap_or(0);
+                let min = fleet
+                    .hosts
+                    .iter()
+                    .map(|h| h.served.version)
+                    .min()
+                    .unwrap_or(0);
                 println!(
                     "  head v{head}  publishes {}  cas-conflicts {}  lag {} version(s)",
                     fleet.store.publishes(),
@@ -726,22 +727,29 @@ impl Ctl {
                     "  {} host(s), {} behind head{}",
                     fleet.hosts.len(),
                     behind,
-                    if behind > 0 { " (run `fleet reconcile`)" } else { "" }
+                    if behind > 0 {
+                        " (run `fleet reconcile`)"
+                    } else {
+                        ""
+                    }
                 );
                 Ok(())
             }
             Some("hosts") => {
-                let fleet = self
-                    .fleet
-                    .as_ref()
-                    .ok_or_else(|| CtlError::Fleet("no fleet session (use `fleet start`)".into()))?;
+                let fleet = self.fleet.as_ref().ok_or_else(|| {
+                    CtlError::Fleet("no fleet session (use `fleet start`)".into())
+                })?;
                 let head = fleet.store.head();
                 for h in &fleet.hosts {
                     println!(
                         "  host{:<3} serving v{:<4} {:<8} applies {:<4} dedup-drops {}",
                         h.id,
                         h.served.version,
-                        if h.served.version == head { "current" } else { "behind" },
+                        if h.served.version == head {
+                            "current"
+                        } else {
+                            "behind"
+                        },
                         h.apply_log.len(),
                         h.dedup_drops
                     );
@@ -749,10 +757,9 @@ impl Ctl {
                 Ok(())
             }
             Some("reconcile") => {
-                let fleet = self
-                    .fleet
-                    .as_mut()
-                    .ok_or_else(|| CtlError::Fleet("no fleet session (use `fleet start`)".into()))?;
+                let fleet = self.fleet.as_mut().ok_or_else(|| {
+                    CtlError::Fleet("no fleet session (use `fleet start`)".into())
+                })?;
                 let head = fleet.store.head();
                 let snap = fleet.store.head_snapshot();
                 let mut applied = 0usize;
@@ -785,8 +792,8 @@ impl Ctl {
              policy load <name> <hook> <artifact>";
         match rest {
             ["compile", hook, src, out] => {
-                let kind = hook_by_name(hook)
-                    .ok_or_else(|| CtlError::UnknownHook((*hook).to_string()))?;
+                let kind =
+                    hook_by_name(hook).ok_or_else(|| CtlError::UnknownHook((*hook).to_string()))?;
                 let text = std::fs::read_to_string(src)
                     .map_err(|e| CtlError::Io(format!("read {src}: {e}")))?;
                 let name = std::path::Path::new(src)
@@ -815,10 +822,10 @@ impl Ctl {
                 Ok(())
             }
             ["load", name, hook, file] => {
-                let kind = hook_by_name(hook)
-                    .ok_or_else(|| CtlError::UnknownHook((*hook).to_string()))?;
-                let bytes = std::fs::read(file)
-                    .map_err(|e| CtlError::Io(format!("read {file}: {e}")))?;
+                let kind =
+                    hook_by_name(hook).ok_or_else(|| CtlError::UnknownHook((*hook).to_string()))?;
+                let bytes =
+                    std::fs::read(file).map_err(|e| CtlError::Io(format!("read {file}: {e}")))?;
                 let opened =
                     cbpf::wire::open(&bytes, hookctx::layout_for(kind), &hookctx::rules_for(kind))
                         .map_err(CtlError::Wire)?;
@@ -1028,8 +1035,7 @@ impl Ctl {
                     match *tok {
                         "--since" => {
                             let v = it.next().ok_or("--since needs <ns>")?;
-                            filter.since_ns =
-                                Some(v.parse().map_err(|e| format!("--since: {e}"))?);
+                            filter.since_ns = Some(v.parse().map_err(|e| format!("--since: {e}"))?);
                         }
                         "--lock" => {
                             let v = it.next().ok_or("--lock needs <name|id>")?;
@@ -1044,7 +1050,9 @@ impl Ctl {
                         }
                         tok => {
                             n = tok.parse().map_err(|_| {
-                                format!("unexpected `{tok}` (want a count or --since/--lock/--event)")
+                                format!(
+                                    "unexpected `{tok}` (want a count or --since/--lock/--event)"
+                                )
                             })?;
                         }
                     }
@@ -1161,8 +1169,8 @@ impl Ctl {
                 Ok(())
             }
             [file] => {
-                let bytes = std::fs::read(file)
-                    .map_err(|e| CtlError::Io(format!("read {file}: {e}")))?;
+                let bytes =
+                    std::fs::read(file).map_err(|e| CtlError::Io(format!("read {file}: {e}")))?;
                 let events = telemetry::analyze::read_trace(&bytes)
                     .map_err(|e| CtlError::Analyze(format!("{file}: {e}")))?;
                 let report = telemetry::analyze::analyze(&events, self.analyze_cfg());
@@ -1187,8 +1195,7 @@ impl Ctl {
         let mut any = false;
         for l in r.locks.values() {
             // One ranked table per lock; keys are the union of both sides.
-            let mut keys: Vec<&(u64, String)> =
-                l.caused.keys().chain(l.suffered.keys()).collect();
+            let mut keys: Vec<&(u64, String)> = l.caused.keys().chain(l.suffered.keys()).collect();
             keys.sort();
             keys.dedup();
             let mut rows: Vec<(&(u64, String), u64, u64)> = keys
@@ -1319,9 +1326,9 @@ impl Ctl {
 /// Renders a stepwise rollout outcome.
 fn print_wave_outcome(out: &WaveOutcome) {
     match out {
-        WaveOutcome::WaveHealthy { wave, remaining } => println!(
-            "  wave {wave} healthy ({remaining} remaining; `rollout promote` to continue)"
-        ),
+        WaveOutcome::WaveHealthy { wave, remaining } => {
+            println!("  wave {wave} healthy ({remaining} remaining; `rollout promote` to continue)")
+        }
         WaveOutcome::Committed => println!("  rollout committed"),
         WaveOutcome::Aborted(reason) => println!("  rollout aborted: {reason}"),
     }

@@ -432,7 +432,10 @@ mod tests {
         b.record_ok(); // Run broken: counter resets.
         assert!(!b.record_fault(FaultKind::Budget, 30));
         assert!(!b.record_fault(FaultKind::Budget, 40));
-        assert!(b.record_fault(FaultKind::Budget, 50), "third in a row trips");
+        assert!(
+            b.record_fault(FaultKind::Budget, 50),
+            "third in a row trips"
+        );
         assert_eq!(b.state(), BreakerState::Open);
         assert!(!b.allow(60), "no cooldown: stays open");
         assert!(b.wants_quarantine());

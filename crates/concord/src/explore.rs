@@ -73,13 +73,21 @@ const STEAL_STARVATION_BOUND_NS: u64 = 250_000;
 #[derive(Clone, Debug, PartialEq)]
 pub enum Violation {
     /// Two owners inside one critical section.
-    Mutex { lock: u64, holder: u32, intruder: u32 },
+    Mutex {
+        lock: u64,
+        holder: u32,
+        intruder: u32,
+    },
     /// The lock-order graph acquired a cycle (lockdep-style).
     LockOrder { first: u64, then: u64 },
     /// Tasks still suspended when the event heap drained.
     Deadlock { stuck: usize },
     /// A single wait exceeded the fixture's starvation bound.
-    Starvation { task: u32, wait_ns: u64, bound_ns: u64 },
+    Starvation {
+        task: u32,
+        wait_ns: u64,
+        bound_ns: u64,
+    },
     /// A Table 1 hazard class fired against the baseline window.
     Hazard { class: &'static str, detail: String },
 }
@@ -697,9 +705,7 @@ impl StrategySpec {
                 *change_points,
                 4_096,
             ))),
-            StrategySpec::Policy { src } => {
-                Ok(Box::new(PolicySchedStrategy::compile(src, seed)?))
-            }
+            StrategySpec::Policy { src } => Ok(Box::new(PolicySchedStrategy::compile(src, seed)?)),
             StrategySpec::Replay(injections) => Ok(Box::new(ReplayStrategy::new(injections))),
         }
     }
@@ -1038,14 +1044,9 @@ fn shrink(
     let attempts = Cell::new(0u32);
     let replay = |inj: &[Injection]| -> RunOutcome {
         attempts.set(attempts.get() + 1);
-        fixture.run(
-            seed,
-            Some(Box::new(ReplayStrategy::new(inj))),
-            baseline,
-        )
+        fixture.run(seed, Some(Box::new(ReplayStrategy::new(inj))), baseline)
     };
-    let reproduces =
-        |out: &RunOutcome| out.violation.as_ref().map(Violation::kind) == Some(kind);
+    let reproduces = |out: &RunOutcome| out.violation.as_ref().map(Violation::kind) == Some(kind);
 
     // The recorded injections must reproduce under replay before shrinking
     // means anything.
@@ -1164,7 +1165,10 @@ impl Repro {
                 SchedAction::Preempt(ns) => ("preempt", ns),
                 SchedAction::Proceed => continue,
             };
-            s.push_str(&format!("inj {} {} {} {}\n", inj.task, inj.task_seq, verb, ns));
+            s.push_str(&format!(
+                "inj {} {} {} {}\n",
+                inj.task, inj.task_seq, verb, ns
+            ));
         }
         s
     }

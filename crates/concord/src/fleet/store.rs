@@ -238,7 +238,10 @@ impl std::fmt::Display for StoreError {
                 write!(f, "stale head: expected {expected}, store is at {current}")
             }
             StoreError::MissingArtifact(p) => {
-                write!(f, "binding references policy {p} but no artifact is published")
+                write!(
+                    f,
+                    "binding references policy {p} but no artifact is published"
+                )
             }
         }
     }

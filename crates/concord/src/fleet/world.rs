@@ -314,8 +314,7 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                 if done.get() {
                     return;
                 }
-                let delta =
-                    Delta::bind_all(&tenants, 1000 + v, Arc::clone(&cfg2.artifact));
+                let delta = Delta::bind_all(&tenants, 1000 + v, Arc::clone(&cfg2.artifact));
                 let committed = store.publish(&delta).expect("writer delta is well-formed");
                 publish_times.borrow_mut().insert(committed, t.now());
             }
@@ -372,9 +371,7 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                             telemetry::metrics()
                                 .counter("c3_fleet_dedup_drops_total")
                                 .inc();
-                        } else if let Some(t0) =
-                            publish_times.borrow().get(&version).copied()
-                        {
+                        } else if let Some(t0) = publish_times.borrow().get(&version).copied() {
                             propagation.borrow_mut().push(now.saturating_sub(t0));
                         }
                         if telemetry::armed() {
@@ -389,10 +386,15 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                             );
                         }
                         let served = host.borrow().served.version;
-                        net.send(now, ep, 0, FleetMsg::Ack {
-                            host: i,
-                            version: served,
-                        });
+                        net.send(
+                            now,
+                            ep,
+                            0,
+                            FleetMsg::Ack {
+                                host: i,
+                                version: served,
+                            },
+                        );
                     }
                 }
                 // Host-side lease view: silence from the daemon longer
@@ -508,7 +510,9 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                     last_hb = vec![now; n];
                     for d in degraded.iter_mut() {
                         if *d {
-                            telemetry::metrics().gauge("c3_fleet_degraded_hosts").add(-1);
+                            telemetry::metrics()
+                                .gauge("c3_fleet_degraded_hosts")
+                                .add(-1);
                         }
                         *d = false;
                     }
@@ -566,10 +570,15 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                     }
                     let snapshot = store.head_snapshot();
                     for h in 0..n {
-                        net.send(now, 0, h + 1, FleetMsg::Publish {
-                            version: head,
-                            snapshot: Arc::clone(&snapshot),
-                        });
+                        net.send(
+                            now,
+                            0,
+                            h + 1,
+                            FleetMsg::Publish {
+                                version: head,
+                                snapshot: Arc::clone(&snapshot),
+                            },
+                        );
                         next_send[h] = now + backoff[h].next_delay();
                     }
                     broadcast_head = head;
@@ -577,10 +586,15 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                 // Retransmit to laggards whose backoff window elapsed.
                 for h in 0..n {
                     if acked[h] < broadcast_head && now >= next_send[h] {
-                        net.send(now, 0, h + 1, FleetMsg::Publish {
-                            version: broadcast_head,
-                            snapshot: store.head_snapshot(),
-                        });
+                        net.send(
+                            now,
+                            0,
+                            h + 1,
+                            FleetMsg::Publish {
+                                version: broadcast_head,
+                                snapshot: store.head_snapshot(),
+                            },
+                        );
                         counters.borrow_mut().retries += 1;
                         telemetry::metrics().counter("c3_fleet_retries_total").inc();
                         next_send[h] = now + backoff[h].next_delay();
@@ -619,8 +633,7 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                 // One step boundary per sweep that does work.
                 if now.saturating_sub(last_reconcile) >= cfg2.reconcile_ns {
                     last_reconcile = now;
-                    let behind: Vec<usize> =
-                        (0..n).filter(|h| acked[*h] < head).collect();
+                    let behind: Vec<usize> = (0..n).filter(|h| acked[*h] < head).collect();
                     if !behind.is_empty() {
                         if chaos.barrier().is_err() {
                             crashing = true;
@@ -628,10 +641,15 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                         }
                         let snapshot = store.head_snapshot();
                         for h in behind {
-                            net.send(now, 0, h + 1, FleetMsg::Publish {
-                                version: head,
-                                snapshot: Arc::clone(&snapshot),
-                            });
+                            net.send(
+                                now,
+                                0,
+                                h + 1,
+                                FleetMsg::Publish {
+                                    version: head,
+                                    snapshot: Arc::clone(&snapshot),
+                                },
+                            );
                             counters.borrow_mut().reconciles += 1;
                             telemetry::metrics()
                                 .counter("c3_fleet_reconciles_total")

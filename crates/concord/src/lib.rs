@@ -64,12 +64,12 @@ pub mod watchdog;
 mod workflow;
 
 pub use compose::{Combinator, ComposeError};
+pub use containment::{
+    Breaker, BreakerConfig, BreakerState, ContainedPolicy, QuarantineRecord, BREAKER_CHECK_NS,
+};
 pub use explore::{
     explore, ExploreConfig, ExploreError, ExploreReport, Fixture, Monitor, PolicySchedStrategy,
     Repro, RunOutcome, StrategySpec, Violation, ZooLock,
-};
-pub use containment::{
-    Breaker, BreakerConfig, BreakerState, ContainedPolicy, QuarantineRecord, BREAKER_CHECK_NS,
 };
 pub use policy::{BytecodePolicy, SimBytecodePolicy, HOOK_CALL_NS, NS_PER_INSN, TRAMPOLINE_NS};
 pub use registry::{LockClass, LockHandle, LockRegistry};

@@ -299,7 +299,11 @@ impl Profiler {
             let Some(l) = analysis.locks.values().find(|l| &l.name == name) else {
                 continue;
             };
-            let fidelity = if analysis.exact() { "exact" } else { "lower-bound" };
+            let fidelity = if analysis.exact() {
+                "exact"
+            } else {
+                "lower-bound"
+            };
             match l
                 .caused
                 .iter()

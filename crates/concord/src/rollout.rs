@@ -814,8 +814,10 @@ impl RolloutTarget for RealTarget<'_> {
     fn apply_locks(&self, generation: u64, locks: &[String]) -> Result<(), String> {
         let prefix = format!("rollout-g{generation}:");
         let staged: RefCell<Vec<(String, Arc<Breaker>)>> = RefCell::new(Vec::new());
-        let result = self.concord.patch_manager().apply_transaction(
-            locks.iter().map(|lock| {
+        let result = self
+            .concord
+            .patch_manager()
+            .apply_transaction(locks.iter().map(|lock| {
                 let breaker = Arc::new(Breaker::new(self.breaker_cfg));
                 breaker.set_tag(
                     telemetry::event::fnv64(lock),
@@ -836,8 +838,7 @@ impl RolloutTarget for RealTarget<'_> {
                 )?;
                 staged.borrow_mut().push((lock.clone(), breaker));
                 Ok::<_, crate::workflow::ConcordError>(patch)
-            }),
-        );
+            }));
         match result {
             Ok(_handles) => {
                 let mut map = self.breakers.lock();
@@ -1004,7 +1005,9 @@ impl Rollout {
         if plan.total_locks() == 0 {
             return Err(RolloutError::BadState("plan has no locks".into()));
         }
-        telemetry::metrics().counter("c3_rollout_started_total").inc();
+        telemetry::metrics()
+            .counter("c3_rollout_started_total")
+            .inc();
         chaos.barrier()?;
         log.append(Intent::PlanStart {
             generation: plan.generation,
@@ -1151,11 +1154,15 @@ impl Rollout {
             }
             log.append(Intent::Committed);
             chaos.barrier()?;
-            telemetry::metrics().counter("c3_rollout_commits_total").inc();
+            telemetry::metrics()
+                .counter("c3_rollout_commits_total")
+                .inc();
             Ok(RecoverOutcome::RolledForward)
         } else {
             if view.abort_reason.is_none() {
-                telemetry::metrics().counter("c3_rollout_aborts_total").inc();
+                telemetry::metrics()
+                    .counter("c3_rollout_aborts_total")
+                    .inc();
                 log.append(Intent::AbortIntent {
                     reason: "crash recovery rollback".into(),
                 });
@@ -1281,7 +1288,9 @@ impl Rollout {
         }
         log.append(Intent::Committed);
         chaos.barrier()?;
-        telemetry::metrics().counter("c3_rollout_commits_total").inc();
+        telemetry::metrics()
+            .counter("c3_rollout_commits_total")
+            .inc();
         Ok(WaveOutcome::Committed)
     }
 
@@ -1291,7 +1300,9 @@ impl Rollout {
         target: &T,
         chaos: &ChaosInjector,
     ) -> Result<(), RolloutError> {
-        telemetry::metrics().counter("c3_rollout_aborts_total").inc();
+        telemetry::metrics()
+            .counter("c3_rollout_aborts_total")
+            .inc();
         log.append(Intent::AbortIntent { reason });
         chaos.barrier()?;
         let plan = log
@@ -1387,7 +1398,11 @@ impl fmt::Display for RolloutStatus {
                 self.records,
                 self.state
             ),
-            None => write!(f, "no rollout (records={}) state: {}", self.records, self.state),
+            None => write!(
+                f,
+                "no rollout (records={}) state: {}",
+                self.records, self.state
+            ),
         }
     }
 }
@@ -1589,8 +1604,14 @@ mod tests {
             HealthVerdict::Green,
             HealthVerdict::Red("bad p99".into()),
         ]);
-        let outcome = Rollout::run(plan_over(&target, &[30]), &log, &target, &mut health, &chaos)
-            .unwrap();
+        let outcome = Rollout::run(
+            plan_over(&target, &[30]),
+            &log,
+            &target,
+            &mut health,
+            &chaos,
+        )
+        .unwrap();
         assert_eq!(outcome, RolloutOutcome::Aborted("bad p99".into()));
         assert!(target.applied.borrow().is_empty(), "all waves rolled back");
         let records = log.records();
@@ -1643,7 +1664,13 @@ mod tests {
             &chaos,
         )
         .unwrap();
-        assert_eq!(out, WaveOutcome::WaveHealthy { wave: 0, remaining: 2 });
+        assert_eq!(
+            out,
+            WaveOutcome::WaveHealthy {
+                wave: 0,
+                remaining: 2
+            }
+        );
         assert_eq!(target.applied.borrow().len(), 1, "canary only");
         // A second start on the same log is refused.
         assert!(matches!(
@@ -1657,7 +1684,13 @@ mod tests {
             Err(RolloutError::BadState(_))
         ));
         let out = Rollout::promote(&log, &target, &mut AlwaysGreen, &chaos).unwrap();
-        assert_eq!(out, WaveOutcome::WaveHealthy { wave: 1, remaining: 1 });
+        assert_eq!(
+            out,
+            WaveOutcome::WaveHealthy {
+                wave: 1,
+                remaining: 1
+            }
+        );
         assert_eq!(target.applied.borrow().len(), 5);
         let aborted = Rollout::abort("operator said no", &log, &target, &chaos).unwrap();
         assert_eq!(

@@ -364,7 +364,10 @@ mod tests {
         let wait = filled(&[100, 110, 120, 130]);
         let hold = filled(&[50, 50, 60, 60]);
         let base = WindowStats::from_hists(&wait, &hold);
-        assert!(detect(&base, &base, &cfg).is_none(), "self vs self is clean");
+        assert!(
+            detect(&base, &base, &cfg).is_none(),
+            "self vs self is clean"
+        );
 
         // Critical-section growth: hold times balloon.
         let cur = WindowStats::from_hists(&wait, &filled(&[500, 500, 600, 600]));

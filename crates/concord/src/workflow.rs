@@ -324,10 +324,7 @@ impl Concord {
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<(AttachHandle, Arc<Breaker>), ConcordError> {
         let breaker = Arc::new(Breaker::new(cfg));
-        breaker.set_tag(
-            telemetry::event::fnv64(lock),
-            u64::from(policy.hook.bit()),
-        );
+        breaker.set_tag(telemetry::event::fnv64(lock), u64::from(policy.hook.bit()));
         let bytecode = BytecodePolicy::contained(
             policy.prog.clone(),
             policy.hook,

@@ -982,9 +982,15 @@ mod tests {
         });
         let first = sim.run_until(450);
         // t=500 is past the deadline: it is queued, not delivered.
-        assert_eq!((first.final_time_ns, first.events, first.in_place), (400, 5, 4));
+        assert_eq!(
+            (first.final_time_ns, first.events, first.in_place),
+            (400, 5, 4)
+        );
         let stats = sim.run();
-        assert_eq!((stats.final_time_ns, stats.events, stats.in_place), (1_000, 11, 9));
+        assert_eq!(
+            (stats.final_time_ns, stats.events, stats.in_place),
+            (1_000, 11, 9)
+        );
         assert_eq!(stats.tasks_completed, 1);
     }
 
@@ -1015,7 +1021,10 @@ mod tests {
         });
         let stats = sim.run();
         assert_eq!(stats.stuck_tasks, vec![TaskId(0)]);
-        assert!(weak.upgrade().is_some(), "the stuck future owns its captures");
+        assert!(
+            weak.upgrade().is_some(),
+            "the stuck future owns its captures"
+        );
         sim.teardown();
         assert!(weak.upgrade().is_none());
         // Still reported, and running on is harmless.

@@ -410,8 +410,22 @@ mod tests {
         let log = c.injections();
         assert_eq!(log.len(), 2);
         // Tasks 0 and 1 alternate, so each fired once at its ordinal 0.
-        assert_eq!(log[0], Injection { task: 0, task_seq: 0, action: SchedAction::Delay(10) });
-        assert_eq!(log[1], Injection { task: 0, task_seq: 1, action: SchedAction::Delay(10) });
+        assert_eq!(
+            log[0],
+            Injection {
+                task: 0,
+                task_seq: 0,
+                action: SchedAction::Delay(10)
+            }
+        );
+        assert_eq!(
+            log[1],
+            Injection {
+                task: 0,
+                task_seq: 1,
+                action: SchedAction::Delay(10)
+            }
+        );
     }
 
     #[test]
@@ -431,7 +445,9 @@ mod tests {
     fn random_strategy_is_seed_deterministic() {
         let run = |seed| {
             let mut s = RandomDelayStrategy::new(seed, 300, 5_000);
-            (0..64).map(|i| s.decide(&point(i, 0, i))).collect::<Vec<_>>()
+            (0..64)
+                .map(|i| s.decide(&point(i, 0, i)))
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(9), run(9));
         assert_ne!(run(9), run(10));

@@ -513,9 +513,7 @@ mod tests {
         p1.swap(&a, 1, 0);
         let mut p2 = Patch::new("t2");
         p2.swap(&b, 2, 0);
-        let handles = mgr
-            .apply_transaction::<()>(vec![Ok(p1), Ok(p2)])
-            .unwrap();
+        let handles = mgr.apply_transaction::<()>(vec![Ok(p1), Ok(p2)]).unwrap();
         assert_eq!(handles.len(), 2);
         assert_eq!(*a.get(), 1);
         assert_eq!(*b.get(), 2);

@@ -102,7 +102,10 @@ fn transactions_race_dispatch_untorn_and_monotonic() {
                 // so the generation schedule below stays exact.)
                 for h in handles.iter().rev() {
                     let reapplied = mgr.revert_transaction(*h).unwrap();
-                    assert!(reapplied.is_empty(), "top-down pull re-applied {reapplied:?}");
+                    assert!(
+                        reapplied.is_empty(),
+                        "top-down pull re-applied {reapplied:?}"
+                    );
                 }
             }
             Err(msg) => {

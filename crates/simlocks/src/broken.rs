@@ -206,7 +206,11 @@ mod tests {
             });
         }
         let stats = sim.run();
-        assert!(stats.stuck_tasks.is_empty(), "stuck: {:?}", stats.stuck_tasks);
+        assert!(
+            stats.stuck_tasks.is_empty(),
+            "stuck: {:?}",
+            stats.stuck_tasks
+        );
     }
 
     #[test]
@@ -225,7 +229,11 @@ mod tests {
             });
         }
         let stats = sim.run();
-        assert!(stats.stuck_tasks.is_empty(), "stuck: {:?}", stats.stuck_tasks);
+        assert!(
+            stats.stuck_tasks.is_empty(),
+            "stuck: {:?}",
+            stats.stuck_tasks
+        );
     }
 
     #[test]
@@ -247,6 +255,10 @@ mod tests {
             });
         }
         let stats = sim.run();
-        assert!(stats.stuck_tasks.is_empty(), "stuck: {:?}", stats.stuck_tasks);
+        assert!(
+            stats.stuck_tasks.is_empty(),
+            "stuck: {:?}",
+            stats.stuck_tasks
+        );
     }
 }

@@ -122,7 +122,9 @@ impl EventKind {
     /// Inverse of [`EventKind::name`], for CLI filters
     /// (`c3ctl trace tail --event <name>`).
     pub fn from_name(s: &str) -> Option<EventKind> {
-        (1..=20).filter_map(EventKind::from_u16).find(|k| k.name() == s)
+        (1..=20)
+            .filter_map(EventKind::from_u16)
+            .find(|k| k.name() == s)
     }
 
     /// Stable lowercase name, used by exporters and `c3ctl trace`.
@@ -204,9 +206,8 @@ impl TraceEvent {
 
     /// Encode to the nine-word wire form the ring slots store.
     pub fn to_words(&self) -> [u64; EVENT_WORDS] {
-        let meta = u64::from(self.kind as u16)
-            | (u64::from(self.cpu) << 16)
-            | (u64::from(self.len) << 32);
+        let meta =
+            u64::from(self.kind as u16) | (u64::from(self.cpu) << 16) | (u64::from(self.len) << 32);
         [
             self.seq,
             self.ts_ns,

@@ -136,7 +136,9 @@ pub fn dropped() -> u64 {
 /// ([`Counter::raise_to`]), so calling this from several control-plane
 /// paths is safe.
 pub fn sync_dropped_counter() {
-    metrics().counter("c3_trace_dropped_total").raise_to(dropped());
+    metrics()
+        .counter("c3_trace_dropped_total")
+        .raise_to(dropped());
 }
 
 #[cfg(test)]
@@ -147,6 +149,8 @@ mod tests {
     fn disarmed_emit_is_a_noop() {
         set_armed(false);
         emit(EventKind::LockAcquire, 1, 0, 42, 0, 0, 0);
-        assert!(drain().iter().all(|e| e.a != 42 || e.kind != EventKind::LockAcquire));
+        assert!(drain()
+            .iter()
+            .all(|e| e.a != 42 || e.kind != EventKind::LockAcquire));
     }
 }

@@ -9,8 +9,8 @@
 //!   `drained + dropped == emitted`, exactly;
 //! * `TraceEvent -> binary -> decode -> chrome JSON` round-trips.
 
-use proptest::prelude::*;
 use proptest::collection::vec;
+use proptest::prelude::*;
 use proptest::test_runner::ProptestConfig;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

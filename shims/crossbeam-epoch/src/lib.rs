@@ -498,7 +498,12 @@ impl<T> Atomic<T> {
     }
 
     /// Atomically replaces the pointer, returning the previous one.
-    pub fn swap<'g, P: Pointer<T>>(&self, new: P, ord: Ordering, _guard: &'g Guard) -> Shared<'g, T> {
+    pub fn swap<'g, P: Pointer<T>>(
+        &self,
+        new: P,
+        ord: Ordering,
+        _guard: &'g Guard,
+    ) -> Shared<'g, T> {
         let prev = self.ptr.swap(new.into_ptr() as *mut T, ord);
         Shared {
             ptr: prev,
@@ -522,12 +527,10 @@ impl<T> Atomic<T> {
         _guard: &'g Guard,
     ) -> Result<Shared<'g, T>, CompareExchangeError<'g, T, P>> {
         let new_ptr = new.as_ptr() as *mut T;
-        match self.ptr.compare_exchange(
-            current.as_raw() as *mut T,
-            new_ptr,
-            success,
-            failure,
-        ) {
+        match self
+            .ptr
+            .compare_exchange(current.as_raw() as *mut T, new_ptr, success, failure)
+        {
             Ok(_) => {
                 let _ = new.into_ptr();
                 Ok(Shared {
@@ -603,7 +606,11 @@ mod tests {
         let reader = pin();
         let old = slot.load(Ordering::Acquire, &reader);
         let writer = pin();
-        let prev = slot.swap(Owned::new(Counted(Arc::clone(&drops))), Ordering::AcqRel, &writer);
+        let prev = slot.swap(
+            Owned::new(Counted(Arc::clone(&drops))),
+            Ordering::AcqRel,
+            &writer,
+        );
         unsafe { writer.defer_destroy(prev) };
         drop(writer);
         // The reader's pin predates the deferral: nothing freed, however
@@ -632,7 +639,11 @@ mod tests {
         let old = slot.load(Ordering::Acquire, &outer);
         {
             let inner = pin();
-            let prev = slot.swap(Owned::new(Counted(Arc::clone(&drops))), Ordering::AcqRel, &inner);
+            let prev = slot.swap(
+                Owned::new(Counted(Arc::clone(&drops))),
+                Ordering::AcqRel,
+                &inner,
+            );
             unsafe { inner.defer_destroy(prev) };
             // Dropping the inner guard must not unpin the thread.
         }
@@ -747,7 +758,13 @@ mod tests {
         // Failed CAS hands the Owned back (and drops it, not leaking).
         let stale = cur;
         assert!(slot
-            .compare_exchange(stale, Owned::new(3), Ordering::AcqRel, Ordering::Acquire, &g)
+            .compare_exchange(
+                stale,
+                Owned::new(3),
+                Ordering::AcqRel,
+                Ordering::Acquire,
+                &g
+            )
             .is_err());
         unsafe {
             g.defer_destroy(cur);

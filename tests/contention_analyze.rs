@@ -33,9 +33,7 @@ static TRACE_GUARD: Mutex<()> = Mutex::new(());
 
 /// Serializes armed-plane tests and starts from an empty, disarmed plane.
 fn trace_session() -> MutexGuard<'static, ()> {
-    let guard = TRACE_GUARD
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
+    let guard = TRACE_GUARD.lock().unwrap_or_else(PoisonError::into_inner);
     telemetry::set_armed(false);
     telemetry::drain();
     guard
@@ -127,7 +125,10 @@ fn ksim_fixed_seed_analysis_is_bit_identical() {
     let b = analyzed_sim_trace(7);
     let other = analyzed_sim_trace(8);
 
-    assert!(a.total_wait_ns() > 0, "fixed-seed scenario saw no contention");
+    assert!(
+        a.total_wait_ns() > 0,
+        "fixed-seed scenario saw no contention"
+    );
     assert_eq!(
         a.render(),
         b.render(),
@@ -201,16 +202,25 @@ fn real_lock_blame_respects_conservation() {
     cfg.lock_names.insert(lock_id, "traced".into());
     let r = analyze(&events, cfg);
 
-    let lr = r.locks.get(&lock_id).expect("traced lock absent from report");
+    let lr = r
+        .locks
+        .get(&lock_id)
+        .expect("traced lock absent from report");
     assert_eq!(lr.name, "traced");
-    assert!(lr.completed_waits > 0, "holder-sleeps produced no completed waits");
+    assert!(
+        lr.completed_waits > 0,
+        "holder-sleeps produced no completed waits"
+    );
     assert!(lr.wait_ns > 0, "completed waits measured zero time");
     // The law holds on wall-clock traces too — even if the ring dropped
     // records (this run's volume is timing-dependent), because the
     // partition fills unobserved time with the handoff row instead of
     // inventing or losing nanoseconds.
     assert!(r.conservation_holds(), "law violated:\n{}", r.render());
-    assert!(!r.chains.is_empty(), "contended waits produced no blocking chains");
+    assert!(
+        !r.chains.is_empty(),
+        "contended waits produced no blocking chains"
+    );
 
     // The flamegraph is the chains verbatim: its total width must equal
     // the total measured wait.

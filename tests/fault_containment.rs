@@ -79,7 +79,11 @@ fn chain_run(seed: u64) -> ChainOutcome {
     // for real locks.
     let quarantined_at = Rc::new(Cell::new(0u64));
     {
-        let (l, b, q) = (Rc::clone(&lock), Arc::clone(&breaker), Rc::clone(&quarantined_at));
+        let (l, b, q) = (
+            Rc::clone(&lock),
+            Arc::clone(&breaker),
+            Rc::clone(&quarantined_at),
+        );
         let concord = Concord::new();
         let registry_probe = concord; // Records quarantines; owned by the task.
         sim.spawn_on(CpuId(79), move |t| async move {

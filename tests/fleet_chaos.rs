@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use concord::fleet::{
-    fleet_sweep, run_fleet, seal_demo_artifact, Delta, DeliverOutcome, FleetConfig, FleetTarget,
+    fleet_sweep, run_fleet, seal_demo_artifact, DeliverOutcome, Delta, FleetConfig, FleetTarget,
     PolicyStore, RealFleetHost,
 };
 use concord::rollout::{
@@ -255,8 +255,14 @@ fn rollout_waves_drive_fleet_hosts() {
     let target = FleetTarget::new(Arc::clone(&store), fleet_hosts);
     let plan = RolloutPlan::staged(1, "fleet", HookKind::CmpNode, &names, &[25, 50]);
     let log = RolloutLog::new();
-    let outcome = Rollout::run(plan, &log, &target, &mut AlwaysGreen, &ChaosInjector::inert())
-        .expect("staged fleet rollout");
+    let outcome = Rollout::run(
+        plan,
+        &log,
+        &target,
+        &mut AlwaysGreen,
+        &ChaosInjector::inert(),
+    )
+    .expect("staged fleet rollout");
     assert_eq!(outcome, RolloutOutcome::Committed);
     let pinned = target.version_of(1).expect("generation pinned a version");
     assert_eq!(pinned, store.head());

@@ -198,7 +198,9 @@ fn rename_style_lock_chains_with_inheritance_policy() {
     let chain: Vec<Arc<ShflLock>> = (0..12)
         .map(|i| {
             let l = Arc::new(ShflLock::new());
-            concord.registry().register_shfl(&format!("vfs{i}"), Arc::clone(&l));
+            concord
+                .registry()
+                .register_shfl(&format!("vfs{i}"), Arc::clone(&l));
             l
         })
         .collect();

@@ -104,15 +104,14 @@ fn sim_scenario(plan: ChaosPlan, red_wave: Option<usize>) -> Result<SweepOutcome
                         // Soak: let the applied wave run under load before
                         // the next promotion.
                         t.advance(4_000).await;
-                        outcome =
-                            match Rollout::promote(&log, &*target, &mut health, &chaos) {
-                                Ok(o) => o,
-                                Err(RolloutError::Crashed(_)) => {
-                                    crashed.set(true);
-                                    return;
-                                }
-                                Err(e) => panic!("unexpected rollout error: {e}"),
-                            };
+                        outcome = match Rollout::promote(&log, &*target, &mut health, &chaos) {
+                            Ok(o) => o,
+                            Err(RolloutError::Crashed(_)) => {
+                                crashed.set(true);
+                                return;
+                            }
+                            Err(e) => panic!("unexpected rollout error: {e}"),
+                        };
                     }
                 }
             }
@@ -293,7 +292,11 @@ fn live_canary_fault_auto_aborts_and_restores() {
     // acquisition, with a fault injector that fails from the first
     // invocation on — the always-faulting canary.
     let loaded = concord
-        .load(PolicySpec::from_c("hot", HookKind::LockAcquire, "return 0;"))
+        .load(PolicySpec::from_c(
+            "hot",
+            HookKind::LockAcquire,
+            "return 0;",
+        ))
         .unwrap();
     let injector = Arc::new(FaultInjector::new(FaultPlan::from_invocation(
         1,
@@ -313,15 +316,16 @@ fn live_canary_fault_auto_aborts_and_restores() {
     // and reading the fault deltas out of the wave's breakers.
     let exercise_locks = locks.clone();
     let exercise_names = names.clone();
-    let mut health = MetricsHealth::new(HealthConfig::default(), target.breakers())
-        .with_exercise(move |_wave, wave_locks| {
+    let mut health = MetricsHealth::new(HealthConfig::default(), target.breakers()).with_exercise(
+        move |_wave, wave_locks| {
             for wl in wave_locks {
                 let ix = exercise_names.iter().position(|n| n == wl).unwrap();
                 for _ in 0..16 {
                     drop(exercise_locks[ix].lock());
                 }
             }
-        });
+        },
+    );
 
     let pre_patches = concord.live_patches();
     let log = RolloutLog::new();
@@ -342,10 +346,16 @@ fn live_canary_fault_auto_aborts_and_restores() {
     // locks dispatch normally.
     assert_eq!(target.applied_locks(9, &names), Vec::<String>::new());
     assert_eq!(concord.live_patches(), pre_patches);
-    assert_eq!(Rollout::status(&log).state, format!("aborted: {}", match outcome {
-        RolloutOutcome::Aborted(r) => r,
-        RolloutOutcome::Committed => unreachable!(),
-    }));
+    assert_eq!(
+        Rollout::status(&log).state,
+        format!(
+            "aborted: {}",
+            match outcome {
+                RolloutOutcome::Aborted(r) => r,
+                RolloutOutcome::Committed => unreachable!(),
+            }
+        )
+    );
     for l in &locks {
         drop(l.lock());
     }
@@ -378,8 +388,8 @@ fn healthy_rollout_under_load_commits() {
         max_breaker_trips: u64::MAX / 2,
         ..HealthConfig::default()
     };
-    let mut health = MetricsHealth::new(cfg, target.breakers())
-        .with_exercise(move |_wave, wave_locks| {
+    let mut health =
+        MetricsHealth::new(cfg, target.breakers()).with_exercise(move |_wave, wave_locks| {
             for wl in wave_locks {
                 let ix = exercise_names.iter().position(|n| n == wl).unwrap();
                 for _ in 0..16 {
@@ -472,7 +482,11 @@ fn crash_during_recovery_reconverges() {
     // (durable) log and world.
     let mut k = 0;
     loop {
-        match Rollout::recover(&baseline_log, &target, &ChaosInjector::new(ChaosPlan::crash_at(0, k))) {
+        match Rollout::recover(
+            &baseline_log,
+            &target,
+            &ChaosInjector::new(ChaosPlan::crash_at(0, k)),
+        ) {
             Err(RolloutError::Crashed(_)) => {
                 k += 1;
                 assert!(k < 200, "recovery never completes");

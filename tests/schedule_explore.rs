@@ -21,9 +21,9 @@ fn every_strategy_finds_every_planted_bug() {
     for fixture in Fixture::BROKEN {
         for strategy in STRATEGIES {
             let report = campaign(fixture, strategy);
-            let v = report.violation.unwrap_or_else(|| {
-                panic!("{} not caught under {strategy}", fixture.name())
-            });
+            let v = report
+                .violation
+                .unwrap_or_else(|| panic!("{} not caught under {strategy}", fixture.name()));
             let expected: &[&str] = match fixture {
                 // The lost-ticket race surfaces as double entry or as the
                 // second ticket-holder waiting forever.
