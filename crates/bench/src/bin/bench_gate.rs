@@ -17,8 +17,10 @@
 //!   context reads, a compare, a verdict; the program `PreparedProgram::run`
 //!   executes on every hook fire): the compiled tier must not be slower
 //!   than the prepared interpreter, compiled ÷ interpreter ≤
-//!   [`NUMA_CEILING`]. The cost of entering and leaving the compiled
-//!   tier with nothing to run (an exit-only program) is printed beside it.
+//!   [`NUMA_CEILING`]. Beside it, with no floor, the cost of entering and
+//!   leaving the compiled tier with next to nothing to run: an exit-only
+//!   program, which gets no frame, and a three-instruction one that
+//!   spills a context field to its frame, which gets a zeroed 512 bytes.
 //!
 //! Tiers are pinned with [`cbpf::ExecTier`]. The full statistics live in
 //! the criterion benches; this is a coarse gate so the wins can't
@@ -27,7 +29,8 @@
 //! Skip with `C3_BENCH_GATE=0` (e.g. on loaded shared builders where
 //! wall-clock ratios are noise).
 //!
-//! A last tripwire is on the DES and is a count, so it runs even then:
+//! One more tripwire, run first, is on the DES and is a count, so it runs
+//! even then:
 //! on the lock2/ShflNuma point at 80 threads, seed 42, at least
 //! [`IN_PLACE_FLOOR`] of all events must be delivered in place (`ksim`'s
 //! `SimStats::in_place`). The rows it prints beside that — ns per event
@@ -342,17 +345,29 @@ fn main() {
         cycling(&prepared, ExecTier::Jit, ctxs.clone(), &env),
     );
     let ratio = 1.0 / speedup;
+    // Entering and leaving the compiled tier with next to nothing to run,
+    // without a frame and with one: the second program spills a context
+    // field to its frame and reads it back, which the compiler keeps (a
+    // frame store nothing reads would be dropped, frame and all).
     let mut exit_only = ProgramBuilder::new("exit_only");
     exit_only.mov_imm(Reg::R0, 0);
     exit_only.exit();
     let exit_only = exit_only.build().unwrap().prepare(numa_layout);
-    let (_, entry, _) = alternating(
-        cycling(&exit_only, ExecTier::Interp, ctxs.clone(), &env),
-        cycling(&exit_only, ExecTier::Jit, ctxs, &env),
+    let mut framed = ProgramBuilder::new("exit_framed");
+    framed.load(MemSize::Dw, Reg::R2, Reg::R1, 0);
+    framed.store(MemSize::Dw, Reg::R10, -8, Reg::R2);
+    framed.load(MemSize::Dw, Reg::R0, Reg::R10, -8);
+    framed.exit();
+    let framed = framed.build().unwrap().prepare(numa_layout);
+    assert!(!exit_only.compile_jit().uses_frame() && framed.compile_jit().uses_frame());
+    let (entry, framed_entry, _) = alternating(
+        cycling(&exit_only, ExecTier::Jit, ctxs.clone(), &env),
+        cycling(&framed, ExecTier::Jit, ctxs, &env),
     );
     println!(
         "bench_gate: numa_policy prepared {interp:.1} ns/run, jit {jit:.1} ns/run, \
-         jit/prepared {ratio:.2} (ceiling {NUMA_CEILING}); exit-only entry {entry:.1} ns/run"
+         jit/prepared {ratio:.2} (ceiling {NUMA_CEILING}); exit-only entry {entry:.1} ns/run, \
+         with a frame {framed_entry:.1} ns/run"
     );
     if ratio > NUMA_CEILING {
         eprintln!(

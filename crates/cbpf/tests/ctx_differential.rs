@@ -19,6 +19,13 @@
 //! the one envelope in which the legacy interpreter and the prepared
 //! form are comparable at all: every register is written before it is
 //! read (legacy tracks initialization, the prepared form reads zero).
+//!
+//! The same file holds the compiled tier's other entry-time shortcut to
+//! the interpreters: a program none of whose compiled steps can reach the
+//! frame runs without one, and one program per kind of frame-reaching
+//! step shows that each kind keeps it.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -29,6 +36,7 @@ use cbpf::fault::{FaultInjector, FaultPlan};
 use cbpf::helpers::{FixedEnv, HelperId};
 use cbpf::insn::{AluOp, Insn, JmpOp, MemSize, Operand, Reg};
 use cbpf::interp::run_with_budget;
+use cbpf::map::{Map, MapDef, MapKind};
 use cbpf::program::Program;
 use cbpf::ExecTier;
 
@@ -535,4 +543,215 @@ fn a_jump_back_to_the_entry_forgets_the_entry_facts() {
     }
     let got = prepared.run(&mut [7u8; 8], &env, 64);
     assert_eq!(got, Err(cbpf::RunError::BadAccess { pc: 0, addr: 0 }));
+}
+
+/// A hash map with key 0 present, so a lookup of the all-zero key the
+/// prepared engines read from an unwritten frame hits.
+fn zero_key_map() -> Arc<Map> {
+    let map = Arc::new(Map::new(MapDef {
+        name: "m".into(),
+        kind: MapKind::Hash,
+        key_size: 4,
+        value_size: 8,
+        max_entries: 4,
+    }));
+    map.update(&0u32.to_le_bytes(), &5u64.to_le_bytes(), 0)
+        .unwrap();
+    map
+}
+
+fn call(helper: HelperId) -> Insn {
+    Insn::Call {
+        helper: helper as u32,
+    }
+}
+
+fn add(dst: Reg, imm: i32) -> Insn {
+    Insn::Alu {
+        wide: true,
+        op: AluOp::Add,
+        dst,
+        src: Operand::Imm(imm),
+    }
+}
+
+/// `ja +0`: the next instruction becomes a join point, where the compiler
+/// forgets every register but `r10`, so an address copied from `r10`
+/// before it is a run-time value after it.
+const JOIN: Insn = Insn::Ja { off: 0 };
+
+/// Programs whose one way to the frame is one kind of compiled step each,
+/// and whether they read only frame bytes they wrote (the legacy
+/// interpreter faults on an unwritten one, where the prepared engines
+/// read zero).
+fn frame_cases() -> Vec<(&'static str, Vec<Insn>, bool)> {
+    let ldmap = Insn::LdMapRef {
+        dst: Reg::R1,
+        map_id: 0,
+    };
+    let key = [mov(Reg(2), Operand::Reg(Reg::R10)), add(Reg(2), -4)];
+    let update_args = [
+        mov(Reg(3), Operand::Reg(Reg::R10)),
+        add(Reg(3), -16),
+        mov(Reg(4), Operand::Imm(0)),
+    ];
+    let exit0 = [mov(Reg::R0, Operand::Imm(0)), Insn::Exit];
+    let load = Insn::Load {
+        size: MemSize::Dw,
+        dst: Reg::R0,
+        base: Reg(2),
+        off: -8,
+    };
+    let store = Insn::Store {
+        size: MemSize::Dw,
+        base: Reg(2),
+        off: -8,
+        src: Operand::Imm(7),
+    };
+    let branch = Insn::Jmp {
+        op: JmpOp::Eq,
+        dst: Reg::R0,
+        src: Operand::Imm(0),
+        off: 1,
+    };
+    vec![
+        ("generic load", vec![key[0], JOIN, load, Insn::Exit], false),
+        (
+            "generic store",
+            [&[key[0], JOIN, store][..], &exit0].concat(),
+            true,
+        ),
+        (
+            "fast lookup",
+            [&[ldmap][..], &key, &[call(HelperId::MapLookup), Insn::Exit]].concat(),
+            false,
+        ),
+        (
+            "lookup and branch",
+            [
+                &[ldmap][..],
+                &key,
+                &[call(HelperId::MapLookup), branch],
+                &exit0,
+            ]
+            .concat(),
+            false,
+        ),
+        (
+            "generic lookup",
+            [
+                &[ldmap][..],
+                &key,
+                &[JOIN, call(HelperId::MapLookup), Insn::Exit],
+            ]
+            .concat(),
+            false,
+        ),
+        (
+            "fast update",
+            [
+                &[ldmap][..],
+                &key,
+                &update_args,
+                &[call(HelperId::MapUpdate), Insn::Exit],
+            ]
+            .concat(),
+            false,
+        ),
+        (
+            "generic update",
+            [
+                &[ldmap][..],
+                &key,
+                &update_args,
+                &[JOIN, call(HelperId::MapUpdate), Insn::Exit],
+            ]
+            .concat(),
+            false,
+        ),
+        (
+            "trace",
+            vec![
+                mov(Reg::R1, Operand::Reg(Reg::R10)),
+                add(Reg::R1, -8),
+                mov(Reg(2), Operand::Imm(8)),
+                call(HelperId::TracePrintk),
+                Insn::Exit,
+            ],
+            false,
+        ),
+        (
+            "frame read",
+            vec![
+                Insn::Load {
+                    size: MemSize::Dw,
+                    dst: Reg::R0,
+                    base: Reg::R10,
+                    off: -8,
+                },
+                Insn::Exit,
+            ],
+            false,
+        ),
+        (
+            "frame store and read",
+            vec![
+                call(HelperId::CpuId),
+                Insn::Store {
+                    size: MemSize::Dw,
+                    base: Reg::R10,
+                    off: -8,
+                    src: Operand::Reg(Reg::R0),
+                },
+                Insn::Load {
+                    size: MemSize::Dw,
+                    dst: Reg::R0,
+                    base: Reg::R10,
+                    off: -8,
+                },
+                Insn::Exit,
+            ],
+            true,
+        ),
+    ]
+}
+
+/// A compiled program that reaches no frame runs without one, so
+/// `JitProgram::uses_frame` must be true for every kind of step that can
+/// address it. Each program here reaches its frame through one kind only;
+/// with the flag wrong for that kind its compiled run faults or panics
+/// where the prepared interpreter, which always has a frame, returns. It
+/// must instead match the interpreter (and legacy, where legacy is
+/// defined) in report, trace and map contents at every budget.
+#[test]
+fn every_kind_of_frame_access_keeps_its_frame() {
+    let layout = CtxLayout::empty();
+    for (name, insns, legacy_comparable) in frame_cases() {
+        let build = || {
+            let map = zero_key_map();
+            let prog = Program::new(name, insns.clone(), vec![Arc::clone(&map)]);
+            (prog, map)
+        };
+        let (prog, _) = build();
+        let jit = prog.prepare(&layout).compile_jit();
+        assert!(jit.uses_frame(), "{name}: {jit:?}");
+        let full = insns.len() as u64 + 1;
+        for budget in 0..=full {
+            let run = |tier: Option<ExecTier>| {
+                let (prog, map) = build();
+                let env = FixedEnv::new().cpu(3);
+                let got = match tier {
+                    Some(tier) => prog.prepare(&layout).run_tier(tier, &mut [], &env, budget),
+                    None => run_with_budget(&prog, &mut [], &layout, &env, budget),
+                };
+                (got, env.traces(), map.lookup_copy(&0u32.to_le_bytes(), 0))
+            };
+            let interp = run(Some(ExecTier::Interp));
+            let compiled = run(Some(ExecTier::Jit));
+            assert_eq!(interp, compiled, "{name}, budget {budget}");
+            if legacy_comparable {
+                assert_eq!(run(None), compiled, "{name}: legacy, budget {budget}");
+            }
+        }
+    }
 }

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
-# Full CI pass: release build, the whole test suite, clippy with warnings
-# denied, the gate bins, the benchmark's harness tests and a one-second
-# pass over its workloads, then the smoke run (one sweep point per figure,
-# including the containment-overhead ablation and the table1 watchdog
-# column, both of which assert their budgets).
+# Full CI pass: a formatting check, release build, the whole test suite,
+# clippy with warnings denied, the gate bins, the benchmark's harness
+# tests and a one-second pass over its workloads, then the smoke run (one
+# sweep point per figure, including the containment-overhead ablation and
+# the table1 watchdog column, both of which assert their budgets).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Formatting of the root workspace only: benchmark/ is its own package
+# and keeps its own layout.
+echo "== cargo fmt --all --check =="
+cargo fmt --all --check
 
 echo "== cargo build --release =="
 cargo build --release
@@ -45,7 +50,8 @@ fi
 # floors, and on the paper's NUMA policy the compiled tier is not slower
 # than the prepared interpreter. Each is a ratio of two timings taken in
 # alternating rounds of one loop; the cost of entering and leaving the
-# tier on an exit-only program is printed beside the last. Skip on
+# tier on an exit-only program (no frame) and on one that spills to its
+# frame is printed beside the last, with no floor. Skip on
 # noisy builders with C3_BENCH_GATE=0; its DES rows still run then,
 # because what they assert is a count (the share of a lock2 figure
 # point's events that ksim delivers in place).

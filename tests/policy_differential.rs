@@ -231,16 +231,21 @@ fn two_field_policies_match_native_on_both_tiers() {
 /// counter every profiling hook runs is four steps too: the lookup with
 /// its null branch, the value's read-modify-write, exit, the sentinel
 /// (six, with a generic load, if the lookup and the branch come apart).
+/// Only the counter reaches its frame (its key lives there); the six
+/// context-only policies run without one, so their entry zeroes none.
 #[test]
 fn two_field_policies_compile_without_a_load_step() {
     let others = [
-        policies::scheduler_cooperative(10_000),
-        policies::amp_aware(16),
-        policies::adaptive_parking(50_000),
-        policies::event_counter(HookKind::LockAcquired, policies::counter_map("acq")),
+        (policies::scheduler_cooperative(10_000), false),
+        (policies::amp_aware(16), false),
+        (policies::adaptive_parking(50_000), false),
+        (
+            policies::event_counter(HookKind::LockAcquired, policies::counter_map("acq")),
+            true,
+        ),
     ];
-    for spec in two_field_policies()
-        .map(|(spec, _)| spec)
+    for (spec, frame) in two_field_policies()
+        .map(|(spec, _)| (spec, false))
         .into_iter()
         .chain(others)
     {
@@ -249,5 +254,6 @@ fn two_field_policies_compile_without_a_load_step() {
         let jit = loaded.prog.prepared().compile_jit();
         assert_eq!(jit.step_count(), 4, "{name}: {jit:?}");
         assert_eq!(jit.generic_load_count(), 0, "{name}: {jit:?}");
+        assert_eq!(jit.uses_frame(), frame, "{name}: {jit:?}");
     }
 }
