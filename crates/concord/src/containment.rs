@@ -29,7 +29,7 @@ use ksim::Sim;
 use locks::hooks::{CmpNodeCtx, HookKind, LockEventCtx, ScheduleWaiterCtx, SkipShuffleCtx};
 use simlocks::policy::{Decision, SimPolicy};
 
-use crate::policy::HOOK_CALL_NS;
+use crate::policy::Dispatch;
 
 /// Modeled cost of the armed-containment check on a hook invocation: one
 /// relaxed state load plus a counter update. This is what the
@@ -300,14 +300,14 @@ pub(crate) fn flight_record() -> Vec<telemetry::TraceEvent> {
 
 /// Containment wrapper for simulated locks: a [`SimPolicy`] that guards
 /// an inner policy with a breaker and optional deterministic fault
-/// injection, charging [`BREAKER_CHECK_NS`] of virtual time per guarded
-/// invocation. An open breaker serves fail-safe defaults instead of
-/// consulting the inner policy — graceful degradation between the trip
-/// and the quarantine sweep (or the cooldown re-arm).
+/// injection through the hook dispatcher ([`crate::policy`]), which
+/// charges [`BREAKER_CHECK_NS`] of virtual time per guarded invocation. An
+/// open breaker serves fail-safe defaults instead of consulting the inner
+/// policy — graceful degradation between the trip and the quarantine
+/// sweep (or the cooldown re-arm).
 pub struct ContainedPolicy {
     inner: Rc<dyn SimPolicy>,
-    breaker: Arc<Breaker>,
-    injector: Option<Arc<FaultInjector>>,
+    dispatch: Dispatch,
     sim: Sim,
 }
 
@@ -322,71 +322,38 @@ impl ContainedPolicy {
     ) -> Self {
         ContainedPolicy {
             inner,
-            breaker,
-            injector,
+            dispatch: Dispatch::new(Some(breaker), injector),
             sim: sim.clone(),
         }
     }
 
-    /// The breaker guarding the inner policy.
-    pub fn breaker(&self) -> &Arc<Breaker> {
-        &self.breaker
-    }
-
-    /// Runs the guard for one invocation of `hook`. `Some(cost)` means
-    /// the invocation is absorbed (bypassed or faulted) at that cost;
-    /// `None` means the inner policy should run.
-    fn guard(&self, _hook: HookKind) -> Option<u64> {
-        let now = self.sim.now();
-        if !self.breaker.allow(now) {
-            return Some(BREAKER_CHECK_NS);
-        }
-        if let Some(inj) = &self.injector {
-            if let Some(fault) = inj.invocation_fault() {
-                self.breaker.record_fault(fault.fault_kind(), now);
-                // A faulting invocation still paid the call indirection.
-                return Some(BREAKER_CHECK_NS + HOOK_CALL_NS);
-            }
-        }
-        None
+    /// Fires one invocation of `hook`, consulting the inner policy through
+    /// `decide` only when the breaker admits it and no fault is injected.
+    fn guard(&self, hook: HookKind, decide: impl FnOnce() -> Decision) -> Decision {
+        let fired = self.dispatch.fire_native(self.sim.now(), || {
+            let (d, cost) = decide();
+            (u64::from(d), cost)
+        });
+        (fired.verdict(hook) != 0, self.dispatch.charge(fired))
     }
 }
 
 impl SimPolicy for ContainedPolicy {
     fn cmp_node(&self, ctx: &CmpNodeCtx) -> Decision {
-        if let Some(cost) = self.guard(HookKind::CmpNode) {
-            return (fail_safe_default(HookKind::CmpNode) != 0, cost);
-        }
-        let (d, c) = self.inner.cmp_node(ctx);
-        self.breaker.record_ok();
-        (d, c + BREAKER_CHECK_NS)
+        self.guard(HookKind::CmpNode, || self.inner.cmp_node(ctx))
     }
 
     fn skip_shuffle(&self, ctx: &SkipShuffleCtx) -> Decision {
-        if let Some(cost) = self.guard(HookKind::SkipShuffle) {
-            return (fail_safe_default(HookKind::SkipShuffle) != 0, cost);
-        }
-        let (d, c) = self.inner.skip_shuffle(ctx);
-        self.breaker.record_ok();
-        (d, c + BREAKER_CHECK_NS)
+        self.guard(HookKind::SkipShuffle, || self.inner.skip_shuffle(ctx))
     }
 
     fn schedule_waiter(&self, ctx: &ScheduleWaiterCtx) -> Decision {
-        if let Some(cost) = self.guard(HookKind::ScheduleWaiter) {
-            return (fail_safe_default(HookKind::ScheduleWaiter) != 0, cost);
-        }
-        let (d, c) = self.inner.schedule_waiter(ctx);
-        self.breaker.record_ok();
-        (d, c + BREAKER_CHECK_NS)
+        self.guard(HookKind::ScheduleWaiter, || self.inner.schedule_waiter(ctx))
     }
 
     fn on_event(&self, kind: HookKind, ctx: &LockEventCtx) -> u64 {
-        if let Some(cost) = self.guard(kind) {
-            return cost;
-        }
-        let c = self.inner.on_event(kind, ctx);
-        self.breaker.record_ok();
-        c + BREAKER_CHECK_NS
+        self.guard(kind, || (false, self.inner.on_event(kind, ctx)))
+            .1
     }
 
     fn wants_event(&self, kind: HookKind) -> bool {
@@ -397,6 +364,7 @@ impl SimPolicy for ContainedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::HOOK_CALL_NS;
     use cbpf::fault::FaultPlan;
     use locks::hooks::NodeView;
     use simlocks::policy::FifoPolicy;

@@ -1,9 +1,23 @@
 //! Policy execution environments: real machine and simulated machine.
 
+use std::cell::Cell;
 use std::sync::Arc;
 
 use cbpf::helpers::PolicyEnv;
 use parking_lot::Mutex;
+
+thread_local! {
+    /// Lock served by this thread's in-flight hook fire: the label of the
+    /// `policy_emit` records its program writes. Per thread, because one
+    /// environment serves every policy a `Concord` attaches; written by
+    /// the dispatcher only while the trace plane is armed.
+    static CURRENT_LOCK: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Labels this thread's next policy-emitted trace records with `lock_id`.
+pub(crate) fn note_lock(lock_id: u64) {
+    CURRENT_LOCK.set(lock_id);
+}
 
 /// Environment for policies attached to real-thread locks: CPU/NUMA come
 /// from the calling thread's declared placement (`locks::topo`), time from
@@ -12,9 +26,6 @@ pub struct RealEnv {
     traces: Arc<Mutex<Vec<Vec<u8>>>>,
     priorities: Arc<Mutex<std::collections::HashMap<u64, i64>>>,
     cores_per_socket: u32,
-    /// Lock served by the in-flight hook invocation (telemetry labeling;
-    /// written by the policy layer only while the trace plane is armed).
-    current_lock: std::sync::atomic::AtomicU64,
 }
 
 impl RealEnv {
@@ -24,15 +35,7 @@ impl RealEnv {
             traces: Arc::new(Mutex::new(Vec::new())),
             priorities: Arc::new(Mutex::new(Default::default())),
             cores_per_socket: 10,
-            current_lock: std::sync::atomic::AtomicU64::new(0),
         }
-    }
-
-    /// Records which lock the next policy invocation serves, so
-    /// policy-emitted trace records carry the lock identity.
-    pub fn note_lock(&self, lock_id: u64) {
-        self.current_lock
-            .store(lock_id, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Registers a task priority visible to the `task_priority` helper —
@@ -73,17 +76,12 @@ impl PolicyEnv for RealEnv {
     fn prandom(&self) -> u64 {
         // Cheap thread-local xorshift; policies use this for probabilistic
         // fairness decisions, not cryptography.
-        use std::cell::Cell;
         thread_local! {
             static STATE: Cell<u64> = const { Cell::new(0x9E37_79B9_7F4A_7C15) };
         }
         STATE.with(|s| {
-            let mut x = s.get() ^ locks::topo::current_tid();
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            s.set(x);
-            x
+            s.set(s.get() ^ locks::topo::current_tid());
+            xorshift(s)
         })
     }
 
@@ -104,7 +102,7 @@ impl PolicyEnv for RealEnv {
             telemetry::EventKind::PolicyEmit,
             locks::now_ns(),
             locks::topo::current_cpu() as u16,
-            self.current_lock.load(std::sync::atomic::Ordering::Relaxed),
+            CURRENT_LOCK.get(),
             locks::topo::current_tid(),
             0,
             0,
@@ -114,27 +112,18 @@ impl PolicyEnv for RealEnv {
 }
 
 /// Environment for one hook invocation inside the simulator: the invoking
-/// (virtual) CPU and the virtual clock are captured by the caller, the
-/// long-lived state is borrowed from the policy set that fires the hook.
+/// virtual CPU and task are captured by the caller; the clock, the
+/// topology and the scheduler state are the simulator's, and the
+/// generator is borrowed from the policy set that fires the hook.
 pub struct SimHookEnv<'a> {
     /// Invoking virtual CPU.
     pub cpu: u32,
-    /// Its socket.
-    pub socket: u32,
-    /// Virtual time of the invocation.
-    pub now_ns: u64,
     /// Invoking task id.
     pub pid: u64,
-    /// Lock served by this invocation (telemetry labeling).
-    pub lock_id: u64,
-    /// Cores per socket (topology query).
-    pub cores_per_socket: u32,
-    /// Pseudo-random value for this invocation.
-    pub random: u64,
-    /// Priorities registered through the control plane.
-    pub priorities: &'a Mutex<std::collections::HashMap<u64, i64>>,
-    /// Simulator handle for scheduler-context queries (`cpu_online`).
-    pub sim: Option<&'a ksim::Sim>,
+    /// The policy set's generator; each `prandom` call draws from it.
+    pub rng: &'a Cell<u64>,
+    /// The simulated machine.
+    pub sim: &'a ksim::Sim,
 }
 
 impl PolicyEnv for SimHookEnv<'_> {
@@ -143,11 +132,11 @@ impl PolicyEnv for SimHookEnv<'_> {
     }
 
     fn numa_id(&self) -> u32 {
-        self.socket
+        self.cpu_to_node(self.cpu)
     }
 
     fn ktime_ns(&self) -> u64 {
-        self.now_ns
+        self.sim.now()
     }
 
     fn pid(&self) -> u64 {
@@ -155,38 +144,41 @@ impl PolicyEnv for SimHookEnv<'_> {
     }
 
     fn prandom(&self) -> u64 {
-        self.random
-    }
-
-    fn task_priority(&self, tid: u64) -> i64 {
-        self.priorities.lock().get(&tid).copied().unwrap_or(0)
+        xorshift(self.rng)
     }
 
     fn cpu_to_node(&self, cpu: u32) -> u32 {
-        cpu / self.cores_per_socket
+        cpu / self.sim.topology().cores_per_socket()
     }
 
     fn cpu_online(&self, cpu: u32) -> bool {
-        match &self.sim {
-            Some(sim) if cpu < sim.topology().num_cpus() => sim.cpu_online(ksim::CpuId(cpu)),
-            _ => true,
-        }
+        cpu >= self.sim.topology().num_cpus() || self.sim.cpu_online(ksim::CpuId(cpu))
     }
 
     fn trace_emit(&self, payload: &[u8]) {
-        // Virtual-time clock domain: the captured invocation time, so DES
-        // traces replay bit-identically for a fixed seed.
+        // Virtual-time clock domain: no virtual time passes inside a hook,
+        // so DES traces replay bit-identically for a fixed seed.
         telemetry::emit_payload(
             telemetry::EventKind::PolicyEmit,
-            self.now_ns,
+            self.sim.now(),
             self.cpu as u16,
-            self.lock_id,
+            CURRENT_LOCK.get(),
             self.pid,
             0,
             0,
             payload,
         );
     }
+}
+
+/// One xorshift64 step of `state`.
+fn xorshift(state: &Cell<u64>) -> u64 {
+    let mut x = state.get();
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    state.set(x);
+    x
 }
 
 #[cfg(test)]
@@ -220,24 +212,27 @@ mod tests {
 
     #[test]
     fn sim_env_returns_captured_values() {
+        let sim = ksim::SimBuilder::new().build();
+        let rng = Cell::new(42);
         let env = SimHookEnv {
             cpu: 31,
-            socket: 3,
-            now_ns: 777,
             pid: 5,
-            lock_id: 0,
-            cores_per_socket: 10,
-            random: 42,
-            priorities: &Mutex::new([(5u64, 2i64)].into_iter().collect()),
-            sim: None,
+            rng: &rng,
+            sim: &sim,
         };
         assert_eq!(env.cpu_id(), 31);
         assert_eq!(env.numa_id(), 3);
-        assert_eq!(env.ktime_ns(), 777);
-        assert_eq!(env.prandom(), 42);
-        assert_eq!(env.task_priority(5), 2);
+        assert_eq!(env.ktime_ns(), sim.now());
+        assert_eq!(env.pid(), 5);
+        let draw = env.prandom();
+        assert_eq!(
+            rng.get(),
+            draw,
+            "a draw advances the policy set's generator"
+        );
+        assert_ne!(env.prandom(), draw, "each call draws afresh");
+        assert_eq!(env.task_priority(5), 0, "no priority table under the DES");
         assert_eq!(env.cpu_to_node(65), 6);
-        assert!(env.cpu_online(12), "no sim handle: always online");
     }
 
     #[test]
@@ -246,16 +241,15 @@ mod tests {
         sim.preempt_cpu(ksim::CpuId(7), 10_000);
         let env = SimHookEnv {
             cpu: 0,
-            socket: 0,
-            now_ns: 0,
             pid: 1,
-            lock_id: 0,
-            cores_per_socket: 10,
-            random: 0,
-            priorities: &Mutex::new(Default::default()),
-            sim: Some(&sim),
+            rng: &Cell::new(1),
+            sim: &sim,
         };
         assert!(!env.cpu_online(7));
         assert!(env.cpu_online(8));
+        assert!(
+            env.cpu_online(1_000),
+            "a CPU the machine lacks reads online"
+        );
     }
 }

@@ -48,7 +48,6 @@
 //! concord.detach(handle).unwrap();                    // Revert.
 //! ```
 
-pub mod compose;
 pub mod containment;
 pub mod env;
 pub mod explore;
@@ -63,7 +62,6 @@ pub mod tenant;
 pub mod watchdog;
 mod workflow;
 
-pub use compose::{Combinator, ComposeError};
 pub use containment::{
     Breaker, BreakerConfig, BreakerState, ContainedPolicy, QuarantineRecord, BREAKER_CHECK_NS,
 };

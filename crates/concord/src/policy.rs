@@ -1,21 +1,22 @@
-//! Bytecode-backed policies for real and simulated locks.
+//! Bytecode-backed policies for real and simulated locks, and the one
+//! hook dispatcher both fire through.
 
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use cbpf::fault::FaultInjector;
 use cbpf::helpers::PolicyEnv;
+use cbpf::interp::RunReport;
 use cbpf::store::VerifiedProgram;
+use cbpf::FaultKind;
 use ksim::Sim;
 use locks::hooks::{
     CmpNodeCtx, CmpNodeFn, HookKind, LockEventCtx, LockEventFn, ScheduleWaiterCtx,
     ScheduleWaiterFn, SkipShuffleCtx, SkipShuffleFn,
 };
-use parking_lot::Mutex;
 use simlocks::policy::{Decision, SimPolicy};
 
 use crate::containment::{fail_safe_default, Breaker, BREAKER_CHECK_NS};
@@ -69,16 +70,179 @@ impl fmt::Display for HookMismatch {
 
 impl std::error::Error for HookMismatch {}
 
+/// How one hook fire ended. The DES charge is a function of this alone
+/// ([`Dispatch::charge`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Fired {
+    /// A program ran to completion.
+    Ran(RunReport),
+    /// A native policy (what [`ContainedPolicy`](crate::ContainedPolicy)
+    /// guards) decided `ret` at its own `cost`.
+    Native { ret: u64, cost: u64 },
+    /// The policy faulted; the hook served its fail-safe default.
+    Faulted,
+    /// An open breaker bypassed the policy; the hook served its fail-safe
+    /// default.
+    Bypassed,
+}
+
+impl Fired {
+    /// The decision the hook site acts on.
+    pub(crate) fn verdict(self, hook: HookKind) -> u64 {
+        match self {
+            Fired::Ran(report) => report.ret,
+            Fired::Native { ret, .. } => ret,
+            Fired::Faulted | Fired::Bypassed => fail_safe_default(hook),
+        }
+    }
+}
+
+/// The hook-dispatch contract, written once for both clocks: count the
+/// invocation, ask the breaker, run under the injector, count and record
+/// a fault, serve [`fail_safe_default`], emit the hook span. Real locks
+/// ([`BytecodePolicy`]) and the DES ([`SimBytecodePolicy`],
+/// [`ContainedPolicy`](crate::ContainedPolicy)) differ only in the
+/// [`PolicyEnv`] a fire runs against, and in that the DES charges
+/// [`Dispatch::charge`] of the outcome.
+#[derive(Default)]
+pub(crate) struct Dispatch {
+    invocations: AtomicU64,
+    faults_by_kind: [AtomicU64; 4],
+    breaker: Option<Arc<Breaker>>,
+    injector: Option<Arc<FaultInjector>>,
+}
+
+impl Dispatch {
+    /// A dispatcher guarded by `breaker`, faulted by `injector`.
+    pub(crate) fn new(breaker: Option<Arc<Breaker>>, injector: Option<Arc<FaultInjector>>) -> Self {
+        Dispatch {
+            breaker,
+            injector,
+            ..Dispatch::default()
+        }
+    }
+
+    /// Counts a fire and asks the breaker whether the policy may run; the
+    /// clock is read only when a breaker is armed.
+    #[inline]
+    fn admit(&self, now_ns: impl FnOnce() -> u64) -> bool {
+        self.invocations.fetch_add(1, Ordering::Relaxed);
+        self.breaker.as_ref().is_none_or(|b| b.allow(now_ns()))
+    }
+
+    /// Records a completed run with the breaker (a half-open probe that
+    /// completes re-closes it).
+    fn ran(&self, fired: Fired) -> Fired {
+        if let Some(b) = &self.breaker {
+            b.record_ok();
+        }
+        fired
+    }
+
+    /// Counts and records a fault; the hook degrades to the unpatched
+    /// lock's decision. A fault is a verifier bug or an injected one.
+    fn fault(&self, kind: FaultKind, now_ns: impl FnOnce() -> u64) -> Fired {
+        self.faults_by_kind[kind.index()].fetch_add(1, Ordering::Relaxed);
+        if let Some(b) = &self.breaker {
+            b.record_fault(kind, now_ns());
+        }
+        Fired::Faulted
+    }
+
+    /// Fires `prog` on `ctx`. A span is stamped with `site_ns`, the
+    /// timestamp the hook site already took (event hooks carry one in
+    /// their context), or with the environment's clock at entry.
+    ///
+    /// Inlined into each side, so a real fire sees `RealEnv` statically:
+    /// one shared out-of-line copy cost a real fire about 7 ns.
+    #[inline(always)]
+    pub(crate) fn fire(
+        &self,
+        hook: HookKind,
+        prog: &VerifiedProgram,
+        ctx: &mut [u8],
+        env: &dyn PolicyEnv,
+        site_ns: Option<u64>,
+    ) -> Fired {
+        if !self.admit(|| env.ktime_ns()) {
+            return Fired::Bypassed;
+        }
+        let span = telemetry::armed().then(|| {
+            let lock_id = ctx_lock_id(ctx);
+            crate::env::note_lock(lock_id);
+            (site_ns.unwrap_or_else(|| env.ktime_ns()), lock_id)
+        });
+        match prog
+            .prepared()
+            .run_with_faults(ctx, env, HOOK_BUDGET, self.injector.as_deref())
+        {
+            Ok(report) => {
+                if let Some((ts_ns, lock_id)) = span {
+                    telemetry::emit(
+                        telemetry::EventKind::HookSpan,
+                        ts_ns,
+                        env.cpu_id() as u16,
+                        lock_id,
+                        u64::from(hook.bit()),
+                        report.insns,
+                        HOOK_BUDGET - report.insns,
+                    );
+                }
+                self.ran(Fired::Ran(report))
+            }
+            Err(e) => self.fault(e.fault_kind(), || env.ktime_ns()),
+        }
+    }
+
+    /// Fires a native policy: the injector's invocation trigger stands in
+    /// for a program's faults, and `run` returns the decision and its cost.
+    pub(crate) fn fire_native(&self, now_ns: u64, run: impl FnOnce() -> (u64, u64)) -> Fired {
+        if !self.admit(|| now_ns) {
+            return Fired::Bypassed;
+        }
+        if let Some(fault) = self
+            .injector
+            .as_deref()
+            .and_then(FaultInjector::invocation_fault)
+        {
+            return self.fault(fault.fault_kind(), || now_ns);
+        }
+        let (ret, cost) = run();
+        self.ran(Fired::Native { ret, cost })
+    }
+
+    /// Virtual time a fire costs the DES: [`BREAKER_CHECK_NS`] when a
+    /// breaker is armed, plus the call and its instructions for a
+    /// completed run (a native policy's own cost), the call alone for a
+    /// fault, and nothing for a bypass.
+    pub(crate) fn charge(&self, fired: Fired) -> u64 {
+        self.breaker.as_ref().map_or(0, |_| BREAKER_CHECK_NS)
+            + match fired {
+                Fired::Ran(report) => HOOK_CALL_NS + report.insns * NS_PER_INSN,
+                Fired::Native { cost, .. } => cost,
+                Fired::Faulted => HOOK_CALL_NS,
+                Fired::Bypassed => 0,
+            }
+    }
+
+    fn stats(&self) -> (u64, u64) {
+        let faults = self.faults_by_kind().iter().sum();
+        (self.invocations.load(Ordering::Relaxed), faults)
+    }
+
+    fn faults_by_kind(&self) -> [u64; 4] {
+        self.faults_by_kind
+            .each_ref()
+            .map(|n| n.load(Ordering::Relaxed))
+    }
+}
+
 /// A verified program bound to a hook, runnable on real-thread locks.
 pub struct BytecodePolicy {
     prog: VerifiedProgram,
     hook: HookKind,
     env: Arc<RealEnv>,
-    invocations: AtomicU64,
-    faults: AtomicU64,
-    faults_by_kind: [AtomicU64; 4],
-    breaker: Option<Arc<Breaker>>,
-    injector: Option<Arc<FaultInjector>>,
+    dispatch: Dispatch,
 }
 
 impl BytecodePolicy {
@@ -101,11 +265,7 @@ impl BytecodePolicy {
             prog,
             hook,
             env,
-            invocations: AtomicU64::new(0),
-            faults: AtomicU64::new(0),
-            faults_by_kind: Default::default(),
-            breaker,
-            injector,
+            dispatch: Dispatch::new(breaker, injector),
         })
     }
 
@@ -113,80 +273,18 @@ impl BytecodePolicy {
     /// programs unless an injector is armed; the counters exist for the
     /// soundness test harness and the breaker plumbing.
     pub fn stats(&self) -> (u64, u64) {
-        (
-            self.invocations.load(Ordering::Relaxed),
-            self.faults.load(Ordering::Relaxed),
-        )
+        self.dispatch.stats()
     }
 
     /// Fault counts in [`cbpf::FaultKind::ALL`] order.
     pub fn faults_by_kind(&self) -> [u64; 4] {
-        [
-            self.faults_by_kind[0].load(Ordering::Relaxed),
-            self.faults_by_kind[1].load(Ordering::Relaxed),
-            self.faults_by_kind[2].load(Ordering::Relaxed),
-            self.faults_by_kind[3].load(Ordering::Relaxed),
-        ]
+        self.dispatch.faults_by_kind()
     }
 
-    /// The breaker guarding this policy, when armed.
-    pub fn breaker(&self) -> Option<&Arc<Breaker>> {
-        self.breaker.as_ref()
-    }
-
-    /// Runs the program on `ctx`. `site_ns` is the timestamp the hook
-    /// site already took (event hooks carry one in their context); a hook
-    /// span is stamped with it, or with one clock read at entry when the
-    /// site took none.
     fn run(&self, ctx: &mut [u8], site_ns: Option<u64>) -> u64 {
-        self.invocations.fetch_add(1, Ordering::Relaxed);
-        if let Some(b) = &self.breaker {
-            if !b.allow(self.env.ktime_ns()) {
-                return fail_safe_default(self.hook);
-            }
-        }
-        let span_ts = telemetry::armed().then(|| {
-            // Label policy-emitted records with the lock this invocation
-            // serves (the env outlives any single hook call).
-            self.env.note_lock(ctx_lock_id(ctx));
-            site_ns.unwrap_or_else(|| self.env.ktime_ns())
-        });
-        let outcome = self.prog.prepared().run_with_faults(
-            ctx,
-            &*self.env,
-            HOOK_BUDGET,
-            self.injector.as_deref(),
-        );
-        match outcome {
-            Ok(report) => {
-                if let Some(b) = &self.breaker {
-                    b.record_ok();
-                }
-                if let Some(ts_ns) = span_ts {
-                    telemetry::emit(
-                        telemetry::EventKind::HookSpan,
-                        ts_ns,
-                        self.env.cpu_id() as u16,
-                        ctx_lock_id(ctx),
-                        u64::from(self.hook.bit()),
-                        report.insns,
-                        HOOK_BUDGET - report.insns,
-                    );
-                }
-                report.ret
-            }
-            Err(e) => {
-                // A fault is a verifier bug or an injected one; either way
-                // the hook degrades to the unpatched lock's decision.
-                let kind = e.fault_kind();
-                self.faults.fetch_add(1, Ordering::Relaxed);
-                self.faults_by_kind[kind.index()].fetch_add(1, Ordering::Relaxed);
-                if let Some(b) = &self.breaker {
-                    b.record_fault(kind, self.env.ktime_ns());
-                }
-                fail_safe_default(self.hook)
-            }
-        }
+        self.dispatch
+            .fire(self.hook, &self.prog, ctx, &*self.env, site_ns)
+            .verdict(self.hook)
     }
 
     fn expect_hook(&self, kind: HookKind, requested: &'static str) -> Result<(), HookMismatch> {
@@ -274,23 +372,17 @@ impl BytecodePolicy {
 
 /// A set of verified programs driving a simulated shuffle lock.
 ///
-/// Each invocation runs the interpreter for real (so maps fill, traces
-/// flow) and charges `HOOK_CALL_NS + insns × NS_PER_INSN` to virtual
-/// time — the "Concord-ShflLock" series of Fig. 2(b)/(c).
+/// Each invocation runs the program for real (so maps fill, traces flow)
+/// and charges [`Dispatch::charge`] of its outcome to virtual time — the
+/// "Concord-ShflLock" series of Fig. 2(b)/(c).
 pub struct SimBytecodePolicy {
     sim: Sim,
     cmp: Option<VerifiedProgram>,
     skip: Option<VerifiedProgram>,
     sched: Option<VerifiedProgram>,
     events: HashMap<HookKind, VerifiedProgram>,
-    priorities: Arc<Mutex<std::collections::HashMap<u64, i64>>>,
     rng: Cell<u64>,
-    cores_per_socket: u32,
-    invocations: Cell<u64>,
-    faults: Cell<u64>,
-    faults_by_kind: Cell<[u64; 4]>,
-    breaker: Option<Arc<Breaker>>,
-    injector: Option<Arc<FaultInjector>>,
+    dispatch: Dispatch,
 }
 
 impl SimBytecodePolicy {
@@ -302,14 +394,8 @@ impl SimBytecodePolicy {
             skip: None,
             sched: None,
             events: HashMap::new(),
-            priorities: Arc::new(Mutex::new(Default::default())),
             rng: Cell::new(0x243F_6A88_85A3_08D3),
-            cores_per_socket: sim.topology().cores_per_socket(),
-            invocations: Cell::new(0),
-            faults: Cell::new(0),
-            faults_by_kind: Cell::new([0; 4]),
-            breaker: None,
-            injector: None,
+            dispatch: Dispatch::default(),
         }
     }
 
@@ -336,45 +422,22 @@ impl SimBytecodePolicy {
         breaker: Arc<Breaker>,
         injector: Option<Arc<FaultInjector>>,
     ) -> Self {
-        self.breaker = Some(breaker);
-        self.injector = injector;
+        self.dispatch = Dispatch::new(Some(breaker), injector);
         self
-    }
-
-    /// The breaker guarding this policy set, when armed.
-    pub fn breaker(&self) -> Option<&Arc<Breaker>> {
-        self.breaker.as_ref()
     }
 
     /// Fault counts in [`cbpf::FaultKind::ALL`] order.
     pub fn faults_by_kind(&self) -> [u64; 4] {
-        self.faults_by_kind.get()
-    }
-
-    /// Registers a task priority for the `task_priority` helper.
-    pub fn set_task_priority(&self, tid: u64, prio: i64) {
-        self.priorities.lock().insert(tid, prio);
-    }
-
-    /// Shared priority table (the userspace↔policy control plane).
-    pub fn priorities(&self) -> Arc<Mutex<std::collections::HashMap<u64, i64>>> {
-        Arc::clone(&self.priorities)
+        self.dispatch.faults_by_kind()
     }
 
     /// `(invocations, faults)` counters.
     pub fn stats(&self) -> (u64, u64) {
-        (self.invocations.get(), self.faults.get())
+        self.dispatch.stats()
     }
 
-    fn next_random(&self) -> u64 {
-        let mut x = self.rng.get();
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng.set(x);
-        x
-    }
-
+    /// Fires `prog` for task `pid` on virtual CPU `cpu`; returns the
+    /// verdict and its virtual-time charge.
     fn run(
         &self,
         hook: HookKind,
@@ -383,69 +446,14 @@ impl SimBytecodePolicy {
         cpu: u32,
         pid: u64,
     ) -> (u64, u64) {
-        self.invocations.set(self.invocations.get() + 1);
-        let now = self.sim.now();
-        let check = if self.breaker.is_some() {
-            BREAKER_CHECK_NS
-        } else {
-            0
-        };
-        if let Some(b) = &self.breaker {
-            if !b.allow(now) {
-                // Open breaker: the program is bypassed, the hook serves
-                // the unpatched lock's decision at the bare check cost.
-                return (fail_safe_default(hook), check);
-            }
-        }
         let env = SimHookEnv {
             cpu,
-            socket: cpu / self.cores_per_socket,
-            now_ns: now,
             pid,
-            lock_id: ctx_lock_id(ctx),
-            cores_per_socket: self.cores_per_socket,
-            random: self.next_random(),
-            priorities: &self.priorities,
-            sim: Some(&self.sim),
+            rng: &self.rng,
+            sim: &self.sim,
         };
-        let outcome =
-            prog.prepared()
-                .run_with_faults(ctx, &env, HOOK_BUDGET, self.injector.as_deref());
-        match outcome {
-            Ok(report) => {
-                if let Some(b) = &self.breaker {
-                    b.record_ok();
-                }
-                if telemetry::armed() {
-                    // Virtual-time span; charges no virtual time itself, so
-                    // armed and disarmed runs produce identical figures.
-                    telemetry::emit(
-                        telemetry::EventKind::HookSpan,
-                        now,
-                        cpu as u16,
-                        env.lock_id,
-                        u64::from(hook.bit()),
-                        report.insns,
-                        HOOK_BUDGET - report.insns,
-                    );
-                }
-                (
-                    report.ret,
-                    check + HOOK_CALL_NS + report.insns * NS_PER_INSN,
-                )
-            }
-            Err(e) => {
-                let kind = e.fault_kind();
-                self.faults.set(self.faults.get() + 1);
-                let mut by = self.faults_by_kind.get();
-                by[kind.index()] += 1;
-                self.faults_by_kind.set(by);
-                if let Some(b) = &self.breaker {
-                    b.record_fault(kind, now);
-                }
-                (fail_safe_default(hook), check + HOOK_CALL_NS)
-            }
-        }
+        let fired = self.dispatch.fire(hook, prog, ctx, &env, None);
+        (fired.verdict(hook), self.dispatch.charge(fired))
     }
 }
 
@@ -566,11 +574,6 @@ impl SimPolicy for PatchedEntryPolicy {
     fn wants_event(&self, kind: HookKind) -> bool {
         matches!(kind, HookKind::LockAcquire | HookKind::LockRelease)
     }
-}
-
-/// Convenience: boxes a policy set for [`simlocks::SimShflLock::set_policy`].
-pub fn into_rc(p: SimBytecodePolicy) -> Rc<dyn SimPolicy> {
-    Rc::new(p)
 }
 
 #[cfg(test)]

@@ -45,6 +45,17 @@ if grep -rn "Jit[M]ode\|C3_JIT_[T]HRESHOLD\|Opt[C]onfig\|prepare_[w]ith\|cbpf::o
     exit 1
 fi
 
+# Real locks and the DES fire policies through one dispatcher
+# (`Dispatch::fire` in concord::policy), so the figures run the
+# containment code the safety tests run. A second call into the engine
+# would be a second dispatcher.
+echo "== one hook dispatcher =="
+if [ "$(grep -rn "run_with_faults(" crates/concord/src | wc -l)" -ne 1 ]; then
+    grep -rn "run_with_faults(" crates/concord/src >&2 || true
+    echo "ci: crates/concord/src must call run_with_faults exactly once" >&2
+    exit 1
+fi
+
 # Data-plane regression gate: the prepared map_mix speedup over legacy
 # and the compiled tier's over the prepared interpreter stay above their
 # floors, and on the paper's NUMA policy the compiled tier is not slower

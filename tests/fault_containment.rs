@@ -134,6 +134,22 @@ fn sim_chain_faults_trip_quarantine_and_recover() {
     assert_eq!(out.stats.tasks_completed, 17);
 }
 
+/// The chain's outcome for two seeds, recorded before the real and the
+/// simulated hook paths shared one dispatcher. Replaying a run against
+/// itself cannot see a refactor that moves the sim's containment path
+/// (a charge, a breaker check, the fault position); these constants can.
+#[test]
+fn sim_chain_matches_recorded_pins() {
+    for (seed, trace_hash) in [(7, 0x0b53_8942_b789_12e7), (42, 0xffd4_304b_77e7_65c4)] {
+        let out = chain_run(seed);
+        assert_eq!(out.stats.trace_hash, trace_hash, "seed {seed}: trace hash");
+        assert_eq!(out.moves, 1, "seed {seed}: shuffle moves");
+        assert_eq!(out.trips, 1, "seed {seed}: breaker trips");
+        assert_eq!(out.faults, [0, 0, 3, 0], "seed {seed}: faults by kind");
+        assert_eq!(out.quarantined_at, 26_000, "seed {seed}: quarantine time");
+    }
+}
+
 #[test]
 fn sim_chain_replays_bit_identically() {
     let a = chain_run(42);

@@ -6,15 +6,17 @@
 
 use std::sync::Arc;
 
+use cbpf::fault::{FaultInjector, FaultPlan};
 use cbpf::interp::DEFAULT_BUDGET;
-use cbpf::ExecTier;
+use cbpf::{ExecTier, FaultKind};
 use concord::env::RealEnv;
 use concord::policy::BytecodePolicy;
-use concord::{hookctx, policies, Concord, PolicySpec};
-use ksim::SplitMix64;
+use concord::{hookctx, policies, Breaker, BreakerConfig, Concord, PolicySpec};
+use ksim::{SimBuilder, SplitMix64};
 use locks::hooks::{CmpNodeCtx, CmpNodeFn, HookKind, NodeView, ScheduleWaiterCtx};
 use locks::ShflLock;
 use proptest::prelude::*;
+use simlocks::policy::SimPolicy;
 
 fn view_strategy() -> impl Strategy<Value = NodeView> {
     (
@@ -255,5 +257,107 @@ fn two_field_policies_compile_without_a_load_step() {
         assert_eq!(jit.step_count(), 4, "{name}: {jit:?}");
         assert_eq!(jit.generic_load_count(), 0, "{name}: {jit:?}");
         assert_eq!(jit.uses_frame(), frame, "{name}: {jit:?}");
+    }
+}
+
+/// The real-thread and the DES hook paths are one dispatcher over two
+/// clocks: one seeded context stream and one fault plan, driven through
+/// `BytecodePolicy::contained` and through a contained `make_sim_policy`,
+/// give equal verdicts, counters and fault tallies, and trip their
+/// breakers at the same invocations. A zero cooldown keeps the trip
+/// points clock-free: the half-open probe comes at the next invocation
+/// on either clock.
+#[test]
+fn real_and_sim_dispatch_decide_alike_under_faults() {
+    let cases = [
+        (
+            policies::numa_aware(),
+            FaultPlan::from_invocation(700, FaultKind::Helper),
+            BreakerConfig {
+                threshold: 3,
+                cooldown_ns: None,
+            },
+        ),
+        (
+            policies::priority_boost(),
+            FaultPlan::on_invocation(300, FaultKind::Trap),
+            BreakerConfig {
+                threshold: 1,
+                cooldown_ns: Some(0),
+            },
+        ),
+        (
+            policies::lock_inheritance(),
+            FaultPlan::from_invocation(1_500, FaultKind::Budget),
+            BreakerConfig {
+                threshold: 4,
+                cooldown_ns: Some(0),
+            },
+        ),
+    ];
+    for (spec, plan, cfg) in cases {
+        let name = spec.name.clone();
+        let c = Concord::new();
+        let loaded = c.load(spec).expect("prebuilt policy verifies");
+        let armed = || {
+            (
+                Arc::new(Breaker::new(cfg)),
+                Arc::new(FaultInjector::new(plan.clone())),
+            )
+        };
+
+        let (real_breaker, inj) = armed();
+        let real = BytecodePolicy::contained(
+            loaded.prog.clone(),
+            loaded.hook,
+            Arc::new(RealEnv::new()),
+            Some(Arc::clone(&real_breaker)),
+            Some(inj),
+        );
+        let real_fire = real.as_cmp_node().expect("loaded for cmp_node");
+        let sim = SimBuilder::new().build();
+        let (sim_breaker, inj) = armed();
+        let simulated = c
+            .make_sim_policy(&sim, &[&loaded])
+            .with_containment(Arc::clone(&sim_breaker), Some(inj));
+
+        let mut rng = SplitMix64::new(0xd1ff);
+        let (mut real_trips, mut sim_trips) = (Vec::new(), Vec::new());
+        let mut yes = 0;
+        for i in 1..=2_048u64 {
+            let ctx = CmpNodeCtx {
+                lock_id: 1,
+                shuffler: seeded_view(&mut rng),
+                curr: seeded_view(&mut rng),
+            };
+            let verdict = real_fire(&ctx);
+            yes += u32::from(verdict);
+            assert_eq!(
+                verdict,
+                simulated.cmp_node(&ctx).0,
+                "{name}: verdict at invocation {i}"
+            );
+            for (breaker, trips) in [
+                (&real_breaker, &mut real_trips),
+                (&sim_breaker, &mut sim_trips),
+            ] {
+                if breaker.trips() > trips.len() as u64 {
+                    trips.push(i);
+                }
+            }
+        }
+        assert!(!real_trips.is_empty(), "{name}: the plan tripped nothing");
+        assert!(yes > 0, "{name}: every verdict was the fail-safe one");
+        assert_eq!(real_trips, sim_trips, "{name}: breaker trip points");
+        assert_eq!(
+            real.stats(),
+            simulated.stats(),
+            "{name}: (invocations, faults)"
+        );
+        assert_eq!(
+            real.faults_by_kind(),
+            simulated.faults_by_kind(),
+            "{name}: faults by kind"
+        );
     }
 }

@@ -13,7 +13,8 @@
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
 use concord::{Concord, PolicySpec};
 use ksim::SimBuilder;
@@ -194,6 +195,87 @@ fn real_lock_stream_interleaves_all_three_event_classes() {
     // never the middle).
     let report = telemetry::analyze::analyze(&events, telemetry::AnalyzeConfig::default());
     assert_eq!(report.seq_gaps, 0, "reordered records counted as drops");
+}
+
+/// One `RealEnv` serves every policy a `Concord` attaches, so the lock a
+/// `policy_emit` record names has to come from the thread that fired the
+/// hook, not from whichever thread fired last. Two threads hammer two
+/// locks with the same emitter attached to both; every record each one
+/// emits must carry its own lock.
+#[test]
+fn policy_emits_carry_the_firing_threads_lock() {
+    let _session = trace_session();
+
+    let c = Concord::new();
+    let loaded = c
+        .load(PolicySpec::from_asm(
+            "emitter",
+            HookKind::LockAcquired,
+            EMITTER_ASM,
+        ))
+        .unwrap();
+    let pair: Vec<Arc<ShflLock>> = ["left", "right"]
+        .into_iter()
+        .map(|name| {
+            let lock = Arc::new(ShflLock::new());
+            c.registry().register_shfl(name, Arc::clone(&lock));
+            c.attach(name, &loaded).unwrap();
+            lock
+        })
+        .collect();
+
+    telemetry::set_armed(true);
+    let running = Arc::new(AtomicUsize::new(pair.len()));
+    let start = Arc::new(Barrier::new(pair.len()));
+    let workers: Vec<_> = pair
+        .iter()
+        .zip([0u32, 10])
+        .map(|(lock, cpu)| {
+            let (l, running, start) = (Arc::clone(lock), Arc::clone(&running), Arc::clone(&start));
+            std::thread::spawn(move || {
+                locks::topo::pin_thread(cpu);
+                start.wait();
+                for _ in 0..20_000 {
+                    drop(l.lock());
+                }
+                running.fetch_sub(1, Ordering::Release);
+                (locks::topo::current_tid(), l.id())
+            })
+        })
+        .collect();
+    // A ring keeps its newest 512 records, so drain while the workers run.
+    let mut emits = Vec::new();
+    let mut collect = || {
+        let drained = telemetry::drain();
+        emits.extend(
+            drained
+                .into_iter()
+                .filter(|e| e.kind == EventKind::PolicyEmit),
+        );
+    };
+    while running.load(Ordering::Acquire) > 0 {
+        collect();
+        std::thread::sleep(std::time::Duration::from_micros(200));
+    }
+    telemetry::set_armed(false);
+    collect();
+
+    let lock_of: BTreeMap<u64, u64> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+    let mislabelled = emits
+        .iter()
+        .filter(|e| lock_of.get(&e.b) != Some(&e.a))
+        .count();
+    assert!(
+        emits.len() >= 1_000,
+        "only {} policy_emit records drained",
+        emits.len()
+    );
+    assert_eq!(
+        mislabelled,
+        0,
+        "{mislabelled} of {} policy_emit records carry the other thread's lock",
+        emits.len()
+    );
 }
 
 /// Runs the contended-sim scenario and returns its drained, seq-normalized
