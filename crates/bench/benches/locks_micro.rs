@@ -1,28 +1,15 @@
-//! Uncontended lock/unlock latency of the real-thread lock zoo, and the
+//! Uncontended lock/unlock latency of the real-thread locks, and the
 //! cost a vacant (unpatched) hook table adds to the shuffle lock —
 //! supporting data for DESIGN.md's claim that the no-policy fast path is
 //! one relaxed load.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use locks::{
-    Bravo, ClhLock, CnaLock, McsLock, NeutralRwLock, RawLock, RawRwLock, ShflLock, ShflMutex,
-    TasLock, TicketLock,
-};
+use locks::{Bravo, NeutralRwLock, RawLock, RawRwLock, ShflLock, ShflMutex};
 
 fn bench_mutexes(c: &mut Criterion) {
     let mut g = c.benchmark_group("uncontended_lock_unlock");
     locks::topo::pin_thread(0);
 
-    let tas = TasLock::new();
-    g.bench_function("tas", |b| b.iter(|| drop(tas.lock())));
-    let ticket = TicketLock::new();
-    g.bench_function("ticket", |b| b.iter(|| drop(ticket.lock())));
-    let mcs = McsLock::new();
-    g.bench_function("mcs", |b| b.iter(|| drop(mcs.lock())));
-    let clh = ClhLock::new();
-    g.bench_function("clh", |b| b.iter(|| drop(clh.lock())));
-    let cna = CnaLock::new();
-    g.bench_function("cna", |b| b.iter(|| drop(cna.lock())));
     let shfl = ShflLock::new();
     g.bench_function("shfl_fifo", |b| b.iter(|| drop(shfl.lock())));
     let shfl_numa = ShflLock::with_numa_policy();

@@ -9,7 +9,7 @@
 //! * **fail-safe defaults** — when a policy invocation faults, the hook
 //!   site degrades to the unpatched lock's decision instead of
 //!   propagating an error into a lock acquisition;
-//! * **circuit breakers** — per-(lock, hook, tenant) fault counters; a
+//! * **circuit breakers** — one fault counter per attach; a
 //!   configurable run of consecutive faults trips the breaker, which
 //!   either bypasses the policy until a virtual-time cooldown elapses
 //!   (half-open probe) or marks it for permanent quarantine;
@@ -90,7 +90,7 @@ const STATE_HALF_OPEN: u8 = 2;
 /// plane (the most recent records still resident in the rings).
 pub const FLIGHT_RECORDER_EVENTS: usize = 64;
 
-/// Per-(lock, hook, tenant) fault accounting and trip logic.
+/// Per-attach fault accounting and trip logic.
 #[derive(Debug)]
 pub struct Breaker {
     cfg: BreakerConfig,
@@ -279,8 +279,6 @@ pub struct QuarantineRecord {
     pub reason: String,
     /// Timestamp of the quarantine (ns; virtual time under the DES).
     pub at_ns: u64,
-    /// Owning tenant, when the attach was tenant-scoped.
-    pub tenant: Option<u32>,
     /// Flight recorder: the last [`FLIGHT_RECORDER_EVENTS`] trace records
     /// still resident in the telemetry rings when the policy was pulled —
     /// what the lock was doing right before the quarantine. Empty when the

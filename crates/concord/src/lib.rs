@@ -58,7 +58,6 @@ pub mod policy;
 pub mod profiler;
 pub mod registry;
 pub mod rollout;
-pub mod tenant;
 pub mod watchdog;
 mod workflow;
 
@@ -76,6 +75,5 @@ pub use rollout::{
     RecoverOutcome, Rollout, RolloutError, RolloutLog, RolloutOutcome, RolloutPlan, RolloutTarget,
     SimTarget, WaveOutcome,
 };
-pub use tenant::{TenantError, TenantId, TenantManager};
 pub use watchdog::{EnforceOutcome, HazardReport, LockWatchdog, WatchdogConfig, WindowStats};
 pub use workflow::{AttachHandle, Concord, ConcordError, LoadedPolicy, PolicySource, PolicySpec};

@@ -17,7 +17,7 @@ use cbpf::program::Program;
 use cbpf::store::{ObjectStore, VerifiedProgram};
 use ksim::Sim;
 use livepatch::{Patch, PatchError, PatchHandle, PatchManager, ShadowStore};
-use locks::hooks::{CmpNodeFn, HookKind, LockEventFn, ScheduleWaiterFn, ShflHooks};
+use locks::hooks::{HookKind, LockEventFn, ShflHooks};
 use parking_lot::Mutex;
 use simlocks::policy::SimPolicy;
 use simlocks::SimShflLock;
@@ -175,7 +175,6 @@ struct ContainedAttach {
     hook: HookKind,
     policy: String,
     breaker: Arc<Breaker>,
-    tenant: Option<u32>,
 }
 
 /// The framework object: registry + verifier + object store + livepatch.
@@ -339,7 +338,6 @@ impl Concord {
             hook: policy.hook,
             policy: policy.name.clone(),
             breaker: Arc::clone(&breaker),
-            tenant: None,
         });
         Ok((handle, breaker))
     }
@@ -479,34 +477,6 @@ impl Concord {
         &self.patches
     }
 
-    /// Attaches a native `cmp_node` closure (profiler and tests use this).
-    ///
-    /// # Errors
-    ///
-    /// See [`Concord::attach`].
-    pub fn attach_native_cmp_node(
-        &self,
-        lock: &str,
-        f: CmpNodeFn,
-    ) -> Result<AttachHandle, ConcordError> {
-        let hooks = self.hooks_of(lock)?;
-        self.attach_cmp_node_fn(lock, HookKind::CmpNode, f, hooks)
-    }
-
-    /// Attaches a native `schedule_waiter` closure.
-    ///
-    /// # Errors
-    ///
-    /// See [`Concord::attach`].
-    pub fn attach_native_schedule_waiter(
-        &self,
-        lock: &str,
-        f: ScheduleWaiterFn,
-    ) -> Result<AttachHandle, ConcordError> {
-        let hooks = self.hooks_of(lock)?;
-        self.attach_schedule_fn(lock, HookKind::ScheduleWaiter, f, hooks)
-    }
-
     /// Attaches a native event closure.
     ///
     /// # Errors
@@ -520,36 +490,6 @@ impl Concord {
     ) -> Result<AttachHandle, ConcordError> {
         let hooks = self.hooks_of(lock)?;
         self.attach_event_fn(lock, kind, f, hooks)
-    }
-
-    fn attach_cmp_node_fn(
-        &self,
-        lock: &str,
-        kind: HookKind,
-        f: CmpNodeFn,
-        hooks: Arc<ShflHooks>,
-    ) -> Result<AttachHandle, ConcordError> {
-        let point = Arc::clone(&hooks.cmp_node);
-        let old = point.get().clone();
-        let mut patch = Patch::new(format!("{lock}/{}", kind.name()));
-        patch.swap(&point, Some(f), old);
-        self.add_active_flag_ops(&mut patch, hooks, kind);
-        Ok(self.finish_attach(lock, kind, patch))
-    }
-
-    fn attach_schedule_fn(
-        &self,
-        lock: &str,
-        kind: HookKind,
-        f: ScheduleWaiterFn,
-        hooks: Arc<ShflHooks>,
-    ) -> Result<AttachHandle, ConcordError> {
-        let point = Arc::clone(&hooks.schedule_waiter);
-        let old = point.get().clone();
-        let mut patch = Patch::new(format!("{lock}/{}", kind.name()));
-        patch.swap(&point, Some(f), old);
-        self.add_active_flag_ops(&mut patch, hooks, kind);
-        Ok(self.finish_attach(lock, kind, patch))
     }
 
     fn attach_event_fn(
@@ -644,7 +584,6 @@ impl Concord {
                         hook: c.hook,
                         policy: std::mem::take(&mut c.policy),
                         breaker: Arc::clone(&c.breaker),
-                        tenant: c.tenant,
                     });
                     false
                 } else {
@@ -676,7 +615,6 @@ impl Concord {
                 policy: entry.policy,
                 reason: entry.breaker.reason(),
                 at_ns,
-                tenant: entry.tenant,
                 events: flight_record(),
             };
             self.registry.record_quarantine(record.clone());
@@ -724,7 +662,6 @@ impl Concord {
             policy,
             reason,
             at_ns,
-            tenant: None,
             events: flight_record(),
         };
         self.registry.record_quarantine(record.clone());
@@ -802,7 +739,6 @@ impl Concord {
             policy: policy.to_string(),
             reason,
             at_ns,
-            tenant: None,
             events: flight_record(),
         };
         self.registry.record_quarantine(record.clone());

@@ -1,31 +1,26 @@
 //! Kernel-style lock algorithms with Concord hook points — real-thread
 //! implementations.
 //!
-//! This crate is the "lock zoo" of the *Contextual Concurrency Control*
-//! reproduction: every algorithm the paper studies or compares against,
-//! implemented from scratch over std atomics:
+//! This crate holds the locks the *Contextual Concurrency Control*
+//! reproduction attaches policies to, implemented from scratch over std
+//! atomics:
 //!
-//! * [`TasLock`] — test-and-test-and-set with exponential backoff;
-//! * [`TicketLock`] — FIFO ticket lock (pre-queue-lock Linux spinlock);
-//! * [`McsLock`] — queue lock, the qspinlock building block;
-//! * [`ClhLock`] — implicit-queue CLH lock;
-//! * [`CnaLock`] — compact NUMA-aware lock (CNA, EuroSys '19);
 //! * [`ShflLock`] — the shuffle lock (SOSP '19) whose shuffler consults
 //!   pluggable, livepatchable policies ([`hooks::ShflHooks`]) — the lock
 //!   Concord targets;
 //! * [`ShflMutex`] — blocking shuffle lock with a policy-driven
 //!   spin-then-park strategy;
 //! * [`NeutralRwLock`] — fair writer-preference readers-writer lock (the
-//!   `rwsem`/`qrwlock` "Stock" baseline);
-//! * [`PhaseFairRwLock`] — phase-fair rwlock (PF-T) for the realtime use
-//!   case (§3.1.2): bounded reader/writer blocking by alternating phases;
+//!   `rwsem`/`qrwlock` "Stock" baseline), the lock BRAVO wraps;
 //! * [`Bravo`] — the BRAVO biased readers-writer wrapper (ATC '19) over any
 //!   [`RawRwLock`].
 //!
-//! Threads announce a *virtual* CPU/NUMA placement via [`topo::pin_thread`]
-//! so topology-aware algorithms work identically on any host; the
-//! discrete-event simulator (`simlocks`) owns scalability experiments,
-//! while this crate is the adoptable library validated by stress tests.
+//! The baselines the paper compares against (TAS, ticket, MCS,
+//! phase-fair) live only in the discrete-event simulator (`simlocks`),
+//! which owns every scalability experiment. Threads announce a *virtual*
+//! CPU/NUMA placement via [`topo::pin_thread`] so topology-aware
+//! algorithms work identically on any host; this crate is the adoptable
+//! library validated by stress tests.
 //!
 //! # Examples
 //!
@@ -50,37 +45,23 @@
 
 mod backoff;
 mod bravo;
-mod clh;
-mod cna;
 pub mod hooks;
-mod mcs;
-mod phasefair;
 mod raw;
 mod rwlock;
-mod seqlock;
 mod shfl;
 mod shfl_block;
-mod tas;
-mod ticket;
 pub mod topo;
 
 pub use backoff::Backoff;
 pub use bravo::Bravo;
-pub use clh::ClhLock;
-pub use cna::CnaLock;
-pub use mcs::McsLock;
-pub use phasefair::PhaseFairRwLock;
 pub use raw::{LockGuard, RawLock, RawRwLock, ReadGuard, WriteGuard};
 pub use rwlock::NeutralRwLock;
-pub use seqlock::SeqLock;
 pub use shfl::ShflLock;
 pub use shfl_block::ShflMutex;
-pub use tas::TasLock;
-pub use ticket::TicketLock;
 
 /// Monotonic nanosecond clock shared by lock implementations, profiling,
 /// and the telemetry plane (one epoch, so trace timestamps from different
 /// layers interleave correctly).
 pub fn now_ns() -> u64 {
-    telemetry::clock::real_now_ns()
+    telemetry::clock::now_ns()
 }

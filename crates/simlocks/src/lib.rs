@@ -1,9 +1,10 @@
 //! Discrete-event-simulator implementations of the paper's lock algorithms.
 //!
-//! These are the locks that regenerate the evaluation figures: the same
-//! algorithms as the real-thread crate `locks`, re-expressed against the
-//! `ksim` machine model, where every shared-memory access is charged
-//! cache-coherence latency in virtual time. Contention behavior — who
+//! These are the locks that regenerate the evaluation figures: the
+//! hooked locks (ShflLock, BRAVO), whose real-thread twins live in crate
+//! `locks`, and the baselines, which exist only here — all expressed
+//! against the `ksim` machine model, where every shared-memory access is
+//! charged cache-coherence latency in virtual time. Contention behavior — who
 //! transfers which line when — is therefore modeled explicitly, which is
 //! what lets an 80-core scalability figure be reproduced deterministically
 //! on a single-CPU host (DESIGN.md §2).

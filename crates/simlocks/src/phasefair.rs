@@ -1,6 +1,11 @@
 //! Simulated phase-fair readers-writer lock (PF-T) — the realtime
 //! use case of §3.1.2: bounded reader/writer blocking by alternating
-//! phases. Same ticket formulation as `locks::PhaseFairRwLock`.
+//! phases (Brandenburg & Anderson, *Spin-based reader-writer
+//! synchronization for multiprocessor real-time systems*).
+//!
+//! Ticket formulation: `win`/`wout` serialize writers; `rin`/`rout` count
+//! reader entries in the high bits while the low bits of `rin` publish the
+//! presence and phase-id of a waiting/active writer.
 
 use ksim::{SchedSite, Sim, SimWord, TaskCtx};
 

@@ -1,59 +1,20 @@
-//! The telemetry clock abstraction.
+//! The telemetry clock: monotonic nanoseconds since process start.
 //!
-//! Every trace timestamp in the system resolves through one of two
-//! domains:
-//!
-//! * **Real** — monotonic nanoseconds since process start (the default).
-//!   `locks::now_ns()` delegates here so lock hold/wait profiling and
-//!   trace timestamps share one epoch.
-//! * **Manual** — an externally driven value, used by the DES harness so
-//!   control-plane events (livepatch apply, breaker trips) emitted while
-//!   a simulation runs carry *virtual* time and the whole trace replays
-//!   bit-identically for a fixed seed.
-//!
-//! Data-plane emit sites (lock transitions, hook spans) never read this
-//! clock implicitly: the real sites pass `now_ns()` and the simulation
-//! sites pass `Sim::now()` explicitly. The mode switch exists for the
-//! handful of control-plane sites that have no simulation context in
-//! scope.
+//! `locks::now_ns()` delegates here so lock hold/wait profiling and trace
+//! timestamps share one epoch. Data-plane emit sites (lock transitions,
+//! hook spans) never read this clock implicitly: the real sites pass
+//! `now_ns()` and the simulation sites pass `Sim::now()` explicitly. The
+//! control-plane sites that have no simulation context in scope
+//! (livepatch apply, rollout steps) read it directly.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-static MANUAL_MODE: AtomicBool = AtomicBool::new(false);
-static MANUAL_NS: AtomicU64 = AtomicU64::new(0);
 static EPOCH: OnceLock<Instant> = OnceLock::new();
 
-/// Monotonic nanoseconds in the current clock domain.
+/// Real monotonic nanoseconds since process start.
 pub fn now_ns() -> u64 {
-    if MANUAL_MODE.load(Ordering::Relaxed) {
-        MANUAL_NS.load(Ordering::Relaxed)
-    } else {
-        real_now_ns()
-    }
-}
-
-/// Real monotonic nanoseconds since process start, ignoring any manual
-/// override. This is the epoch `locks::now_ns()` re-exports.
-pub fn real_now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// Switch the clock into the manual (virtual-time) domain at `ns`.
-pub fn set_manual(ns: u64) {
-    MANUAL_NS.store(ns, Ordering::Relaxed);
-    MANUAL_MODE.store(true, Ordering::SeqCst);
-}
-
-/// Advance the manual clock (no-op on the real domain's epoch).
-pub fn set_manual_now(ns: u64) {
-    MANUAL_NS.store(ns, Ordering::Relaxed);
-}
-
-/// Return to the real clock domain.
-pub fn clear_manual() {
-    MANUAL_MODE.store(false, Ordering::SeqCst);
 }
 
 #[cfg(test)]
@@ -62,21 +23,8 @@ mod tests {
 
     #[test]
     fn real_clock_is_monotonic() {
-        let a = real_now_ns();
-        let b = real_now_ns();
-        assert!(b >= a);
-    }
-
-    #[test]
-    fn manual_clock_overrides_and_restores() {
-        set_manual(123);
-        assert_eq!(now_ns(), 123);
-        set_manual_now(456);
-        assert_eq!(now_ns(), 456);
-        clear_manual();
-        // Back on the real domain: the clock advances on its own again.
         let a = now_ns();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-        assert!(now_ns() > a);
+        let b = now_ns();
+        assert!(b >= a);
     }
 }

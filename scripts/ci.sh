@@ -45,6 +45,17 @@ if grep -rn "Jit[M]ode\|C3_JIT_[T]HRESHOLD\|Opt[C]onfig\|prepare_[w]ith\|cbpf::o
     exit 1
 fi
 
+# The real-thread lock crate holds only the locks Concord attaches to
+# (ShflLock, ShflMutex, the neutral rwlock and BRAVO); the baselines live
+# in simlocks alone. Nothing needs a tenant arbiter or a manual clock
+# mode either. A word match, so the simlocks names (SimTasLock) pass.
+echo "== no unreached real-thread locks, tenant arbiter or manual clock =="
+if grep -rnwE "C[l]hLock|C[n]aLock|S[e]qLock|T[a]sLock|T[i]cketLock|M[c]sLock|P[h]aseFairRwLock|T[e]nantManager|s[e]t_manual" \
+    crates tests examples scripts; then
+    echo "ci: a deleted lock, the tenant arbiter or the manual clock is back (see above)" >&2
+    exit 1
+fi
+
 # Real locks and the DES fire policies through one dispatcher
 # (`Dispatch::fire` in concord::policy), so the figures run the
 # containment code the safety tests run. A second call into the engine

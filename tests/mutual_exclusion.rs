@@ -1,14 +1,11 @@
-//! Cross-crate mutual-exclusion stress for the whole real-thread lock zoo,
-//! with and without policies attached.
+//! Cross-crate mutual-exclusion stress for the real-thread locks, with
+//! and without policies attached.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use locks::{
-    Bravo, ClhLock, CnaLock, McsLock, NeutralRwLock, RawLock, RawRwLock, ShflLock, ShflMutex,
-    TasLock, TicketLock,
-};
+use locks::{Bravo, NeutralRwLock, RawLock, RawRwLock, ShflLock, ShflMutex};
 
 const THREADS: usize = 8;
 const ITERS: usize = 3_000;
@@ -50,31 +47,6 @@ fn stress<L: RawLock + 'static>(lock: L) {
     }
     // SAFETY: all threads joined.
     assert_eq!(unsafe { *shared.counter.get() }, (THREADS * ITERS) as u64);
-}
-
-#[test]
-fn tas_lock() {
-    stress(TasLock::new());
-}
-
-#[test]
-fn ticket_lock() {
-    stress(TicketLock::new());
-}
-
-#[test]
-fn mcs_lock() {
-    stress(McsLock::new());
-}
-
-#[test]
-fn clh_lock() {
-    stress(ClhLock::new());
-}
-
-#[test]
-fn cna_lock() {
-    stress(CnaLock::new());
 }
 
 #[test]

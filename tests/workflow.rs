@@ -249,3 +249,55 @@ fn c_style_policy_end_to_end() {
         _ => panic!("expected a compile error"),
     }
 }
+
+#[test]
+fn attach_class_patches_every_lock_or_none() {
+    use concord::{LockClass, LockHandle};
+    use locks::{Bravo, NeutralRwLock};
+
+    // The paper's attach granularity "one lock instance up to every
+    // lock": one call patches every lock registered in a class.
+    let concord = Concord::new();
+    let inode = || LockClass("inode".into());
+    let locks: Vec<Arc<ShflLock>> = (0..3).map(|_| Arc::new(ShflLock::new())).collect();
+    for (name, lock) in ["inode_a", "inode_b", "inode_c"].iter().zip(&locks) {
+        concord
+            .registry()
+            .register(name, LockHandle::Shfl(Arc::clone(lock)), inode());
+    }
+    let loaded = concord.load(concord::policies::numa_aware()).unwrap();
+    let handles = concord
+        .attach_class("inode", &loaded)
+        .expect("attach class");
+    assert_eq!(
+        concord.live_patches(),
+        vec!["inode_a/cmp_node", "inode_b/cmp_node", "inode_c/cmp_node"]
+    );
+    assert!(locks.iter().all(|l| l.hooks().is_active(HookKind::CmpNode)));
+    // Patches revert LIFO: the last lock of the class was patched last.
+    for h in handles.into_iter().rev() {
+        concord.detach(h).expect("detach");
+    }
+    assert!(concord.live_patches().is_empty());
+    assert!(locks
+        .iter()
+        .all(|l| !l.hooks().is_active(HookKind::CmpNode)));
+
+    // A BRAVO lock has no hook table. It sorts last in the class, so the
+    // attach fails only after the three shuffle locks are patched, and
+    // the transaction must unwind them.
+    concord.registry().register(
+        "inode_z",
+        LockHandle::Bravo(Arc::new(Bravo::new(NeutralRwLock::new()))),
+        inode(),
+    );
+    match concord.attach_class("inode", &loaded) {
+        Err(ConcordError::NotHookable(name)) => assert_eq!(name, "inode_z"),
+        Err(other) => panic!("wrong error kind: {other}"),
+        Ok(_) => panic!("a class with an unhookable lock must not attach"),
+    }
+    assert!(concord.live_patches().is_empty());
+    assert!(locks
+        .iter()
+        .all(|l| !l.hooks().is_active(HookKind::CmpNode)));
+}
