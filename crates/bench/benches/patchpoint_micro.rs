@@ -35,7 +35,8 @@ fn bench_patchpoint(c: &mut Criterion) {
     g.bench_function("vacant_hook_fire", |b| {
         b.iter(|| hooks.fire_event(locks::hooks::HookKind::LockAcquired, &ctx))
     });
-    hooks.install_event(locks::hooks::HookKind::LockAcquired, Arc::new(|_| {}));
+    hooks.lock_acquired.replace(Some(Arc::new(|_| {})));
+    hooks.set_active(locks::hooks::HookKind::LockAcquired, true);
     g.bench_function("installed_noop_hook_fire", |b| {
         b.iter(|| hooks.fire_event(locks::hooks::HookKind::LockAcquired, &ctx))
     });

@@ -1,16 +1,13 @@
 //! Rollout chaos-convergence gate, run by `scripts/ci.sh`.
 //!
-//! For every seed in `C3_CHAOS_SEEDS` (comma-separated, default
-//! `3,7,42`), crash-sweeps a staged rollout over a real `Concord`
-//! world: the controller is killed at every intent-log step boundary, a
-//! fresh controller recovers from the write-ahead log, and every run
-//! must converge fully applied or fully reverted — never a mix of
-//! generations. Each seed's sweep then runs a second time and the two
-//! reports must be identical, pinning the deterministic-replay
-//! contract at the CI gate, not just in the test suite.
-//!
-//! Skip with `C3_CHAOS_GATE=0` (the chaos sweep is pure control-plane
-//! work, but a loaded builder can still starve the hammer threads).
+//! For every seed in `SEEDS` (3, 7 and 42), crash-sweeps a staged
+//! rollout over a real `Concord` world: the controller is killed at
+//! every intent-log step boundary, a fresh controller recovers from the
+//! write-ahead log, and every run must converge fully applied or fully
+//! reverted — never a mix of generations. Each seed's sweep then runs a
+//! second time and the two reports must be identical, pinning the
+//! deterministic-replay contract at the CI gate, not just in the test
+//! suite.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -25,7 +22,7 @@ use locks::hooks::HookKind;
 use locks::{RawLock, ShflLock};
 
 const GATE_LOCKS: usize = 6;
-const DEFAULT_SEEDS: &[u64] = &[3, 7, 42];
+const SEEDS: &[u64] = &[3, 7, 42];
 
 /// One scenario run: fresh world, staged rollout under `plan`, recovery
 /// if the controller crashed, convergence verdict.
@@ -85,22 +82,6 @@ fn scenario(plan: ChaosPlan) -> Result<SweepOutcome, RolloutError> {
     })
 }
 
-fn seeds_from_env() -> Vec<u64> {
-    match std::env::var("C3_CHAOS_SEEDS") {
-        Ok(raw) if raw.trim().is_empty() => DEFAULT_SEEDS.to_vec(),
-        Ok(raw) => raw
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.parse()
-                    .unwrap_or_else(|_| panic!("C3_CHAOS_SEEDS: bad seed {s:?}"))
-            })
-            .collect(),
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
-
 fn print_report(r: &SweepReport) {
     println!(
         "chaos_gate: seed {} — {} crash points, {} applied / {} reverted, \
@@ -110,15 +91,9 @@ fn print_report(r: &SweepReport) {
 }
 
 fn main() {
-    if std::env::var("C3_CHAOS_GATE").as_deref() == Ok("0") {
-        println!("chaos_gate: skipped (C3_CHAOS_GATE=0)");
-        return;
-    }
-
-    let seeds = seeds_from_env();
-    println!("chaos_gate: sweeping seeds {seeds:?} over {GATE_LOCKS} locks");
+    println!("chaos_gate: sweeping seeds {SEEDS:?} over {GATE_LOCKS} locks");
     let mut failed = false;
-    for &seed in &seeds {
+    for &seed in SEEDS {
         let first = match crash_sweep(seed, scenario) {
             Ok(r) => r,
             Err(e) => {

@@ -1,25 +1,24 @@
 //! Fleet control-plane gate, run by `scripts/ci.sh`.
 //!
-//! For every seed in `C3_FLEET_SEEDS` (comma-separated, default
-//! `3,7,42`), crash-sweeps the simulated fleet world: the control-plane
-//! daemon is killed at every protocol step boundary (publish broadcast,
-//! lease expiry, reconcile) while the network drops, duplicates,
-//! reorders and partitions, and every run must still converge all hosts
-//! to the store head with zero torn applies. Each seed's sweep then
-//! runs a second time and the two reports must be bit-identical,
-//! pinning the deterministic-replay contract at the CI gate. The inert
-//! run must additionally exercise the degraded-mode path: a partitioned
-//! host keeps serving its last-known-good snapshot. The gate also holds
-//! the store to O(delta) publishes, as a ratio of two costs measured in
-//! this process: a one-binding publish at 1 M tenants against the same
-//! publish at 100 k.
+//! For every seed in `SEEDS` (3, 7 and 42), crash-sweeps the simulated
+//! fleet world: the control-plane daemon is killed at every protocol
+//! step boundary (publish broadcast, lease expiry, reconcile) while the
+//! network drops, duplicates, reorders and partitions, and every run
+//! must still converge all hosts to the store head with zero torn
+//! applies. Each seed's sweep then runs a second time and the two
+//! reports must be bit-identical, pinning the deterministic-replay
+//! contract at the CI gate. The inert run must additionally exercise
+//! the degraded-mode path: a partitioned host keeps serving its
+//! last-known-good snapshot. The gate also holds the store to O(delta)
+//! publishes, as a ratio of two costs measured in this process: a
+//! one-binding publish at 1 M tenants against the same publish at
+//! 100 k. That row is wall-clock, so like every other timing row it is
+//! skipped with `C3_BENCH_GATE=0`.
 //!
 //! With `--bench`, regenerates the EXPERIMENTS.md propagation table
 //! instead: p50/p99 propagation latency (virtual time, commit →
 //! host-applied) over the gate seeds, plus control-plane store
 //! throughput at 100 k and 1 M tenants.
-//!
-//! Skip with `C3_FLEET_GATE=0`.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -28,23 +27,7 @@ use concord::fleet::{fleet_sweep, run_fleet, seal_demo_artifact, Delta, FleetCon
 use concord::rollout::chaos::SweepReport;
 use concord::rollout::ChaosPlan;
 
-const DEFAULT_SEEDS: &[u64] = &[3, 7, 42];
-
-fn seeds_from_env() -> Vec<u64> {
-    match std::env::var("C3_FLEET_SEEDS") {
-        Ok(raw) if raw.trim().is_empty() => DEFAULT_SEEDS.to_vec(),
-        Ok(raw) => raw
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.parse()
-                    .unwrap_or_else(|_| panic!("C3_FLEET_SEEDS: bad seed {s:?}"))
-            })
-            .collect(),
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
+const SEEDS: &[u64] = &[3, 7, 42];
 
 fn print_report(r: &SweepReport) {
     println!(
@@ -173,6 +156,10 @@ fn bench_store(tenants: usize) -> StoreCosts {
 /// per publish, as the store once did, is 178× on this pair.)
 fn gate_publish_scaling() -> bool {
     const PUBLISH_SCALING_BOUND: f64 = 4.0;
+    if std::env::var("C3_BENCH_GATE").as_deref() == Ok("0") {
+        println!("fleet_gate: publish scaling skipped (C3_BENCH_GATE=0)");
+        return true;
+    }
     let small = bench_store(100_000).incr_publish_ms;
     let large = bench_store(1_000_000).incr_publish_ms;
     let ratio = large / small;
@@ -188,11 +175,11 @@ fn gate_publish_scaling() -> bool {
 }
 
 /// `--bench`: the EXPERIMENTS.md propagation + store-throughput tables.
-fn bench(seeds: &[u64]) {
+fn bench() {
     let mut samples: Vec<u64> = Vec::new();
     let mut retries = 0u64;
     let mut dedups = 0u64;
-    for &seed in seeds {
+    for &seed in SEEDS {
         let cfg = FleetConfig::small(seed, seal_demo_artifact());
         let r = run_fleet(&cfg, ChaosPlan::inert(seed));
         assert!(r.converged, "seed {seed} did not converge");
@@ -202,7 +189,7 @@ fn bench(seeds: &[u64]) {
     }
     samples.sort_unstable();
     println!(
-        "propagation (lossy net, {} samples over seeds {seeds:?}): \
+        "propagation (lossy net, {} samples over seeds {SEEDS:?}): \
          p50 {:.1} µs, p99 {:.1} µs, {} retransmits, {} dedup drops",
         samples.len(),
         percentile(&samples, 0.50) as f64 / 1e3,
@@ -225,18 +212,13 @@ fn bench(seeds: &[u64]) {
 }
 
 fn main() {
-    if std::env::var("C3_FLEET_GATE").as_deref() == Ok("0") {
-        println!("fleet_gate: skipped (C3_FLEET_GATE=0)");
-        return;
-    }
-    let seeds = seeds_from_env();
     if std::env::args().any(|a| a == "--bench") {
-        bench(&seeds);
+        bench();
         return;
     }
-    println!("fleet_gate: sweeping seeds {seeds:?}");
+    println!("fleet_gate: sweeping seeds {SEEDS:?}");
     let mut failed = !gate_publish_scaling();
-    for &seed in &seeds {
+    for &seed in SEEDS {
         if !gate_seed(seed) {
             failed = true;
         }

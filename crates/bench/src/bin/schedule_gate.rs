@@ -1,9 +1,9 @@
 //! Schedule-exploration gate, run by `scripts/ci.sh`.
 //!
-//! For every base seed in `C3_SCHED_SEEDS` (comma-separated, default
-//! `3,7,42`) and every strategy (random, pct, policy), explores the three
-//! deliberately broken fixtures in `simlocks::broken` under a fixed
-//! schedule budget. The gate fails unless:
+//! For every base seed in `SEEDS` (3, 7 and 42) and every strategy
+//! (random, pct, policy), explores the three deliberately broken
+//! fixtures in `simlocks::broken` under a fixed schedule budget. The
+//! gate fails unless:
 //!
 //! - every planted bug is found by every strategy from every base seed;
 //! - each failure shrinks to a minimal injection list (the shrinker
@@ -13,32 +13,16 @@
 //! - the correct zoo locks stay violation-free under the same strategies
 //!   (no false positives).
 //!
-//! Skip with `C3_SCHED_GATE=0`. Throughput and schedules-to-first-bug
-//! are printed per strategy; `BENCH_schedule.json` records them.
+//! Throughput and schedules-to-first-bug are printed per strategy;
+//! `BENCH_schedule.json` records them.
 
 use std::time::Instant;
 
 use concord::{explore, ExploreConfig, Fixture, Repro, StrategySpec, ZooLock};
 
-const DEFAULT_SEEDS: &[u64] = &[3, 7, 42];
+const SEEDS: &[u64] = &[3, 7, 42];
 const SCHEDULE_BUDGET: u32 = 64;
 const STRATEGIES: &[&str] = &["random", "pct", "policy"];
-
-fn seeds_from_env() -> Vec<u64> {
-    match std::env::var("C3_SCHED_SEEDS") {
-        Ok(raw) if raw.trim().is_empty() => DEFAULT_SEEDS.to_vec(),
-        Ok(raw) => raw
-            .split(',')
-            .map(str::trim)
-            .filter(|s| !s.is_empty())
-            .map(|s| {
-                s.parse()
-                    .unwrap_or_else(|_| panic!("C3_SCHED_SEEDS: bad seed {s:?}"))
-            })
-            .collect(),
-        Err(_) => DEFAULT_SEEDS.to_vec(),
-    }
-}
 
 /// Replays `repro` twice after a text round-trip; both runs must land on
 /// the recorded violation kind and trace hash.
@@ -57,14 +41,8 @@ fn pin_repro(repro: &Repro) -> Result<(), String> {
 }
 
 fn main() {
-    if std::env::var("C3_SCHED_GATE").as_deref() == Ok("0") {
-        println!("schedule_gate: skipped (C3_SCHED_GATE=0)");
-        return;
-    }
-
-    let seeds = seeds_from_env();
     println!(
-        "schedule_gate: {} fixtures x {:?} x seeds {seeds:?}, budget {SCHEDULE_BUDGET} schedules",
+        "schedule_gate: {} fixtures x {:?} x seeds {SEEDS:?}, budget {SCHEDULE_BUDGET} schedules",
         Fixture::BROKEN.len(),
         STRATEGIES,
     );
@@ -77,7 +55,7 @@ fn main() {
         let mut first_bug_sum = 0u64;
         let started = Instant::now();
         for fixture in Fixture::BROKEN {
-            for &seed in &seeds {
+            for &seed in SEEDS {
                 let cfg = ExploreConfig {
                     schedules: SCHEDULE_BUDGET,
                     base_seed: seed,
@@ -146,7 +124,7 @@ fn main() {
             let spec = StrategySpec::from_name(strat).expect("gate strategy");
             let cfg = ExploreConfig {
                 schedules: 8,
-                base_seed: seeds[0],
+                base_seed: SEEDS[0],
                 ..ExploreConfig::default()
             };
             match explore(Fixture::Zoo(z), &spec, &cfg) {

@@ -107,6 +107,7 @@ impl HashTable {
     }
 
     /// Average chain length (load factor diagnostics).
+    #[cfg(test)]
     pub fn load_factor(&self) -> f64 {
         self.len as f64 / self.buckets.len() as f64
     }

@@ -186,16 +186,6 @@ impl ProgramBuilder {
         })
     }
 
-    /// `dst = dst op src` (32-bit, zero-extending).
-    pub fn alu32(&mut self, op: AluOp, dst: Reg, src: Reg) -> &mut Self {
-        self.push(Insn::Alu {
-            wide: false,
-            op,
-            dst,
-            src: Operand::Reg(src),
-        })
-    }
-
     /// `dst = dst op imm` (32-bit, zero-extending).
     pub fn alu32_imm(&mut self, op: AluOp, dst: Reg, imm: i32) -> &mut Self {
         self.push(Insn::Alu {

@@ -136,6 +136,7 @@ impl ObjectStore {
     }
 
     /// Removes a pinned program; returns it if present.
+    #[cfg(test)]
     pub fn unlink_program(&self, path: &str) -> Option<VerifiedProgram> {
         self.programs.write().remove(path)
     }
@@ -146,11 +147,13 @@ impl ObjectStore {
     }
 
     /// Fetches a pinned map.
+    #[cfg(test)]
     pub fn get_map(&self, path: &str) -> Option<Arc<Map>> {
         self.maps.read().get(path).cloned()
     }
 
     /// Removes a pinned map; returns it if present.
+    #[cfg(test)]
     pub fn unlink_map(&self, path: &str) -> Option<Arc<Map>> {
         self.maps.write().remove(path)
     }

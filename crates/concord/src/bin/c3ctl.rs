@@ -241,8 +241,6 @@ impl Ctl {
             }
             "locks" => {
                 for name in self.concord.registry().names() {
-                    // A lock listed a moment ago may have been dropped by a
-                    // concurrent unregister; skip instead of crashing.
                     if let Some(h) = self.concord.registry().get(&name) {
                         println!("  {name:<12} kind={} id={}", h.kind(), h.id());
                     }

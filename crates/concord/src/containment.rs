@@ -127,11 +127,6 @@ impl Breaker {
         self.tag_hook.store(hook_bit, Ordering::Relaxed);
     }
 
-    /// The configuration.
-    pub fn config(&self) -> BreakerConfig {
-        self.cfg
-    }
-
     /// Current state (transitions Open → HalfOpen only happen inside
     /// [`Breaker::allow`], so this is a pure read).
     pub fn state(&self) -> BreakerState {
@@ -275,7 +270,7 @@ pub struct QuarantineRecord {
     pub hook: HookKind,
     /// The policy (patch) name.
     pub policy: String,
-    /// Human-readable cause (fault tally or watchdog hazard).
+    /// Human-readable cause (fault tally or detected hazard).
     pub reason: String,
     /// Timestamp of the quarantine (ns; virtual time under the DES).
     pub at_ns: u64,

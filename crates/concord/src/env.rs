@@ -1,10 +1,8 @@
 //! Policy execution environments: real machine and simulated machine.
 
 use std::cell::Cell;
-use std::sync::Arc;
 
 use cbpf::helpers::PolicyEnv;
-use parking_lot::Mutex;
 
 thread_local! {
     /// Lock served by this thread's in-flight hook fire: the label of the
@@ -21,10 +19,11 @@ pub(crate) fn note_lock(lock_id: u64) {
 
 /// Environment for policies attached to real-thread locks: CPU/NUMA come
 /// from the calling thread's declared placement (`locks::topo`), time from
-/// the process monotonic clock.
+/// the process monotonic clock. `trace_printk` output is dropped and
+/// every task reads priority 0 (the [`PolicyEnv`] defaults): a policy's
+/// trace output goes to the trace plane (`trace_emit`), and a task's
+/// priority reaches decision hooks through the hook context.
 pub struct RealEnv {
-    traces: Arc<Mutex<Vec<Vec<u8>>>>,
-    priorities: Arc<Mutex<std::collections::HashMap<u64, i64>>>,
     cores_per_socket: u32,
 }
 
@@ -32,21 +31,8 @@ impl RealEnv {
     /// Creates an environment with the paper topology's 10 cores/socket.
     pub fn new() -> Self {
         RealEnv {
-            traces: Arc::new(Mutex::new(Vec::new())),
-            priorities: Arc::new(Mutex::new(Default::default())),
             cores_per_socket: 10,
         }
-    }
-
-    /// Registers a task priority visible to the `task_priority` helper —
-    /// the "annotating a set of tasks" context channel of §3.1.1.
-    pub fn set_task_priority(&self, tid: u64, prio: i64) {
-        self.priorities.lock().insert(tid, prio);
-    }
-
-    /// Drains captured `trace_printk` output.
-    pub fn take_traces(&self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.traces.lock())
     }
 }
 
@@ -85,16 +71,8 @@ impl PolicyEnv for RealEnv {
         })
     }
 
-    fn task_priority(&self, tid: u64) -> i64 {
-        self.priorities.lock().get(&tid).copied().unwrap_or(0)
-    }
-
     fn cpu_to_node(&self, cpu: u32) -> u32 {
         cpu / self.cores_per_socket
-    }
-
-    fn trace(&self, bytes: &[u8]) {
-        self.traces.lock().push(bytes.to_vec());
     }
 
     fn trace_emit(&self, payload: &[u8]) {
@@ -197,17 +175,6 @@ mod tests {
         let t2 = env.ktime_ns();
         assert!(t2 >= t1);
         assert_ne!(env.prandom(), env.prandom());
-    }
-
-    #[test]
-    fn real_env_priorities_and_traces() {
-        let env = RealEnv::new();
-        env.set_task_priority(9, -3);
-        assert_eq!(env.task_priority(9), -3);
-        assert_eq!(env.task_priority(10), 0);
-        env.trace(b"x");
-        assert_eq!(env.take_traces(), vec![b"x".to_vec()]);
-        assert!(env.take_traces().is_empty());
     }
 
     #[test]

@@ -75,5 +75,5 @@ pub use rollout::{
     RecoverOutcome, Rollout, RolloutError, RolloutLog, RolloutOutcome, RolloutPlan, RolloutTarget,
     SimTarget, WaveOutcome,
 };
-pub use watchdog::{EnforceOutcome, HazardReport, LockWatchdog, WatchdogConfig, WindowStats};
+pub use watchdog::{HazardReport, WatchdogConfig, WindowStats};
 pub use workflow::{AttachHandle, Concord, ConcordError, LoadedPolicy, PolicySource, PolicySpec};

@@ -162,6 +162,7 @@ impl Profiler {
     /// # Errors
     ///
     /// See [`Profiler::attach`].
+    #[cfg(test)]
     pub fn attach_all(concord: &Concord) -> Result<Profiler, ConcordError> {
         let names = concord.registry().names();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();

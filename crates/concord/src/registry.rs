@@ -104,6 +104,7 @@ impl LockRegistry {
     }
 
     /// Removes a registration.
+    #[cfg(test)]
     pub fn unregister(&self, name: &str) -> bool {
         self.entries.write().remove(name).is_some()
     }
@@ -140,7 +141,7 @@ impl LockRegistry {
         self.entries.read().is_empty()
     }
 
-    /// Records why a policy was quarantined (breaker trip or watchdog
+    /// Records why a policy was quarantined (breaker trip or detected
     /// hazard) — the administrator-facing audit trail.
     pub fn record_quarantine(&self, record: QuarantineRecord) {
         self.quarantines.write().push(record);

@@ -6,10 +6,9 @@
 //! cohort of registered locks into waves (canary → N% → full); each wave
 //! is applied as one all-or-nothing livepatch transaction
 //! ([`livepatch::PatchManager::apply_transaction`]) and then judged by a
-//! [`HealthEvaluator`] fed from the metrics registry, the per-wave
-//! circuit breakers and the watchdog's [`WindowStats`] regression
-//! detector. A red verdict aborts the rollout and rolls every applied
-//! wave back.
+//! [`HealthEvaluator`] fed from the per-wave circuit breakers' fault
+//! counts and the metrics registry's breaker trips. A red verdict aborts
+//! the rollout and rolls every applied wave back.
 //!
 //! **Crash consistency.** Every step writes an intent record to a
 //! write-ahead [`RolloutLog`] *before* mutating patch state, and probes
@@ -42,7 +41,6 @@ use simlocks::SimShflLock;
 
 use crate::containment::{Breaker, BreakerConfig};
 use crate::policy::BytecodePolicy;
-use crate::watchdog::{detect, WatchdogConfig, WindowStats};
 use crate::workflow::{Concord, LoadedPolicy};
 
 /// Shared map of per-lock breakers a rollout installs — the health
@@ -615,7 +613,7 @@ impl HealthEvaluator for ScriptedHealth {
 }
 
 /// Thresholds for [`MetricsHealth`]. The default tolerates nothing:
-/// zero faults, zero trips, the watchdog's default regression bounds.
+/// zero faults, zero trips.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HealthConfig {
     /// Policy faults tolerated per wave (sum over the wave's breakers)
@@ -624,30 +622,21 @@ pub struct HealthConfig {
     /// Breaker trips tolerated per wave (delta of the registry-wide
     /// `c3_breaker_trips_total` counter).
     pub max_breaker_trips: u64,
-    /// Hold/wait regression thresholds, judged per lock with
-    /// [`detect`] against the pre-wave window.
-    pub watchdog: WatchdogConfig,
 }
-
-/// Sampler of a lock's current observation window (profiler- or
-/// sim-histogram-backed).
-pub type WindowSampler = Box<dyn FnMut(&str) -> Option<WindowStats>>;
 
 /// Traffic driver run before judging a wave, so health gates see real
 /// invocations (`(wave, locks)`).
 pub type WaveExercise = Box<dyn FnMut(usize, &[String])>;
 
-/// The production evaluator: fault rate from the wave's breakers, trip
-/// rate from the metrics registry, hold-time regression from pre-wave
-/// [`WindowStats`] baselines.
+/// The production evaluator: policy faults from the wave's breakers and
+/// breaker trips from the metrics registry, each counted since the wave's
+/// baseline.
 pub struct MetricsHealth {
     cfg: HealthConfig,
     breakers: BreakerMap,
-    sampler: Option<WindowSampler>,
     exercise: Option<WaveExercise>,
     base_faults: u64,
     base_trips: u64,
-    base_windows: BTreeMap<String, WindowStats>,
 }
 
 impl MetricsHealth {
@@ -656,18 +645,10 @@ impl MetricsHealth {
         MetricsHealth {
             cfg,
             breakers,
-            sampler: None,
             exercise: None,
             base_faults: 0,
             base_trips: 0,
-            base_windows: BTreeMap::new(),
         }
-    }
-
-    /// Adds a per-lock window sampler for regression detection.
-    pub fn with_window_sampler(mut self, sampler: WindowSampler) -> Self {
-        self.sampler = Some(sampler);
-        self
     }
 
     /// Adds a closure that drives representative load on the wave's
@@ -692,14 +673,6 @@ impl HealthEvaluator for MetricsHealth {
     fn baseline(&mut self, _wave: usize, locks: &[String]) {
         self.base_faults = self.wave_faults(locks);
         self.base_trips = telemetry::metrics().counter("c3_breaker_trips_total").get();
-        self.base_windows.clear();
-        if let Some(sampler) = &mut self.sampler {
-            for lock in locks {
-                if let Some(w) = sampler(lock) {
-                    self.base_windows.insert(lock.clone(), w);
-                }
-            }
-        }
     }
 
     fn judge(&mut self, wave: usize, locks: &[String]) -> HealthVerdict {
@@ -722,16 +695,6 @@ impl HealthEvaluator for MetricsHealth {
                 "wave {wave}: {trips} breaker trips (budget {})",
                 self.cfg.max_breaker_trips
             ));
-        }
-        if let Some(sampler) = &mut self.sampler {
-            for lock in locks {
-                let (Some(base), Some(cur)) = (self.base_windows.get(lock), sampler(lock)) else {
-                    continue;
-                };
-                if let Some(report) = detect(base, &cur, &self.cfg.watchdog) {
-                    return HealthVerdict::Red(format!("wave {wave}: {lock}: {}", report.detail));
-                }
-            }
         }
         HealthVerdict::Green
     }

@@ -1,30 +1,23 @@
-//! The hazard watchdog: profiler-driven hazard detection with auto-revert.
+//! The hazard classifier: judges an observation window against its
+//! baseline.
 //!
 //! Table 1 classifies what each hook can hazard — fairness (`cmp_node`,
 //! `skip_shuffle`), performance (`schedule_waiter`) or critical-section
 //! length (the event hooks). The verifier cannot rule these out: they are
-//! *semantic* regressions a well-formed policy can cause. The watchdog
-//! closes the loop at runtime:
+//! *semantic* regressions a well-formed policy can cause. [`detect`]
+//! compares a window of acquisition-latency and hold-time behavior with
+//! the policy live against a baseline window taken without it, and names
+//! the hazard class that fired.
 //!
-//! 1. before the policy attaches, the dynamic profiler (§3.2) records a
-//!    **baseline window** of acquisition-latency and hold-time behavior;
-//! 2. with the policy live, the watchdog periodically compares the
-//!    current window against the baseline ([`detect`]);
-//! 3. a detected hazard **auto-reverts** the policy — a livepatch revert
-//!    transaction pulls it without disturbing other patches — and files a
-//!    quarantine record naming the hazard.
-//!
-//! The detection core is policy-agnostic and works on any pair of
-//! [`WindowStats`], so the simulator benches (`table1_api_hazards`) reuse
-//! it on virtual-time histograms.
+//! The classifier is policy-agnostic and works on any pair of
+//! [`WindowStats`]. Its callers distill those from virtual-time
+//! histograms: the schedule explorer judges every explored schedule with
+//! it, and `table1_api_hazards` uses it to pick which policy to revert
+//! and quarantine ([`crate::Concord::quarantine_sim`]).
 
 use locks::hooks::Hazard;
 
 use ksim::Histogram;
-
-use crate::containment::QuarantineRecord;
-use crate::profiler::{LockProfile, Profiler};
-use crate::workflow::{AttachHandle, Concord, ConcordError};
 
 /// Summary of one observation window, distilled from the profiler's
 /// wait-time and hold-time histograms.
@@ -50,11 +43,6 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
-    /// Distills a window from a profiler's per-lock profile.
-    pub fn from_profile(p: &LockProfile) -> Self {
-        WindowStats::from_hists(&p.wait_hist(), &p.hold_hist())
-    }
-
     /// Distills a window from raw wait/hold histograms (the simulator
     /// path).
     pub fn from_hists(wait: &Histogram, hold: &Histogram) -> Self {
@@ -206,146 +194,9 @@ pub fn detect(
     None
 }
 
-/// Outcome of a watchdog enforcement pass.
-pub enum EnforceOutcome {
-    /// No hazard: the policy stays attached and its handle comes back.
-    Clean(AttachHandle),
-    /// Hazard detected: the policy was auto-reverted and quarantined.
-    /// The report is boxed to keep the enum as small as the common
-    /// `Clean` case.
-    Reverted(Box<HazardReport>, QuarantineRecord),
-}
-
-/// A watchdog on one real lock: owns a profiling session and the
-/// baseline window.
-pub struct LockWatchdog {
-    lock: String,
-    cfg: WatchdogConfig,
-    profiler: Profiler,
-    baseline: Option<WindowStats>,
-}
-
-impl LockWatchdog {
-    /// Attaches profiling hooks to `lock`. Drive representative load,
-    /// then call [`LockWatchdog::snapshot_baseline`] *before* attaching
-    /// the policy under watch.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the lock is unknown or not hookable.
-    pub fn arm(concord: &Concord, lock: &str, cfg: WatchdogConfig) -> Result<Self, ConcordError> {
-        let profiler = Profiler::attach(concord, &[lock])?;
-        Ok(LockWatchdog {
-            lock: lock.to_string(),
-            cfg,
-            profiler,
-            baseline: None,
-        })
-    }
-
-    /// Freezes the pre-attach window as the baseline and restarts
-    /// profiling, so the watched window contains only post-attach
-    /// behavior. Call between the baseline load and the policy attach.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the lock was unregistered since [`LockWatchdog::arm`].
-    pub fn snapshot_baseline(&mut self, concord: &Concord) -> Result<WindowStats, ConcordError> {
-        let stats = self.current();
-        self.profiler.detach(concord)?;
-        self.profiler = Profiler::attach(concord, &[&self.lock])?;
-        self.baseline = Some(stats);
-        Ok(stats)
-    }
-
-    /// The frozen baseline, once snapshot.
-    pub fn baseline(&self) -> Option<WindowStats> {
-        self.baseline
-    }
-
-    /// The current observation window.
-    pub fn current(&self) -> WindowStats {
-        match self.profiler.profile(&self.lock) {
-            Some(p) => WindowStats::from_profile(p),
-            None => WindowStats::default(),
-        }
-    }
-
-    /// Checks the current window against the baseline (no action taken).
-    /// Every judgment — clean or hazardous — lands in the trace plane as
-    /// a [`telemetry::EventKind::WatchdogVerdict`] record when armed.
-    pub fn check(&self) -> Option<HazardReport> {
-        let baseline = self.baseline?;
-        let current = self.current();
-        let verdict = detect(&baseline, &current, &self.cfg);
-        if verdict.is_some() {
-            telemetry::metrics()
-                .counter("c3_watchdog_hazards_total")
-                .inc();
-        }
-        if telemetry::armed() {
-            let hazard_class = match verdict.as_ref().map(|r| r.hazard) {
-                None => 0,
-                Some(Hazard::Fairness) => 1,
-                Some(Hazard::Performance) => 2,
-                Some(Hazard::CriticalSection) => 3,
-            };
-            telemetry::emit(
-                telemetry::EventKind::WatchdogVerdict,
-                locks::now_ns(),
-                locks::topo::current_cpu() as u16,
-                telemetry::event::fnv64(&self.lock),
-                hazard_class,
-                current.acquisitions,
-                u64::from(verdict.is_some()),
-            );
-        }
-        verdict
-    }
-
-    /// One enforcement pass: on a hazard, auto-reverts the policy behind
-    /// `handle` (livepatch revert transaction — the watchdog's own
-    /// profiling patches survive) and files a quarantine record.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConcordError::Patch`] when a hazard fired but the patch
-    /// was already gone.
-    pub fn enforce(
-        &self,
-        concord: &Concord,
-        handle: AttachHandle,
-    ) -> Result<EnforceOutcome, ConcordError> {
-        match self.check() {
-            None => Ok(EnforceOutcome::Clean(handle)),
-            Some(report) => {
-                let reason = format!("watchdog: {:?} hazard — {}", report.hazard, report.detail);
-                let record = concord.quarantine(handle, reason)?;
-                Ok(EnforceOutcome::Reverted(Box::new(report), record))
-            }
-        }
-    }
-
-    /// Detaches the profiling hooks; the watchdog is done.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the patch-stack error if a profiling handle no longer
-    /// reverts (see [`Profiler::detach`]).
-    pub fn disarm(mut self, concord: &Concord) -> Result<(), ConcordError> {
-        self.profiler.detach(concord).map(|_| ())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    use locks::hooks::HookKind;
-    use locks::{RawLock, ShflLock};
-
-    use crate::workflow::PolicySpec;
 
     fn filled(vals: &[u64]) -> Histogram {
         let mut h = Histogram::new();
@@ -396,97 +247,5 @@ mod tests {
         let tight = hist_stddev(&filled(&[64, 64, 64, 64]));
         let wide = hist_stddev(&filled(&[1, 1, 4_096, 4_096]));
         assert!(wide > tight * 10.0, "wide {wide} vs tight {tight}");
-    }
-
-    #[test]
-    fn watchdog_auto_reverts_cs_hazard_on_real_lock() {
-        let c = Concord::new();
-        let lock = Arc::new(ShflLock::new());
-        c.registry().register_shfl("watched", Arc::clone(&lock));
-        let mut wd = LockWatchdog::arm(
-            &c,
-            "watched",
-            WatchdogConfig {
-                cs_factor: 3.0,
-                min_acquisitions: 100,
-                ..WatchdogConfig::default()
-            },
-        )
-        .unwrap();
-
-        // Baseline: empty critical sections.
-        for _ in 0..300 {
-            let _g = lock.lock();
-        }
-        let base = wd.snapshot_baseline(&c).unwrap();
-        assert!(base.acquisitions >= 300);
-
-        // Attach a policy that burns time inside the critical section —
-        // the lock_acquired hook runs while the lock is held, after the
-        // profiler's own (chained) subscriber stamps the acquired time.
-        let h = c
-            .attach_native_event(
-                "watched",
-                HookKind::LockAcquired,
-                Arc::new(move |_| {
-                    std::thread::sleep(std::time::Duration::from_micros(30));
-                }),
-            )
-            .unwrap();
-        for _ in 0..300 {
-            let _g = lock.lock();
-        }
-        let outcome = wd.enforce(&c, h).unwrap();
-        let (report, record) = match outcome {
-            EnforceOutcome::Reverted(rep, rec) => (rep, rec),
-            EnforceOutcome::Clean(_) => panic!("hazard must fire"),
-        };
-        assert_eq!(report.hazard, Hazard::CriticalSection);
-        assert!(record.reason.contains("watchdog"));
-        assert_eq!(c.registry().quarantines("watched").len(), 1);
-        // The policy is gone; only the watchdog's own profiling remains.
-        assert_eq!(c.live_patches().len(), 4);
-        wd.disarm(&c).unwrap();
-        assert!(c.live_patches().is_empty());
-    }
-
-    #[test]
-    fn clean_policy_survives_enforcement() {
-        let c = Concord::new();
-        let lock = Arc::new(ShflLock::new());
-        c.registry().register_shfl("ok", Arc::clone(&lock));
-        // Generous factors: real-clock noise (a preempted iteration) must
-        // not read as a hazard on an uncontended lock.
-        let mut wd = LockWatchdog::arm(
-            &c,
-            "ok",
-            WatchdogConfig {
-                fairness_factor: 50.0,
-                slowdown_factor: 50.0,
-                cs_factor: 50.0,
-                min_acquisitions: 100,
-            },
-        )
-        .unwrap();
-        for _ in 0..500 {
-            let _g = lock.lock();
-        }
-        wd.snapshot_baseline(&c).unwrap();
-        let loaded = c
-            .load(PolicySpec::from_asm(
-                "noop",
-                HookKind::CmpNode,
-                "mov r0, 0\nexit",
-            ))
-            .unwrap();
-        let h = c.attach("ok", &loaded).unwrap();
-        for _ in 0..500 {
-            let _g = lock.lock();
-        }
-        match wd.enforce(&c, h).unwrap() {
-            EnforceOutcome::Clean(h) => c.detach(h).unwrap(),
-            EnforceOutcome::Reverted(rep, _) => panic!("false positive: {}", rep.detail),
-        }
-        wd.disarm(&c).unwrap();
     }
 }

@@ -137,12 +137,6 @@ impl PolicySpec {
             maps: Vec::new(),
         }
     }
-
-    /// Adds a referenced map.
-    pub fn with_map(mut self, map: Arc<Map>) -> Self {
-        self.maps.push(map);
-        self
-    }
 }
 
 /// A verified, stored policy ready to attach: the product of Fig. 1
@@ -295,27 +289,15 @@ impl Concord {
     /// [`Concord::sweep_breakers`] to quarantine it; with a cooldown, it
     /// re-probes (half-open) after the cooldown elapses.
     ///
+    /// `injector`, when given, is a deterministic fault injector armed on
+    /// the policy (the containment tests' entry point).
+    ///
     /// Returns the attach handle plus the breaker for observation.
     ///
     /// # Errors
     ///
     /// See [`Concord::attach`].
     pub fn attach_contained(
-        &self,
-        lock: &str,
-        policy: &LoadedPolicy,
-        cfg: BreakerConfig,
-    ) -> Result<(AttachHandle, Arc<Breaker>), ConcordError> {
-        self.attach_contained_with_injector(lock, policy, cfg, None)
-    }
-
-    /// [`Concord::attach_contained`] with a deterministic fault injector
-    /// armed — the containment test harness entry point.
-    ///
-    /// # Errors
-    ///
-    /// See [`Concord::attach`].
-    pub fn attach_contained_with_injector(
         &self,
         lock: &str,
         policy: &LoadedPolicy,
@@ -389,34 +371,7 @@ impl Concord {
                 let old = point.get().clone();
                 patch.swap(&point, Some(bytecode.as_schedule_waiter()?), old);
             }
-            kind => {
-                let point = match kind {
-                    HookKind::LockAcquire => &hooks.lock_acquire,
-                    HookKind::LockContended => &hooks.lock_contended,
-                    HookKind::LockAcquired => &hooks.lock_acquired,
-                    HookKind::LockRelease => &hooks.lock_release,
-                    _ => {
-                        return Err(ConcordError::NotHookable(format!(
-                            "{} is not an event hook",
-                            kind.name()
-                        )))
-                    }
-                };
-                let f = bytecode.as_event()?;
-                let point = Arc::clone(point);
-                let old = point.get().clone();
-                let installed: LockEventFn = match &old {
-                    Some(prev) => {
-                        let prev = Arc::clone(prev);
-                        Arc::new(move |ctx| {
-                            prev(ctx);
-                            f(ctx);
-                        })
-                    }
-                    None => f,
-                };
-                patch.swap(&point, Some(installed), old);
-            }
+            kind => chain_event(&mut patch, &hooks, kind, bytecode.as_event()?)?,
         }
         self.add_active_flag_ops(&mut patch, hooks, hook);
         Ok(patch)
@@ -489,46 +444,8 @@ impl Concord {
         f: LockEventFn,
     ) -> Result<AttachHandle, ConcordError> {
         let hooks = self.hooks_of(lock)?;
-        self.attach_event_fn(lock, kind, f, hooks)
-    }
-
-    fn attach_event_fn(
-        &self,
-        lock: &str,
-        kind: HookKind,
-        f: LockEventFn,
-        hooks: Arc<ShflHooks>,
-    ) -> Result<AttachHandle, ConcordError> {
-        let point = match kind {
-            HookKind::LockAcquire => &hooks.lock_acquire,
-            HookKind::LockContended => &hooks.lock_contended,
-            HookKind::LockAcquired => &hooks.lock_acquired,
-            HookKind::LockRelease => &hooks.lock_release,
-            _ => {
-                return Err(ConcordError::NotHookable(format!(
-                    "{} is not an event hook",
-                    kind.name()
-                )))
-            }
-        };
-        let point = Arc::clone(point);
-        let old = point.get().clone();
-        // Event hooks are observers with no return value, so they chain
-        // (tracepoint-style): the previous subscriber keeps running ahead
-        // of the new one. Decision hooks stay replace-only — there is one
-        // decision maker. Reverting restores the previous chain.
-        let installed: LockEventFn = match &old {
-            Some(prev) => {
-                let prev = Arc::clone(prev);
-                Arc::new(move |ctx| {
-                    prev(ctx);
-                    f(ctx);
-                })
-            }
-            None => f,
-        };
         let mut patch = Patch::new(format!("{lock}/{}", kind.name()));
-        patch.swap(&point, Some(installed), old);
+        chain_event(&mut patch, &hooks, kind, f)?;
         self.add_active_flag_ops(&mut patch, hooks, kind);
         Ok(self.finish_attach(lock, kind, patch))
     }
@@ -571,7 +488,7 @@ impl Concord {
     ///
     /// Hook closures run inside lock acquisitions and cannot detach
     /// themselves; the sweep is the deferred half of the breaker, called
-    /// from the control plane (`c3ctl`, a watchdog loop, or a test).
+    /// by the control plane.
     pub fn sweep_breakers(&self) -> Vec<QuarantineRecord> {
         let tripped: Vec<ContainedAttach> = {
             let mut tracked = self.contained.lock();
@@ -598,74 +515,38 @@ impl Concord {
             if self.patches.revert_transaction(entry.patch).is_err() {
                 continue;
             }
-            let at_ns = self.env.ktime_ns();
-            telemetry::metrics().counter("c3_quarantines_total").inc();
-            telemetry::emit(
-                telemetry::EventKind::Quarantine,
-                at_ns,
-                0,
-                telemetry::event::fnv64(&entry.lock),
-                u64::from(entry.hook.bit()),
+            records.push(self.file_quarantine(
+                QuarantineRecord {
+                    lock: entry.lock,
+                    hook: entry.hook,
+                    policy: entry.policy,
+                    reason: entry.breaker.reason(),
+                    at_ns: self.env.ktime_ns(),
+                    events: Vec::new(),
+                },
                 entry.breaker.total_faults(),
-                0,
-            );
-            let record = QuarantineRecord {
-                lock: entry.lock,
-                hook: entry.hook,
-                policy: entry.policy,
-                reason: entry.breaker.reason(),
-                at_ns,
-                events: flight_record(),
-            };
-            self.registry.record_quarantine(record.clone());
-            records.push(record);
+            ));
         }
         records
     }
 
-    /// Forcibly quarantines an attached policy (the watchdog's auto-revert
-    /// path): reverts its patch as a transaction and records `reason`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConcordError::Patch`] when the patch is no longer live.
-    pub fn quarantine(
-        &self,
-        handle: AttachHandle,
-        reason: String,
-    ) -> Result<QuarantineRecord, ConcordError> {
-        self.patches.revert_transaction(handle.patch)?;
-        let policy = {
-            let mut tracked = self.contained.lock();
-            let named = tracked
-                .iter()
-                .find(|c| c.patch == handle.patch)
-                .map(|c| c.policy.clone());
-            tracked.retain(|c| c.patch != handle.patch);
-            // Untracked (plain) attaches are recorded under the patch name.
-            named.unwrap_or_else(|| format!("{}/{}", handle.lock, handle.hook.name()))
-        };
-        let at_ns = self.env.ktime_ns();
+    /// Counts and emits a quarantine whose policy is already pulled, fills
+    /// in `record`'s flight record (which ends with that emit) and files
+    /// it in the registry. `faults` is the emitted record's fault count.
+    fn file_quarantine(&self, mut record: QuarantineRecord, faults: u64) -> QuarantineRecord {
         telemetry::metrics().counter("c3_quarantines_total").inc();
         telemetry::emit(
             telemetry::EventKind::Quarantine,
-            at_ns,
+            record.at_ns,
             0,
-            telemetry::event::fnv64(&handle.lock),
-            u64::from(handle.hook.bit()),
-            0,
+            telemetry::event::fnv64(&record.lock),
+            u64::from(record.hook.bit()),
+            faults,
             0,
         );
-        let record = QuarantineRecord {
-            lock: handle.lock,
-            hook: handle.hook,
-            policy,
-            reason,
-            at_ns,
-            events: flight_record(),
-        };
+        record.events = flight_record();
         self.registry.record_quarantine(record.clone());
-        Ok(record)
+        record
     }
 
     /// Names of live patches, bottom to top.
@@ -723,27 +604,56 @@ impl Concord {
         at_ns: u64,
     ) -> QuarantineRecord {
         self.detach_sim(lock);
-        telemetry::metrics().counter("c3_quarantines_total").inc();
-        telemetry::emit(
-            telemetry::EventKind::Quarantine,
-            at_ns,
+        self.file_quarantine(
+            QuarantineRecord {
+                lock: name.to_string(),
+                hook,
+                policy: policy.to_string(),
+                reason,
+                at_ns,
+                events: Vec::new(),
+            },
             0,
-            telemetry::event::fnv64(name),
-            u64::from(hook.bit()),
-            0,
-            0,
-        );
-        let record = QuarantineRecord {
-            lock: name.to_string(),
-            hook,
-            policy: policy.to_string(),
-            reason,
-            at_ns,
-            events: flight_record(),
-        };
-        self.registry.record_quarantine(record.clone());
-        record
+        )
     }
+}
+
+/// Adds to `patch` the swap that chains `f` onto `hooks`' event hook
+/// `kind`. Event hooks are observers with no return value, so they chain
+/// (tracepoint-style): the previous subscriber keeps running ahead of the
+/// new one. Decision hooks stay replace-only — there is one decision
+/// maker. Reverting restores the previous chain.
+fn chain_event(
+    patch: &mut Patch,
+    hooks: &ShflHooks,
+    kind: HookKind,
+    f: LockEventFn,
+) -> Result<(), ConcordError> {
+    let point = match kind {
+        HookKind::LockAcquire => &hooks.lock_acquire,
+        HookKind::LockContended => &hooks.lock_contended,
+        HookKind::LockAcquired => &hooks.lock_acquired,
+        HookKind::LockRelease => &hooks.lock_release,
+        _ => {
+            return Err(ConcordError::NotHookable(format!(
+                "{} is not an event hook",
+                kind.name()
+            )))
+        }
+    };
+    let old = point.get().clone();
+    let installed: LockEventFn = match &old {
+        Some(prev) => {
+            let prev = Arc::clone(prev);
+            Arc::new(move |ctx| {
+                prev(ctx);
+                f(ctx);
+            })
+        }
+        None => f,
+    };
+    patch.swap(point, Some(installed), old);
+    Ok(())
 }
 
 #[cfg(test)]
@@ -859,7 +769,7 @@ mod tests {
             FaultKind::Trap,
         )));
         let (_h, breaker) = c
-            .attach_contained_with_injector(
+            .attach_contained(
                 "l",
                 &loaded,
                 BreakerConfig {
@@ -917,19 +827,6 @@ mod tests {
         assert!(!lock.hooks().is_active(HookKind::CmpNode));
         assert_eq!(c.registry().quarantines("l").len(), 1);
         assert!(c.sweep_breakers().is_empty(), "sweep is idempotent");
-    }
-
-    #[test]
-    fn quarantine_reverts_and_records() {
-        let c = Concord::new();
-        let lock = Arc::new(ShflLock::new());
-        c.registry().register_shfl("l", Arc::clone(&lock));
-        let loaded = c.load(trivial_spec("p", HookKind::CmpNode, 1)).unwrap();
-        let h = c.attach("l", &loaded).unwrap();
-        let rec = c.quarantine(h, "manual pull".to_string()).unwrap();
-        assert_eq!(rec.lock, "l");
-        assert!(c.live_patches().is_empty());
-        assert_eq!(c.registry().all_quarantines().len(), 1);
     }
 
     #[test]

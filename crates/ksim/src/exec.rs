@@ -55,7 +55,6 @@ impl PartialOrd for Event {
 struct TaskSlot {
     future: Option<Pin<Box<dyn Future<Output = ()>>>>,
     cpu: CpuId,
-    socket: SocketId,
     parked: bool,
     unpark_token: bool,
     done: bool,
@@ -318,7 +317,6 @@ impl Sim {
         self.shared.tasks.borrow_mut().push(TaskSlot {
             future: Some(future),
             cpu,
-            socket,
             parked: false,
             unpark_token: false,
             done: false,
@@ -653,13 +651,6 @@ impl TaskCtx {
                 self.advance(1).await;
             }
         }
-    }
-
-    /// CPU and socket of another task (used by topology-aware policies).
-    pub fn task_cpu(&self, t: TaskId) -> (CpuId, SocketId) {
-        let tasks = self.shared.tasks.borrow();
-        let s = &tasks[t.0 as usize];
-        (s.cpu, s.socket)
     }
 }
 

@@ -50,6 +50,7 @@ pub struct NetFaultPlan {
 impl NetFaultPlan {
     /// A perfectly reliable network with a fixed one-way latency: no
     /// drops, no duplicates, no reordering.
+    #[cfg(test)]
     pub fn reliable(seed: u64, delay_ns: u64) -> Self {
         NetFaultPlan {
             seed,
@@ -269,11 +270,6 @@ impl<M: Clone> SimNet<M> {
     /// Reconnects every endpoint.
     pub fn heal_all(&self) {
         self.inner.borrow_mut().partitioned.clear();
-    }
-
-    /// Whether endpoint `ep` is currently partitioned.
-    pub fn is_partitioned(&self, ep: usize) -> bool {
-        self.inner.borrow().partitioned.contains(&ep)
     }
 
     /// Fault counters so far.

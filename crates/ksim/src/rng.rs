@@ -35,23 +35,6 @@ impl SplitMix64 {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
-
-    /// Uniform value in `[0, bound)`; `bound` must be non-zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bound == 0`.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "bound must be non-zero");
-        // Multiply-shift range reduction (Lemire); bias is negligible for
-        // the simulator's purposes.
-        ((u128::from(self.next_u64()) * u128::from(bound)) >> 64) as u64
-    }
-
-    /// Uniform `f64` in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
 }
 
 #[cfg(test)]
@@ -69,37 +52,14 @@ mod tests {
     }
 
     #[test]
-    fn next_below_in_range() {
-        let mut r = SplitMix64::new(99);
-        for _ in 0..10_000 {
-            assert!(r.next_below(7) < 7);
-        }
-    }
-
-    #[test]
-    fn next_f64_in_unit_interval() {
-        let mut r = SplitMix64::new(5);
-        for _ in 0..10_000 {
-            let f = r.next_f64();
-            assert!((0.0..1.0).contains(&f));
-        }
-    }
-
-    #[test]
     fn reasonable_uniformity() {
         let mut r = SplitMix64::new(123);
         let mut buckets = [0u32; 8];
         for _ in 0..80_000 {
-            buckets[r.next_below(8) as usize] += 1;
+            buckets[(r.next_u64() >> 61) as usize] += 1;
         }
         for b in buckets {
             assert!((9_000..11_000).contains(&b), "bucket count {b} skewed");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn next_below_zero_panics() {
-        SplitMix64::new(0).next_below(0);
     }
 }

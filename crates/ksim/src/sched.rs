@@ -193,11 +193,6 @@ impl SchedController {
         self.inner.borrow().log.clone()
     }
 
-    /// The wrapped strategy's name.
-    pub fn strategy_name(&self) -> &'static str {
-        self.inner.borrow().strategy.name()
-    }
-
     /// Consults the strategy for one point; called by the executor.
     pub(crate) fn on_point(
         &self,

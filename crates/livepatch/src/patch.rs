@@ -265,8 +265,8 @@ impl PatchManager {
     }
 
     /// Names of live patches whose name starts with `prefix`, bottom to
-    /// top. Used by rollout recovery to probe which generation-tagged
-    /// wave patches survived a crash.
+    /// top.
+    #[cfg(test)]
     pub fn live_with_prefix(&self, prefix: &str) -> Vec<String> {
         self.stack
             .lock()
@@ -364,17 +364,6 @@ impl PatchManager {
         Ok(names)
     }
 
-    /// Reverts the top patch, if any; returns its name.
-    pub fn revert_top(&self) -> Option<String> {
-        let handle = {
-            let stack = self.stack.lock();
-            stack.last().map(|p| (PatchHandle(p.id), p.name.clone()))
-        };
-        let (h, name) = handle?;
-        self.revert(h).expect("top patch revert cannot fail");
-        Some(name)
-    }
-
     /// Names of live patches, bottom to top.
     pub fn live(&self) -> Vec<String> {
         self.stack.lock().iter().map(|p| p.name.clone()).collect()
@@ -419,23 +408,6 @@ mod tests {
         mgr.revert(h1).unwrap();
         assert_eq!(*x.get(), 0);
         assert_eq!(mgr.revert(h1), Err(PatchError::UnknownPatch));
-    }
-
-    #[test]
-    fn revert_top_pops_in_order() {
-        let x = Arc::new(PatchPoint::new(0u32));
-        let mgr = PatchManager::new();
-        for i in 1..=3u32 {
-            let mut p = Patch::new(format!("p{i}"));
-            p.swap(&x, i, i - 1);
-            mgr.apply(p);
-        }
-        assert_eq!(*x.get(), 3);
-        assert_eq!(mgr.revert_top().as_deref(), Some("p3"));
-        assert_eq!(mgr.revert_top().as_deref(), Some("p2"));
-        assert_eq!(*x.get(), 1);
-        assert_eq!(mgr.revert_top().as_deref(), Some("p1"));
-        assert_eq!(mgr.revert_top(), None);
     }
 
     #[test]

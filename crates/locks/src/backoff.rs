@@ -51,6 +51,7 @@ impl Backoff {
 
     /// True once the backoff has escalated past pure spinning — the usual
     /// trigger for a blocking lock to park.
+    #[cfg(test)]
     pub fn is_completed(&self) -> bool {
         self.step > YIELD_LIMIT
     }

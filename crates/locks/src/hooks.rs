@@ -181,21 +181,6 @@ impl HookKind {
         }
     }
 
-    /// Name of the schedule-exploration injection site co-located with
-    /// this hook (`ksim::SchedSite::name` vocabulary): the explorer
-    /// perturbs schedules at exactly the program points where policies
-    /// run, so a finding at a site names the hook a steering policy
-    /// would use there.
-    pub fn sched_site_name(self) -> &'static str {
-        match self {
-            HookKind::CmpNode | HookKind::SkipShuffle => "shuffle",
-            HookKind::ScheduleWaiter | HookKind::LockContended => "contended",
-            HookKind::LockAcquire => "acquire",
-            HookKind::LockAcquired => "acquired",
-            HookKind::LockRelease => "release",
-        }
-    }
-
     /// Telemetry event kind for records emitted at this hook's site.
     pub fn event_kind(self) -> telemetry::EventKind {
         match self {
@@ -272,12 +257,6 @@ impl ShflHooks {
         self.set_active(HookKind::CmpNode, true);
     }
 
-    /// Installs a `skip_shuffle` policy.
-    pub fn install_skip_shuffle(&self, f: SkipShuffleFn) {
-        self.skip_shuffle.replace(Some(f));
-        self.set_active(HookKind::SkipShuffle, true);
-    }
-
     /// Installs a `schedule_waiter` policy.
     pub fn install_schedule_waiter(&self, f: ScheduleWaiterFn) {
         self.schedule_waiter.replace(Some(f));
@@ -285,6 +264,7 @@ impl ShflHooks {
     }
 
     /// Installs a profiling hook.
+    #[cfg(test)]
     pub fn install_event(&self, kind: HookKind, f: LockEventFn) {
         match kind {
             HookKind::LockAcquire => self.lock_acquire.replace(Some(f)),

@@ -7,11 +7,11 @@
 //! algorithms exactly as `smp_processor_id()`/`numa_node_id()` would.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cores per socket used to derive a socket from a virtual CPU; matches the
 /// paper machine (8 × 10).
-static CORES_PER_SOCKET: AtomicU32 = AtomicU32::new(10);
+const CORES_PER_SOCKET: u32 = 10;
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -22,16 +22,6 @@ thread_local! {
     static PRIO: Cell<i64> = const { Cell::new(0) };
     static CS_HINT: Cell<u64> = const { Cell::new(0) };
     static HELD_LOCKS: Cell<u32> = const { Cell::new(0) };
-}
-
-/// Sets the cores-per-socket divisor for every thread (default 10).
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn set_cores_per_socket(n: u32) {
-    assert!(n > 0, "cores per socket must be non-zero");
-    CORES_PER_SOCKET.store(n, Ordering::Relaxed);
 }
 
 /// Declares this thread's virtual CPU.
@@ -47,7 +37,7 @@ pub fn current_cpu() -> u32 {
 
 /// The calling thread's socket, derived from its virtual CPU.
 pub fn current_socket() -> u32 {
-    current_cpu() / CORES_PER_SOCKET.load(Ordering::Relaxed)
+    current_cpu() / CORES_PER_SOCKET
 }
 
 /// A stable per-thread task id (assigned lazily, never 0).

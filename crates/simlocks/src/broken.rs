@@ -109,14 +109,8 @@ impl InversionPair {
         self.b.acquire(t).await;
     }
 
-    /// Takes `b` then `a` (the inverted half).
-    pub async fn ba(&self, t: &TaskCtx) {
-        self.b.acquire(t).await;
-        t.sched_point(SchedSite::Window, self.b.lock_id()).await;
-        self.a.acquire(t).await;
-    }
-
     /// Releases both locks.
+    #[cfg(test)]
     pub async fn unlock_all(&self, t: &TaskCtx) {
         self.b.release(t).await;
         self.a.release(t).await;

@@ -45,7 +45,6 @@ pub struct SimShflLock {
     id: u64,
     shuffles: Cell<u64>,
     moves: Cell<u64>,
-    scanned: Cell<u64>,
     last_socket: Cell<u32>,
     streak: Cell<u32>,
     /// Tid of the current holder (0 = unlocked); set by the winner of the
@@ -72,7 +71,6 @@ impl SimShflLock {
             id: sim.alloc_id(),
             shuffles: Cell::new(0),
             moves: Cell::new(0),
-            scanned: Cell::new(0),
             last_socket: Cell::new(u32::MAX),
             streak: Cell::new(0),
             owner: Cell::new(0),
@@ -113,11 +111,6 @@ impl SimShflLock {
     /// Nodes moved by shuffling (statistics).
     pub fn move_count(&self) -> u64 {
         self.moves.get()
-    }
-
-    /// Nodes examined by shuffling (statistics).
-    pub fn scan_count(&self) -> u64 {
-        self.scanned.get()
     }
 
     /// Overrides the fairness bound on consecutive same-socket handoffs
@@ -394,7 +387,6 @@ impl SimShflLock {
         let mut scanned = 0;
         while curr != 0 && scanned < MAX_SHUFFLE_SCAN {
             scanned += 1;
-            self.scanned.set(self.scanned.get() + 1);
             // The shuffler abandons the phase the moment it is granted
             // headship (a word-spin on its own status line, already local).
             if head.status.peek() == GRANTED {

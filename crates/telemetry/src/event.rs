@@ -24,7 +24,8 @@ pub const EVENT_WORDS: usize = 9;
 pub const MAX_PAYLOAD: usize = 16;
 
 /// What happened. The discriminants are the wire encoding — they must
-/// never be renumbered.
+/// never be renumbered. 12 is retired: an older trace may carry it, so
+/// it decodes to nothing and is not reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u16)]
 pub enum EventKind {
@@ -56,11 +57,8 @@ pub enum EventKind {
     /// A breaker opened. `a`=lock id, `b`=hook bit, `c`=consecutive
     /// faults, `d`=fault-kind discriminant.
     BreakerTrip = 11,
-    /// Watchdog verdict on a profiling window. `a`=lock id, `b`=hazard
-    /// count, `d`=1 if the window tripped revert.
-    WatchdogVerdict = 12,
-    /// A policy was quarantined. `a`=lock id, `b`=hook bit; policy-name
-    /// prefix in the payload.
+    /// A policy was quarantined. `a`=lock id, `b`=hook bit, `c`=the
+    /// breaker's total faults (0 for a sim quarantine).
     Quarantine = 13,
     /// User bytecode called the `trace_emit` helper. `a`=lock id (0 if
     /// unknown), `b`=pid; the helper's bytes are the payload.
@@ -106,7 +104,6 @@ impl EventKind {
             9 => PatchApply,
             10 => PatchRevert,
             11 => BreakerTrip,
-            12 => WatchdogVerdict,
             13 => Quarantine,
             14 => PolicyEmit,
             15 => RolloutStep,
@@ -142,7 +139,6 @@ impl EventKind {
             PatchApply => "patch_apply",
             PatchRevert => "patch_revert",
             BreakerTrip => "breaker_trip",
-            WatchdogVerdict => "watchdog_verdict",
             Quarantine => "quarantine",
             PolicyEmit => "policy_emit",
             RolloutStep => "rollout_step",

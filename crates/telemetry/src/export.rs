@@ -7,13 +7,12 @@
 //! becomes an instant (`"ph":"i"`) event. Timestamps are microseconds as
 //! the format requires, kept fractional so nanosecond ordering survives.
 //!
-//! [`to_flamegraph`] and [`to_contention_csv`] render an analysis
-//! [`Report`] (see [`crate::analyze`]): the former as collapsed stacks
-//! (`frame;frame;... weight`, the `flamegraph.pl` / inferno input format,
-//! weighted in nanoseconds of blocked time), the latter as a per-lock CSV
-//! of contention and attribution figures.
+//! [`to_flamegraph`] renders an analysis [`Report`] (see
+//! [`crate::analyze`]) as collapsed stacks (`frame;frame;... weight`, the
+//! `flamegraph.pl` / inferno input format, weighted in nanoseconds of
+//! blocked time).
 
-use crate::analyze::{Report, HANDOFF_TENANT, NS_PER_INSN};
+use crate::analyze::{Report, NS_PER_INSN};
 use crate::event::{EventKind, TraceEvent};
 use std::fmt::Write as _;
 
@@ -87,37 +86,6 @@ pub fn to_flamegraph(report: &Report) -> String {
     out
 }
 
-/// Render a report as a per-lock contention CSV: one row per
-/// `(lock, tenant, policy)` attribution cell, caused and suffered side
-/// by side, preceded by a header. Integer nanoseconds only — stable
-/// bytes for a fixed report.
-pub fn to_contention_csv(report: &Report) -> String {
-    let mut out =
-        String::from("lock,lock_id,tenant,policy,caused_ns,suffered_ns,wait_ns,completed_waits\n");
-    for (id, l) in &report.locks {
-        // Union of tenant/policy keys across both sides, ordered.
-        let mut keys: Vec<&(u64, String)> = l.caused.keys().chain(l.suffered.keys()).collect();
-        keys.sort();
-        keys.dedup();
-        for key in keys {
-            let (tenant, policy) = key;
-            let caused = l.caused.get(key).copied().unwrap_or(0);
-            let suffered = l.suffered.get(key).copied().unwrap_or(0);
-            let tenant_s = if *tenant == HANDOFF_TENANT {
-                "handoff".to_string()
-            } else {
-                tenant.to_string()
-            };
-            let _ = writeln!(
-                out,
-                "{},{id},{tenant_s},{policy},{caused},{suffered},{},{}",
-                l.name, l.wait_ns, l.completed_waits
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,21 +116,6 @@ mod tests {
             .map(|l| l.rsplit(' ').next().unwrap().parse::<u64>().unwrap())
             .sum();
         assert_eq!(total, r.total_wait_ns());
-    }
-
-    #[test]
-    fn contention_csv_shape() {
-        let r = analyze(&contended_stream(), AnalyzeConfig::default());
-        let csv = to_contention_csv(&r);
-        let mut lines = csv.lines();
-        assert_eq!(
-            lines.next().unwrap(),
-            "lock,lock_id,tenant,policy,caused_ns,suffered_ns,wait_ns,completed_waits"
-        );
-        let rows: Vec<&str> = lines.collect();
-        // Tenant 0 caused 30ns; tenant 3 suffered 30ns.
-        assert!(rows.contains(&"lock7,7,0,(unpatched),30,0,30,1"), "{csv}");
-        assert!(rows.contains(&"lock7,7,3,(unpatched),0,30,30,1"), "{csv}");
     }
 
     #[test]

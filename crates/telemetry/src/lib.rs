@@ -10,7 +10,7 @@
 //! * **hook-dispatch spans** — one per policy invocation, carrying the
 //!   prepared program's executed instruction count and remaining budget;
 //! * **control-plane transitions** — livepatch apply/revert, breaker
-//!   trips, watchdog verdicts, quarantines;
+//!   trips, quarantines, rollout steps and fleet transitions;
 //! * **policy-emitted events** — user bytecode calls the `trace_emit`
 //!   cbpf helper and its bounded payload lands in the same stream.
 //!

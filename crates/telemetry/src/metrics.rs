@@ -1,5 +1,6 @@
 //! Atomic metrics: counters, gauges, log2 histograms, and a registry
-//! that renders them in the Prometheus text exposition format.
+//! that renders the counters and gauges in the Prometheus text exposition
+//! format.
 //!
 //! [`AtomicHistogram`] uses the same power-of-two bucketing as
 //! `ksim::Histogram` (bucket `k` holds values whose highest set bit is
@@ -178,7 +179,6 @@ impl AtomicHistogram {
 pub struct MetricsRegistry {
     counters: Mutex<BTreeMap<String, Arc<Counter>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<AtomicHistogram>>>,
 }
 
 impl MetricsRegistry {
@@ -208,20 +208,7 @@ impl MetricsRegistry {
         )
     }
 
-    /// Get or create the log2 histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Arc<AtomicHistogram> {
-        Arc::clone(
-            self.histograms
-                .lock()
-                .unwrap()
-                .entry(name.to_string())
-                .or_default(),
-        )
-    }
-
     /// Render every metric in the Prometheus text exposition format.
-    /// Histograms render cumulative `_bucket{le="..."}` series with
-    /// power-of-two upper bounds, plus `_sum` and `_count`.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, c) in self.counters.lock().unwrap().iter() {
@@ -231,26 +218,6 @@ impl MetricsRegistry {
         for (name, g) in self.gauges.lock().unwrap().iter() {
             let _ = writeln!(out, "# TYPE {name} gauge");
             let _ = writeln!(out, "{name} {}", g.get());
-        }
-        for (name, h) in self.histograms.lock().unwrap().iter() {
-            let (buckets, count, sum, _, _) = h.raw_parts();
-            let _ = writeln!(out, "# TYPE {name} histogram");
-            let mut cumulative = 0u64;
-            let top = buckets
-                .iter()
-                .rposition(|&b| b != 0)
-                .map_or(0, |i| i + 1)
-                .min(HIST_BUCKETS - 1);
-            for (k, b) in buckets.iter().enumerate().take(top + 1) {
-                cumulative += b;
-                // Bucket k holds values in [2^k, 2^(k+1)): upper bound
-                // 2^(k+1)-1, except bucket 0 which also holds 0 and 1.
-                let le = (1u128 << (k + 1)) - 1;
-                let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {count}");
-            let _ = writeln!(out, "{name}_sum {sum}");
-            let _ = writeln!(out, "{name}_count {count}");
         }
         out
     }
@@ -294,17 +261,9 @@ mod tests {
         let r = MetricsRegistry::new();
         r.counter("a_total").add(7);
         r.gauge("b_now").set(-2);
-        let h = r.histogram("c_ns");
-        h.record(1);
-        h.record(5);
         let text = r.render_prometheus();
         assert!(text.contains("# TYPE a_total counter\na_total 7\n"));
         assert!(text.contains("# TYPE b_now gauge\nb_now -2\n"));
-        assert!(text.contains("c_ns_bucket{le=\"1\"} 1"));
-        assert!(text.contains("c_ns_bucket{le=\"7\"} 2"));
-        assert!(text.contains("c_ns_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("c_ns_sum 6"));
-        assert!(text.contains("c_ns_count 2"));
     }
 
     #[test]

@@ -146,7 +146,10 @@ proptest! {
         words in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         payload in vec(any::<u8>(), 0..=MAX_PAYLOAD),
     ) {
-        let kind = EventKind::from_u16(kind_ix).unwrap();
+        // 12 is a retired wire code: it decodes to no kind.
+        let Some(kind) = EventKind::from_u16(kind_ix) else {
+            return Ok(());
+        };
         let mut ev = TraceEvent::new(kind, ts, cpu, words.0, words.1, words.2, words.3);
         ev.seq = seq;
         ev.set_payload(&payload);

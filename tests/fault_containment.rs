@@ -221,7 +221,7 @@ fn real_lock_stays_mutually_exclusive_while_policy_faults() {
         FaultKind::Trap,
     )));
     let (_h, breaker) = c
-        .attach_contained_with_injector(
+        .attach_contained(
             "hot",
             &loaded,
             BreakerConfig {
@@ -327,7 +327,7 @@ proptest! {
         let loaded = c.load(concord::policies::numa_aware()).unwrap();
         let inj = Arc::new(FaultInjector::new(FaultPlan::from_invocation(fault_at, kind)));
         let (_h, breaker) = c
-            .attach_contained_with_injector(
+            .attach_contained(
                 "l",
                 &loaded,
                 BreakerConfig { threshold, cooldown_ns: None },

@@ -301,3 +301,74 @@ fn attach_class_patches_every_lock_or_none() {
         .iter()
         .all(|l| !l.hooks().is_active(HookKind::CmpNode)));
 }
+
+#[test]
+fn event_subscribers_chain_and_revert_from_the_top() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    // Event hooks are observers: a bytecode subscriber attached over a
+    // native one runs after it instead of replacing it, whether it comes
+    // through `attach` or through an `attach_many` transaction, and a
+    // detach pulls only the top subscriber.
+    let concord = Concord::new();
+    let locks: Vec<Arc<ShflLock>> = (0..2).map(|_| Arc::new(ShflLock::new())).collect();
+    let native: Vec<Arc<AtomicU64>> = (0..2).map(|_| Arc::new(AtomicU64::new(0))).collect();
+    for ((name, lock), count) in ["one", "two"].iter().zip(&locks).zip(&native) {
+        concord.registry().register_shfl(name, Arc::clone(lock));
+        let count = Arc::clone(count);
+        concord
+            .attach_native_event(
+                name,
+                HookKind::LockAcquired,
+                Arc::new(move |_| {
+                    count.fetch_add(1, Ordering::Relaxed);
+                }),
+            )
+            .expect("native subscriber");
+    }
+    let map = concord::policies::counter_map("acq");
+    let loaded = concord
+        .load(concord::policies::event_counter(
+            HookKind::LockAcquired,
+            Arc::clone(&map),
+        ))
+        .unwrap();
+    let first = concord.attach("one", &loaded).expect("attach");
+    let second = concord.attach_many(&["two"], &loaded).expect("attach_many");
+    assert_eq!(
+        concord.live_patches(),
+        vec![
+            "one/lock_acquired",
+            "two/lock_acquired",
+            "one/lock_acquired",
+            "two/lock_acquired"
+        ]
+    );
+
+    let bytecode = || map.percpu_sum(&0u32.to_le_bytes());
+    let acquire_each = || {
+        for (lock, count) in locks.iter().zip(&native) {
+            let before = count.load(Ordering::Relaxed);
+            drop(lock.lock());
+            assert_eq!(count.load(Ordering::Relaxed), before + 1);
+        }
+    };
+    for round in 1..=3 {
+        acquire_each();
+        assert_eq!(bytecode(), 2 * round, "both bytecode subscribers fire");
+    }
+
+    for h in second {
+        concord.detach(h).expect("detach the top patch");
+    }
+    concord.detach(first).expect("detach");
+    assert_eq!(
+        concord.live_patches(),
+        vec!["one/lock_acquired", "two/lock_acquired"]
+    );
+    acquire_each();
+    assert_eq!(bytecode(), 6, "detached subscribers stay silent");
+    assert!(locks
+        .iter()
+        .all(|l| l.hooks().is_active(HookKind::LockAcquired)));
+}
