@@ -49,8 +49,8 @@ const SIM_SEED: u64 = 42;
 const CONSERVATION_WINDOW_NS: u64 = 100_000;
 
 /// Most that analysing one record may cost, in drains of one record
-/// (1.5 to 1.7 measured; 6.6 to 7.1 while the analyzer resolved the policy
-/// label of every record).
+/// (1.2 to 1.4 measured; 1.5 to 1.7 while the analyzer walked B-trees per
+/// record, 6.6 to 7.1 while it resolved the policy label of every record).
 const ANALYZE_TO_DRAIN_CEILING: f64 = 4.0;
 /// Operations in the recorded batch: six records each, below one ring.
 const BATCH_OPS: usize = 80;

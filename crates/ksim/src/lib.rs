@@ -71,5 +71,5 @@ pub use sched::{
     Injection, PctStrategy, RandomDelayStrategy, ReplayStrategy, SchedAction, SchedController,
     SchedPoint, SchedSite, ScheduleStrategy, MAX_INJECT_NS,
 };
-pub use stats::{Histogram, OnlineStats};
+pub use stats::Histogram;
 pub use topology::{CpuId, SocketId, Topology};

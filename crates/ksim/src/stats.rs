@@ -147,104 +147,6 @@ impl Histogram {
     }
 }
 
-/// Streaming mean / variance / extrema (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use ksim::OnlineStats;
-///
-/// let mut s = OnlineStats::new();
-/// for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.add(v);
-/// }
-/// assert!((s.mean() - 5.0).abs() < 1e-9);
-/// assert!((s.population_stddev() - 2.0).abs() < 1e-9);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct OnlineStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        OnlineStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn add(&mut self, v: f64) {
-        self.n += 1;
-        let d = v - self.mean;
-        self.mean += d / self.n as f64;
-        self.m2 += d * (v - self.mean);
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation, or 0 if fewer than two samples.
-    pub fn population_stddev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / self.n as f64).sqrt()
-        }
-    }
-
-    /// Coefficient of variation (stddev / mean), or 0 for an empty or
-    /// zero-mean stream. Used as the fairness metric in the Table 1 bench.
-    pub fn cov(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.population_stddev() / m
-        }
-    }
-
-    /// Smallest sample, or 0 if empty.
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest sample, or 0 if empty.
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,21 +208,5 @@ mod tests {
         assert_eq!(h.max(), 0);
         assert_eq!(h.quantile(0.5), 0);
         assert_eq!(h.mean(), 0.0);
-    }
-
-    #[test]
-    fn online_stats_extrema_and_cov() {
-        let mut s = OnlineStats::new();
-        for v in [1.0, 2.0, 3.0] {
-            s.add(v);
-        }
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 3.0);
-        assert!(s.cov() > 0.0);
-        let mut uniform = OnlineStats::new();
-        for _ in 0..10 {
-            uniform.add(4.0);
-        }
-        assert_eq!(uniform.cov(), 0.0);
     }
 }

@@ -48,9 +48,10 @@
 //! feeds top-K contended-lock gauges into the global metrics registry on
 //! every [`Continuous::step`].
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -246,16 +247,62 @@ struct HoldSegment {
     socket: u64,
 }
 
+/// An open wait or hold: when it began and the thread's socket.
 #[derive(Clone, Copy)]
-struct PendingWait {
+struct Pending {
     start_ns: u64,
     socket: u64,
 }
 
-#[derive(Clone, Copy)]
-struct PendingHold {
-    start_ns: u64,
-    socket: u64,
+/// Hashes a lock id or tid: one widening multiply, folded so the high
+/// and the low bits both mix.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("id maps are keyed by u64");
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let m = u128::from(key) * 0x9e37_79b9_7f4a_7c15;
+        self.0 = (m as u64) ^ ((m >> 64) as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A map keyed by lock id or tid.
+type IdMap<V> = HashMap<u64, V, BuildHasherDefault<IdHasher>>;
+
+/// What [`open`] did.
+enum Put {
+    New,
+    /// The tid had an open entry already; it now holds the new one.
+    Replaced,
+    /// The tid had none and the map is at `cap`.
+    Full,
+}
+
+/// Sets `tid`'s open wait or hold unless that would take `map` past `cap`.
+#[inline]
+fn open(map: &mut IdMap<Pending>, tid: u64, p: Pending, cap: usize) -> Put {
+    let full = map.len() >= cap;
+    match map.entry(tid) {
+        Entry::Occupied(mut e) => {
+            e.insert(p);
+            Put::Replaced
+        }
+        Entry::Vacant(_) if full => Put::Full,
+        Entry::Vacant(e) => {
+            e.insert(p);
+            Put::New
+        }
+    }
 }
 
 /// Shuffler / scheduler decision counters for one lock.
@@ -282,11 +329,52 @@ struct LockState {
     contended: u64,
     acquired: u64,
     releases: u64,
-    pending_wait: BTreeMap<u64, PendingWait>,
-    pending_hold: BTreeMap<u64, PendingHold>,
+    /// Open waits and holds, by tid.
+    pending_wait: IdMap<Pending>,
+    pending_hold: IdMap<Pending>,
     waits: Vec<WaitInterval>,
     holds: Vec<HoldSegment>,
     shuffle: ShuffleStats,
+}
+
+/// Hook bits a span can carry (`HookKind::bit` is `1 << index`).
+const HOOK_BITS: usize = 7;
+
+/// The cost cell of one hook bit on one lock, for the policy the cell
+/// last saw there.
+#[derive(Default)]
+struct HookCell {
+    policy: u32,
+    cost: HookCost,
+}
+
+/// Everything the analyzer keeps for one lock id.
+struct LockSlot {
+    id: u64,
+    /// Interned label of the policy live on the lock, resolved at patch
+    /// generation `policy_gen` and current while that is the analyzer's.
+    policy: u32,
+    policy_gen: u64,
+    /// Hook-span costs, indexed by hook bit position.
+    hooks: [HookCell; HOOK_BITS],
+    /// Whether `state` counts against `max_locks` and is reported: a lock
+    /// seen only in hook spans has no timeline.
+    tracked: bool,
+    state: LockState,
+}
+
+impl LockSlot {
+    fn new(id: u64) -> LockSlot {
+        LockSlot {
+            id,
+            policy: 0,
+            // No generation: the first label request resolves it.
+            policy_gen: u64::MAX,
+            hooks: Default::default(),
+            tracked: false,
+            state: LockState::default(),
+        }
+    }
 }
 
 /// Aggregated dispatch cost of one `(lock, hook, policy)` cell.
@@ -302,6 +390,35 @@ pub struct HookCost {
     /// Smallest remaining budget seen (how close the policy came to its
     /// instruction ceiling).
     pub min_budget: u64,
+}
+
+impl HookCost {
+    /// Counts one span of `insns` instructions that left `budget`.
+    fn add_span(&mut self, insns: u64, budget: u64) {
+        self.min_budget = if self.calls == 0 {
+            budget
+        } else {
+            self.min_budget.min(budget)
+        };
+        self.calls += 1;
+        self.insns += insns;
+        self.est_ns += HOOK_CALL_NS + insns * NS_PER_INSN;
+    }
+
+    /// Folds in the spans `other` counted.
+    fn merge(&mut self, other: &HookCost) {
+        if other.calls == 0 {
+            return;
+        }
+        self.min_budget = if self.calls == 0 {
+            other.min_budget
+        } else {
+            self.min_budget.min(other.min_budget)
+        };
+        self.calls += other.calls;
+        self.insns += other.insns;
+        self.est_ns += other.est_ns;
+    }
 }
 
 /// Per-lock analysis results.
@@ -525,21 +642,30 @@ struct LivePatch {
 /// partition timelines into a [`Report`].
 pub struct Analyzer {
     cfg: AnalyzeConfig,
-    locks: BTreeMap<u64, LockState>,
+    /// Per-lock state, one slot per lock id, in first-seen order.
+    slots: Vec<LockSlot>,
+    /// Lock id → index into `slots`.
+    ids: IdMap<usize>,
+    /// The previous record's lock and its slot: a record on the same lock
+    /// skips the id map.
+    hot: Option<(u64, usize)>,
+    /// Slots whose timeline is tracked, at most `cfg.max_locks`.
+    tracked: usize,
     /// Sequence numbers seen per ring bucket, as `(lowest, highest,
     /// count)`: the numbers missing from that range prove drops.
     ring_seq: [(u64, u64, u64); NR_RINGS],
     /// Live patches keyed by label hash (from patch_apply payloads).
     live_patches: BTreeMap<u64, LivePatch>,
+    /// Bumped by every patch record. A label is a function of
+    /// `live_patches` and the immutable `cfg.lock_names` only, so a
+    /// slot's cached label is true while its generation is this one.
+    patch_gen: u64,
     /// Interned policy labels; records and cells store an index.
     policy_pool: Vec<String>,
-    /// Lock id → interned label of the policy live on it. A label is a
-    /// function of `live_patches` and the immutable `cfg.lock_names`
-    /// only, so an entry stays true until the next patch record, and
-    /// every patch record clears the map.
-    policy_cache: BTreeMap<u64, u32>,
-    /// Dispatch cost per `(lock id, hook bit, interned policy)`.
-    hook_costs: BTreeMap<(u64, u64, u32), HookCost>,
+    /// Dispatch cost per `(lock id, hook bit, interned policy)` for what
+    /// no slot cell holds: a bit outside the seven, or a policy the lock
+    /// has left since.
+    hook_spill: BTreeMap<(u64, u64, u32), HookCost>,
     events: u64,
     anomalies: u64,
     truncated: u64,
@@ -581,195 +707,137 @@ impl Analyzer {
     pub fn new(cfg: AnalyzeConfig) -> Analyzer {
         Analyzer {
             cfg,
-            locks: BTreeMap::new(),
+            slots: Vec::new(),
+            ids: IdMap::default(),
+            hot: None,
+            tracked: 0,
             ring_seq: [(u64::MAX, 0, 0); NR_RINGS],
             live_patches: BTreeMap::new(),
+            patch_gen: 0,
             policy_pool: vec![UNPATCHED.to_string()],
-            policy_cache: BTreeMap::new(),
-            hook_costs: BTreeMap::new(),
+            hook_spill: BTreeMap::new(),
             events: 0,
             anomalies: 0,
             truncated: 0,
         }
     }
 
-    /// Interned label of the policy live on `lock_id`: one map lookup
-    /// per record, [`policy_label`] once per lock and patch.
-    fn policy_of(&mut self, lock_id: u64) -> u32 {
-        if let Some(&policy) = self.policy_cache.get(&lock_id) {
-            return policy;
+    /// Index of lock `id`'s slot, created if it has none. The previous
+    /// record's lock costs one compare.
+    #[inline]
+    fn slot(&mut self, id: u64) -> usize {
+        match self.hot {
+            Some((hot, i)) if hot == id => i,
+            _ => self.slot_miss(id),
         }
-        let label = policy_label(&self.cfg.lock_names, &self.live_patches, lock_id);
-        let policy = match self.policy_pool.iter().position(|p| p == label) {
-            Some(i) => i,
+    }
+
+    #[inline(never)]
+    fn slot_miss(&mut self, id: u64) -> usize {
+        let i = *self.ids.entry(id).or_insert_with(|| {
+            self.slots.push(LockSlot::new(id));
+            self.slots.len() - 1
+        });
+        self.hot = Some((id, i));
+        i
+    }
+
+    /// Index of lock `id`'s slot with its timeline tracked, or `None` —
+    /// one more truncated record — when it is untracked and `max_locks`
+    /// timelines are.
+    #[inline]
+    fn tracked_slot(&mut self, id: u64) -> Option<usize> {
+        match self.hot {
+            Some((hot, i)) if hot == id && self.slots[i].tracked => Some(i),
+            _ => self.track(id),
+        }
+    }
+
+    #[inline(never)]
+    fn track(&mut self, id: u64) -> Option<usize> {
+        let known = self.ids.get(&id).copied();
+        if let Some(i) = known {
+            self.hot = Some((id, i));
+            if self.slots[i].tracked {
+                return Some(i);
+            }
+        }
+        if self.tracked >= self.cfg.max_locks {
+            self.truncated += 1;
+            return None;
+        }
+        let i = known.unwrap_or_else(|| self.slot_miss(id));
+        self.slots[i].tracked = true;
+        self.tracked += 1;
+        Some(i)
+    }
+
+    /// Interned label of the policy live on slot `i`'s lock:
+    /// [`policy_label`] runs once per lock and patch record.
+    #[inline]
+    fn policy_of(&mut self, i: usize) -> u32 {
+        if self.slots[i].policy_gen != self.patch_gen {
+            self.resolve_policy(i);
+        }
+        self.slots[i].policy
+    }
+
+    #[cold]
+    fn resolve_policy(&mut self, i: usize) {
+        let slot = &mut self.slots[i];
+        let label = policy_label(&self.cfg.lock_names, &self.live_patches, slot.id);
+        slot.policy = match self.policy_pool.iter().position(|p| p == label) {
+            Some(p) => p,
             None => {
                 self.policy_pool.push(label.to_string());
                 self.policy_pool.len() - 1
             }
         } as u32;
-        self.policy_cache.insert(lock_id, policy);
-        policy
+        slot.policy_gen = self.patch_gen;
     }
 
-    fn lock_state(&mut self, id: u64) -> Option<&mut LockState> {
-        let full = self.locks.len() >= self.cfg.max_locks;
-        match self.locks.entry(id) {
-            Entry::Occupied(e) => Some(e.into_mut()),
-            Entry::Vacant(_) if full => {
-                self.truncated += 1;
-                None
+    /// Feed a slice of records. Events must arrive in the plane's merged
+    /// `(ts_ns, cpu, seq)` order for timeline reconstruction to be exact;
+    /// a stream may come in slices of any size.
+    pub fn observe_all(&mut self, events: &[TraceEvent]) {
+        self.events += events.len() as u64;
+        let ring = |ev: &TraceEvent| usize::from(ev.cpu) % NR_RINGS;
+        for run in events.chunk_by(|x, y| ring(x) == ring(y)) {
+            // Per-ring drop detection: a ring numbers its records without
+            // gaps, so whatever is missing from the range seen was
+            // overwritten. Counted over the range, not between neighbours:
+            // a hook span carries its entry time and so sorts ahead of the
+            // records its policy emitted during the run, which the ring
+            // numbered first. A run of one ring's records updates the
+            // range once.
+            let (lo, hi, seen) = &mut self.ring_seq[ring(&run[0])];
+            for ev in run {
+                *lo = (*lo).min(ev.seq);
+                *hi = (*hi).max(ev.seq);
             }
-            Entry::Vacant(e) => Some(e.insert(LockState::default())),
+            *seen += run.len() as u64;
+            for ev in run {
+                self.record(ev);
+            }
         }
     }
 
-    /// Feed one record. Events must arrive in the plane's merged
-    /// `(ts_ns, cpu, seq)` order for timeline reconstruction to be exact.
-    pub fn observe(&mut self, ev: &TraceEvent) {
-        self.events += 1;
-
-        // Per-ring drop detection: a ring numbers its records without
-        // gaps, so whatever is missing from the range seen was overwritten.
-        // Counted over the range, not between neighbours: a hook span
-        // carries its entry time and so sorts ahead of the records its
-        // policy emitted during the run, which the ring numbered first.
-        let (lo, hi, seen) = &mut self.ring_seq[usize::from(ev.cpu) % NR_RINGS];
-        *lo = (*lo).min(ev.seq);
-        *hi = (*hi).max(ev.seq);
-        *seen += 1;
-
+    /// Applies one record to the per-lock state.
+    #[inline]
+    fn record(&mut self, ev: &TraceEvent) {
         match ev.kind {
-            EventKind::LockAcquire => {
-                if let Some(l) = self.lock_state(ev.a) {
-                    l.acquires += 1;
+            EventKind::LockAcquire
+            | EventKind::LockContended
+            | EventKind::LockAcquired
+            | EventKind::LockRelease
+            | EventKind::CmpNode
+            | EventKind::SkipShuffle
+            | EventKind::ScheduleWaiter => {
+                if let Some(i) = self.tracked_slot(ev.a) {
+                    self.transition(i, ev);
                 }
             }
-            EventKind::LockContended => {
-                let cap = self.cfg.max_pending;
-                let mut anomalies = 0;
-                let mut truncated = 0;
-                if let Some(l) = self.lock_state(ev.a) {
-                    l.contended += 1;
-                    if l.pending_wait.contains_key(&ev.b) {
-                        // A second contended without an acquired between:
-                        // the acquired record was lost.
-                        anomalies += 1;
-                    }
-                    if l.pending_wait.len() < cap || l.pending_wait.contains_key(&ev.b) {
-                        l.pending_wait.insert(
-                            ev.b,
-                            PendingWait {
-                                start_ns: ev.ts_ns,
-                                socket: ev.c,
-                            },
-                        );
-                    } else {
-                        truncated += 1;
-                    }
-                }
-                self.anomalies += anomalies;
-                self.truncated += truncated;
-            }
-            EventKind::LockAcquired => {
-                let policy = self.policy_of(ev.a);
-                let (cap_pending, cap_intervals) = (self.cfg.max_pending, self.cfg.max_intervals);
-                let mut anomalies = 0;
-                let mut truncated = 0;
-                if let Some(l) = self.lock_state(ev.a) {
-                    l.acquired += 1;
-                    // Close the waiter interval, if this acquisition went
-                    // through the slow path.
-                    if let Some(w) = l.pending_wait.remove(&ev.b) {
-                        if l.waits.len() < cap_intervals {
-                            l.waits.push(WaitInterval {
-                                start_ns: w.start_ns,
-                                end_ns: ev.ts_ns.max(w.start_ns),
-                                tid: ev.b,
-                                socket: w.socket,
-                                policy,
-                            });
-                        } else {
-                            truncated += 1;
-                        }
-                    }
-                    // Open the holder segment.
-                    if l.pending_hold.contains_key(&ev.b) {
-                        // Double acquire without a release: the release
-                        // record was lost.
-                        anomalies += 1;
-                    }
-                    if l.pending_hold.len() < cap_pending || l.pending_hold.contains_key(&ev.b) {
-                        l.pending_hold.insert(
-                            ev.b,
-                            PendingHold {
-                                start_ns: ev.ts_ns,
-                                socket: ev.c,
-                            },
-                        );
-                    } else {
-                        truncated += 1;
-                    }
-                }
-                self.anomalies += anomalies;
-                self.truncated += truncated;
-            }
-            EventKind::LockRelease => {
-                let cap_intervals = self.cfg.max_intervals;
-                let mut anomalies = 0;
-                let mut truncated = 0;
-                if let Some(l) = self.lock_state(ev.a) {
-                    l.releases += 1;
-                    match l.pending_hold.remove(&ev.b) {
-                        Some(h) => {
-                            if l.holds.len() < cap_intervals {
-                                l.holds.push(HoldSegment {
-                                    start_ns: h.start_ns,
-                                    end_ns: ev.ts_ns.max(h.start_ns),
-                                    tid: ev.b,
-                                    socket: h.socket,
-                                });
-                            } else {
-                                truncated += 1;
-                            }
-                        }
-                        // Release without an observed acquire: the stream
-                        // started mid-hold or the record was lost.
-                        None => anomalies += 1,
-                    }
-                }
-                self.anomalies += anomalies;
-                self.truncated += truncated;
-            }
-            EventKind::CmpNode => {
-                if let Some(l) = self.lock_state(ev.a) {
-                    l.shuffle.cmp_calls += 1;
-                    l.shuffle.inversions += u64::from(ev.d == 1);
-                }
-            }
-            EventKind::SkipShuffle => {
-                if let Some(l) = self.lock_state(ev.a) {
-                    l.shuffle.skip_calls += 1;
-                    l.shuffle.skips += u64::from(ev.d == 1);
-                }
-            }
-            EventKind::ScheduleWaiter => {
-                if let Some(l) = self.lock_state(ev.a) {
-                    l.shuffle.sched_calls += 1;
-                    l.shuffle.parks += u64::from(ev.d == 1);
-                }
-            }
-            EventKind::HookSpan => {
-                let policy = self.policy_of(ev.a);
-                let cell = self.hook_costs.entry((ev.a, ev.b, policy)).or_default();
-                cell.calls += 1;
-                cell.insns += ev.c;
-                cell.est_ns += HOOK_CALL_NS + ev.c * NS_PER_INSN;
-                cell.min_budget = if cell.calls == 1 {
-                    ev.d
-                } else {
-                    cell.min_budget.min(ev.d)
-                };
-            }
+            EventKind::HookSpan => self.hook_span(ev),
             EventKind::PatchApply => {
                 let label = String::from_utf8_lossy(ev.payload_bytes()).into_owned();
                 self.live_patches.insert(
@@ -779,21 +847,124 @@ impl Analyzer {
                         since_ns: ev.ts_ns,
                     },
                 );
-                self.policy_cache.clear();
+                self.patch_gen += 1;
             }
             EventKind::PatchRevert => {
                 self.live_patches.remove(&ev.a);
-                self.policy_cache.clear();
+                self.patch_gen += 1;
             }
             // Control-plane records carry no timeline information.
             _ => {}
         }
     }
 
-    /// Feed a `(ts, cpu, seq)`-ordered slice.
-    pub fn observe_all(&mut self, events: &[TraceEvent]) {
-        for ev in events {
-            self.observe(ev);
+    /// Charges a hook span to its lock's cell for the span's hook bit.
+    #[inline]
+    fn hook_span(&mut self, ev: &TraceEvent) {
+        let i = self.slot(ev.a);
+        let policy = self.policy_of(i);
+        let index = (ev.b.is_power_of_two() && ev.b < 1 << HOOK_BITS)
+            .then(|| ev.b.trailing_zeros() as usize);
+        let cost = match index {
+            Some(index) => {
+                let cell = &mut self.slots[i].hooks[index];
+                if cell.policy != policy {
+                    // The lock's policy changed since this cell's last
+                    // span: retire the cell of the policy it left, if it
+                    // has counted any.
+                    if cell.cost.calls > 0 {
+                        self.hook_spill
+                            .entry((ev.a, ev.b, cell.policy))
+                            .or_default()
+                            .merge(&std::mem::take(&mut cell.cost));
+                    }
+                    cell.policy = policy;
+                }
+                &mut cell.cost
+            }
+            None => self.hook_spill.entry((ev.a, ev.b, policy)).or_default(),
+        };
+        cost.add_span(ev.c, ev.d);
+    }
+
+    /// Applies a lock transition or shuffler decision to slot `i`'s
+    /// timeline.
+    #[inline]
+    fn transition(&mut self, i: usize, ev: &TraceEvent) {
+        let (cap_pending, cap_intervals) = (self.cfg.max_pending, self.cfg.max_intervals);
+        let l = &mut self.slots[i].state;
+        let pending = Pending {
+            start_ns: ev.ts_ns,
+            socket: ev.c,
+        };
+        match ev.kind {
+            EventKind::LockAcquire => l.acquires += 1,
+            EventKind::LockContended => {
+                l.contended += 1;
+                match open(&mut l.pending_wait, ev.b, pending, cap_pending) {
+                    Put::New => {}
+                    // A second contended without an acquired between:
+                    // the acquired record was lost.
+                    Put::Replaced => self.anomalies += 1,
+                    Put::Full => self.truncated += 1,
+                }
+            }
+            EventKind::LockAcquired => {
+                l.acquired += 1;
+                // Close the waiter interval, if this acquisition went
+                // through the slow path.
+                if let Some(w) = l.pending_wait.remove(&ev.b) {
+                    if l.waits.len() < cap_intervals {
+                        let policy = self.policy_of(i);
+                        self.slots[i].state.waits.push(WaitInterval {
+                            start_ns: w.start_ns,
+                            end_ns: ev.ts_ns.max(w.start_ns),
+                            tid: ev.b,
+                            socket: w.socket,
+                            policy,
+                        });
+                    } else {
+                        self.truncated += 1;
+                    }
+                }
+                // Open the holder segment.
+                let l = &mut self.slots[i].state;
+                match open(&mut l.pending_hold, ev.b, pending, cap_pending) {
+                    Put::New => {}
+                    // Double acquire without a release: the release
+                    // record was lost.
+                    Put::Replaced => self.anomalies += 1,
+                    Put::Full => self.truncated += 1,
+                }
+            }
+            EventKind::LockRelease => {
+                l.releases += 1;
+                match l.pending_hold.remove(&ev.b) {
+                    Some(h) if l.holds.len() < cap_intervals => l.holds.push(HoldSegment {
+                        start_ns: h.start_ns,
+                        end_ns: ev.ts_ns.max(h.start_ns),
+                        tid: ev.b,
+                        socket: h.socket,
+                    }),
+                    Some(_) => self.truncated += 1,
+                    // Release without an observed acquire: the stream
+                    // started mid-hold or the record was lost.
+                    None => self.anomalies += 1,
+                }
+            }
+            EventKind::CmpNode => {
+                l.shuffle.cmp_calls += 1;
+                l.shuffle.inversions += u64::from(ev.d == 1);
+            }
+            EventKind::SkipShuffle => {
+                l.shuffle.skip_calls += 1;
+                l.shuffle.skips += u64::from(ev.d == 1);
+            }
+            EventKind::ScheduleWaiter => {
+                l.shuffle.sched_calls += 1;
+                l.shuffle.parks += u64::from(ev.d == 1);
+            }
+            _ => {}
         }
     }
 
@@ -801,8 +972,8 @@ impl Analyzer {
     pub fn finish(self) -> Report {
         let Analyzer {
             cfg,
-            locks,
-            hook_costs,
+            slots,
+            mut hook_spill,
             events,
             ring_seq,
             anomalies,
@@ -816,8 +987,24 @@ impl Analyzer {
             .map(|(lo, hi, seen)| (hi - lo).saturating_sub(seen - 1))
             .sum();
 
+        let mut locks = Vec::with_capacity(slots.len());
+        for slot in slots {
+            for (bit, cell) in slot.hooks.iter().enumerate() {
+                if cell.cost.calls > 0 {
+                    hook_spill
+                        .entry((slot.id, 1 << bit, cell.policy))
+                        .or_default()
+                        .merge(&cell.cost);
+                }
+            }
+            if slot.tracked {
+                locks.push((slot.id, slot.state));
+            }
+        }
+        locks.sort_unstable_by_key(|(id, _)| *id);
+
         let mut report = Report {
-            hook_costs: hook_costs
+            hook_costs: hook_spill
                 .into_iter()
                 .map(|((lock, bit, policy), cost)| {
                     ((lock, bit, policy_pool[policy as usize].clone()), cost)
@@ -834,8 +1021,8 @@ impl Analyzer {
         // wait per tid (across locks), both time-sorted.
         let mut holds_by_lock: BTreeMap<u64, Vec<HoldSegment>> = BTreeMap::new();
         let mut waits_by_tid: BTreeMap<u64, Vec<(u64, u64, u64)>> = BTreeMap::new();
-        for (id, l) in &locks {
-            let mut holds = l.holds.clone();
+        for (id, l) in &mut locks {
+            let mut holds = std::mem::take(&mut l.holds);
             holds.sort_by_key(|h| (h.start_ns, h.end_ns, h.tid));
             holds_by_lock.insert(*id, holds);
             for w in &l.waits {
@@ -1377,6 +1564,21 @@ mod tests {
     }
 
     #[test]
+    fn a_first_span_under_a_patch_makes_one_cell() {
+        let mut cfg = AnalyzeConfig::default();
+        cfg.lock_names.insert(7, "mmap_sem".to_string());
+        let mut apply = ev(EventKind::PatchApply, 10, 0, 1, 1, 1, 0);
+        apply.set_payload(b"mmap_sem/lock_acquire");
+        let stream = vec![apply, ev(EventKind::HookSpan, 20, 1, 7, 8, 11, 100)];
+        let r = analyze(&stream, cfg);
+        assert_eq!(r.hook_costs.len(), 1);
+        assert_eq!(
+            r.hook_costs[&(7, 8, "mmap_sem/lock_ac".to_string())].calls,
+            1
+        );
+    }
+
+    #[test]
     fn records_of_one_ring_out_of_seq_order_are_not_drops() {
         // A span stamped at hook entry sorts ahead of the record its
         // policy emitted during the run.
@@ -1476,10 +1678,13 @@ mod tests {
                 cached.observe_all(&events);
                 let mut reference = Analyzer::new(config());
                 for e in &events {
-                    reference.policy_cache.clear();
-                    reference.observe(e);
+                    reference.patch_gen += 1;
+                    reference.observe_all(std::slice::from_ref(e));
                 }
-                prop_assert_eq!(cached.finish().render(), reference.finish().render());
+                let cached = cached.finish();
+                // A cell exists only for spans it counted.
+                prop_assert!(cached.hook_costs.values().all(|c| c.calls > 0));
+                prop_assert_eq!(cached.render(), reference.finish().render());
             }
         }
     }
@@ -1507,6 +1712,47 @@ mod tests {
         assert_eq!(r.locks.len(), 1);
         assert!(r.truncated > 0);
         assert!(!r.exact());
+    }
+
+    #[test]
+    fn pending_and_interval_caps_truncate_exactly() {
+        let cfg = AnalyzeConfig {
+            max_intervals: 64,
+            ..AnalyzeConfig::default()
+        };
+        let mut stream = Vec::new();
+        let mut push = |kind, lock, tid| {
+            let seq = stream.len() as u64;
+            stream.push(ev(kind, seq, seq, lock, tid, tid % 2, tid));
+        };
+        // 4 097 waiters queue on lock 7 at once: the last one is over
+        // the 4 096 pending cap. A second contended from a waiter already
+        // queued is an anomaly, not a truncation, even at the cap.
+        for tid in 1..=4_097 {
+            push(EventKind::LockContended, 7, tid);
+        }
+        push(EventKind::LockContended, 7, 5);
+        // A hundred of them get the lock and leave: 64 waits and 64 holds
+        // fit the interval cap, 36 of each do not.
+        for tid in 1..=100 {
+            push(EventKind::LockAcquired, 7, tid);
+            push(EventKind::LockRelease, 7, tid);
+        }
+        // The waiter turned away at the cap queues again, now below it.
+        push(EventKind::LockContended, 7, 4_097);
+        // 4 097 holders on lock 8, never released.
+        for tid in 1..=4_097 {
+            push(EventKind::LockAcquired, 8, tid);
+        }
+        let r = analyze(&stream, cfg);
+        assert_eq!(r.truncated, 1 + 36 + 36 + 1);
+        assert_eq!(r.anomalies, 1);
+        assert_eq!(r.open_waits, 4_096 - 100 + 1);
+        assert_eq!(r.open_holds, 4_096);
+        assert_eq!(r.locks[&7].completed_waits, 64);
+        assert_eq!(r.locks[&7].contended, 4_099);
+        assert_eq!(r.locks[&8].acquired, 4_097);
+        assert!(r.conservation_holds());
     }
 
     #[test]

@@ -40,6 +40,26 @@ impl Slot {
             words: [const { AtomicU64::new(0) }; EVENT_WORDS],
         }
     }
+
+    /// Seqlock read of the record for state `want`, given `state`, the
+    /// slot state the caller loaded (acquire) before: the record if that
+    /// and the state after the copy are both `want`. Two state loads in
+    /// all.
+    #[inline]
+    fn read(&self, state: u64, want: u64) -> Option<TraceEvent> {
+        if state != want {
+            return None;
+        }
+        let mut words = [0u64; EVENT_WORDS];
+        for (out, w) in words.iter_mut().zip(self.words.iter()) {
+            *out = w.load(Ordering::Relaxed);
+        }
+        fence(Ordering::Acquire);
+        if self.state.load(Ordering::Relaxed) != want {
+            return None;
+        }
+        TraceEvent::from_words(&words)
+    }
 }
 
 /// One single-CPU trace ring. Multi-producer (any thread may emit into
@@ -50,6 +70,10 @@ pub struct Ring {
     head: AtomicU64,
     /// Next position the consumer will read.
     cursor: Mutex<u64>,
+    /// Lock-free mirror of `cursor`, stored under its mutex after every
+    /// drain: a drain that finds it equal to `head` skips the ring
+    /// without taking the mutex.
+    consumed: AtomicU64,
     /// Records lost: overwritten before the consumer got to them, or
     /// skipped because a writer lapped the reader mid-copy.
     dropped: AtomicU64,
@@ -76,6 +100,7 @@ impl Ring {
             slots: slots.into_boxed_slice(),
             head: AtomicU64::new(0),
             cursor: Mutex::new(0),
+            consumed: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
     }
@@ -94,7 +119,7 @@ impl Ring {
     pub fn emit(&self, mut ev: TraceEvent) {
         let pos = self.head.fetch_add(1, Ordering::Relaxed);
         ev.seq = pos;
-        let slot = &self.slots[(pos & self.mask()) as usize];
+        let slot = self.slot(pos);
         let writing = 2 * pos + 1;
         loop {
             let s = slot.state.load(Ordering::Relaxed);
@@ -126,58 +151,67 @@ impl Ring {
         slot.state.store(writing + 1, Ordering::Release);
     }
 
-    /// Seqlock read of the slot holding position `pos`. `Some(event)` if
-    /// the slot still holds exactly that position's completed record.
-    fn read_pos(&self, pos: u64) -> Option<TraceEvent> {
-        let slot = &self.slots[(pos & self.mask()) as usize];
-        let want = 2 * pos + 2;
-        if slot.state.load(Ordering::Acquire) != want {
-            return None;
-        }
-        let mut words = [0u64; EVENT_WORDS];
-        for (out, w) in words.iter_mut().zip(slot.words.iter()) {
-            *out = w.load(Ordering::Relaxed);
-        }
-        fence(Ordering::Acquire);
-        if slot.state.load(Ordering::Relaxed) != want {
-            return None;
-        }
-        TraceEvent::from_words(&words)
+    #[inline]
+    fn slot(&self, pos: u64) -> &Slot {
+        &self.slots[(pos & self.mask()) as usize]
+    }
+
+    /// Records between the drain cursor and the head, at most a ring's
+    /// worth: an upper bound on what a [`Ring::drain_into`] now returns.
+    /// Lock-free.
+    fn pending(&self) -> usize {
+        let head = self.head.load(Ordering::Acquire);
+        let consumed = self.consumed.load(Ordering::Acquire);
+        head.saturating_sub(consumed).min(self.slots.len() as u64) as usize
     }
 
     /// Consume every completed record between the cursor and the head, in
     /// position order. Records the consumer lost to wraparound are added
     /// to [`Ring::dropped_count`]. Stops early at a still-in-flight
-    /// writer so the sequence stays gapless in front of it.
-    pub fn drain_into(&self, out: &mut Vec<TraceEvent>) {
+    /// writer so the sequence stays gapless in front of it. Returns
+    /// whether the records it appended are in `(ts_ns, cpu, seq)` order.
+    pub fn drain_into(&self, out: &mut Vec<TraceEvent>) -> bool {
         let mut cursor = self.cursor.lock().unwrap();
         let head = self.head.load(Ordering::Acquire);
         let cap = self.slots.len() as u64;
-        if head.saturating_sub(*cursor) > cap {
+        let mut pos = *cursor;
+        if head.saturating_sub(pos) > cap {
             // Overwrite-oldest already ate everything below head - cap.
-            self.dropped
-                .fetch_add(head - cap - *cursor, Ordering::Relaxed);
-            *cursor = head - cap;
+            self.dropped.fetch_add(head - cap - pos, Ordering::Relaxed);
+            pos = head - cap;
         }
-        while *cursor < head {
-            let pos = *cursor;
-            let state = self.slots[(pos & self.mask()) as usize]
-                .state
-                .load(Ordering::Acquire);
-            if state < 2 * pos + 2 {
+        out.reserve((head - pos) as usize);
+        // Locals, so the loop does not reload them after every atomic load.
+        let (slots, mask) = (&*self.slots, self.mask());
+        let mut lost = 0;
+        let (mut ordered, mut last) = (true, (0, 0, 0));
+        while pos < head {
+            let slot = &slots[(pos & mask) as usize];
+            let want = 2 * pos + 2;
+            let state = slot.state.load(Ordering::Acquire);
+            if state < want {
                 // Claimed but not yet complete (or the claiming store is
                 // still in flight): stop, we'll pick it up next drain.
                 break;
             }
-            match self.read_pos(pos) {
-                Some(ev) => out.push(ev),
-                // Lapped between the state check and the copy.
-                None => {
-                    self.dropped.fetch_add(1, Ordering::Relaxed);
+            match slot.read(state, want) {
+                Some(ev) => {
+                    let key = merge_key(&ev);
+                    ordered &= last <= key;
+                    last = key;
+                    out.push(ev);
                 }
+                // Lapped before or during the copy.
+                None => lost += 1,
             }
-            *cursor += 1;
+            pos += 1;
         }
+        if lost > 0 {
+            self.dropped.fetch_add(lost, Ordering::Relaxed);
+        }
+        *cursor = pos;
+        self.consumed.store(pos, Ordering::Release);
+        ordered
     }
 
     /// Non-consuming flight-recorder read: the last up-to-`n` completed
@@ -186,13 +220,13 @@ impl Ring {
     pub fn snapshot_last_into(&self, n: usize, out: &mut Vec<TraceEvent>) {
         let head = self.head.load(Ordering::Acquire);
         let span = (n as u64).min(self.slots.len() as u64).min(head);
-        let mut got = Vec::with_capacity(span as usize);
+        out.reserve(span as usize);
         for pos in (head - span)..head {
-            if let Some(ev) = self.read_pos(pos) {
-                got.push(ev);
+            let slot = self.slot(pos);
+            if let Some(ev) = slot.read(slot.state.load(Ordering::Acquire), 2 * pos + 2) {
+                out.push(ev);
             }
         }
-        out.extend(got);
     }
 
     /// Records lost to overwrite-oldest so far — including positions the
@@ -252,12 +286,27 @@ impl Plane {
     }
 
     /// Consume all completed records, merged in `(ts_ns, cpu, seq)` order.
+    ///
+    /// The output is sized once from every ring's backlog, a ring with no
+    /// backlog is skipped without taking its mutex, and the merge sorts
+    /// only when the rings' concatenation is out of order: one thread's
+    /// records are already in order in its ring.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::new();
-        for r in &self.rings {
-            r.drain_into(&mut out);
+        let pending: [usize; NR_RINGS] = std::array::from_fn(|i| self.rings[i].pending());
+        let mut out = Vec::with_capacity(pending.iter().sum());
+        let mut ordered = true;
+        for (r, n) in self.rings.iter().zip(pending) {
+            if n > 0 {
+                let start = out.len();
+                ordered &= r.drain_into(&mut out);
+                if let (Some(prev), Some(first)) = (start.checked_sub(1), out.get(start)) {
+                    ordered &= merge_key(&out[prev]) <= merge_key(first);
+                }
+            }
         }
-        out.sort_by_key(|e| (e.ts_ns, e.cpu, e.seq));
+        if !ordered {
+            out.sort_by_key(merge_key);
+        }
         out
     }
 
@@ -268,7 +317,7 @@ impl Plane {
         for r in &self.rings {
             r.snapshot_last_into(n, &mut out);
         }
-        out.sort_by_key(|e| (e.ts_ns, e.cpu, e.seq));
+        out.sort_by_key(merge_key);
         if out.len() > n {
             out.drain(..out.len() - n);
         }
@@ -279,6 +328,11 @@ impl Plane {
     pub fn dropped(&self) -> u64 {
         self.rings.iter().map(Ring::dropped_count).sum()
     }
+}
+
+/// The order a drain merges the rings in.
+fn merge_key(e: &TraceEvent) -> (u64, u16, u64) {
+    (e.ts_ns, e.cpu, e.seq)
 }
 
 #[cfg(test)]

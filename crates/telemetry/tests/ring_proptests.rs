@@ -192,3 +192,67 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Several emit/drain rounds, each on its own subset of CPUs, so most
+    /// drains find some rings with nothing new. A round's records are
+    /// either scattered in time or stamped in ring order (what a single
+    /// emitting thread produces), which the plane may return without
+    /// sorting. Every drain is `(ts, cpu, seq)`-ordered, per-CPU sequence
+    /// numbers only grow from one drain to the next, and the drains together
+    /// return exactly the emitted records, none of them counted dropped.
+    #[test]
+    fn plane_drains_in_rounds_are_ordered_and_complete(
+        rounds in vec(
+            (1u8..=255, vec((0u64..1000, any::<u8>()), 0..100), any::<bool>()),
+            1..6,
+        ),
+    ) {
+        let plane = Plane::with_capacity(512);
+        let dropped = plane.dropped();
+        let mut emitted = Vec::new();
+        let mut drained = Vec::new();
+        let mut last_seq = [None::<u64>; 8];
+        let mut x = 0u64;
+        for (mask, events, in_ring_order) in &rounds {
+            let cpus: Vec<u16> = (0..8).filter(|c| mask & (1 << c) != 0).collect();
+            let n = events.len();
+            for (i, (ts, pick)) in events.iter().enumerate() {
+                let (ts, cpu) = if *in_ring_order {
+                    // Ascending stamps, handed to the CPUs in blocks.
+                    (x, cpus[i * cpus.len() / n])
+                } else {
+                    (*ts, cpus[usize::from(*pick) % cpus.len()])
+                };
+                plane.emit(sealed_event(x, ts, cpu));
+                emitted.push((ts, cpu, x));
+                x += 1;
+            }
+            let got = plane.drain();
+            prop_assert_eq!(got.len(), n);
+            for w in got.windows(2) {
+                let ka = (w[0].ts_ns, w[0].cpu, w[0].seq);
+                let kb = (w[1].ts_ns, w[1].cpu, w[1].seq);
+                prop_assert!(ka <= kb, "drain out of order: {ka:?} > {kb:?}");
+            }
+            let mut round_max = last_seq;
+            for ev in &got {
+                prop_assert!(sealed_ok(ev));
+                let cpu = usize::from(ev.cpu);
+                prop_assert!(
+                    last_seq[cpu].is_none_or(|s| s < ev.seq),
+                    "a drain returned a record an earlier drain had passed"
+                );
+                round_max[cpu] = round_max[cpu].max(Some(ev.seq));
+            }
+            last_seq = round_max;
+            drained.extend(got.iter().map(|e| (e.ts_ns, e.cpu, e.a)));
+        }
+        emitted.sort_unstable();
+        drained.sort_unstable();
+        prop_assert_eq!(drained, emitted);
+        prop_assert_eq!(plane.dropped(), dropped);
+    }
+}

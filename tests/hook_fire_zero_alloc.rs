@@ -277,7 +277,8 @@ fn the_analyzer_allocates_only_when_a_vector_doubles() {
     let allocations = ALLOCS.get() - before;
 
     // One hold segment per operation lands in a vector that doubles; past
-    // that, a fixed handful of first-touch tree nodes and the label.
+    // that, a fixed handful of first touches (the lock's slot, its id-map
+    // entry, its pending-hold table) and the label.
     let bound = u64::from(RECORDS.ilog2()) + 12;
     assert!(
         allocations <= bound,
