@@ -59,7 +59,6 @@ fn main() {
                 let cfg = ExploreConfig {
                     schedules: SCHEDULE_BUDGET,
                     base_seed: seed,
-                    ..ExploreConfig::default()
                 };
                 let report = match explore(fixture, &spec, &cfg) {
                     Ok(r) => r,
@@ -125,7 +124,6 @@ fn main() {
             let cfg = ExploreConfig {
                 schedules: 8,
                 base_seed: SEEDS[0],
-                ..ExploreConfig::default()
             };
             match explore(Fixture::Zoo(z), &spec, &cfg) {
                 Ok(report) if report.violation.is_none() => {}

@@ -3,9 +3,10 @@
 //! Eleven registers (`r0`–`r10`), of which `r0` carries return values,
 //! `r1`–`r5` carry helper/program arguments, `r6`–`r9` are callee-saved
 //! across helper calls and `r10` is the read-only frame pointer addressing a
-//! 512-byte stack that grows downwards. Instructions encode to the same
-//! 8-byte slot format as eBPF (`op:8 dst:4 src:4 off:16 imm:32`), with
-//! `ldimm64` occupying two slots.
+//! 512-byte stack that grows downwards. Instructions encode to eBPF-shaped
+//! slots ([`RawInsn`]: opcode, two registers, 16-bit offset, 32-bit
+//! immediate), with `ldimm64` occupying two slots; sealed artifacts carry
+//! them in `wire`'s 9-byte form.
 
 use crate::error::DecodeError;
 
@@ -409,29 +410,6 @@ pub struct RawInsn {
     pub imm: i32,
 }
 
-impl RawInsn {
-    /// Serializes to the 8-byte on-disk format.
-    pub fn to_bytes(self) -> [u8; 8] {
-        let mut b = [0u8; 8];
-        b[0] = self.op;
-        b[1] = self.dst | (self.src << 4);
-        b[2..4].copy_from_slice(&self.off.to_le_bytes());
-        b[4..8].copy_from_slice(&self.imm.to_le_bytes());
-        b
-    }
-
-    /// Deserializes from the 8-byte on-disk format.
-    pub fn from_bytes(b: [u8; 8]) -> RawInsn {
-        RawInsn {
-            op: b[0],
-            dst: b[1] & 0x0f,
-            src: b[1] >> 4,
-            off: i16::from_le_bytes([b[2], b[3]]),
-            imm: i32::from_le_bytes([b[4], b[5], b[6], b[7]]),
-        }
-    }
-}
-
 fn slots_of(insn: &Insn) -> usize {
     match insn {
         Insn::LdImm64 { .. } | Insn::LdMapRef { .. } => 2,
@@ -736,10 +714,6 @@ mod tests {
         let raw = encode(insns);
         let back = decode(&raw).expect("decode");
         assert_eq!(insns, back.as_slice());
-        // And through bytes.
-        let bytes: Vec<[u8; 8]> = raw.iter().map(|r| r.to_bytes()).collect();
-        let raw2: Vec<RawInsn> = bytes.into_iter().map(RawInsn::from_bytes).collect();
-        assert_eq!(raw, raw2);
     }
 
     #[test]

@@ -429,7 +429,6 @@ impl Fixture {
             if let Some(base) = baseline {
                 let cfg = WatchdogConfig {
                     min_acquisitions: 50,
-                    ..WatchdogConfig::default()
                 };
                 if let Some(report) = detect(base, &window, &cfg) {
                     let class = match report.hazard {
@@ -940,16 +939,16 @@ pub struct ExploreConfig {
     pub schedules: u32,
     /// Base seed; schedule `i` derives its seed deterministically from it.
     pub base_seed: u64,
-    /// Replay budget for the shrinker.
-    pub shrink_budget: u32,
 }
+
+/// Replay budget for the shrinker.
+const SHRINK_BUDGET: u32 = 400;
 
 impl Default for ExploreConfig {
     fn default() -> Self {
         ExploreConfig {
             schedules: 64,
             base_seed: 0x5eed,
-            shrink_budget: 400,
         }
     }
 }
@@ -1005,7 +1004,7 @@ pub fn explore(
                 &v,
                 out.injections,
                 baseline.as_ref(),
-                cfg.shrink_budget,
+                SHRINK_BUDGET,
             )?;
             return Ok(ExploreReport {
                 fixture: fixture.name(),

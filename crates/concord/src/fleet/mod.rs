@@ -42,7 +42,7 @@ pub use rollout::FleetTarget;
 pub use store::{Bindings, Delta, PolicyStore, Snapshot, StoreError};
 pub use world::{
     fleet_sweep, run_fleet, DeliverOutcome, FleetConfig, FleetMsg, FleetReport, HostState,
-    PartitionEvent,
+    PartitionEvent, VERSIONS,
 };
 
 use std::sync::Arc;

@@ -3,7 +3,8 @@
 //!
 //! A [`RealFleetHost`] owns a `tenant → lock` mapping (which registered
 //! locks this host serves for which fleet tenants) and applies each
-//! delivered snapshot as **one** `PatchManager::apply_transaction`: every
+//! delivered snapshot as **one** tagged livepatch transaction
+//! (`Concord::attach_tagged`, patches named `fleet-v<v>:<lock>/<hook>`): every
 //! sealed artifact the host's locks are bound to is re-opened through
 //! `cbpf::wire::open` (checksum, digest, full re-verification — the host
 //! never trusts the wire) once per delivery, each lock gets its own
@@ -16,6 +17,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::error::Error;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -26,7 +28,7 @@ use super::store::Snapshot;
 use super::world::DeliverOutcome;
 use crate::hookctx::{layout_for, rules_for};
 use crate::policy::BytecodePolicy;
-use crate::workflow::Concord;
+use crate::workflow::{Concord, LockPolicy};
 
 /// A lock host applying fleet snapshots to a real `Concord` world.
 pub struct RealFleetHost<'a> {
@@ -55,11 +57,6 @@ impl<'a> RealFleetHost<'a> {
         self.applied.load(Ordering::Acquire)
     }
 
-    /// The patch name a fleet apply gives `lock` at `version`.
-    fn patch_name(&self, version: u64, lock: &str) -> String {
-        format!("fleet-v{version}:{lock}/{}", self.hook.name())
-    }
-
     /// Applies `snapshot` if `version` is newer than what the host
     /// serves; otherwise drops it as a duplicate with zero effect.
     ///
@@ -79,64 +76,54 @@ impl<'a> RealFleetHost<'a> {
                 .inc();
             return Ok(DeliverOutcome::Duplicate);
         }
-        let prefix = format!("fleet-v{version}:");
         // A snapshot is immutable, so one policy id is one artifact for
         // the whole call: verify it for the first lock bound to it and
         // not again. Nothing outlives the call — the next delivery
         // re-verifies everything it loads.
         let mut opened: BTreeMap<u64, VerifiedProgram> = BTreeMap::new();
-        let result = self.concord.patch_manager().apply_transaction(
-            self.locks
-                .iter()
-                .filter_map(|(tenant, lock)| Some((lock, snapshot.bindings.get(*tenant)?)))
-                .map(|(lock, policy)| {
-                    let prog = match opened.entry(policy) {
-                        Entry::Occupied(e) => e.into_mut(),
-                        Entry::Vacant(e) => {
-                            let bytes = snapshot
-                                .artifacts
-                                .get(&policy)
-                                .ok_or_else(|| format!("policy {policy} has no sealed artifact"))?;
-                            // Re-verify on the load host: checksum,
-                            // provenance digest, then the full verifier.
-                            let prog = cbpf::wire::open(
-                                bytes,
-                                layout_for(self.hook),
-                                &rules_for(self.hook),
-                            )
-                            .map_err(|e| format!("artifact for policy {policy}: {e}"))?;
-                            e.insert(prog)
-                        }
-                    };
-                    // Map state is per lock, as it was when every lock
-                    // opened the artifact for itself.
-                    let bytecode = BytecodePolicy::new(
-                        prog.with_fresh_maps(),
-                        self.hook,
-                        Arc::clone(self.concord.env()),
-                    );
-                    self.concord
-                        .build_bytecode_patch(lock, self.hook, &bytecode, Some(&prefix))
-                        .map_err(|e| e.to_string())
-                }),
-        );
-        match result {
-            Ok(_) => {
-                self.applied.store(version, Ordering::Release);
-                Ok(DeliverOutcome::Applied)
-            }
-            Err(e) => Err(e),
-        }
+        self.concord
+            .attach_tagged(
+                &version_tag(version),
+                self.locks
+                    .iter()
+                    .filter_map(|(tenant, lock)| Some((lock, snapshot.bindings.get(*tenant)?)))
+                    .map(|(lock, policy)| {
+                        let prog = match opened.entry(policy) {
+                            Entry::Occupied(e) => e.into_mut(),
+                            Entry::Vacant(e) => {
+                                let bytes = snapshot.artifacts.get(&policy).ok_or_else(|| {
+                                    format!("policy {policy} has no sealed artifact")
+                                })?;
+                                // Re-verify on the load host: checksum,
+                                // provenance digest, then the full verifier.
+                                let prog = cbpf::wire::open(
+                                    bytes,
+                                    layout_for(self.hook),
+                                    &rules_for(self.hook),
+                                )
+                                .map_err(|e| format!("artifact for policy {policy}: {e}"))?;
+                                e.insert(prog)
+                            }
+                        };
+                        // Map state is per lock, as it was when every lock
+                        // opened the artifact for itself.
+                        let bytecode = BytecodePolicy::new(
+                            prog.with_fresh_maps(),
+                            self.hook,
+                            Arc::clone(self.concord.env()),
+                        );
+                        Ok::<_, Box<dyn Error>>((lock, LockPolicy::Bytecode(bytecode)))
+                    }),
+            )
+            .map_err(|e| e.to_string())?;
+        self.applied.store(version, Ordering::Release);
+        Ok(DeliverOutcome::Applied)
     }
 
     /// Locks of this host currently carrying a `version` fleet patch.
     pub fn patched_locks(&self, version: u64) -> Vec<String> {
-        let mgr = self.concord.patch_manager();
-        self.locks
-            .values()
-            .filter(|lock| mgr.find(&self.patch_name(version, lock)).is_some())
-            .cloned()
-            .collect()
+        self.concord
+            .tagged_locks(&version_tag(version), self.hook, self.locks.values())
     }
 
     /// Reverts every `version` fleet patch on this host and rolls the
@@ -146,12 +133,9 @@ impl<'a> RealFleetHost<'a> {
     ///
     /// The first revert error (remaining patches stay applied).
     pub fn revert(&self, version: u64) -> Result<(), String> {
-        let mgr = self.concord.patch_manager();
-        for lock in self.locks.values() {
-            if let Some(handle) = mgr.find(&self.patch_name(version, lock)) {
-                mgr.revert_transaction(handle).map_err(|e| e.to_string())?;
-            }
-        }
+        self.concord
+            .revert_tagged(&version_tag(version), self.hook, self.locks.values())
+            .map_err(|e| e.to_string())?;
         let _ = self.applied.compare_exchange(
             version,
             version.saturating_sub(1),
@@ -160,4 +144,10 @@ impl<'a> RealFleetHost<'a> {
         );
         Ok(())
     }
+}
+
+/// The tag a fleet delivery's patches carry (see
+/// [`Concord::attach_tagged`]).
+fn version_tag(version: u64) -> String {
+    format!("fleet-v{version}:")
 }

@@ -141,38 +141,40 @@ pub struct PartitionEvent {
     pub heal: bool,
 }
 
-/// Everything a fleet run is parameterized by. All times are virtual
-/// nanoseconds.
-#[derive(Clone)]
+// The small adversarial world the tests and the gates sweep. All times
+// are virtual nanoseconds.
+
+/// Number of lock hosts.
+const HOSTS: usize = 4;
+/// Tenant ids bound by every publish (`0..TENANTS`).
+const TENANTS: u64 = 32;
+/// Number of versions the writer publishes: a converged run ends with
+/// every host at this store head.
+pub const VERSIONS: u64 = 3;
+/// Daemon/host loop tick.
+const TICK_NS: u64 = 20_000;
+/// Host heartbeat interval.
+const HEARTBEAT_NS: u64 = 100_000;
+/// Lease window: no heartbeat for this long → degraded.
+const LEASE_NS: u64 = 400_000;
+/// Anti-entropy reconcile sweep interval.
+const RECONCILE_NS: u64 = 300_000;
+/// Retransmit backoff base.
+const BACKOFF_BASE_NS: u64 = 40_000;
+/// Retransmit backoff cap.
+const BACKOFF_CAP_NS: u64 = 640_000;
+/// Gap between writer publishes.
+const PUBLISH_GAP_NS: u64 = 2_000_000;
+/// Daemon downtime after a crash.
+const RESTART_DELAY_NS: u64 = 150_000;
+/// Main-phase horizon; the run gets one more horizon after all partitions
+/// heal to converge, so the total virtual-time bound is `2 * HORIZON_NS`.
+const HORIZON_NS: u64 = 15_000_000;
+
+/// What a fleet run is parameterized by beyond the constants above: the
+/// partition schedule and the artifact. The network is
+/// [`NetFaultPlan::lossy`] under the chaos plan's seed.
 pub struct FleetConfig {
-    /// Number of lock hosts.
-    pub hosts: usize,
-    /// Tenant ids bound by every publish (`0..tenants`).
-    pub tenants: u64,
-    /// Number of versions the writer publishes.
-    pub versions: u64,
-    /// Daemon/host loop tick.
-    pub tick_ns: u64,
-    /// Host heartbeat interval.
-    pub heartbeat_ns: u64,
-    /// Lease window: no heartbeat for this long → degraded.
-    pub lease_ns: u64,
-    /// Anti-entropy reconcile sweep interval.
-    pub reconcile_ns: u64,
-    /// Retransmit backoff base.
-    pub backoff_base_ns: u64,
-    /// Retransmit backoff cap.
-    pub backoff_cap_ns: u64,
-    /// Gap between writer publishes.
-    pub publish_gap_ns: u64,
-    /// Daemon downtime after a crash.
-    pub restart_delay_ns: u64,
-    /// Main-phase horizon; the run gets one more horizon after all
-    /// partitions heal to converge, so the total virtual-time bound is
-    /// `2 * horizon_ns`.
-    pub horizon_ns: u64,
-    /// Network fault plan (its seed is overridden by the chaos plan's).
-    pub fault: NetFaultPlan,
     /// Partition schedule.
     pub partitions: Vec<PartitionEvent>,
     /// The sealed artifact every publish ships (see
@@ -181,47 +183,32 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// The small adversarial world the tests and the gate sweep: 4
-    /// hosts, 3 versions, lossy network, one seed-derived partition
-    /// window long enough to lapse a lease.
+    /// The world of `seed`: 4 hosts, 3 versions, lossy network, one
+    /// seed-derived partition window long enough to lapse a lease.
     pub fn small(seed: u64, artifact: Arc<Vec<u8>>) -> FleetConfig {
-        let mut cfg = FleetConfig {
-            hosts: 4,
-            tenants: 32,
-            versions: 3,
-            tick_ns: 20_000,
-            heartbeat_ns: 100_000,
-            lease_ns: 400_000,
-            reconcile_ns: 300_000,
-            backoff_base_ns: 40_000,
-            backoff_cap_ns: 640_000,
-            publish_gap_ns: 2_000_000,
-            restart_delay_ns: 150_000,
-            horizon_ns: 15_000_000,
-            fault: NetFaultPlan::lossy(seed),
-            partitions: Vec::new(),
-            artifact,
-        };
         // One seed-derived partition window per run: cut one host for
         // 2–6ms somewhere in the middle of the publish phase. Long
-        // enough (≫ lease_ns) that the lease reliably lapses.
-        let roll = |salt: u64| cfg.fault.rng(0xF1EE_7000 + salt);
-        let host = (roll(1) % cfg.hosts as u64) as usize;
+        // enough (≫ LEASE_NS) that the lease reliably lapses.
+        let fault = NetFaultPlan::lossy(seed);
+        let roll = |salt: u64| fault.rng(0xF1EE_7000 + salt);
+        let host = (roll(1) % HOSTS as u64) as usize;
         let start = 2_500_000 + roll(2) % 3_000_000;
         let len = 2_000_000 + roll(3) % 4_000_000;
-        cfg.partitions = vec![
-            PartitionEvent {
-                at_ns: start,
-                host,
-                heal: false,
-            },
-            PartitionEvent {
-                at_ns: start + len,
-                host,
-                heal: true,
-            },
-        ];
-        cfg
+        FleetConfig {
+            partitions: vec![
+                PartitionEvent {
+                    at_ns: start,
+                    host,
+                    heal: false,
+                },
+                PartitionEvent {
+                    at_ns: start + len,
+                    host,
+                    heal: true,
+                },
+            ],
+            artifact,
+        }
     }
 }
 
@@ -284,17 +271,13 @@ fn fnv_fold(h: &mut u64, v: u64) {
 /// [`FleetReport`], fingerprint included.
 pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
     let sim = SimBuilder::new().seed(plan.seed).build();
-    let fault = NetFaultPlan {
-        seed: plan.seed,
-        ..cfg.fault
-    };
-    let net: SimNet<FleetMsg> = SimNet::new(fault, cfg.hosts + 1);
-    let store = Arc::new(PolicyStore::new((cfg.tenants as usize).max(16) * 2));
+    let net: SimNet<FleetMsg> = SimNet::new(NetFaultPlan::lossy(plan.seed), HOSTS + 1);
+    let store = Arc::new(PolicyStore::new((TENANTS as usize).max(16) * 2));
     let chaos = Rc::new(ChaosInjector::new(plan));
     let done = Rc::new(Cell::new(false));
     let counters = Rc::new(RefCell::new(WorldCounters::default()));
     let genesis = store.head_snapshot();
-    let hosts: Vec<Rc<RefCell<HostState>>> = (0..cfg.hosts)
+    let hosts: Vec<Rc<RefCell<HostState>>> = (0..HOSTS)
         .map(|i| Rc::new(RefCell::new(HostState::new(i, Arc::clone(&genesis)))))
         .collect();
     // version → commit virtual time, for propagation-lag samples.
@@ -304,17 +287,17 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
     // --- writer: publishes `versions` deltas into the durable store.
     {
         let store = Arc::clone(&store);
-        let cfg2 = cfg.clone();
+        let artifact = Arc::clone(&cfg.artifact);
         let done = Rc::clone(&done);
         let publish_times = Rc::clone(&publish_times);
         sim.spawn_on(CpuId(1), move |t| async move {
-            let tenants: Vec<u64> = (0..cfg2.tenants).collect();
-            for v in 0..cfg2.versions {
-                t.advance(cfg2.publish_gap_ns).await;
+            let tenants: Vec<u64> = (0..TENANTS).collect();
+            for v in 0..VERSIONS {
+                t.advance(PUBLISH_GAP_NS).await;
                 if done.get() {
                     return;
                 }
-                let delta = Delta::bind_all(&tenants, 1000 + v, Arc::clone(&cfg2.artifact));
+                let delta = Delta::bind_all(&tenants, 1000 + v, Arc::clone(&artifact));
                 let committed = store.publish(&delta).expect("writer delta is well-formed");
                 publish_times.borrow_mut().insert(committed, t.now());
             }
@@ -348,7 +331,6 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
     // --- hosts.
     for (i, host) in hosts.iter().enumerate() {
         let net = net.clone();
-        let cfg2 = cfg.clone();
         let done = Rc::clone(&done);
         let host = Rc::clone(host);
         let publish_times = Rc::clone(&publish_times);
@@ -402,14 +384,14 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                 // serving last-known-good".
                 let applied = {
                     let mut h = host.borrow_mut();
-                    h.degraded = now.saturating_sub(last_contact) > cfg2.lease_ns;
+                    h.degraded = now.saturating_sub(last_contact) > LEASE_NS;
                     h.served.version
                 };
-                if now.saturating_sub(last_beat) >= cfg2.heartbeat_ns {
+                if now.saturating_sub(last_beat) >= HEARTBEAT_NS {
                     last_beat = now;
                     net.send(now, ep, 0, FleetMsg::Heartbeat { host: i, applied });
                 }
-                t.advance(cfg2.tick_ns).await;
+                t.advance(TICK_NS).await;
             }
         });
     }
@@ -418,7 +400,6 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
     // continuously, not just at the end.
     {
         let store = Arc::clone(&store);
-        let cfg2 = cfg.clone();
         let done = Rc::clone(&done);
         let hosts = hosts.clone();
         let counters = Rc::clone(&counters);
@@ -458,7 +439,7 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                         counters.borrow_mut().degraded_serves += 1;
                     }
                 }
-                t.advance(cfg2.tick_ns * 2).await;
+                t.advance(TICK_NS * 2).await;
             }
         });
     }
@@ -467,12 +448,11 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
     {
         let store = Arc::clone(&store);
         let net = net.clone();
-        let cfg2 = cfg.clone();
         let done = Rc::clone(&done);
         let chaos = Rc::clone(&chaos);
         let counters = Rc::clone(&counters);
         sim.spawn_on(CpuId(0), move |t| async move {
-            let n = cfg2.hosts;
+            let n = HOSTS;
             // Volatile daemon state: lost wholesale on a crash.
             let mut acked = vec![0u64; n];
             let mut last_hb = vec![t.now(); n];
@@ -481,8 +461,8 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                 .map(|i| {
                     Backoff::new(
                         chaos.rng(0xB0FF_0000 + i as u64),
-                        cfg2.backoff_base_ns,
-                        cfg2.backoff_cap_ns,
+                        BACKOFF_BASE_NS,
+                        BACKOFF_CAP_NS,
                     )
                 })
                 .collect();
@@ -503,7 +483,7 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                     crashing = false;
                     counters.borrow_mut().crashes += 1;
                     net.partition(0);
-                    t.advance(cfg2.restart_delay_ns).await;
+                    t.advance(RESTART_DELAY_NS).await;
                     net.heal(0);
                     let now = t.now();
                     acked = vec![0u64; n];
@@ -602,7 +582,7 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                 }
                 // Lease check. One step boundary per expiry.
                 for h in 0..n {
-                    if !degraded[h] && now.saturating_sub(last_hb[h]) > cfg2.lease_ns {
+                    if !degraded[h] && now.saturating_sub(last_hb[h]) > LEASE_NS {
                         if chaos.barrier().is_err() {
                             crashing = true;
                             break;
@@ -631,7 +611,7 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                 // Anti-entropy sweep: push anyone behind (degraded or
                 // not — the partition eats what it eats) back to head.
                 // One step boundary per sweep that does work.
-                if now.saturating_sub(last_reconcile) >= cfg2.reconcile_ns {
+                if now.saturating_sub(last_reconcile) >= RECONCILE_NS {
                     last_reconcile = now;
                     let behind: Vec<usize> = (0..n).filter(|h| acked[*h] < head).collect();
                     if !behind.is_empty() {
@@ -672,17 +652,17 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
                 telemetry::metrics()
                     .gauge("c3_fleet_propagation_lag")
                     .set(head.saturating_sub(min_acked) as i64);
-                t.advance(cfg2.tick_ns).await;
+                t.advance(TICK_NS).await;
             }
         });
     }
 
     // Main phase: publishes, faults, partitions, possibly a crash.
-    sim.run_until(cfg.horizon_ns);
+    sim.run_until(HORIZON_NS);
     // Heal everything and give the protocol one more horizon to
     // converge — the bounded virtual-time convergence window.
     net.heal_all();
-    sim.run_until(cfg.horizon_ns * 2);
+    sim.run_until(HORIZON_NS * 2);
     done.set(true);
     let stats = sim.run();
 
@@ -690,7 +670,7 @@ pub fn run_fleet(cfg: &FleetConfig, plan: ChaosPlan) -> FleetReport {
     let host_versions: Vec<u64> = hosts.iter().map(|h| h.borrow().served.version).collect();
     let dedup_drops: u64 = hosts.iter().map(|h| h.borrow().dedup_drops).sum();
     let c = counters.borrow();
-    let converged = head == cfg.versions && host_versions.iter().all(|v| *v == head);
+    let converged = head == VERSIONS && host_versions.iter().all(|v| *v == head);
 
     let mut fp: u64 = 0xcbf2_9ce4_8422_2325;
     fnv_fold(&mut fp, head);

@@ -269,6 +269,11 @@ impl BytecodePolicy {
         })
     }
 
+    /// The hook this policy was loaded for.
+    pub(crate) fn hook(&self) -> HookKind {
+        self.hook
+    }
+
     /// `(invocations, runtime faults)` — faults stay zero for verified
     /// programs unless an injector is armed; the counters exist for the
     /// soundness test harness and the breaker plumbing.

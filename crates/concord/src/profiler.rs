@@ -11,10 +11,10 @@ use std::sync::Arc;
 
 use cbpf::map::{Map, MapDef, MapKind};
 use ksim::Histogram;
-use locks::hooks::HookKind;
+use locks::hooks::{HookKind, LockEventCtx, LockEventFn};
 use telemetry::AtomicHistogram;
 
-use crate::workflow::{AttachHandle, Concord, ConcordError};
+use crate::workflow::{AttachHandle, Concord, ConcordError, LockPolicy};
 
 /// In-flight tids one profiler tracks at once. Timestamps for tids past
 /// this degrade gracefully: the acquire/release still counts, only the
@@ -81,6 +81,32 @@ impl Default for LockProfile {
 }
 
 impl LockProfile {
+    /// Counts one `kind` event and records the wait or hold it ends.
+    fn record(&self, kind: HookKind, ctx: &LockEventCtx) {
+        match kind {
+            HookKind::LockAcquire => {
+                self.acquires.fetch_add(1, Ordering::Relaxed);
+                ts_insert(&self.attempt_ts, ctx.tid, ctx.now_ns);
+            }
+            HookKind::LockContended => {
+                self.contended.fetch_add(1, Ordering::Relaxed);
+            }
+            HookKind::LockAcquired => {
+                self.acquired.fetch_add(1, Ordering::Relaxed);
+                if let Some(start) = ts_remove(&self.attempt_ts, ctx.tid) {
+                    self.wait_hist.record(ctx.now_ns.saturating_sub(start));
+                }
+                ts_insert(&self.acquired_ts, ctx.tid, ctx.now_ns);
+            }
+            _ => {
+                self.releases.fetch_add(1, Ordering::Relaxed);
+                if let Some(start) = ts_remove(&self.acquired_ts, ctx.tid) {
+                    self.hold_hist.record(ctx.now_ns.saturating_sub(start));
+                }
+            }
+        }
+    }
+
     /// `(attempts, contended, acquired, releases)`.
     pub fn counters(&self) -> (u64, u64, u64, u64) {
         (
@@ -121,28 +147,30 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// Attaches profiling hooks to the named locks.
+    /// Attaches profiling hooks to the named locks: the four event hooks
+    /// of every lock, as one livepatch transaction.
     ///
     /// # Errors
     ///
-    /// Fails if any lock is unknown or not hookable; locks attached before
-    /// the failure are rolled back.
+    /// Fails if any lock is unknown or not hookable; nothing is attached
+    /// then.
     pub fn attach(concord: &Concord, locks: &[&str]) -> Result<Profiler, ConcordError> {
-        let mut profiler = Profiler {
-            profiles: Vec::new(),
-            handles: Vec::new(),
-        };
-        for name in locks {
-            match profiler.attach_one(concord, name) {
-                Ok(()) => {}
-                Err(e) => {
-                    // Best-effort rollback; the original error wins.
-                    let _ = profiler.detach(concord);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(profiler)
+        let profiles: Vec<(String, Arc<LockProfile>)> = locks
+            .iter()
+            .map(|name| (name.to_string(), Arc::new(LockProfile::default())))
+            .collect();
+        let handles = concord.attach_tagged(
+            "",
+            profiles.iter().flat_map(|(lock, profile)| {
+                // The four event hooks, in Table 1 order.
+                HookKind::ALL[3..].iter().map(move |&kind| {
+                    let p = Arc::clone(profile);
+                    let f: LockEventFn = Arc::new(move |ctx| p.record(kind, ctx));
+                    Ok::<_, ConcordError>((lock.as_str(), LockPolicy::Event(kind, f)))
+                })
+            }),
+        )?;
+        Ok(Profiler { profiles, handles })
     }
 
     /// Attaches to every lock in a registry class (§3.2's "namespace"
@@ -167,61 +195,6 @@ impl Profiler {
         let names = concord.registry().names();
         let refs: Vec<&str> = names.iter().map(String::as_str).collect();
         Profiler::attach(concord, &refs)
-    }
-
-    fn attach_one(&mut self, concord: &Concord, name: &str) -> Result<(), ConcordError> {
-        let profile = Arc::new(LockProfile::default());
-
-        let p = Arc::clone(&profile);
-        let h = concord.attach_native_event(
-            name,
-            HookKind::LockAcquire,
-            Arc::new(move |ctx| {
-                p.acquires.fetch_add(1, Ordering::Relaxed);
-                ts_insert(&p.attempt_ts, ctx.tid, ctx.now_ns);
-            }),
-        )?;
-        self.handles.push(h);
-
-        let p = Arc::clone(&profile);
-        let h = concord.attach_native_event(
-            name,
-            HookKind::LockContended,
-            Arc::new(move |_| {
-                p.contended.fetch_add(1, Ordering::Relaxed);
-            }),
-        )?;
-        self.handles.push(h);
-
-        let p = Arc::clone(&profile);
-        let h = concord.attach_native_event(
-            name,
-            HookKind::LockAcquired,
-            Arc::new(move |ctx| {
-                p.acquired.fetch_add(1, Ordering::Relaxed);
-                if let Some(start) = ts_remove(&p.attempt_ts, ctx.tid) {
-                    p.wait_hist.record(ctx.now_ns.saturating_sub(start));
-                }
-                ts_insert(&p.acquired_ts, ctx.tid, ctx.now_ns);
-            }),
-        )?;
-        self.handles.push(h);
-
-        let p = Arc::clone(&profile);
-        let h = concord.attach_native_event(
-            name,
-            HookKind::LockRelease,
-            Arc::new(move |ctx| {
-                p.releases.fetch_add(1, Ordering::Relaxed);
-                if let Some(start) = ts_remove(&p.acquired_ts, ctx.tid) {
-                    p.hold_hist.record(ctx.now_ns.saturating_sub(start));
-                }
-            }),
-        )?;
-        self.handles.push(h);
-
-        self.profiles.push((name.to_string(), profile));
-        Ok(())
     }
 
     /// The profile of one lock.

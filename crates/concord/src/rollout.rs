@@ -4,8 +4,8 @@
 //! every lock in the kernel" (§4) — this module is the control loop that
 //! makes the large end of that range operable. A [`RolloutPlan`] splits a
 //! cohort of registered locks into waves (canary → N% → full); each wave
-//! is applied as one all-or-nothing livepatch transaction
-//! ([`livepatch::PatchManager::apply_transaction`]) and then judged by a
+//! is applied as one all-or-nothing livepatch transaction (Concord's one
+//! attach path, its patches tagged `rollout-g<gen>:`) and then judged by a
 //! [`HealthEvaluator`] fed from the per-wave circuit breakers' fault
 //! counts and the metrics registry's breaker trips. A red verdict aborts
 //! the rollout and rolls every applied wave back.
@@ -40,8 +40,7 @@ use simlocks::policy::SimPolicy;
 use simlocks::SimShflLock;
 
 use crate::containment::{Breaker, BreakerConfig};
-use crate::policy::BytecodePolicy;
-use crate::workflow::{Concord, LoadedPolicy};
+use crate::workflow::{Concord, ConcordError, LoadedPolicy};
 
 /// Shared map of per-lock breakers a rollout installs — the health
 /// evaluator reads fault/trip deltas out of it.
@@ -538,17 +537,10 @@ impl ChaosInjector {
         self.steps.load(Ordering::Relaxed)
     }
 
-    /// Deterministic derived randomness: a splitmix64 finalize over
-    /// `(seed, salt)`, so adjacent seeds never collide.
+    /// Deterministic derived randomness: [`ksim::rng::mix`] over
+    /// `(seed, salt)`.
     pub fn rng(&self, salt: u64) -> u64 {
-        let mut x = self
-            .plan
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        ksim::rng::mix(self.plan.seed, salt)
     }
 }
 
@@ -726,13 +718,9 @@ pub trait RolloutTarget {
     fn revert_locks(&self, generation: u64, locks: &[String]) -> Result<(), String>;
 }
 
-fn rollout_patch_name(generation: u64, lock: &str, hook: HookKind) -> String {
-    format!("rollout-g{generation}:{lock}/{}", hook.name())
-}
-
-/// [`RolloutTarget`] over a real [`Concord`]: waves go through
-/// `apply_transaction` on the livepatch stack, each lock wrapped in a
-/// fresh circuit breaker registered in the shared [`BreakerMap`].
+/// [`RolloutTarget`] over a real [`Concord`]: a wave is one tagged attach
+/// transaction, each lock wrapped in a fresh circuit breaker registered
+/// in the shared [`BreakerMap`].
 pub struct RealTarget<'a> {
     concord: &'a Concord,
     policy: LoadedPolicy,
@@ -773,67 +761,48 @@ impl<'a> RealTarget<'a> {
     }
 }
 
+/// The tag a rollout generation's patches carry (see
+/// [`Concord::attach_tagged`]).
+fn generation_tag(generation: u64) -> String {
+    format!("rollout-g{generation}:")
+}
+
 impl RolloutTarget for RealTarget<'_> {
     fn apply_locks(&self, generation: u64, locks: &[String]) -> Result<(), String> {
-        let prefix = format!("rollout-g{generation}:");
-        let staged: RefCell<Vec<(String, Arc<Breaker>)>> = RefCell::new(Vec::new());
-        let result = self
-            .concord
-            .patch_manager()
-            .apply_transaction(locks.iter().map(|lock| {
-                let breaker = Arc::new(Breaker::new(self.breaker_cfg));
-                breaker.set_tag(
-                    telemetry::event::fnv64(lock),
-                    u64::from(self.policy.hook.bit()),
-                );
-                let bytecode = BytecodePolicy::contained(
-                    self.policy.prog.clone(),
-                    self.policy.hook,
-                    Arc::clone(self.concord.env()),
-                    Some(Arc::clone(&breaker)),
+        let (items, breakers): (Vec<_>, Vec<_>) = locks
+            .iter()
+            .map(|lock| {
+                let (policy, breaker) = self.concord.contained_policy(
+                    lock,
+                    &self.policy,
+                    self.breaker_cfg,
                     self.injector.clone(),
                 );
-                let patch = self.concord.build_bytecode_patch(
-                    lock,
-                    self.policy.hook,
-                    &bytecode,
-                    Some(&prefix),
-                )?;
-                staged.borrow_mut().push((lock.clone(), breaker));
-                Ok::<_, crate::workflow::ConcordError>(patch)
-            }));
-        match result {
-            Ok(_handles) => {
-                let mut map = self.breakers.lock();
-                for (lock, breaker) in staged.into_inner() {
-                    map.insert(lock, breaker);
-                }
-                Ok(())
-            }
-            Err(e) => Err(e.to_string()),
-        }
+                (Ok::<_, ConcordError>((lock, policy)), breaker)
+            })
+            .unzip();
+        self.concord
+            .attach_tagged(&generation_tag(generation), items)
+            .map_err(|e| e.to_string())?;
+        self.breakers
+            .lock()
+            .extend(locks.iter().cloned().zip(breakers));
+        Ok(())
     }
 
     fn applied_locks(&self, generation: u64, locks: &[String]) -> Vec<String> {
-        let mgr = self.concord.patch_manager();
-        locks
-            .iter()
-            .filter(|lock| {
-                mgr.find(&rollout_patch_name(generation, lock, self.policy.hook))
-                    .is_some()
-            })
-            .cloned()
-            .collect()
+        self.concord
+            .tagged_locks(&generation_tag(generation), self.policy.hook, locks)
     }
 
     fn revert_locks(&self, generation: u64, locks: &[String]) -> Result<(), String> {
-        let mgr = self.concord.patch_manager();
-        for lock in locks {
-            if let Some(handle) = mgr.find(&rollout_patch_name(generation, lock, self.policy.hook))
-            {
-                mgr.revert_transaction(handle).map_err(|e| e.to_string())?;
-                self.breakers.lock().remove(lock);
-            }
+        let reverted = self
+            .concord
+            .revert_tagged(&generation_tag(generation), self.policy.hook, locks)
+            .map_err(|e| e.to_string())?;
+        let mut breakers = self.breakers.lock();
+        for lock in &reverted {
+            breakers.remove(lock);
         }
         Ok(())
     }

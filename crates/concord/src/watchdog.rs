@@ -77,20 +77,22 @@ fn hist_stddev(h: &Histogram) -> f64 {
     (m2 / n as f64).sqrt()
 }
 
-/// Watchdog thresholds — multiplicative growth factors over the
-/// pre-attach baseline.
+// Hazard thresholds: multiplicative growth factors over the pre-attach
+// baseline.
+
+/// Wait-time spread growth (stddev, or worst-case wait) that flags a
+/// fairness hazard: some waiters are being starved relative to the
+/// unpatched lock.
+const FAIRNESS_FACTOR: f64 = 4.0;
+/// Mean-wait growth that flags a performance hazard: everyone is slower.
+const SLOWDOWN_FACTOR: f64 = 4.0;
+/// Hold-time growth that flags a critical-section hazard: the policy is
+/// doing work inside the lock.
+const CS_FACTOR: f64 = 3.0;
+
+/// Watchdog settings.
 #[derive(Clone, Copy, Debug)]
 pub struct WatchdogConfig {
-    /// Wait-time spread growth (stddev, or worst-case wait) that flags a
-    /// fairness hazard: some waiters are being starved relative to the
-    /// unpatched lock.
-    pub fairness_factor: f64,
-    /// Mean-wait growth that flags a performance hazard: everyone is
-    /// slower.
-    pub slowdown_factor: f64,
-    /// Hold-time growth that flags a critical-section hazard: the policy
-    /// is doing work inside the lock.
-    pub cs_factor: f64,
     /// Minimum acquisitions in the current window before the watchdog
     /// judges at all (small windows are noise).
     pub min_acquisitions: u64,
@@ -99,9 +101,6 @@ pub struct WatchdogConfig {
 impl Default for WatchdogConfig {
     fn default() -> Self {
         WatchdogConfig {
-            fairness_factor: 4.0,
-            slowdown_factor: 4.0,
-            cs_factor: 3.0,
             min_acquisitions: 200,
         }
     }
@@ -152,7 +151,7 @@ pub fn detect(
             current: *current,
         })
     };
-    if current.hold_mean > base_hold * cfg.cs_factor {
+    if current.hold_mean > base_hold * CS_FACTOR {
         return report(
             Hazard::CriticalSection,
             format!(
@@ -163,8 +162,8 @@ pub fn detect(
             ),
         );
     }
-    if cov(current) > base_cov * cfg.fairness_factor
-        || starvation(current) > base_starvation * cfg.fairness_factor
+    if cov(current) > base_cov * FAIRNESS_FACTOR
+        || starvation(current) > base_starvation * FAIRNESS_FACTOR
     {
         return report(
             Hazard::Fairness,
@@ -180,7 +179,7 @@ pub fn detect(
             ),
         );
     }
-    if current.wait_mean > base_wait * cfg.slowdown_factor {
+    if current.wait_mean > base_wait * SLOWDOWN_FACTOR {
         return report(
             Hazard::Performance,
             format!(
@@ -210,7 +209,6 @@ mod tests {
     fn detect_flags_each_hazard_class() {
         let cfg = WatchdogConfig {
             min_acquisitions: 4,
-            ..WatchdogConfig::default()
         };
         let wait = filled(&[100, 110, 120, 130]);
         let hold = filled(&[50, 50, 60, 60]);

@@ -16,7 +16,7 @@ use cbpf::map::Map;
 use cbpf::program::Program;
 use cbpf::store::{ObjectStore, VerifiedProgram};
 use ksim::Sim;
-use livepatch::{Patch, PatchError, PatchHandle, PatchManager, ShadowStore};
+use livepatch::{Patch, PatchError, PatchHandle, PatchManager, PatchPoint};
 use locks::hooks::{HookKind, LockEventFn, ShflHooks};
 use parking_lot::Mutex;
 use simlocks::policy::SimPolicy;
@@ -176,7 +176,6 @@ pub struct Concord {
     registry: LockRegistry,
     store: ObjectStore,
     patches: PatchManager,
-    shadows: ShadowStore,
     env: Arc<RealEnv>,
     contained: Mutex<Vec<ContainedAttach>>,
 }
@@ -194,7 +193,6 @@ impl Concord {
             registry: LockRegistry::new(),
             store: ObjectStore::new(),
             patches: PatchManager::new(),
-            shadows: ShadowStore::new(),
             env: Arc::new(RealEnv::new()),
             contained: Mutex::new(Vec::new()),
         }
@@ -213,11 +211,6 @@ impl Concord {
     /// The policy execution environment for real locks.
     pub fn env(&self) -> &Arc<RealEnv> {
         &self.env
-    }
-
-    /// The shadow-variable store (livepatch shadow data, §4.2).
-    pub fn shadows(&self) -> &ShadowStore {
-        &self.shadows
     }
 
     /// Compiles, verifies and pins a policy (Fig. 1 steps 1–5).
@@ -260,17 +253,6 @@ impl Concord {
         })
     }
 
-    fn hooks_of(&self, lock: &str) -> Result<Arc<ShflHooks>, ConcordError> {
-        let handle = self
-            .registry
-            .get(lock)
-            .ok_or_else(|| ConcordError::UnknownLock(lock.to_string()))?;
-        handle
-            .hooks()
-            .cloned()
-            .ok_or_else(|| ConcordError::NotHookable(lock.to_string()))
-    }
-
     /// Attaches a loaded policy to a lock's hook via livepatch (Fig. 1
     /// step 6).
     ///
@@ -279,7 +261,7 @@ impl Concord {
     /// Returns [`ConcordError::UnknownLock`] / [`ConcordError::NotHookable`].
     pub fn attach(&self, lock: &str, policy: &LoadedPolicy) -> Result<AttachHandle, ConcordError> {
         let bytecode = BytecodePolicy::new(policy.prog.clone(), policy.hook, Arc::clone(&self.env));
-        self.attach_bytecode(lock, policy.hook, &bytecode)
+        self.attach_one(lock, LockPolicy::Bytecode(bytecode))
     }
 
     /// Attaches a policy under a circuit breaker configured by `cfg`:
@@ -304,16 +286,8 @@ impl Concord {
         cfg: BreakerConfig,
         injector: Option<Arc<FaultInjector>>,
     ) -> Result<(AttachHandle, Arc<Breaker>), ConcordError> {
-        let breaker = Arc::new(Breaker::new(cfg));
-        breaker.set_tag(telemetry::event::fnv64(lock), u64::from(policy.hook.bit()));
-        let bytecode = BytecodePolicy::contained(
-            policy.prog.clone(),
-            policy.hook,
-            Arc::clone(&self.env),
-            Some(Arc::clone(&breaker)),
-            injector,
-        );
-        let handle = self.attach_bytecode(lock, policy.hook, &bytecode)?;
+        let (bytecode, breaker) = self.contained_policy(lock, policy, cfg, injector);
+        let handle = self.attach_one(lock, bytecode)?;
         self.contained.lock().push(ContainedAttach {
             patch: handle.patch,
             lock: lock.to_string(),
@@ -324,57 +298,25 @@ impl Concord {
         Ok((handle, breaker))
     }
 
-    fn attach_bytecode(
+    /// `policy` as it goes on `lock` under a fresh circuit breaker, which
+    /// is tagged with both so its trip records name them.
+    pub(crate) fn contained_policy(
         &self,
         lock: &str,
-        hook: HookKind,
-        bytecode: &Arc<BytecodePolicy>,
-    ) -> Result<AttachHandle, ConcordError> {
-        let patch = self.build_bytecode_patch(lock, hook, bytecode, None)?;
-        Ok(self.finish_attach(lock, hook, patch))
-    }
-
-    /// Builds (without applying) the livepatch that installs `bytecode`
-    /// on `lock`'s `hook`. `name_prefix` lets a rollout tag the patch
-    /// with its generation so crash recovery can probe it by name.
-    ///
-    /// This is the fallible half of an attach; [`Concord::attach_many`]
-    /// and the rollout controller feed a sequence of these into
-    /// [`PatchManager::apply_transaction`] so a mid-sequence error
-    /// unwinds every lock already patched.
-    pub(crate) fn build_bytecode_patch(
-        &self,
-        lock: &str,
-        hook: HookKind,
-        bytecode: &Arc<BytecodePolicy>,
-        name_prefix: Option<&str>,
-    ) -> Result<Patch, ConcordError> {
-        let hooks = self.hooks_of(lock)?;
-        let name = match name_prefix {
-            Some(p) => format!("{p}{lock}/{}", hook.name()),
-            None => format!("{lock}/{}", hook.name()),
-        };
-        let mut patch = Patch::new(name);
-        match hook {
-            HookKind::CmpNode => {
-                let point = Arc::clone(&hooks.cmp_node);
-                let old = point.get().clone();
-                patch.swap(&point, Some(bytecode.as_cmp_node()?), old);
-            }
-            HookKind::SkipShuffle => {
-                let point = Arc::clone(&hooks.skip_shuffle);
-                let old = point.get().clone();
-                patch.swap(&point, Some(bytecode.as_skip_shuffle()?), old);
-            }
-            HookKind::ScheduleWaiter => {
-                let point = Arc::clone(&hooks.schedule_waiter);
-                let old = point.get().clone();
-                patch.swap(&point, Some(bytecode.as_schedule_waiter()?), old);
-            }
-            kind => chain_event(&mut patch, &hooks, kind, bytecode.as_event()?)?,
-        }
-        self.add_active_flag_ops(&mut patch, hooks, hook);
-        Ok(patch)
+        policy: &LoadedPolicy,
+        cfg: BreakerConfig,
+        injector: Option<Arc<FaultInjector>>,
+    ) -> (LockPolicy, Arc<Breaker>) {
+        let breaker = Arc::new(Breaker::new(cfg));
+        breaker.set_tag(telemetry::event::fnv64(lock), u64::from(policy.hook.bit()));
+        let bytecode = BytecodePolicy::contained(
+            policy.prog.clone(),
+            policy.hook,
+            Arc::clone(&self.env),
+            Some(Arc::clone(&breaker)),
+            injector,
+        );
+        (LockPolicy::Bytecode(bytecode), breaker)
     }
 
     /// Attaches `policy` to every lock in `locks` as one all-or-nothing
@@ -391,20 +333,12 @@ impl Concord {
         policy: &LoadedPolicy,
     ) -> Result<Vec<AttachHandle>, ConcordError> {
         let bytecode = BytecodePolicy::new(policy.prog.clone(), policy.hook, Arc::clone(&self.env));
-        let handles = self.patches.apply_transaction(
-            locks
-                .iter()
-                .map(|lock| self.build_bytecode_patch(lock, policy.hook, &bytecode, None)),
-        )?;
-        Ok(handles
-            .into_iter()
-            .zip(locks)
-            .map(|(patch, lock)| AttachHandle {
-                patch,
-                lock: lock.to_string(),
-                hook: policy.hook,
-            })
-            .collect())
+        self.attach_tagged(
+            "",
+            locks.iter().map(|lock| {
+                Ok::<_, ConcordError>((*lock, LockPolicy::Bytecode(Arc::clone(&bytecode))))
+            }),
+        )
     }
 
     /// [`Concord::attach_many`] over every registered lock in `class`.
@@ -426,12 +360,6 @@ impl Concord {
         self.attach_many(&refs, policy)
     }
 
-    /// The underlying patch manager (rollout controller / recovery use
-    /// this to run transactions and probe live patch names).
-    pub(crate) fn patch_manager(&self) -> &PatchManager {
-        &self.patches
-    }
-
     /// Attaches a native event closure.
     ///
     /// # Errors
@@ -443,29 +371,128 @@ impl Concord {
         kind: HookKind,
         f: LockEventFn,
     ) -> Result<AttachHandle, ConcordError> {
-        let hooks = self.hooks_of(lock)?;
-        let mut patch = Patch::new(format!("{lock}/{}", kind.name()));
-        chain_event(&mut patch, &hooks, kind, f)?;
-        self.add_active_flag_ops(&mut patch, hooks, kind);
-        Ok(self.finish_attach(lock, kind, patch))
+        self.attach_one(lock, LockPolicy::Event(kind, f))
     }
 
-    fn add_active_flag_ops(&self, patch: &mut Patch, hooks: Arc<ShflHooks>, kind: HookKind) {
+    fn attach_one(&self, lock: &str, policy: LockPolicy) -> Result<AttachHandle, ConcordError> {
+        let mut handles = self.attach_tagged("", [Ok::<_, ConcordError>((lock, policy))])?;
+        Ok(handles.remove(0))
+    }
+
+    /// The one way a policy gets onto a real lock: every `(lock, policy)`
+    /// item becomes a patch named `{tag}{lock}/{hook}`, and all of them
+    /// apply as one livepatch transaction. `tag` is `""` for a plain
+    /// attach, `rollout-g<gen>:` for a rollout wave and `fleet-v<v>:` for
+    /// a fleet delivery; crash recovery, the fleet's probes, the
+    /// analyzer's policy attribution and `c3ctl` all read these names.
+    ///
+    /// Items are built lazily while the transaction holds the patch
+    /// stack, so building one must not call back into the patch manager.
+    ///
+    /// # Errors
+    ///
+    /// The first `Err` item, or the first lock that is unknown,
+    /// un-hookable or of the wrong hook shape. Every patch this call
+    /// applied is unwound first: the stack is left as it was.
+    pub(crate) fn attach_tagged<L: AsRef<str>, E: From<ConcordError>>(
+        &self,
+        tag: &str,
+        items: impl IntoIterator<Item = Result<(L, LockPolicy), E>>,
+    ) -> Result<Vec<AttachHandle>, E> {
+        let mut targets = Vec::new();
+        let patches =
+            self.patches
+                .apply_transaction(items.into_iter().map(|item| -> Result<Patch, E> {
+                    let (lock, policy) = item?;
+                    let lock = lock.as_ref();
+                    let hook = policy.hook();
+                    let patch = self.build_patch(patch_name(tag, lock, hook), lock, policy)?;
+                    targets.push((lock.to_string(), hook));
+                    Ok(patch)
+                }))?;
+        Ok(patches
+            .into_iter()
+            .zip(targets)
+            .map(|(patch, (lock, hook))| AttachHandle { patch, lock, hook })
+            .collect())
+    }
+
+    /// Which of `locks` carry a live `{tag}{lock}/{hook}` patch.
+    pub(crate) fn tagged_locks<'l>(
+        &self,
+        tag: &str,
+        hook: HookKind,
+        locks: impl IntoIterator<Item = &'l String>,
+    ) -> Vec<String> {
+        locks
+            .into_iter()
+            .filter(|lock| self.patches.find(&patch_name(tag, lock, hook)).is_some())
+            .cloned()
+            .collect()
+    }
+
+    /// Reverts the live `{tag}{lock}/{hook}` patch of each of `locks`
+    /// that has one, wherever it sits on the stack (patches above it are
+    /// re-applied), and returns the locks it reverted.
+    ///
+    /// # Errors
+    ///
+    /// The first revert error; the locks before it stay reverted.
+    pub(crate) fn revert_tagged<'l>(
+        &self,
+        tag: &str,
+        hook: HookKind,
+        locks: impl IntoIterator<Item = &'l String>,
+    ) -> Result<Vec<String>, PatchError> {
+        let mut reverted = Vec::new();
+        for lock in locks {
+            if let Some(handle) = self.patches.find(&patch_name(tag, lock, hook)) {
+                self.patches.revert_transaction(handle)?;
+                reverted.push(lock.clone());
+            }
+        }
+        Ok(reverted)
+    }
+
+    /// Builds (without applying) the patch that puts `policy` on `lock`:
+    /// the swap of a decision hook or the chaining of an event hook, then
+    /// the hook's active flag.
+    fn build_patch(
+        &self,
+        name: String,
+        lock: &str,
+        policy: LockPolicy,
+    ) -> Result<Patch, ConcordError> {
+        let handle = self
+            .registry
+            .get(lock)
+            .ok_or_else(|| ConcordError::UnknownLock(lock.to_string()))?;
+        let hooks = handle
+            .hooks()
+            .cloned()
+            .ok_or_else(|| ConcordError::NotHookable(lock.to_string()))?;
+        let kind = policy.hook();
+        let mut patch = Patch::new(name);
+        match policy {
+            LockPolicy::Bytecode(b) => match kind {
+                HookKind::CmpNode => swap_in(&mut patch, &hooks.cmp_node, b.as_cmp_node()?),
+                HookKind::SkipShuffle => {
+                    swap_in(&mut patch, &hooks.skip_shuffle, b.as_skip_shuffle()?)
+                }
+                HookKind::ScheduleWaiter => {
+                    swap_in(&mut patch, &hooks.schedule_waiter, b.as_schedule_waiter()?)
+                }
+                _ => chain_event(&mut patch, &hooks, kind, b.as_event()?)?,
+            },
+            LockPolicy::Event(_, f) => chain_event(&mut patch, &hooks, kind, f)?,
+        }
         let was_active = hooks.is_active(kind);
         let h1 = Arc::clone(&hooks);
         patch.action(
             move || h1.set_active(kind, true),
             move || hooks.set_active(kind, was_active),
         );
-    }
-
-    fn finish_attach(&self, lock: &str, kind: HookKind, patch: Patch) -> AttachHandle {
-        let handle = self.patches.apply(patch);
-        AttachHandle {
-            patch: handle,
-            lock: lock.to_string(),
-            hook: kind,
-        }
+        Ok(patch)
     }
 
     /// Reverts an attached policy.
@@ -616,6 +643,41 @@ impl Concord {
             0,
         )
     }
+}
+
+/// What an attach puts on one lock's hook.
+pub(crate) enum LockPolicy {
+    /// A bytecode policy, on the hook it was loaded for (any of the
+    /// seven).
+    Bytecode(Arc<BytecodePolicy>),
+    /// A native closure chained onto an event hook.
+    Event(HookKind, LockEventFn),
+}
+
+impl LockPolicy {
+    fn hook(&self) -> HookKind {
+        match self {
+            LockPolicy::Bytecode(b) => b.hook(),
+            LockPolicy::Event(kind, _) => *kind,
+        }
+    }
+}
+
+/// The name of the patch that puts a policy on `lock`'s `hook` under
+/// `tag` (see [`Concord::attach_tagged`]).
+fn patch_name(tag: &str, lock: &str, hook: HookKind) -> String {
+    format!("{tag}{lock}/{}", hook.name())
+}
+
+/// Adds to `patch` the swap that installs decision `f` on `point`;
+/// reverting restores what was there.
+fn swap_in<F: Clone + Send + Sync + 'static>(
+    patch: &mut Patch,
+    point: &Arc<PatchPoint<Option<F>>>,
+    f: F,
+) {
+    let old = point.get().clone();
+    patch.swap(point, Some(f), old);
 }
 
 /// Adds to `patch` the swap that chains `f` onto `hooks`' event hook

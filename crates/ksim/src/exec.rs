@@ -188,36 +188,25 @@ pub struct SimStats {
 /// # Examples
 ///
 /// ```
-/// use ksim::{SimBuilder, Topology};
+/// use ksim::SimBuilder;
 ///
-/// let sim = SimBuilder::new()
-///     .topology(Topology::paper_machine())
-///     .seed(42)
-///     .build();
+/// let sim = SimBuilder::new().seed(42).build();
 /// assert_eq!(sim.topology().num_cpus(), 80);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct SimBuilder {
-    topology: Topology,
     latency: LatencyModel,
     seed: u64,
 }
 
 impl SimBuilder {
-    /// Creates a builder with the paper's 8×10 topology, default latencies
-    /// and seed 0.
+    /// Creates a builder with default latencies and seed 0. Every
+    /// simulator models the paper's 8×10 machine.
     pub fn new() -> Self {
         SimBuilder {
-            topology: Topology::paper_machine(),
             latency: LatencyModel::default(),
             seed: 0,
         }
-    }
-
-    /// Sets the machine shape.
-    pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = t;
-        self
     }
 
     /// Sets the latency constants of the cache model.
@@ -234,10 +223,7 @@ impl SimBuilder {
 
     /// Builds the simulator.
     pub fn build(self) -> Sim {
-        assert!(
-            self.topology.num_sockets() <= 64,
-            "cache model uses a 64-bit socket mask"
-        );
+        let topology = Topology::paper_machine();
         Sim {
             shared: Rc::new(Shared {
                 now: Cell::new(0),
@@ -245,13 +231,11 @@ impl SimBuilder {
                 // Pre-size for one in-flight event per CPU (the steady
                 // state of a saturated machine) so early pushes don't
                 // regrow the heap's backing buffer.
-                heap: RefCell::new(BinaryHeap::with_capacity(
-                    self.topology.num_cpus() as usize * 2,
-                )),
+                heap: RefCell::new(BinaryHeap::with_capacity(topology.num_cpus() as usize * 2)),
                 tasks: RefCell::new(Vec::new()),
                 cache: RefCell::new(CacheModel::new(self.latency)),
                 lat: self.latency,
-                topo: self.topology,
+                topo: topology,
                 rng: RefCell::new(SplitMix64::new(self.seed)),
                 events_processed: Cell::new(0),
                 in_place: Cell::new(0),
@@ -259,7 +243,7 @@ impl SimBuilder {
                 trace_hash: Cell::new(0xcbf2_9ce4_8422_2325),
                 next_obj_id: Cell::new(1),
                 trace_log: RefCell::new(None),
-                offline_until: RefCell::new(vec![0; self.topology.num_cpus() as usize]),
+                offline_until: RefCell::new(vec![0; topology.num_cpus() as usize]),
                 wake_scratch: RefCell::new(Vec::new()),
                 sched: RefCell::new(None),
             }),

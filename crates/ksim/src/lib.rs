@@ -57,7 +57,7 @@ mod cache;
 mod cell;
 mod exec;
 pub mod net;
-mod rng;
+pub mod rng;
 pub mod sched;
 pub mod stats;
 mod topology;

@@ -75,17 +75,10 @@ impl NetFaultPlan {
         }
     }
 
-    /// Deterministic derived randomness: splitmix64 finalize over
-    /// `(seed, salt)` — the same construction `concord`'s chaos injector
-    /// uses, so adjacent seeds never collide.
+    /// Deterministic derived randomness: [`crate::rng::mix`] over
+    /// `(seed, salt)`.
     pub fn rng(&self, salt: u64) -> u64 {
-        let mut x = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^ (x >> 31)
+        crate::rng::mix(self.seed, salt)
     }
 
     /// Roll a permille-probability event for message `seq`, decision
@@ -325,13 +318,7 @@ impl Backoff {
         // Jitter strictly below the current rung keeps the sequence
         // monotone: next rung's minimum (2*exp) exceeds this rung's
         // maximum (exp + exp - 1).
-        let mut x = self
-            .seed
-            .wrapping_add(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(u64::from(attempt).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        let jitter = (x ^ (x >> 31)) % exp;
+        let jitter = crate::rng::mix(self.seed, u64::from(attempt)) % exp;
         (exp + jitter).min(self.cap_ns)
     }
 

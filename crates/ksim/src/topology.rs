@@ -68,9 +68,11 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero, or past 64 sockets (the cache
+    /// model keeps one bit per socket in a `u64`).
     pub fn new(sockets: u32, cores_per_socket: u32) -> Self {
         assert!(sockets > 0, "topology needs at least one socket");
+        assert!(sockets <= 64, "cache model uses a 64-bit socket mask");
         assert!(cores_per_socket > 0, "topology needs at least one core");
         Topology {
             sockets,
@@ -94,6 +96,7 @@ impl Topology {
     }
 
     /// Number of sockets (NUMA nodes).
+    #[cfg(test)]
     pub fn num_sockets(&self) -> u32 {
         self.sockets
     }

@@ -13,9 +13,11 @@
 //!   coincides with it for self-contained lock functions (DESIGN.md §7).
 //! * [`Patch`] / [`PatchManager`] — multi-site patch transactions with
 //!   LIFO stacking and revert, like the kernel's patch stack.
-//! * [`ShadowStore`] — out-of-band per-object data, the analog of livepatch
-//!   shadow variables, which the paper uses to "extend the node data
-//!   structure of the queue based lock with extra information" (§4.2).
+//!
+//! The paper also uses livepatch shadow variables to "extend the node data
+//! structure of the queue based lock with extra information" (§4.2). Here
+//! that context is compiled into the lock's `NodeView` instead, so there
+//! is no shadow store.
 //!
 //! # Examples
 //!
@@ -32,8 +34,6 @@
 
 mod patch;
 mod patchpoint;
-mod shadow;
 
 pub use patch::{Patch, PatchError, PatchHandle, PatchManager};
 pub use patchpoint::{PatchGuard, PatchPoint};
-pub use shadow::ShadowStore;

@@ -1,5 +1,6 @@
 //! Patch transactions: grouped replacements with LIFO stacking and revert.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::Arc;
 
@@ -123,7 +124,7 @@ impl Patch {
         self
     }
 
-    /// Adds arbitrary apply/revert actions (e.g. shadow-variable setup).
+    /// Adds arbitrary apply/revert actions (e.g. a hook's active flag).
     pub fn action(
         &mut self,
         apply: impl Fn() + Send + Sync + 'static,
@@ -161,28 +162,10 @@ impl PatchManager {
     }
 
     /// Applies all of `patch`'s replacements, in order, and pushes it on
-    /// the stack.
+    /// the stack: a transaction of one.
     pub fn apply(&self, patch: Patch) -> PatchHandle {
-        for op in &patch.ops {
-            (op.apply)();
-        }
-        let id = {
-            let mut next = self.next_id.lock();
-            *next += 1;
-            *next
-        };
-        trace_patch(
-            telemetry::EventKind::PatchApply,
-            &patch.name,
-            patch.ops.len() as u64,
-            id,
-        );
-        self.stack.lock().push(Applied {
-            id,
-            name: patch.name,
-            ops: patch.ops,
-        });
-        PatchHandle(id)
+        let Ok(handles) = self.apply_transaction::<Infallible>([Ok(patch)]);
+        handles[0]
     }
 
     /// Applies a whole sequence of patches as one all-or-nothing
@@ -196,6 +179,9 @@ impl PatchManager {
     /// order) and the error is returned — the manager is left exactly as
     /// it was before the call. On success all patches are pushed on the
     /// stack (bottom = first item) and their handles returned.
+    ///
+    /// The iterator runs under the stack lock, so producing an item must
+    /// not call back into this manager.
     ///
     /// # Errors
     ///

@@ -80,6 +80,9 @@ pub const MAX_CHAIN_DEPTH: u32 = 16;
 /// Minimum simultaneous waiters for a convoy window to open.
 pub const CONVOY_MIN_WAITERS: usize = 3;
 
+/// How many top contended locks the continuous mode exports as gauges.
+const TOP_K: usize = 5;
+
 /// Policy label used when no live patch matches a lock.
 const UNPATCHED: &str = "(unpatched)";
 
@@ -90,8 +93,6 @@ pub struct AnalyzeConfig {
     /// Lock id → human name (from a registry); unknown ids render as
     /// `lock<id>`.
     pub lock_names: BTreeMap<u64, String>,
-    /// How many top contended locks the continuous mode exports as gauges.
-    pub top_k: usize,
     /// Most locks tracked at once; events for further locks are dropped
     /// (counted as truncation → lower-bound attribution).
     pub max_locks: usize,
@@ -105,7 +106,6 @@ impl Default for AnalyzeConfig {
     fn default() -> Self {
         AnalyzeConfig {
             lock_names: BTreeMap::new(),
-            top_k: 5,
             max_locks: 1024,
             max_intervals: 1 << 16,
             max_pending: 4096,
@@ -1313,8 +1313,8 @@ impl Continuous {
             .set(report.total_wait_ns().min(i64::MAX as u64) as i64);
         m.gauge("c3_analyze_exact").set(i64::from(report.exact()));
         crate::sync_dropped_counter();
-        let top = report.top_waits(inner.cfg.top_k);
-        for rank in 0..inner.cfg.top_k {
+        let top = report.top_waits(TOP_K);
+        for rank in 0..TOP_K {
             let (id, wait) = top.get(rank).map(|(id, _, w)| (*id, *w)).unwrap_or((0, 0));
             m.gauge(&format!("c3_analyze_top{rank}_lock_id"))
                 .set(id.min(i64::MAX as u64) as i64);

@@ -76,6 +76,25 @@ if [ "$(grep -rn "run_with_faults(" crates/concord/src | wc -l)" -ne 1 ]; then
     exit 1
 fi
 
+# Every policy put on a real lock (attach, contained, class or many,
+# native event, profiler session, rollout wave, fleet delivery) goes
+# through one tagged livepatch transaction (`Concord::attach_tagged`),
+# which names each patch `{tag}{lock}/{hook}`. A second transaction call
+# in `concord/src` would be a second attach path; so would the old
+# patch-manager accessor or rollout name helper, and the shadow store
+# nothing used stays gone.
+echo "== one attach path =="
+if [ "$(grep -rn "apply_transaction(" crates/concord/src | wc -l)" -ne 1 ]; then
+    grep -rn "apply_transaction(" crates/concord/src >&2 || true
+    echo "ci: crates/concord/src must call apply_transaction exactly once" >&2
+    exit 1
+fi
+if grep -rn "patch_[m]anager()\|rollout_[p]atch_name\|S[h]adowStore" \
+    crates tests examples scripts; then
+    echo "ci: a second attach path or the shadow store is back (see above)" >&2
+    exit 1
+fi
+
 # Data-plane regression gate: the prepared map_mix speedup over legacy
 # and the compiled tier's over the prepared interpreter stay above their
 # floors, and on the paper's NUMA policy the compiled tier is not slower

@@ -30,7 +30,7 @@ fn lossy_run_converges_and_serves_degraded() {
         report.head, report.host_versions
     );
     assert_eq!(report.torn, 0, "torn applies observed");
-    assert_eq!(report.head, cfg.versions);
+    assert_eq!(report.head, concord::fleet::VERSIONS);
     assert!(report.retries > 0, "lossy run should retransmit");
     assert!(report.dedup_drops > 0, "lossy run should deduplicate");
     assert!(
@@ -309,4 +309,60 @@ fn fleet_metrics_render_in_prometheus() {
     ] {
         assert!(text.contains(line), "missing {line}");
     }
+}
+
+/// A rollout wave and a fleet delivery on the same lock and hook keep to
+/// their own tags: each side's probe sees only its own patch, and pulling
+/// the buried rollout patch leaves the fleet patch live on top.
+#[test]
+fn rollout_and_fleet_patches_keep_their_tags() {
+    use concord::{BreakerConfig, PolicySpec, RealTarget, RolloutTarget};
+
+    let concord = concord::Concord::new();
+    let lock = Arc::new(ShflLock::new());
+    concord.registry().register_shfl("L", Arc::clone(&lock));
+    let locks = vec!["L".to_string()];
+
+    let loaded = concord
+        .load(PolicySpec::from_asm(
+            "wave",
+            HookKind::CmpNode,
+            "mov r0, 1\nexit",
+        ))
+        .unwrap();
+    let target = RealTarget::new(&concord, loaded, BreakerConfig::default());
+    target.apply_locks(1, &locks).unwrap();
+
+    let store = PolicyStore::new(16);
+    let v1 = store
+        .publish(&Delta::bind_all(&[0], 900, seal_demo_artifact()))
+        .unwrap();
+    assert_eq!(v1, 1);
+    let host = RealFleetHost::new(
+        &concord,
+        HookKind::CmpNode,
+        BTreeMap::from([(0, "L".to_string())]),
+    );
+    assert_eq!(
+        host.apply(v1, &store.snapshot(v1).unwrap()),
+        Ok(DeliverOutcome::Applied)
+    );
+    assert_eq!(
+        concord.live_patches(),
+        vec!["rollout-g1:L/cmp_node", "fleet-v1:L/cmp_node"]
+    );
+    assert_eq!(target.applied_locks(1, &locks), locks);
+    assert_eq!(host.patched_locks(1), locks);
+
+    // The rollout patch is buried under the fleet's: reverting it pulls
+    // only the rollout's, and each probe still answers for its own tag.
+    target.revert_locks(1, &locks).unwrap();
+    assert_eq!(concord.live_patches(), vec!["fleet-v1:L/cmp_node"]);
+    assert!(target.applied_locks(1, &locks).is_empty());
+    assert_eq!(host.patched_locks(1), locks);
+    assert!(lock.hooks().is_active(HookKind::CmpNode));
+
+    host.revert(1).unwrap();
+    assert!(concord.live_patches().is_empty());
+    assert!(host.patched_locks(1).is_empty());
 }

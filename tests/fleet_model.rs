@@ -29,16 +29,7 @@ use std::sync::Arc;
 
 use concord::fleet::store::WINDOW;
 use concord::fleet::{DeliverOutcome, Delta, HostState, PolicyStore, Snapshot, StoreError};
-
-/// Splitmix finalize, the workspace's standard derived-randomness hash.
-fn mix(seed: u64, salt: u64) -> u64 {
-    let mut x = seed
-        .wrapping_add(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(salt.wrapping_mul(0xBF58_476D_1CE4_E5B9));
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use ksim::rng::mix;
 
 fn artifact(tag: u64) -> Arc<Vec<u8>> {
     Arc::new(tag.to_le_bytes().to_vec())

@@ -222,7 +222,6 @@ fn sim_zoo_sweep_under_schedule_explorer() {
         let cfg = ExploreConfig {
             schedules: 12,
             base_seed: 0xa11,
-            ..ExploreConfig::default()
         };
         let report = explore(Fixture::Zoo(zoo), &spec, &cfg).unwrap();
         assert!(

@@ -11,7 +11,6 @@ fn campaign(fixture: Fixture, strategy: &str) -> concord::ExploreReport {
     let cfg = ExploreConfig {
         schedules: 64,
         base_seed: 7,
-        ..ExploreConfig::default()
     };
     explore(fixture, &spec, &cfg).unwrap()
 }

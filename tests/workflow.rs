@@ -372,3 +372,34 @@ fn event_subscribers_chain_and_revert_from_the_top() {
         .iter()
         .all(|l| l.hooks().is_active(HookKind::LockAcquired)));
 }
+
+/// A profiling session over a registered and an unknown lock fails as a
+/// whole: nothing of it is left on the patch stack, and the patch that
+/// was there before stays.
+#[test]
+fn profiler_attach_to_an_unknown_lock_leaves_the_stack_as_it_was() {
+    use concord::profiler::Profiler;
+
+    let concord = Concord::new();
+    let lock = Arc::new(ShflLock::new());
+    concord.registry().register_shfl("known", Arc::clone(&lock));
+    let loaded = concord
+        .load(PolicySpec::from_asm(
+            "first",
+            HookKind::LockAcquired,
+            "mov r0, 0\nexit",
+        ))
+        .unwrap();
+    let _h = concord.attach("known", &loaded).unwrap();
+    let before = concord.live_patches();
+    assert_eq!(before, vec!["known/lock_acquired"]);
+
+    match Profiler::attach(&concord, &["known", "ghost"]) {
+        Err(ConcordError::UnknownLock(name)) => assert_eq!(name, "ghost"),
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("profiling an unknown lock succeeded"),
+    }
+    assert_eq!(concord.live_patches(), before);
+    assert!(lock.hooks().is_active(HookKind::LockAcquired));
+    assert!(!lock.hooks().is_active(HookKind::LockRelease));
+}
