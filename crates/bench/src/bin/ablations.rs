@@ -253,6 +253,7 @@ fn sweep_rollout(window: u64) {
     use concord::rollout::{
         AlwaysGreen, ChaosInjector, Rollout, RolloutLog, RolloutOutcome, RolloutPlan, SimTarget,
     };
+    use concord::SimPatches;
     use locks::hooks::HookKind;
     use simlocks::policy::SimPolicy;
 
@@ -268,9 +269,11 @@ fn sweep_rollout(window: u64) {
         let sim = SimBuilder::new().seed(42).build();
         let lock = Rc::new(SimShflLock::new(&sim));
         if via_rollout {
-            let target = SimTarget::new(vec![("ht".to_string(), Rc::clone(&lock))], |_| {
-                Rc::new(AttachedNoopPolicy) as Rc<dyn SimPolicy>
-            });
+            let target = SimTarget::new(
+                Rc::new(SimPatches::new(&sim)),
+                vec![("ht".to_string(), Rc::clone(&lock))],
+                |_| Ok(Rc::new(AttachedNoopPolicy) as Rc<dyn SimPolicy>),
+            );
             let plan = RolloutPlan::staged(1, "noop", HookKind::CmpNode, &["ht".to_string()], &[]);
             let log = RolloutLog::new();
             let out = Rollout::run(

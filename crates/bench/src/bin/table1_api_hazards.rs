@@ -13,7 +13,7 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use concord::watchdog::{detect, WatchdogConfig, WindowStats};
-use concord::Concord;
+use concord::{Concord, SimPatches};
 use ksim::{Histogram, SimBuilder};
 use locks::hooks::{CmpNodeCtx, Hazard, HookKind, LockEventCtx, SkipShuffleCtx};
 use locks::RawLock;
@@ -193,17 +193,22 @@ impl SimPolicy for SlowAcquirePath {
     }
 }
 
+/// The name `observed_window` attaches its policy under.
+const WINDOW_LOCK: &str = "table1_lock";
+
 /// One time-bounded observation window with `policy` attached, measured
 /// the way the real-lock profiler measures: wait = acquire latency,
 /// hold = acquired → released, both in virtual time. Returns the
-/// distilled stats and the lock for quarantining.
-fn observed_window(policy: Option<Rc<dyn SimPolicy>>) -> (WindowStats, Rc<SimShflLock>, u64) {
+/// distilled stats and the patch stack that holds the policy, for
+/// quarantining.
+fn observed_window(policy: Option<Rc<dyn SimPolicy>>) -> (WindowStats, SimPatches, u64) {
     const TASKS: usize = 40;
     const WINDOW: u64 = 3_000_000;
     let sim = SimBuilder::new().seed(11).build();
     let lock = Rc::new(SimShflLock::new(&sim));
+    let patches = SimPatches::new(&sim);
     if let Some(p) = policy {
-        lock.set_policy(p);
+        patches.attach(WINDOW_LOCK, &lock, p);
     }
     let wait = Rc::new(RefCell::new(Histogram::new()));
     let hold = Rc::new(RefCell::new(Histogram::new()));
@@ -224,7 +229,7 @@ fn observed_window(policy: Option<Rc<dyn SimPolicy>>) -> (WindowStats, Rc<SimShf
     }
     let stats = sim.run();
     let window = WindowStats::from_hists(&wait.borrow(), &hold.borrow());
-    (window, lock, stats.final_time_ns)
+    (window, patches, stats.final_time_ns)
 }
 
 /// The watchdog column: each hazardous policy from the measurement
@@ -258,17 +263,19 @@ fn watchdog_column() {
         ),
     ];
     for (name, hook, policy) in cases {
-        let (current, lock, now_ns) = observed_window(Some(policy));
+        let (current, patches, now_ns) = observed_window(Some(policy));
         match detect(&baseline, &current, &cfg) {
             Some(report) => {
-                let record = concord.quarantine_sim(
-                    &lock,
-                    "table1_lock",
-                    hook,
-                    name,
-                    format!("watchdog: {:?} hazard — {}", report.hazard, report.detail),
-                    now_ns,
-                );
+                let record = concord
+                    .quarantine_sim(
+                        &patches,
+                        WINDOW_LOCK,
+                        hook,
+                        name,
+                        format!("watchdog: {:?} hazard — {}", report.hazard, report.detail),
+                        now_ns,
+                    )
+                    .expect("the window's policy is attached");
                 println!(
                     "| {name} | {:?} within {} acquisitions | auto-reverted to FIFO ({}) |",
                     report.hazard, current.acquisitions, record.reason

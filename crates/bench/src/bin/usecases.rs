@@ -5,7 +5,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use concord::Concord;
+use concord::{Concord, SimPatches};
 use ksim::{CpuId, Sim, SimBuilder};
 use simlocks::SimShflLock;
 
@@ -18,7 +18,7 @@ fn sim() -> Sim {
 fn attach(concord: &Concord, sim: &Sim, lock: &SimShflLock, spec: concord::PolicySpec) {
     let loaded = concord.load(spec).expect("prebuilt policy verifies");
     let policy = concord.make_sim_policy(sim, &[&loaded]);
-    concord.attach_sim(lock, Rc::new(policy));
+    SimPatches::new(sim).attach("lock", lock, Rc::new(policy));
 }
 
 /// §3.1.1 Lock inheritance: task A holds L1 while queueing for L2; tasks

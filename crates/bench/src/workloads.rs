@@ -4,7 +4,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use concord::Concord;
+use concord::{Concord, SimPatches};
 use ksim::{Sim, SimBuilder, SimStats, TaskCtx};
 use simlocks::{NativePolicy, SimBravo, SimMcsLock, SimNeutralRwLock, SimShflLock};
 
@@ -231,7 +231,7 @@ pub fn lock2_point(threads: u32, series: SpinSeries, window_ns: u64, seed: u64) 
                 .load(concord::policies::numa_aware())
                 .expect("prebuilt policy verifies");
             let policy = concord.make_sim_policy(&sim, &[&loaded]);
-            concord.attach_sim(&l, Rc::new(policy));
+            SimPatches::new(&sim).attach("lock2", &l, Rc::new(policy));
             SpinImpl::Shfl(l)
         }
     });

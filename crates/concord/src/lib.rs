@@ -76,4 +76,6 @@ pub use rollout::{
     SimTarget, WaveOutcome,
 };
 pub use watchdog::{HazardReport, WatchdogConfig, WindowStats};
-pub use workflow::{AttachHandle, Concord, ConcordError, LoadedPolicy, PolicySource, PolicySpec};
+pub use workflow::{
+    AttachHandle, Concord, ConcordError, LoadedPolicy, PolicySource, PolicySpec, SimPatches,
+};

@@ -404,6 +404,11 @@ impl SimBytecodePolicy {
         }
     }
 
+    /// The simulator this policy set charges.
+    pub fn sim(&self) -> &Sim {
+        &self.sim
+    }
+
     /// Installs a verified program on `hook`.
     pub fn install(mut self, hook: HookKind, prog: VerifiedProgram) -> Self {
         match hook {

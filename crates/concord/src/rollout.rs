@@ -26,7 +26,6 @@
 //! step and asserts convergence after recovery. See DESIGN.md §4.7 for
 //! the state machine and the intent-log schema.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
@@ -40,7 +39,7 @@ use simlocks::policy::SimPolicy;
 use simlocks::SimShflLock;
 
 use crate::containment::{Breaker, BreakerConfig};
-use crate::workflow::{Concord, ConcordError, LoadedPolicy};
+use crate::workflow::{Concord, ConcordError, LoadedPolicy, SimPatches};
 
 /// Shared map of per-lock breakers a rollout installs — the health
 /// evaluator reads fault/trip deltas out of it.
@@ -762,7 +761,7 @@ impl<'a> RealTarget<'a> {
 }
 
 /// The tag a rollout generation's patches carry (see
-/// [`Concord::attach_tagged`]).
+/// [`Concord::attach_tagged`] and [`SimPatches::attach_tagged`]).
 fn generation_tag(generation: u64) -> String {
     format!("rollout-g{generation}:")
 }
@@ -808,100 +807,56 @@ impl RolloutTarget for RealTarget<'_> {
     }
 }
 
-/// [`RolloutTarget`] over simulated locks: `set_policy` swaps in virtual
-/// time, with the previous policy saved for revert. Apply failures can
-/// be scripted per lock to exercise the unwind path.
-pub struct SimTarget {
+/// [`RolloutTarget`] over simulated locks, in [`RealTarget`]'s shape: a
+/// wave is one `rollout-g<gen>:` transaction on the [`SimPatches`] the
+/// locks' other attaches share, probed and reverted by those names.
+pub struct SimTarget<F> {
+    patches: Rc<SimPatches>,
     locks: BTreeMap<String, Rc<SimShflLock>>,
-    make_policy: SimPolicyFactory,
-    applied: RefCell<AppliedSimPolicies>,
-    fail_locks: RefCell<BTreeSet<String>>,
+    make_policy: F,
 }
 
-/// Builds the per-lock policy a [`SimTarget`] installs.
-pub type SimPolicyFactory = Box<dyn Fn(&str) -> Rc<dyn SimPolicy>>;
-
-/// Lock name → (generation, the policy it displaced).
-type AppliedSimPolicies = BTreeMap<String, (u64, Rc<dyn SimPolicy>)>;
-
-impl SimTarget {
-    /// A target over named sim locks; `make_policy` builds the per-lock
-    /// policy to install (typically a `ContainedPolicy` wrapper).
+impl<F: Fn(&str) -> Result<Rc<dyn SimPolicy>, String>> SimTarget<F> {
+    /// A target over named sim locks on `patches`; `make_policy` builds
+    /// the per-lock policy to install (typically a `ContainedPolicy`
+    /// wrapper), and an `Err` from it fails and unwinds the wave.
     pub fn new(
+        patches: Rc<SimPatches>,
         locks: Vec<(String, Rc<SimShflLock>)>,
-        make_policy: impl Fn(&str) -> Rc<dyn SimPolicy> + 'static,
+        make_policy: F,
     ) -> Self {
         SimTarget {
+            patches,
             locks: locks.into_iter().collect(),
-            make_policy: Box::new(make_policy),
-            applied: RefCell::new(BTreeMap::new()),
-            fail_locks: RefCell::new(BTreeSet::new()),
+            make_policy,
         }
-    }
-
-    /// Scripts an apply failure on `lock` — the wave containing it
-    /// unwinds and the rollout aborts.
-    pub fn fail_apply_on(&self, lock: &str) {
-        self.fail_locks.borrow_mut().insert(lock.to_string());
-    }
-
-    /// Locks currently carrying a rollout policy (any generation).
-    pub fn applied_count(&self) -> usize {
-        self.applied.borrow().len()
     }
 }
 
-impl RolloutTarget for SimTarget {
+impl<F: Fn(&str) -> Result<Rc<dyn SimPolicy>, String>> RolloutTarget for SimTarget<F> {
     fn apply_locks(&self, generation: u64, locks: &[String]) -> Result<(), String> {
-        let mut done: Vec<String> = Vec::new();
-        for name in locks {
-            if self.fail_locks.borrow().contains(name) {
-                // Unwind this call's applies, newest first — the sim
-                // analog of the livepatch transaction unwinding.
-                for prev in done.iter().rev() {
-                    if let Some((_, saved)) = self.applied.borrow_mut().remove(prev) {
-                        self.locks[prev].set_policy(saved);
-                    }
-                }
-                return Err(format!("injected apply failure on {name}"));
-            }
-            let lock = self
-                .locks
-                .get(name)
-                .ok_or_else(|| format!("unknown sim lock {name}"))?;
-            let saved = lock.policy();
-            lock.set_policy((self.make_policy)(name));
-            self.applied
-                .borrow_mut()
-                .insert(name.clone(), (generation, saved));
-            done.push(name.clone());
-        }
-        Ok(())
+        self.patches.attach_tagged(
+            &generation_tag(generation),
+            locks.iter().map(|name| {
+                let lock = self
+                    .locks
+                    .get(name)
+                    .ok_or_else(|| format!("unknown sim lock {name}"))?;
+                Ok((name, &**lock, (self.make_policy)(name)?))
+            }),
+        )
     }
 
     fn applied_locks(&self, generation: u64, locks: &[String]) -> Vec<String> {
-        let applied = self.applied.borrow();
-        locks
-            .iter()
-            .filter(|n| applied.get(*n).is_some_and(|(g, _)| *g == generation))
-            .cloned()
-            .collect()
+        self.patches
+            .tagged_locks(&generation_tag(generation), locks)
     }
 
     fn revert_locks(&self, generation: u64, locks: &[String]) -> Result<(), String> {
-        for name in locks {
-            let entry = {
-                let mut applied = self.applied.borrow_mut();
-                match applied.get(name) {
-                    Some((g, _)) if *g == generation => applied.remove(name),
-                    _ => None,
-                }
-            };
-            if let Some((_, saved)) = entry {
-                self.locks[name].set_policy(saved);
-            }
-        }
-        Ok(())
+        self.patches
+            .revert_tagged(&generation_tag(generation), locks)
+            .map(drop)
+            .map_err(|e| e.to_string())
     }
 }
 
@@ -1432,6 +1387,7 @@ pub mod chaos {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
 
     /// A pure in-memory target: the reference world for controller unit
     /// tests.

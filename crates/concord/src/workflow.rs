@@ -4,6 +4,7 @@
 //! reverse direction (detach/revert) and the simulated-machine variants
 //! used by the figure benchmarks.
 
+use std::convert::Infallible;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -16,7 +17,7 @@ use cbpf::map::Map;
 use cbpf::program::Program;
 use cbpf::store::{ObjectStore, VerifiedProgram};
 use ksim::Sim;
-use livepatch::{Patch, PatchError, PatchHandle, PatchManager, PatchPoint};
+use livepatch::{LocalOp, OpBound, Patch, PatchError, PatchHandle, PatchManager, PatchPoint};
 use locks::hooks::{HookKind, LockEventFn, ShflHooks};
 use parking_lot::Mutex;
 use simlocks::policy::SimPolicy;
@@ -399,36 +400,26 @@ impl Concord {
         tag: &str,
         items: impl IntoIterator<Item = Result<(L, LockPolicy), E>>,
     ) -> Result<Vec<AttachHandle>, E> {
-        let mut targets = Vec::new();
-        let patches =
-            self.patches
-                .apply_transaction(items.into_iter().map(|item| -> Result<Patch, E> {
-                    let (lock, policy) = item?;
-                    let lock = lock.as_ref();
-                    let hook = policy.hook();
-                    let patch = self.build_patch(patch_name(tag, lock, hook), lock, policy)?;
-                    targets.push((lock.to_string(), hook));
-                    Ok(patch)
-                }))?;
-        Ok(patches
+        let applied = transaction(&self.patches, items, |(lock, policy)| {
+            let lock = lock.as_ref();
+            let hook = policy.hook();
+            let patch = self.build_patch(patch_name(tag, lock, hook.name()), lock, policy)?;
+            Ok((patch, (lock.to_string(), hook)))
+        })?;
+        Ok(applied
             .into_iter()
-            .zip(targets)
             .map(|(patch, (lock, hook))| AttachHandle { patch, lock, hook })
             .collect())
     }
 
     /// Which of `locks` carry a live `{tag}{lock}/{hook}` patch.
-    pub(crate) fn tagged_locks<'l>(
+    pub(crate) fn tagged_locks<L: AsRef<str>>(
         &self,
         tag: &str,
         hook: HookKind,
-        locks: impl IntoIterator<Item = &'l String>,
+        locks: impl IntoIterator<Item = L>,
     ) -> Vec<String> {
-        locks
-            .into_iter()
-            .filter(|lock| self.patches.find(&patch_name(tag, lock, hook)).is_some())
-            .cloned()
-            .collect()
+        tagged_locks(&self.patches, tag, hook.name(), locks)
     }
 
     /// Reverts the live `{tag}{lock}/{hook}` patch of each of `locks`
@@ -438,20 +429,13 @@ impl Concord {
     /// # Errors
     ///
     /// The first revert error; the locks before it stay reverted.
-    pub(crate) fn revert_tagged<'l>(
+    pub(crate) fn revert_tagged<L: AsRef<str>>(
         &self,
         tag: &str,
         hook: HookKind,
-        locks: impl IntoIterator<Item = &'l String>,
+        locks: impl IntoIterator<Item = L>,
     ) -> Result<Vec<String>, PatchError> {
-        let mut reverted = Vec::new();
-        for lock in locks {
-            if let Some(handle) = self.patches.find(&patch_name(tag, lock, hook)) {
-                self.patches.revert_transaction(handle)?;
-                reverted.push(lock.clone());
-            }
-        }
-        Ok(reverted)
+        revert_tagged(&self.patches, tag, hook.name(), locks)
     }
 
     /// Builds (without applying) the patch that puts `policy` on `lock`:
@@ -607,33 +591,34 @@ impl Concord {
         p
     }
 
-    /// Attaches a policy set to a simulated lock (the sim analog of the
-    /// livepatch step; the simulator is single-threaded, so the swap is a
-    /// plain replace).
-    pub fn attach_sim(&self, lock: &SimShflLock, policy: Rc<dyn SimPolicy>) {
-        lock.set_policy(policy);
+    /// Attaches a policy set to a simulated lock as a one-patch untagged
+    /// transaction on a stack of its own, named `sim{id}/policy` after
+    /// the lock's id; the policy set's simulator stamps the record.
+    /// Nothing can revert it: attach through a [`SimPatches`] instead.
+    pub fn attach_sim(&self, lock: &SimShflLock, policy: Rc<SimBytecodePolicy>) {
+        SimPatches::new(policy.sim()).attach(&format!("sim{}", lock.id()), lock, policy);
     }
 
-    /// Restores a simulated lock to its unpatched FIFO behavior.
-    pub fn detach_sim(&self, lock: &SimShflLock) {
-        lock.set_policy(Rc::new(simlocks::FifoPolicy::new()));
-    }
-
-    /// The sim analog of a quarantine: restores the lock to FIFO and
-    /// records why. `at_ns` is the virtual time of the decision.
+    /// The sim analog of a quarantine: reverts `lock`'s untagged patch on
+    /// `patches`, wherever it sits on the stack, and records why. `at_ns`
+    /// is the virtual time of the decision. Like
+    /// [`Concord::sweep_breakers`], a lock with no such patch has nothing
+    /// to pull and gets no record.
     pub fn quarantine_sim(
         &self,
-        lock: &SimShflLock,
-        name: &str,
+        patches: &SimPatches,
+        lock: &str,
         hook: HookKind,
         policy: &str,
         reason: String,
         at_ns: u64,
-    ) -> QuarantineRecord {
-        self.detach_sim(lock);
-        self.file_quarantine(
+    ) -> Option<QuarantineRecord> {
+        if patches.revert_tagged("", [lock]).ok()?.is_empty() {
+            return None;
+        }
+        Some(self.file_quarantine(
             QuarantineRecord {
-                lock: name.to_string(),
+                lock: lock.to_string(),
                 hook,
                 policy: policy.to_string(),
                 reason,
@@ -641,7 +626,90 @@ impl Concord {
                 events: Vec::new(),
             },
             0,
-        )
+        ))
+    }
+}
+
+/// The one slot of a sim lock: its whole policy set swaps as one.
+const SIM_SLOT: &str = "policy";
+
+/// The livepatch stack of one simulated machine. Every policy Concord
+/// puts on a sim lock goes through it, as every policy on a real lock
+/// goes through [`Concord`]'s: one tagged transaction, patches named
+/// `{tag}{lock}/policy`, the same `PatchApply`/`PatchRevert` records
+/// (stamped in the simulator's virtual time), the same probe and revert
+/// by name. It lives beside `Concord` rather than in it because its
+/// patches hold `Rc`s and `Concord` is shared across threads.
+pub struct SimPatches {
+    patches: PatchManager<LocalOp>,
+}
+
+impl SimPatches {
+    /// An empty stack whose records carry `sim`'s virtual time.
+    pub fn new(sim: &Sim) -> Self {
+        let sim = sim.clone();
+        SimPatches {
+            patches: PatchManager::<LocalOp>::with_clock(Box::new(move || sim.now())),
+        }
+    }
+
+    /// Puts each item's policy on its lock, named `{tag}{name}/policy`,
+    /// as one transaction: the sim side of [`Concord::attach_tagged`].
+    /// Reverting a patch puts back what its lock had when it was built.
+    ///
+    /// # Errors
+    ///
+    /// The first `Err` item, after every patch this call applied is
+    /// unwound.
+    pub fn attach_tagged<'l, L: AsRef<str>, E>(
+        &self,
+        tag: &str,
+        items: impl IntoIterator<Item = Result<(L, &'l SimShflLock, Rc<dyn SimPolicy>), E>>,
+    ) -> Result<(), E> {
+        transaction(&self.patches, items, |(name, lock, policy)| {
+            let mut patch = Patch::new(patch_name(tag, name.as_ref(), SIM_SLOT));
+            let swap_to = |p: Rc<dyn SimPolicy>| {
+                let slot = Rc::clone(lock.policy_slot());
+                move || slot.set_policy(Rc::clone(&p))
+            };
+            patch.action(swap_to(policy), swap_to(lock.policy()));
+            Ok((patch, ()))
+        })
+        .map(drop)
+    }
+
+    /// One untagged attach of `policy` on `lock`, named `{name}/policy`.
+    pub fn attach(&self, name: &str, lock: &SimShflLock, policy: Rc<dyn SimPolicy>) {
+        let Ok(()) = self.attach_tagged::<_, Infallible>("", [Ok((name, lock, policy))]);
+    }
+
+    /// Which of `locks` carry a live `{tag}{lock}/policy` patch.
+    pub fn tagged_locks<L: AsRef<str>>(
+        &self,
+        tag: &str,
+        locks: impl IntoIterator<Item = L>,
+    ) -> Vec<String> {
+        tagged_locks(&self.patches, tag, SIM_SLOT, locks)
+    }
+
+    /// Reverts the live `{tag}{lock}/policy` patch of each of `locks`
+    /// that has one, wherever it sits on the stack, and returns the locks
+    /// it reverted.
+    ///
+    /// # Errors
+    ///
+    /// The first revert error; the locks before it stay reverted.
+    pub fn revert_tagged<L: AsRef<str>>(
+        &self,
+        tag: &str,
+        locks: impl IntoIterator<Item = L>,
+    ) -> Result<Vec<String>, PatchError> {
+        revert_tagged(&self.patches, tag, SIM_SLOT, locks)
+    }
+
+    /// Names of live patches, bottom to top.
+    pub fn live(&self) -> Vec<String> {
+        self.patches.live()
     }
 }
 
@@ -663,10 +731,68 @@ impl LockPolicy {
     }
 }
 
-/// The name of the patch that puts a policy on `lock`'s `hook` under
-/// `tag` (see [`Concord::attach_tagged`]).
-fn patch_name(tag: &str, lock: &str, hook: HookKind) -> String {
-    format!("{tag}{lock}/{}", hook.name())
+/// The name of the patch that puts a policy on `lock`'s `slot` under
+/// `tag`: the hook name on a real lock, `policy` on a sim lock (see
+/// [`Concord::attach_tagged`]).
+fn patch_name(tag: &str, lock: &str, slot: &str) -> String {
+    format!("{tag}{lock}/{slot}")
+}
+
+/// The one attach transaction of both clocks: `build` turns each item
+/// into its patch plus what the caller keeps of it, and all the patches
+/// apply as one livepatch transaction. Items are built lazily while the
+/// transaction holds the patch stack, so building one must not call back
+/// into `patches`.
+fn transaction<O: ?Sized + OpBound, T, R, E>(
+    patches: &PatchManager<O>,
+    items: impl IntoIterator<Item = Result<T, E>>,
+    mut build: impl FnMut(T) -> Result<(Patch<O>, R), E>,
+) -> Result<Vec<(PatchHandle, R)>, E> {
+    let mut kept = Vec::new();
+    let handles = patches.apply_transaction(items.into_iter().map(|item| {
+        let (patch, k) = build(item?)?;
+        kept.push(k);
+        Ok(patch)
+    }))?;
+    Ok(handles.into_iter().zip(kept).collect())
+}
+
+/// Which of `locks` carry a live `{tag}{lock}/{slot}` patch.
+fn tagged_locks<O: ?Sized + OpBound, L: AsRef<str>>(
+    patches: &PatchManager<O>,
+    tag: &str,
+    slot: &str,
+    locks: impl IntoIterator<Item = L>,
+) -> Vec<String> {
+    locks
+        .into_iter()
+        .filter(|lock| {
+            patches
+                .find(&patch_name(tag, lock.as_ref(), slot))
+                .is_some()
+        })
+        .map(|lock| lock.as_ref().to_string())
+        .collect()
+}
+
+/// Reverts the live `{tag}{lock}/{slot}` patch of each of `locks` that
+/// has one, wherever it sits on the stack, and returns the locks it
+/// reverted.
+fn revert_tagged<O: ?Sized + OpBound, L: AsRef<str>>(
+    patches: &PatchManager<O>,
+    tag: &str,
+    slot: &str,
+    locks: impl IntoIterator<Item = L>,
+) -> Result<Vec<String>, PatchError> {
+    let mut reverted = Vec::new();
+    for lock in locks {
+        let lock = lock.as_ref();
+        if let Some(handle) = patches.find(&patch_name(tag, lock, slot)) {
+            patches.revert_transaction(handle)?;
+            reverted.push(lock.to_string());
+        }
+    }
+    Ok(reverted)
 }
 
 /// Adds to `patch` the swap that installs decision `f` on `point`;

@@ -12,7 +12,9 @@
 //!   the per-call consistency model; kernel kpatch's per-task transition
 //!   coincides with it for self-contained lock functions (DESIGN.md §7).
 //! * [`Patch`] / [`PatchManager`] — multi-site patch transactions with
-//!   LIFO stacking and revert, like the kernel's patch stack.
+//!   LIFO stacking and revert, like the kernel's patch stack. One manager
+//!   serves both clocks: its ops are [`SyncOp`]s on real locks and
+//!   [`LocalOp`]s on a simulator's, whose records carry virtual time.
 //!
 //! The paper also uses livepatch shadow variables to "extend the node data
 //! structure of the queue based lock with extra information" (§4.2). Here
@@ -35,5 +37,5 @@
 mod patch;
 mod patchpoint;
 
-pub use patch::{Patch, PatchError, PatchHandle, PatchManager};
+pub use patch::{IntoOp, LocalOp, OpBound, Patch, PatchError, PatchHandle, PatchManager, SyncOp};
 pub use patchpoint::{PatchGuard, PatchPoint};

@@ -29,18 +29,66 @@ impl fmt::Display for PatchError {
 
 impl std::error::Error for PatchError {}
 
-struct PatchOp {
-    apply: Box<dyn Fn() + Send + Sync>,
-    revert: Box<dyn Fn() + Send + Sync>,
+/// The op bound of patches on real locks: any thread may apply or revert
+/// them. The default of [`Patch`] and [`PatchManager`].
+pub type SyncOp = dyn Fn() + Send + Sync;
+
+/// The op bound of patches on a simulator's locks, which live on one
+/// thread and hold `Rc`s.
+pub type LocalOp = dyn Fn();
+
+/// What a manager's apply and revert actions may capture, and the clock
+/// that stamps its records: [`SyncOp`] on the telemetry clock (wall time)
+/// or [`LocalOp`] on a clock its owner supplies (a simulator's virtual
+/// time, so a sim trace repeats bit for bit).
+pub trait OpBound: Fn() {
+    /// The record clock under this bound.
+    type Clock: ?Sized + Fn() -> u64;
 }
 
-/// Emits a patch-transition trace record (when the plane is armed):
-/// `a` = FNV-1a hash of the patch name, `b` = number of patched sites,
-/// `c` = patch id, payload = name prefix. Uses [`telemetry::clock`] so a
-/// DES driver can pin control-plane transitions to virtual time. The
-/// metrics counters run unconditionally — patch transitions are
-/// control-plane rate, never on a lock path.
-fn trace_patch(kind: telemetry::EventKind, name: &str, sites: u64, id: u64) {
+impl OpBound for SyncOp {
+    type Clock = dyn Fn() -> u64 + Send + Sync;
+}
+
+impl OpBound for LocalOp {
+    type Clock = dyn Fn() -> u64;
+}
+
+/// A closure that can be boxed as an op of bound `O`.
+pub trait IntoOp<O: ?Sized> {
+    /// Boxes the closure.
+    fn into_op(self) -> Box<O>;
+}
+
+impl<F: Fn() + Send + Sync + 'static> IntoOp<SyncOp> for F {
+    fn into_op(self) -> Box<SyncOp> {
+        Box::new(self)
+    }
+}
+
+impl<F: Fn() + 'static> IntoOp<LocalOp> for F {
+    fn into_op(self) -> Box<LocalOp> {
+        Box::new(self)
+    }
+}
+
+struct PatchOp<O: ?Sized> {
+    apply: Box<O>,
+    revert: Box<O>,
+}
+
+/// Emits a patch-transition trace record stamped by `clock` (when the
+/// plane is armed): `a` = FNV-1a hash of the patch name, `b` = number of
+/// patched sites, `c` = patch id, payload = name prefix. The metrics
+/// counters run unconditionally — patch transitions are control-plane
+/// rate, never on a lock path.
+fn trace_patch<C: ?Sized + Fn() -> u64>(
+    kind: telemetry::EventKind,
+    clock: &C,
+    name: &str,
+    sites: u64,
+    id: u64,
+) {
     let metric = if kind == telemetry::EventKind::PatchApply {
         "c3_patch_apply_total"
     } else {
@@ -50,7 +98,7 @@ fn trace_patch(kind: telemetry::EventKind, name: &str, sites: u64, id: u64) {
     if telemetry::armed() {
         telemetry::emit_payload(
             kind,
-            telemetry::clock::now_ns(),
+            clock(),
             0,
             telemetry::event::fnv64(name),
             sites,
@@ -61,7 +109,8 @@ fn trace_patch(kind: telemetry::EventKind, name: &str, sites: u64, id: u64) {
     }
 }
 
-/// A to-be-applied patch: a named set of slot replacements.
+/// A to-be-applied patch: a named set of slot replacements whose ops
+/// have bound `O`.
 ///
 /// # Examples
 ///
@@ -78,12 +127,12 @@ fn trace_patch(kind: telemetry::EventKind, name: &str, sites: u64, id: u64) {
 /// mgr.revert(h).unwrap();
 /// assert_eq!(*point.get(), 10);
 /// ```
-pub struct Patch {
+pub struct Patch<O: ?Sized + OpBound = SyncOp> {
     name: String,
-    ops: Vec<PatchOp>,
+    ops: Vec<PatchOp<O>>,
 }
 
-impl Patch {
+impl<O: ?Sized + OpBound> Patch<O> {
     /// Starts an empty patch.
     pub fn new(name: impl Into<String>) -> Self {
         Patch {
@@ -107,6 +156,17 @@ impl Patch {
         self.ops.is_empty()
     }
 
+    /// Adds arbitrary apply/revert actions (e.g. a hook's active flag).
+    pub fn action(&mut self, apply: impl IntoOp<O>, revert: impl IntoOp<O>) -> &mut Self {
+        self.ops.push(PatchOp {
+            apply: apply.into_op(),
+            revert: revert.into_op(),
+        });
+        self
+    }
+}
+
+impl Patch {
     /// Adds a replacement of `point`'s value with `new`; `restore` is
     /// installed on revert.
     pub fn swap<T: Clone + Send + Sync + 'static>(
@@ -117,24 +177,10 @@ impl Patch {
     ) -> &mut Self {
         let p1 = Arc::clone(point);
         let p2 = Arc::clone(point);
-        self.ops.push(PatchOp {
-            apply: Box::new(move || p1.replace(new.clone())),
-            revert: Box::new(move || p2.replace(restore.clone())),
-        });
-        self
-    }
-
-    /// Adds arbitrary apply/revert actions (e.g. a hook's active flag).
-    pub fn action(
-        &mut self,
-        apply: impl Fn() + Send + Sync + 'static,
-        revert: impl Fn() + Send + Sync + 'static,
-    ) -> &mut Self {
-        self.ops.push(PatchOp {
-            apply: Box::new(apply),
-            revert: Box::new(revert),
-        });
-        self
+        self.action(
+            move || p1.replace(new.clone()),
+            move || p2.replace(restore.clone()),
+        )
     }
 }
 
@@ -142,28 +188,49 @@ impl Patch {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PatchHandle(u64);
 
-struct Applied {
+struct Applied<O: ?Sized> {
     id: u64,
     name: String,
-    ops: Vec<PatchOp>,
+    ops: Vec<PatchOp<O>>,
 }
 
-/// Applies patches and enforces stack-ordered (LIFO) revert.
-#[derive(Default)]
-pub struct PatchManager {
-    stack: Mutex<Vec<Applied>>,
+/// Applies patches and enforces stack-ordered (LIFO) revert. `O` is the
+/// bound its patches' ops share; the default serves real locks, and
+/// [`LocalOp`] a simulator's.
+pub struct PatchManager<O: ?Sized + OpBound = SyncOp> {
+    stack: Mutex<Vec<Applied<O>>>,
     next_id: Mutex<u64>,
+    clock: Box<O::Clock>,
 }
 
 impl PatchManager {
-    /// Creates an empty manager.
+    /// Creates an empty manager whose records carry the telemetry
+    /// clock's wall time.
     pub fn new() -> Self {
-        PatchManager::default()
+        Self::with_clock(Box::new(telemetry::clock::now_ns))
+    }
+}
+
+impl Default for PatchManager {
+    fn default() -> Self {
+        PatchManager::new()
+    }
+}
+
+impl<O: ?Sized + OpBound> PatchManager<O> {
+    /// Creates an empty manager whose patch records are stamped by
+    /// `clock`.
+    pub fn with_clock(clock: Box<O::Clock>) -> Self {
+        PatchManager {
+            stack: Mutex::new(Vec::new()),
+            next_id: Mutex::new(0),
+            clock,
+        }
     }
 
     /// Applies all of `patch`'s replacements, in order, and pushes it on
     /// the stack: a transaction of one.
-    pub fn apply(&self, patch: Patch) -> PatchHandle {
+    pub fn apply(&self, patch: Patch<O>) -> PatchHandle {
         let Ok(handles) = self.apply_transaction::<Infallible>([Ok(patch)]);
         handles[0]
     }
@@ -188,10 +255,10 @@ impl PatchManager {
     /// Returns the first `Err` produced by the iterator, after unwinding.
     pub fn apply_transaction<E>(
         &self,
-        patches: impl IntoIterator<Item = Result<Patch, E>>,
+        patches: impl IntoIterator<Item = Result<Patch<O>, E>>,
     ) -> Result<Vec<PatchHandle>, E> {
         let mut stack = self.stack.lock();
-        let mut applied: Vec<Patch> = Vec::new();
+        let mut applied: Vec<Patch<O>> = Vec::new();
         for item in patches {
             match item {
                 Ok(patch) => {
@@ -224,6 +291,7 @@ impl PatchManager {
             };
             trace_patch(
                 telemetry::EventKind::PatchApply,
+                &*self.clock,
                 &patch.name,
                 patch.ops.len() as u64,
                 id,
@@ -280,6 +348,7 @@ impl PatchManager {
                 }
                 trace_patch(
                     telemetry::EventKind::PatchRevert,
+                    &*self.clock,
                     &applied.name,
                     applied.ops.len() as u64,
                     applied.id,
@@ -319,7 +388,7 @@ impl PatchManager {
             .ok_or(PatchError::UnknownPatch)?;
         // Detach the target and everything above it while holding the
         // lock, so no patch can interleave mid-transaction.
-        let mut tail: Vec<Applied> = stack.drain(pos..).collect();
+        let mut tail: Vec<Applied<O>> = stack.drain(pos..).collect();
         let target = tail.remove(0);
         // Unwind top-down: the patches above the target first, each
         // reverting its sites in reverse apply order.
@@ -333,6 +402,7 @@ impl PatchManager {
         }
         trace_patch(
             telemetry::EventKind::PatchRevert,
+            &*self.clock,
             &target.name,
             target.ops.len() as u64,
             target.id,

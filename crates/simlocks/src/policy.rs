@@ -8,6 +8,9 @@
 //! per-instruction interpreter cost — reproducing the overhead the paper
 //! measures in Fig. 2(c).
 
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
 use locks::hooks::{CmpNodeCtx, HookKind, LockEventCtx, ScheduleWaiterCtx, SkipShuffleCtx};
 
 /// A decision plus the virtual-time cost of computing it.
@@ -37,6 +40,41 @@ pub trait SimPolicy {
     fn wants_event(&self, kind: HookKind) -> bool {
         let _ = kind;
         false
+    }
+}
+
+/// A sim lock's patch point: the policy its slow path consults and a
+/// count of swaps. The lock and every patch that swaps its policy share
+/// it through an `Rc`, as real patches share an `Arc<PatchPoint>`; the
+/// simulator is single-threaded, so a swap is a plain replace.
+pub struct PolicySlot {
+    policy: RefCell<Rc<dyn SimPolicy>>,
+    generation: Cell<u64>,
+}
+
+impl PolicySlot {
+    pub(crate) fn new(policy: Rc<dyn SimPolicy>) -> Self {
+        PolicySlot {
+            policy: RefCell::new(policy),
+            generation: Cell::new(0),
+        }
+    }
+
+    /// Installs `p`.
+    pub fn set_policy(&self, p: Rc<dyn SimPolicy>) {
+        *self.policy.borrow_mut() = p;
+        self.generation.set(self.generation.get() + 1);
+    }
+
+    /// The current policy.
+    pub fn policy(&self) -> Rc<dyn SimPolicy> {
+        Rc::clone(&self.policy.borrow())
+    }
+
+    /// Monotonic count of policy swaps — the sim analog of a patch
+    /// point's generation.
+    pub fn generation(&self) -> u64 {
+        self.generation.get()
     }
 }
 

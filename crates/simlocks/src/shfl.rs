@@ -7,7 +7,7 @@
 //! distinguishable from "ShflLock" (compiled-in policy) in the figures for
 //! exactly the reason it is in the paper.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::rc::Rc;
 
 use ksim::{SchedSite, Sim, SimWord, TaskCtx};
@@ -22,7 +22,7 @@ const SHUFFLER: u64 = 3;
 
 /// How long a delegated shuffler rests between phases (virtual ns).
 const SHUFFLE_REST_NS: u64 = 1_500;
-use crate::policy::{FifoPolicy, SimPolicy};
+use crate::policy::{FifoPolicy, PolicySlot, SimPolicy};
 
 /// Bound on shuffle phases per acquisition (starvation guard, §4.2).
 pub const MAX_SHUFFLE_ROUNDS: u32 = 8;
@@ -40,8 +40,7 @@ pub struct SimShflLock {
     locked: SimWord,
     tail: SimWord,
     arena: NodeArena,
-    policy: RefCell<Rc<dyn SimPolicy>>,
-    policy_gen: Cell<u64>,
+    slot: Rc<PolicySlot>,
     id: u64,
     shuffles: Cell<u64>,
     moves: Cell<u64>,
@@ -66,8 +65,7 @@ impl SimShflLock {
             locked: SimWord::new(sim, 0),
             tail: SimWord::new(sim, 0),
             arena: NodeArena::new(sim),
-            policy: RefCell::new(Rc::new(FifoPolicy::new())),
-            policy_gen: Cell::new(0),
+            slot: Rc::new(PolicySlot::new(Rc::new(FifoPolicy::new()))),
             id: sim.alloc_id(),
             shuffles: Cell::new(0),
             moves: Cell::new(0),
@@ -84,15 +82,20 @@ impl SimShflLock {
         self.id
     }
 
-    /// Installs a policy (Concord's simulated livepatch step).
+    /// Installs a policy directly, outside any patch (the native
+    /// baselines; Concord patches the [`SimShflLock::policy_slot`]).
     pub fn set_policy(&self, p: Rc<dyn SimPolicy>) {
-        *self.policy.borrow_mut() = p;
-        self.policy_gen.set(self.policy_gen.get() + 1);
+        self.slot.set_policy(p);
     }
 
     /// The current policy.
     pub fn policy(&self) -> Rc<dyn SimPolicy> {
-        Rc::clone(&self.policy.borrow())
+        self.slot.policy()
+    }
+
+    /// The lock's patch point, for patches that swap its policy.
+    pub fn policy_slot(&self) -> &Rc<PolicySlot> {
+        &self.slot
     }
 
     /// Monotonic count of policy swaps — the sim analog of a patchpoint
@@ -100,7 +103,7 @@ impl SimShflLock {
     /// the lock through apply+revert (gen +2) rather than leaving the
     /// wave's policy live.
     pub fn policy_generation(&self) -> u64 {
-        self.policy_gen.get()
+        self.slot.generation()
     }
 
     /// Completed shuffle phases (statistics).

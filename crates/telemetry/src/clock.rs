@@ -4,8 +4,9 @@
 //! timestamps share one epoch. Data-plane emit sites (lock transitions,
 //! hook spans) never read this clock implicitly: the real sites pass
 //! `now_ns()` and the simulation sites pass `Sim::now()` explicitly. The
-//! control-plane sites that have no simulation context in scope
-//! (livepatch apply, rollout steps) read it directly.
+//! control-plane sites that have no simulation context in scope (a real
+//! lock's livepatch apply, rollout steps) read it directly; a simulator's
+//! patch stack stamps its records with `Sim::now()`.
 
 use std::sync::OnceLock;
 use std::time::Instant;

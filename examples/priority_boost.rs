@@ -7,7 +7,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use concord::Concord;
+use concord::{Concord, SimPatches};
 use ksim::{CpuId, SimBuilder};
 use simlocks::SimShflLock;
 
@@ -18,7 +18,7 @@ fn run(with_policy: bool) -> (f64, f64) {
     if with_policy {
         let loaded = concord.load(concord::policies::priority_boost()).unwrap();
         let policy = concord.make_sim_policy(&sim, &[&loaded]);
-        concord.attach_sim(&lock, Rc::new(policy));
+        SimPatches::new(&sim).attach("lock", &lock, Rc::new(policy));
     }
     let hi = Rc::new(Cell::new((0u64, 0u64)));
     let lo = Rc::new(Cell::new((0u64, 0u64)));

@@ -8,7 +8,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use concord::Concord;
+use concord::{Concord, SimPatches};
 use ksim::{CpuId, SimBuilder};
 use simlocks::SimShflLock;
 
@@ -21,7 +21,7 @@ fn run(with_policy: bool) -> (u64, u64) {
             .load(concord::policies::scheduler_cooperative(1_000))
             .unwrap();
         let policy = concord.make_sim_policy(&sim, &[&loaded]);
-        concord.attach_sim(&lock, Rc::new(policy));
+        SimPatches::new(&sim).attach("lock", &lock, Rc::new(policy));
     }
     let short_ops = Rc::new(Cell::new(0u64));
     let long_ops = Rc::new(Cell::new(0u64));

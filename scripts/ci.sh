@@ -82,16 +82,28 @@ fi
 # which names each patch `{tag}{lock}/{hook}`. A second transaction call
 # in `concord/src` would be a second attach path; so would the old
 # patch-manager accessor or rollout name helper, and the shadow store
-# nothing used stays gone.
+# nothing used stays gone. A sim lock's policy goes through the same
+# transaction (`SimPatches::attach_tagged`, patches `{tag}{lock}/policy`),
+# whose swap op is the one `set_policy` call in `concord/src`; the sim
+# target's hand-written unwind and the FIFO-overwriting detach stay gone.
 echo "== one attach path =="
 if [ "$(grep -rn "apply_transaction(" crates/concord/src | wc -l)" -ne 1 ]; then
     grep -rn "apply_transaction(" crates/concord/src >&2 || true
     echo "ci: crates/concord/src must call apply_transaction exactly once" >&2
     exit 1
 fi
+if [ "$(grep -rn "set_policy(" crates/concord/src | wc -l)" -ne 1 ]; then
+    grep -rn "set_policy(" crates/concord/src >&2 || true
+    echo "ci: crates/concord/src must call set_policy exactly once (the sim swap op)" >&2
+    exit 1
+fi
 if grep -rn "patch_[m]anager()\|rollout_[p]atch_name\|S[h]adowStore" \
     crates tests examples scripts; then
     echo "ci: a second attach path or the shadow store is back (see above)" >&2
+    exit 1
+fi
+if grep -rn "fail_[a]pply_on\|A[p]pliedSimPolicies\|d[e]tach_sim" crates tests examples; then
+    echo "ci: a sim attach path outside the transaction is back (see above)" >&2
     exit 1
 fi
 

@@ -15,7 +15,7 @@
 use std::rc::Rc;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use concord::{Concord, PolicySpec};
+use concord::{Concord, PolicySpec, SimPatches};
 use ksim::SimBuilder;
 use locks::hooks::HookKind;
 use locks::{RawLock, ShflLock};
@@ -61,7 +61,7 @@ fn analyzed_sim_trace(seed: u64) -> Report {
         ))
         .unwrap();
     let policy = c.make_sim_policy(&sim, &[&loaded]);
-    c.attach_sim(&lock, Rc::new(policy));
+    SimPatches::new(&sim).attach("lock", &lock, Rc::new(policy));
 
     for i in 0..8u32 {
         let l = Rc::clone(&lock);

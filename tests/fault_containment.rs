@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use cbpf::fault::{FaultInjector, FaultPlan};
 use cbpf::FaultKind;
-use concord::{Breaker, BreakerConfig, BreakerState, Concord, ContainedPolicy};
+use concord::{Breaker, BreakerConfig, BreakerState, Concord, ContainedPolicy, SimPatches};
 use ksim::{CpuId, SimBuilder, SimStats};
 use locks::hooks::{CmpNodeCtx, HookKind, NodeView};
 use locks::{RawLock, ShflLock};
@@ -61,7 +61,8 @@ fn chain_run(seed: u64) -> ChainOutcome {
     let policy = concord
         .make_sim_policy(&sim, &[&loaded])
         .with_containment(Arc::clone(&breaker), Some(injector));
-    concord.attach_sim(&lock, Rc::new(policy));
+    let patches = Rc::new(SimPatches::new(&sim));
+    patches.attach("sim_lock", &lock, Rc::new(policy));
 
     for i in 0..16u32 {
         let l = Rc::clone(&lock);
@@ -79,8 +80,8 @@ fn chain_run(seed: u64) -> ChainOutcome {
     // for real locks.
     let quarantined_at = Rc::new(Cell::new(0u64));
     {
-        let (l, b, q) = (
-            Rc::clone(&lock),
+        let (p, b, q) = (
+            Rc::clone(&patches),
             Arc::clone(&breaker),
             Rc::clone(&quarantined_at),
         );
@@ -90,15 +91,18 @@ fn chain_run(seed: u64) -> ChainOutcome {
             for _ in 0..400 {
                 t.advance(1_000).await;
                 if b.wants_quarantine() {
-                    let rec = registry_probe.quarantine_sim(
-                        &l,
-                        "sim_lock",
-                        HookKind::CmpNode,
-                        "numa_aware",
-                        b.reason(),
-                        t.now(),
-                    );
+                    let rec = registry_probe
+                        .quarantine_sim(
+                            &p,
+                            "sim_lock",
+                            HookKind::CmpNode,
+                            "numa_aware",
+                            b.reason(),
+                            t.now(),
+                        )
+                        .expect("the contained policy is live");
                     assert!(rec.reason.contains("helper"));
+                    assert!(p.live().is_empty(), "quarantine pulled the patch");
                     q.set(t.now());
                     break;
                 }
@@ -181,7 +185,7 @@ fn sim_breaker_with_cooldown_rearms_after_transient_fault() {
     let policy = concord
         .make_sim_policy(&sim, &[&loaded])
         .with_containment(Arc::clone(&breaker), Some(injector));
-    concord.attach_sim(&lock, Rc::new(policy));
+    SimPatches::new(&sim).attach("lock", &lock, Rc::new(policy));
     for i in 0..8u32 {
         let l = Rc::clone(&lock);
         sim.spawn_on(CpuId(i * 10), move |t| async move {
@@ -286,7 +290,7 @@ proptest! {
             let policy = concord
                 .make_sim_policy(&sim, &[&loaded])
                 .with_containment(Arc::clone(&breaker), Some(injector));
-            concord.attach_sim(&lock, Rc::new(policy));
+            SimPatches::new(&sim).attach("lock", &lock, Rc::new(policy));
             let in_cs = Rc::new(Cell::new(false));
             for i in 0..8u32 {
                 let (l, flag) = (Rc::clone(&lock), Rc::clone(&in_cs));

@@ -26,7 +26,7 @@ use concord::rollout::{
     Rollout, RolloutError, RolloutLog, RolloutOutcome, RolloutPlan, RolloutTarget, ScriptedHealth,
     SimTarget, WaveOutcome,
 };
-use concord::{BreakerConfig, Concord, PolicySpec};
+use concord::{BreakerConfig, Concord, PolicySpec, SimPatches};
 use ksim::{CpuId, SimBuilder};
 use locks::hooks::HookKind;
 use locks::{RawLock, ShflLock};
@@ -50,7 +50,11 @@ fn sim_scenario(plan: ChaosPlan, red_wave: Option<usize>) -> Result<SweepOutcome
     let base_gens: Vec<u64> = locks.iter().map(|(_, l)| l.policy_generation()).collect();
 
     let policy: Rc<dyn SimPolicy> = Rc::new(concord.make_sim_policy(&sim, &[&loaded]));
-    let target = Rc::new(SimTarget::new(locks.clone(), move |_| Rc::clone(&policy)));
+    let target = Rc::new(SimTarget::new(
+        Rc::new(SimPatches::new(&sim)),
+        locks.clone(),
+        move |_| Ok(Rc::clone(&policy)),
+    ));
     let log = RolloutLog::new();
     let chaos = Rc::new(ChaosInjector::new(plan));
     let crashed = Rc::new(Cell::new(false));
@@ -125,7 +129,7 @@ fn sim_scenario(plan: ChaosPlan, red_wave: Option<usize>) -> Result<SweepOutcome
         Rollout::recover(&log, &*target, &ChaosInjector::inert())?;
     }
 
-    let applied = target.applied_count();
+    let applied = target.applied_locks(1, &names).len();
     let converged = if applied == SIM_LOCKS {
         Convergence::AllApplied
     } else if applied == 0 {
@@ -409,8 +413,9 @@ fn healthy_rollout_under_load_commits() {
     assert!(target.applied_locks(2, &names).is_empty());
 }
 
-/// SimTarget's scripted apply failure unwinds mid-wave and the rollout
-/// aborts — the sim analogue of a torn livepatch transaction.
+/// A SimTarget wave whose policy factory fails on one lock unwinds
+/// mid-wave and the rollout aborts — the sim analogue of a torn livepatch
+/// transaction.
 #[test]
 fn sim_apply_failure_mid_wave_unwinds() {
     let sim = SimBuilder::new().seed(11).build();
@@ -418,10 +423,17 @@ fn sim_apply_failure_mid_wave_unwinds() {
         .map(|i| (format!("sim{i}"), Rc::new(SimShflLock::new(&sim))))
         .collect();
     let names: Vec<String> = locks.iter().map(|(n, _)| n.clone()).collect();
+    let before: Vec<Rc<dyn SimPolicy>> = locks.iter().map(|(_, l)| l.policy()).collect();
+    let patches = Rc::new(SimPatches::new(&sim));
     let fifo: Rc<dyn SimPolicy> = Rc::new(simlocks::FifoPolicy);
-    let target = SimTarget::new(locks, move |_| Rc::clone(&fifo));
-    // Wave 1 (sim1, sim2 under [50]) fails on its second lock.
-    target.fail_apply_on("sim2");
+    // Wave 1 (sim1, sim2 under [75]) fails on its second lock.
+    let target = SimTarget::new(Rc::clone(&patches), locks.clone(), move |name| {
+        if name == "sim2" {
+            Err(format!("injected apply failure on {name}"))
+        } else {
+            Ok(Rc::clone(&fifo))
+        }
+    });
     let log = RolloutLog::new();
     let plan = RolloutPlan::staged(1, "fifo", HookKind::CmpNode, &names, &[75]);
     let outcome = Rollout::run(
@@ -436,7 +448,47 @@ fn sim_apply_failure_mid_wave_unwinds() {
         RolloutOutcome::Aborted(reason) => assert!(reason.contains("injected apply failure")),
         RolloutOutcome::Committed => panic!("expected abort"),
     }
-    assert_eq!(target.applied_count(), 0, "canary must unwind too");
+    assert!(patches.live().is_empty(), "canary must unwind too");
+    for ((name, l), p) in locks.iter().zip(&before) {
+        assert!(Rc::ptr_eq(&l.policy(), p), "{name} lost its policy");
+    }
+}
+
+/// The sim side of `rollout_and_fleet_patches_keep_their_tags`: a rollout
+/// wave and a plain attach on one sim lock share its patch stack, each
+/// probe answers for its own tag only, and reverting the buried wave
+/// leaves the plain attach's policy live.
+#[test]
+fn sim_rollout_and_plain_patches_keep_their_tags() {
+    let sim = SimBuilder::new().seed(1).build();
+    let concord = Concord::new();
+    let lock = Rc::new(SimShflLock::new(&sim));
+    let locks = vec!["L".to_string()];
+    let patches = Rc::new(SimPatches::new(&sim));
+    let wave: Rc<dyn SimPolicy> = Rc::new(simlocks::FifoPolicy);
+    let target = SimTarget::new(
+        Rc::clone(&patches),
+        vec![("L".to_string(), Rc::clone(&lock))],
+        move |_| Ok(Rc::clone(&wave)),
+    );
+    target.apply_locks(1, &locks).unwrap();
+    let loaded = concord.load(concord::policies::numa_aware()).unwrap();
+    let plain: Rc<dyn SimPolicy> = Rc::new(concord.make_sim_policy(&sim, &[&loaded]));
+    patches.attach("L", &lock, Rc::clone(&plain));
+
+    assert_eq!(patches.live(), vec!["rollout-g1:L/policy", "L/policy"]);
+    assert_eq!(target.applied_locks(1, &locks), locks);
+    assert_eq!(patches.tagged_locks("", &locks), locks);
+    assert!(target.applied_locks(2, &locks).is_empty());
+
+    target.revert_locks(1, &locks).unwrap();
+    assert_eq!(patches.live(), vec!["L/policy"]);
+    assert!(target.applied_locks(1, &locks).is_empty());
+    assert_eq!(patches.tagged_locks("", &locks), locks);
+    assert!(
+        Rc::ptr_eq(&lock.policy(), &plain),
+        "reverting the buried wave must leave the plain attach live"
+    );
 }
 
 /// Crash *during recovery* still converges: recovery is idempotent

@@ -5,7 +5,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
-use concord::Concord;
+use concord::{Concord, SimPatches};
 use ksim::{
     CpuId, SchedAction, SchedController, SchedPoint, ScheduleStrategy, SimBuilder, SimStats,
     SimWord,
@@ -19,7 +19,7 @@ fn shfl_run(seed: u64, with_policy: bool) -> (SimStats, u64, u64) {
         let concord = Concord::new();
         let loaded = concord.load(concord::policies::numa_aware()).unwrap();
         let policy = concord.make_sim_policy(&sim, &[&loaded]);
-        concord.attach_sim(&lock, Rc::new(policy));
+        SimPatches::new(&sim).attach("lock", &lock, Rc::new(policy));
     }
     let acquired = Rc::new(Cell::new(0u64));
     for i in 0..32u32 {

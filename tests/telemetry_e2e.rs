@@ -16,7 +16,7 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, PoisonError};
 
-use concord::{Concord, PolicySpec};
+use concord::{Concord, PolicySpec, SimPatches};
 use ksim::SimBuilder;
 use locks::hooks::HookKind;
 use locks::{RawLock, ShflLock};
@@ -293,7 +293,7 @@ fn sim_trace(seed: u64) -> Vec<TraceEvent> {
         ))
         .unwrap();
     let policy = c.make_sim_policy(&sim, &[&loaded]);
-    c.attach_sim(&lock, Rc::new(policy));
+    SimPatches::new(&sim).attach("lock", &lock, Rc::new(policy));
 
     // Two waiters per socket keeps the queue deep enough that the
     // shuffler scans successors (and so consults `cmp_node`) every phase.
@@ -351,4 +351,54 @@ fn sim_trace_is_deterministic_and_seed_stable() {
         first, other_seed,
         "different seeds should not collide on the full stream"
     );
+}
+
+/// A sim attach and its revert emit `PatchApply`/`PatchRevert` stamped in
+/// the simulator's virtual time and named by the patch, so two identical
+/// runs drain identical records.
+#[test]
+fn sim_patch_records_carry_virtual_time() {
+    let _session = trace_session();
+    telemetry::set_armed(true);
+    let name_hash = telemetry::event::fnv64("traced/policy");
+    let run = || {
+        telemetry::drain();
+        let sim = SimBuilder::new().seed(3).build();
+        let lock = Rc::new(SimShflLock::new(&sim));
+        let patches = Rc::new(SimPatches::new(&sim));
+        let stamps = Rc::new(std::cell::Cell::new((0, 0)));
+        let (l, p, s) = (Rc::clone(&lock), Rc::clone(&patches), Rc::clone(&stamps));
+        sim.spawn_on(ksim::CpuId(0), move |t| async move {
+            t.advance(1_000).await;
+            p.attach("traced", &l, Rc::new(simlocks::FifoPolicy));
+            let applied_at = t.now();
+            t.advance(5_000).await;
+            assert_eq!(p.revert_tagged("", ["traced"]).unwrap(), vec!["traced"]);
+            s.set((applied_at, t.now()));
+        });
+        sim.run();
+        let mut records: Vec<TraceEvent> = telemetry::drain()
+            .into_iter()
+            .filter(|e| e.a == name_hash)
+            .collect();
+        for e in &mut records {
+            e.seq = 0;
+        }
+        (records, stamps.get())
+    };
+    let (records, (applied_at, reverted_at)) = run();
+    assert!(applied_at > 0 && reverted_at > applied_at);
+    let seen: Vec<(EventKind, u64, &[u8])> = records
+        .iter()
+        .map(|e| (e.kind, e.ts_ns, e.payload_bytes()))
+        .collect();
+    assert_eq!(
+        seen,
+        vec![
+            (EventKind::PatchApply, applied_at, &b"traced/policy"[..]),
+            (EventKind::PatchRevert, reverted_at, &b"traced/policy"[..]),
+        ]
+    );
+    assert_eq!(run().0, records, "a second run drains the same records");
+    telemetry::set_armed(false);
 }

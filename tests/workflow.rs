@@ -6,7 +6,7 @@
 use std::rc::Rc;
 use std::sync::Arc;
 
-use concord::{Concord, ConcordError, PolicySpec};
+use concord::{Concord, ConcordError, PolicySpec, SimPatches};
 use ksim::{CpuId, SimBuilder};
 use locks::hooks::HookKind;
 use locks::{RawLock, ShflLock};
@@ -108,7 +108,7 @@ fn sim_moves(attach_numa: bool) -> u64 {
         let concord = Concord::new();
         let loaded = concord.load(concord::policies::numa_aware()).unwrap();
         let policy = concord.make_sim_policy(&sim, &[&loaded]);
-        concord.attach_sim(&lock, Rc::new(policy));
+        SimPatches::new(&sim).attach("lock", &lock, Rc::new(policy));
     }
     for i in 0..24u32 {
         let l = Rc::clone(&lock);
@@ -138,8 +138,10 @@ fn sim_detach_restores_fifo() {
     let sim = SimBuilder::new().build();
     let lock = Rc::new(SimShflLock::new(&sim));
     let policy = concord.make_sim_policy(&sim, &[&loaded]);
-    concord.attach_sim(&lock, Rc::new(policy));
-    concord.detach_sim(&lock);
+    let patches = SimPatches::new(&sim);
+    patches.attach("lock", &lock, Rc::new(policy));
+    assert_eq!(patches.revert_tagged("", ["lock"]).unwrap(), vec!["lock"]);
+    assert!(patches.live().is_empty());
     for i in 0..8u32 {
         let l = Rc::clone(&lock);
         sim.spawn_on(CpuId(i * 10), move |t| async move {
