@@ -4,7 +4,7 @@
 //! one relaxed load.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use locks::{Bravo, NeutralRwLock, RawLock, RawRwLock, ShflLock, ShflMutex};
+use locks::{Bravo, NeutralRwLock, RawLock, RawRwLock, ShflLock};
 
 fn bench_mutexes(c: &mut Criterion) {
     let mut g = c.benchmark_group("uncontended_lock_unlock");
@@ -14,7 +14,7 @@ fn bench_mutexes(c: &mut Criterion) {
     g.bench_function("shfl_fifo", |b| b.iter(|| drop(shfl.lock())));
     let shfl_numa = ShflLock::with_numa_policy();
     g.bench_function("shfl_numa_policy", |b| b.iter(|| drop(shfl_numa.lock())));
-    let mutex = ShflMutex::new();
+    let mutex = ShflLock::blocking();
     g.bench_function("shfl_mutex", |b| b.iter(|| drop(mutex.lock())));
     g.finish();
 }

@@ -103,7 +103,7 @@ fn performance_hazard() -> String {
     // Real blocking mutex: a never-park policy keeps waiters spinning
     // through a long hold — throughput survives, CPU time is the casualty.
     let run = |never_park: bool| {
-        let lock = Arc::new(locks::ShflMutex::new());
+        let lock = Arc::new(locks::ShflLock::blocking());
         if never_park {
             lock.hooks().install_schedule_waiter(Arc::new(|_| false));
         }

@@ -185,10 +185,8 @@ fn adaptive_parking(with_policy: bool) -> u64 {
     use std::sync::Arc;
 
     let concord = Concord::new();
-    let lock = Arc::new(locks::ShflMutex::new());
-    concord
-        .registry()
-        .register_shfl_mutex("m", Arc::clone(&lock));
+    let lock = Arc::new(locks::ShflLock::blocking());
+    concord.registry().register_shfl("m", Arc::clone(&lock));
     let handle = if with_policy {
         // Spin budget above the known CS length: never park.
         let loaded = concord

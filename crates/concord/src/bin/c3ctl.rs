@@ -83,7 +83,7 @@ use concord::{
     LoadedPolicy, PolicySpec, Repro, RolloutError, StrategySpec,
 };
 use locks::hooks::HookKind;
-use locks::{Bravo, NeutralRwLock, RawLock, ShflLock, ShflMutex};
+use locks::{Bravo, NeutralRwLock, RawLock, ShflLock};
 
 /// Typed failures for the gating control surface (`rollout`,
 /// `quarantines <lock>`). Unlike the legacy free-text errors these flip
@@ -173,7 +173,6 @@ struct CtlFleet {
 struct Ctl {
     concord: Concord,
     shfl: HashMap<String, Arc<ShflLock>>,
-    mutexes: HashMap<String, Arc<ShflMutex>>,
     loaded: HashMap<String, LoadedPolicy>,
     patches: Vec<concord::AttachHandle>,
     profiler: Option<Profiler>,
@@ -196,25 +195,24 @@ impl Ctl {
     fn new() -> Self {
         let concord = Concord::new();
         let mut shfl = HashMap::new();
-        let mut mutexes = HashMap::new();
         // A demo "kernel": a few named locks, as a registry would hold.
-        for name in ["mmap_sem", "dcache", "inode_a", "inode_b"] {
-            let l = Arc::new(ShflLock::new());
+        for (name, l) in [
+            ("mmap_sem", ShflLock::new()),
+            ("dcache", ShflLock::new()),
+            ("inode_a", ShflLock::new()),
+            ("inode_b", ShflLock::new()),
+            ("journal", ShflLock::blocking()),
+        ] {
+            let l = Arc::new(l);
             concord.registry().register_shfl(name, Arc::clone(&l));
             shfl.insert(name.to_string(), l);
         }
-        let m = Arc::new(ShflMutex::new());
-        concord
-            .registry()
-            .register_shfl_mutex("journal", Arc::clone(&m));
-        mutexes.insert("journal".to_string(), m);
         concord
             .registry()
             .register_bravo("file_table", Arc::new(Bravo::new(NeutralRwLock::new())));
         Ctl {
             concord,
             shfl,
-            mutexes,
             loaded: HashMap::new(),
             patches: Vec::new(),
             profiler: None,
@@ -959,41 +957,24 @@ impl Ctl {
                 }
             }
         };
-        let start = std::time::Instant::now();
-        if let Some(l) = self.shfl.get(name) {
-            let mut hs = Vec::new();
-            for t in 0..threads {
-                let l = Arc::clone(l);
-                hs.push(std::thread::spawn(move || {
-                    locks::topo::pin_thread((t * 10) % 80);
-                    for _ in 0..iters {
-                        let g = l.lock();
-                        hold();
-                        drop(g);
-                    }
-                }));
-            }
-            for h in hs {
-                h.join().map_err(|_| "worker thread panicked".to_string())?;
-            }
-        } else if let Some(l) = self.mutexes.get(name) {
-            let mut hs = Vec::new();
-            for t in 0..threads {
-                let l = Arc::clone(l);
-                hs.push(std::thread::spawn(move || {
-                    locks::topo::pin_thread((t * 10) % 80);
-                    for _ in 0..iters {
-                        let g = l.lock();
-                        hold();
-                        drop(g);
-                    }
-                }));
-            }
-            for h in hs {
-                h.join().map_err(|_| "worker thread panicked".to_string())?;
-            }
-        } else {
+        let Some(l) = self.shfl.get(name) else {
             return Err(format!("`{name}` is not a hammerable lock"));
+        };
+        let start = std::time::Instant::now();
+        let mut hs = Vec::new();
+        for t in 0..threads {
+            let l = Arc::clone(l);
+            hs.push(std::thread::spawn(move || {
+                locks::topo::pin_thread((t * 10) % 80);
+                for _ in 0..iters {
+                    let g = l.lock();
+                    hold();
+                    drop(g);
+                }
+            }));
+        }
+        for h in hs {
+            h.join().map_err(|_| "worker thread panicked".to_string())?;
         }
         println!(
             "  {} acquisitions in {:?}",
@@ -1310,12 +1291,13 @@ impl Ctl {
 
     fn cmd_stats(&mut self, lock: Option<&str>) -> Result<(), String> {
         let name = lock.ok_or("usage: stats <lock>")?;
-        if let Some(l) = self.shfl.get(name) {
-            println!("  shuffle phases: {}", l.shuffle_count());
-        } else if let Some(l) = self.mutexes.get(name) {
+        let l = self
+            .shfl
+            .get(name)
+            .ok_or_else(|| format!("no stats for `{name}`"))?;
+        println!("  shuffle phases: {}", l.shuffle_count());
+        if l.is_blocking() {
             println!("  parks: {}", l.park_count());
-        } else {
-            return Err(format!("no stats for `{name}`"));
         }
         Ok(())
     }

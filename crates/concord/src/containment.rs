@@ -26,7 +26,7 @@ use std::sync::Arc;
 use cbpf::error::FaultKind;
 use cbpf::fault::FaultInjector;
 use ksim::Sim;
-use locks::hooks::{CmpNodeCtx, HookKind, LockEventCtx, ScheduleWaiterCtx, SkipShuffleCtx};
+use locks::hooks::{CmpNodeCtx, HookKind, LockEventCtx, SkipShuffleCtx};
 use simlocks::policy::{Decision, SimPolicy};
 
 use crate::policy::Dispatch;
@@ -340,10 +340,6 @@ impl SimPolicy for ContainedPolicy {
         self.guard(HookKind::SkipShuffle, || self.inner.skip_shuffle(ctx))
     }
 
-    fn schedule_waiter(&self, ctx: &ScheduleWaiterCtx) -> Decision {
-        self.guard(HookKind::ScheduleWaiter, || self.inner.schedule_waiter(ctx))
-    }
-
     fn on_event(&self, kind: HookKind, ctx: &LockEventCtx) -> u64 {
         self.guard(kind, || (false, self.inner.on_event(kind, ctx)))
             .1
@@ -468,11 +464,5 @@ mod tests {
             shuffler: view(),
         });
         assert!(skip, "fail-safe skip_shuffle is FIFO");
-        let (park, _) = p.schedule_waiter(&ScheduleWaiterCtx {
-            lock_id: 1,
-            curr: view(),
-            waited_ns: 0,
-        });
-        assert!(park, "fail-safe schedule_waiter allows parking");
     }
 }

@@ -384,7 +384,6 @@ pub struct SimBytecodePolicy {
     sim: Sim,
     cmp: Option<VerifiedProgram>,
     skip: Option<VerifiedProgram>,
-    sched: Option<VerifiedProgram>,
     events: HashMap<HookKind, VerifiedProgram>,
     rng: Cell<u64>,
     dispatch: Dispatch,
@@ -397,7 +396,6 @@ impl SimBytecodePolicy {
             sim: sim.clone(),
             cmp: None,
             skip: None,
-            sched: None,
             events: HashMap::new(),
             rng: Cell::new(0x243F_6A88_85A3_08D3),
             dispatch: Dispatch::default(),
@@ -414,7 +412,8 @@ impl SimBytecodePolicy {
         match hook {
             HookKind::CmpNode => self.cmp = Some(prog),
             HookKind::SkipShuffle => self.skip = Some(prog),
-            HookKind::ScheduleWaiter => self.sched = Some(prog),
+            // No simulated lock parks, so nothing would run it.
+            HookKind::ScheduleWaiter => {}
             k => {
                 self.events.insert(k, prog);
             }
@@ -502,23 +501,6 @@ impl SimPolicy for SimBytecodePolicy {
             // program is attached; consulting the vacant patched slot still
             // costs an indirect call.
             None => (self.cmp.is_none(), HOOK_CALL_NS),
-        }
-    }
-
-    fn schedule_waiter(&self, ctx: &ScheduleWaiterCtx) -> Decision {
-        match &self.sched {
-            Some(prog) => {
-                let mut buf = hookctx::schedule_waiter_bytes(ctx);
-                let (ret, cost) = self.run(
-                    HookKind::ScheduleWaiter,
-                    prog,
-                    &mut buf,
-                    ctx.curr.cpu,
-                    ctx.curr.tid,
-                );
-                (ret != 0, cost)
-            }
-            None => (true, 0),
         }
     }
 

@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use locks::hooks::ShflHooks;
-use locks::{Bravo, NeutralRwLock, ShflLock, ShflMutex};
+use locks::{Bravo, NeutralRwLock, ShflLock};
 use parking_lot::RwLock;
 
 use crate::containment::QuarantineRecord;
@@ -22,10 +22,8 @@ pub struct LockClass(pub String);
 /// A registered lock.
 #[derive(Clone)]
 pub enum LockHandle {
-    /// A shuffle spinlock (hookable).
+    /// A shuffle lock, spinning or blocking (hookable).
     Shfl(Arc<ShflLock>),
-    /// A blocking shuffle mutex (hookable).
-    ShflMutex(Arc<ShflMutex>),
     /// A BRAVO readers-writer lock (switchable, not hookable).
     Bravo(Arc<Bravo<NeutralRwLock>>),
 }
@@ -35,7 +33,6 @@ impl LockHandle {
     pub fn hooks(&self) -> Option<&Arc<ShflHooks>> {
         match self {
             LockHandle::Shfl(l) => Some(l.hooks()),
-            LockHandle::ShflMutex(l) => Some(l.hooks()),
             LockHandle::Bravo(_) => None,
         }
     }
@@ -44,7 +41,6 @@ impl LockHandle {
     pub fn id(&self) -> u64 {
         match self {
             LockHandle::Shfl(l) => l.id(),
-            LockHandle::ShflMutex(l) => l.id(),
             LockHandle::Bravo(_) => 0,
         }
     }
@@ -52,8 +48,8 @@ impl LockHandle {
     /// Human-readable kind.
     pub fn kind(&self) -> &'static str {
         match self {
+            LockHandle::Shfl(l) if l.is_blocking() => "shfl_mutex",
             LockHandle::Shfl(_) => "shfl_spin",
-            LockHandle::ShflMutex(_) => "shfl_mutex",
             LockHandle::Bravo(_) => "bravo_rw",
         }
     }
@@ -80,15 +76,6 @@ impl LockRegistry {
     /// Registers a lock under `name` with class `"default"`.
     pub fn register_shfl(&self, name: &str, lock: Arc<ShflLock>) {
         self.register(name, LockHandle::Shfl(lock), LockClass("default".into()));
-    }
-
-    /// Registers a blocking mutex under `name` with class `"default"`.
-    pub fn register_shfl_mutex(&self, name: &str, lock: Arc<ShflMutex>) {
-        self.register(
-            name,
-            LockHandle::ShflMutex(lock),
-            LockClass("default".into()),
-        );
     }
 
     /// Registers a BRAVO lock under `name` with class `"default"`.

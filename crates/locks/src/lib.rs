@@ -7,9 +7,9 @@
 //!
 //! * [`ShflLock`] — the shuffle lock (SOSP '19) whose shuffler consults
 //!   pluggable, livepatchable policies ([`hooks::ShflHooks`]) — the lock
-//!   Concord targets;
-//! * [`ShflMutex`] — blocking shuffle lock with a policy-driven
-//!   spin-then-park strategy;
+//!   Concord targets, in two flavours fixed when it is built: spinning
+//!   ([`ShflLock::new`]) and blocking ([`ShflLock::blocking`], which parks
+//!   waiters when the `schedule_waiter` policy allows);
 //! * [`NeutralRwLock`] — fair writer-preference readers-writer lock (the
 //!   `rwsem`/`qrwlock` "Stock" baseline), the lock BRAVO wraps;
 //! * [`Bravo`] — the BRAVO biased readers-writer wrapper (ATC '19) over any
@@ -49,7 +49,6 @@ pub mod hooks;
 mod raw;
 mod rwlock;
 mod shfl;
-mod shfl_block;
 pub mod topo;
 
 pub use backoff::Backoff;
@@ -57,7 +56,6 @@ pub use bravo::Bravo;
 pub use raw::{LockGuard, RawLock, RawRwLock, ReadGuard, WriteGuard};
 pub use rwlock::NeutralRwLock;
 pub use shfl::ShflLock;
-pub use shfl_block::ShflMutex;
 
 /// Monotonic nanosecond clock shared by lock implementations, profiling,
 /// and the telemetry plane (one epoch, so trace timestamps from different

@@ -7,11 +7,18 @@
 //! the queue according to a policy — e.g. grouping waiters of its own
 //! socket — **off the critical path**, while it spins for the lock word.
 //!
+//! Two flavours, fixed when the lock is built, share all of it:
+//! [`ShflLock::new`] spins, and [`ShflLock::blocking`] (the kernel
+//! `mutex` stand-in) lets a waiter behind the head park after
+//! [`DEFAULT_SPIN_NS`]; only that wait and the grant ending it differ.
+//!
 //! Concord's Table 1 hooks are consulted at the decision points:
 //! [`ShflHooks::eval_skip_shuffle`] gates the phase,
-//! [`ShflHooks::eval_cmp_node`] decides each move, and the four event hooks
-//! support dynamic profiling. With no policy installed the lock degenerates
-//! to a plain FIFO queue lock with a TAS fast path.
+//! [`ShflHooks::eval_cmp_node`] decides each move,
+//! [`ShflHooks::eval_schedule_waiter`] lets a blocking lock's waiter park
+//! (§3.1.1), and the four event hooks support dynamic profiling. With no
+//! policy installed the lock degenerates to a plain FIFO queue lock with
+//! a TAS fast path.
 //!
 //! Safety rules from the paper (§4.2) are enforced here, not by policies:
 //! shuffling rounds are statically bounded ([`MAX_SHUFFLE_ROUNDS`]) to
@@ -21,9 +28,12 @@
 use std::ptr;
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Thread;
 
 use crate::backoff::Backoff;
-use crate::hooks::{CmpNodeCtx, HookKind, LockEventCtx, NodeView, ShflHooks, SkipShuffleCtx};
+use crate::hooks::{
+    CmpNodeCtx, HookKind, LockEventCtx, NodeView, ScheduleWaiterCtx, ShflHooks, SkipShuffleCtx,
+};
 use crate::now_ns;
 use crate::raw::RawLock;
 use crate::topo;
@@ -38,25 +48,34 @@ pub const MAX_SHUFFLE_SCAN: usize = 64;
 /// guard; §4.2's bounded-shuffling fairness invariant).
 pub const MAX_BATCH: u32 = 32;
 
+/// Spin budget before a blocking lock's waiter considers parking (ns of
+/// wall time).
+pub const DEFAULT_SPIN_NS: u64 = 20_000;
+
 const WAITING: u32 = 0;
 const GRANTED: u32 = 1;
+const PARKED: u32 = 2;
 
 pub(crate) struct Node {
     next: AtomicPtr<Node>,
     status: AtomicU32,
+    /// The waiter's thread, to unpark it (`None` on a spinning lock).
+    thread: Option<Thread>,
     view: NodeView,
 }
 
 static NEXT_LOCK_ID: AtomicU64 = AtomicU64::new(1);
 
-/// The shuffle spinlock.
+/// The shuffle lock.
 pub struct ShflLock {
     locked: AtomicBool,
     tail: AtomicPtr<Node>,
-    holder: AtomicPtr<Node>,
     hooks: Arc<ShflHooks>,
     id: u64,
+    /// Waiters behind the queue head may park ([`ShflLock::blocking`]).
+    blocking: bool,
     shuffle_count: AtomicU64,
+    parks: AtomicU64,
     /// Socket of the last holder and its consecutive-handoff streak
     /// (fairness guard; approximate under races, which only makes the
     /// guard trigger earlier or later, never unsoundly).
@@ -68,7 +87,8 @@ pub struct ShflLock {
     owner: AtomicU64,
 }
 
-// SAFETY: nodes are shared only through atomics; interior queue surgery is
+// SAFETY: nodes are shared only through atomics and a `Sync` thread
+// handle written before the node is published; interior queue surgery is
 // performed exclusively by the unique queue head (shuffler).
 unsafe impl Send for ShflLock {}
 // SAFETY: see above.
@@ -81,19 +101,30 @@ impl Default for ShflLock {
 }
 
 impl ShflLock {
-    /// Creates an unlocked instance with vacant hooks (plain FIFO).
+    /// Creates an unlocked spinning instance with vacant hooks (plain
+    /// FIFO).
     pub fn new() -> Self {
         ShflLock {
             locked: AtomicBool::new(false),
             tail: AtomicPtr::new(ptr::null_mut()),
-            holder: AtomicPtr::new(ptr::null_mut()),
             hooks: Arc::new(ShflHooks::new()),
             id: NEXT_LOCK_ID.fetch_add(1, Ordering::Relaxed),
+            blocking: false,
             shuffle_count: AtomicU64::new(0),
+            parks: AtomicU64::new(0),
             last_socket: AtomicU32::new(u32::MAX),
             streak: AtomicU32::new(0),
             owner: AtomicU64::new(0),
         }
+    }
+
+    /// Creates an unlocked blocking instance: a queued waiter spins for
+    /// [`DEFAULT_SPIN_NS`] and then parks when `schedule_waiter` allows
+    /// (vacant hook: always).
+    pub fn blocking() -> Self {
+        let mut lock = ShflLock::new();
+        lock.blocking = true;
+        lock
     }
 
     /// Creates a lock with the NUMA-aware grouping policy compiled in —
@@ -111,6 +142,11 @@ impl ShflLock {
         self.id
     }
 
+    /// Whether waiters may park (built by [`ShflLock::blocking`]).
+    pub fn is_blocking(&self) -> bool {
+        self.blocking
+    }
+
     /// The hook table (Concord patches through this).
     pub fn hooks(&self) -> &Arc<ShflHooks> {
         &self.hooks
@@ -119,6 +155,11 @@ impl ShflLock {
     /// Number of completed shuffle phases (statistics).
     pub fn shuffle_count(&self) -> u64 {
         self.shuffle_count.load(Ordering::Relaxed)
+    }
+
+    /// Number of times any waiter parked (statistics; 0 when spinning).
+    pub fn park_count(&self) -> u64 {
+        self.parks.load(Ordering::Relaxed)
     }
 
     /// Tracks consecutive same-socket handoffs for the fairness bound and
@@ -133,6 +174,15 @@ impl ShflLock {
         }
     }
 
+    /// One event site: records the transition and fires hook `kind`
+    /// when either is wanted, building the context only then.
+    #[inline(always)]
+    fn event(&self, kind: HookKind) {
+        if self.hooks.observed(kind) {
+            self.hooks.dispatch_event(kind, &self.event_ctx());
+        }
+    }
+
     fn event_ctx(&self) -> LockEventCtx {
         LockEventCtx {
             lock_id: self.id,
@@ -144,10 +194,11 @@ impl ShflLock {
         }
     }
 
-    fn new_node() -> *mut Node {
+    fn new_node(&self) -> *mut Node {
         Box::into_raw(Box::new(Node {
             next: AtomicPtr::new(ptr::null_mut()),
             status: AtomicU32::new(WAITING),
+            thread: self.blocking.then(std::thread::current),
             view: NodeView {
                 tid: topo::current_tid(),
                 cpu: topo::current_cpu(),
@@ -160,9 +211,70 @@ impl ShflLock {
         }))
     }
 
+    /// Waits until the predecessor grants queue headship. A spinning
+    /// lock's waiter spins; a blocking lock's waiter spins for
+    /// [`DEFAULT_SPIN_NS`] and then parks whenever `schedule_waiter`
+    /// allows.
+    ///
+    /// # Safety
+    ///
+    /// `node` must be the caller's own live, linked node.
+    unsafe fn wait_granted(&self, node: *mut Node) {
+        // SAFETY: our own node, freed only after we dequeue.
+        unsafe {
+            let view = (*node).view;
+            let park_after = view.wait_start_ns + DEFAULT_SPIN_NS;
+            let mut backoff = Backoff::new();
+            while (*node).status.load(Ordering::Acquire) == WAITING {
+                if self.blocking
+                    && now_ns() >= park_after
+                    && self.hooks.eval_schedule_waiter(&ScheduleWaiterCtx {
+                        lock_id: self.id,
+                        curr: view,
+                        waited_ns: now_ns().saturating_sub(view.wait_start_ns),
+                    })
+                    && (*node)
+                        .status
+                        .compare_exchange(WAITING, PARKED, Ordering::AcqRel, Ordering::Acquire)
+                        .is_ok()
+                {
+                    self.parks.fetch_add(1, Ordering::Relaxed);
+                    while (*node).status.load(Ordering::Acquire) == PARKED {
+                        std::thread::park();
+                    }
+                    return;
+                }
+                backoff.snooze();
+            }
+        }
+    }
+
+    /// Hands queue headship to `next`, waking it if it parked.
+    ///
+    /// # Safety
+    ///
+    /// `next` must be a live queued node.
+    unsafe fn grant(next: *mut Node) {
+        // SAFETY: per contract. The thread handle is cloned before the
+        // swap: once granted, the waiter may free its node.
+        unsafe {
+            match &(*next).thread {
+                None => (*next).status.store(GRANTED, Ordering::Release),
+                Some(thread) => {
+                    let thread = thread.clone();
+                    if (*next).status.swap(GRANTED, Ordering::AcqRel) == PARKED {
+                        thread.unpark();
+                    }
+                }
+            }
+        }
+    }
+
     /// One shuffle phase, run by the queue head while it waits for the
     /// lock word. Matching nodes are moved to the front of the queue
     /// (right behind the shuffler), preserving their relative order.
+    /// Parked nodes move like any other: the phase rewrites only `next`
+    /// links, never a node's `status`.
     ///
     /// # Safety
     ///
@@ -260,10 +372,7 @@ impl ShflLock {
 
 impl RawLock for ShflLock {
     fn acquire(&self) {
-        if self.hooks.observed(HookKind::LockAcquire) {
-            self.hooks
-                .dispatch_event(HookKind::LockAcquire, &self.event_ctx());
-        }
+        self.event(HookKind::LockAcquire);
         // Fast path, only when the queue is empty (qspinlock discipline:
         // unbounded stealing can starve the queue head).
         if self.tail.load(Ordering::Relaxed).is_null()
@@ -273,28 +382,19 @@ impl RawLock for ShflLock {
                 .is_ok()
         {
             self.note_acquired();
-            if self.hooks.observed(HookKind::LockAcquired) {
-                self.hooks
-                    .dispatch_event(HookKind::LockAcquired, &self.event_ctx());
-            }
+            self.event(HookKind::LockAcquired);
             return;
         }
-        if self.hooks.observed(HookKind::LockContended) {
-            self.hooks
-                .dispatch_event(HookKind::LockContended, &self.event_ctx());
-        }
+        self.event(HookKind::LockContended);
 
-        let node = Self::new_node();
+        let node = self.new_node();
         let prev = self.tail.swap(node, Ordering::AcqRel);
         if !prev.is_null() {
-            // SAFETY: `prev` stays alive until it links us (MCS protocol).
+            // SAFETY: `prev` stays alive until it links us (MCS protocol);
+            // `node` is ours, freed only after we dequeue below.
             unsafe {
                 (*prev).next.store(node, Ordering::Release);
-            }
-            let mut backoff = Backoff::new();
-            // SAFETY: our node, freed only after we dequeue below.
-            while unsafe { (*node).status.load(Ordering::Acquire) } == WAITING {
-                backoff.snooze();
+                self.wait_granted(node);
             }
         }
 
@@ -348,23 +448,16 @@ impl RawLock for ShflLock {
                 }
             }
             if !next.is_null() {
-                (*next).status.store(GRANTED, Ordering::Release);
+                Self::grant(next);
             }
             drop(Box::from_raw(node));
         }
-        self.holder.store(ptr::null_mut(), Ordering::Relaxed);
         self.note_acquired();
-        if self.hooks.observed(HookKind::LockAcquired) {
-            self.hooks
-                .dispatch_event(HookKind::LockAcquired, &self.event_ctx());
-        }
+        self.event(HookKind::LockAcquired);
     }
 
     fn release(&self) {
-        if self.hooks.observed(HookKind::LockRelease) {
-            self.hooks
-                .dispatch_event(HookKind::LockRelease, &self.event_ctx());
-        }
+        self.event(HookKind::LockRelease);
         debug_assert!(
             self.locked.load(Ordering::Relaxed),
             "release of unheld ShflLock"
@@ -382,10 +475,7 @@ impl RawLock for ShflLock {
             .is_ok();
         if ok {
             self.owner.store(topo::current_tid(), Ordering::Relaxed);
-        }
-        if ok && self.hooks.observed(HookKind::LockAcquired) {
-            self.hooks
-                .dispatch_event(HookKind::LockAcquired, &self.event_ctx());
+            self.event(HookKind::LockAcquired);
         }
         ok
     }
@@ -528,5 +618,76 @@ mod tests {
         assert_eq!(acquires.load(Ordering::Relaxed), 4_000);
         // Contention is schedule-dependent but the counter must be sane.
         assert!(contended.load(Ordering::Relaxed) <= 4_000);
+    }
+
+    #[test]
+    fn blocking_uncontended_roundtrip() {
+        let l = ShflLock::blocking();
+        {
+            let _g = l.lock();
+            assert!(l.try_lock().is_none());
+        }
+        assert!(l.try_lock().is_some());
+    }
+
+    #[test]
+    fn stress_with_parking() {
+        mutex_stress(ShflLock::blocking(), 8, 2_000);
+    }
+
+    #[test]
+    fn waiters_park_when_holder_is_slow() {
+        use std::sync::Arc;
+        let lock = Arc::new(ShflLock::blocking());
+        let held = Arc::new(AtomicBool::new(false));
+        let holder = {
+            let (l, h) = (Arc::clone(&lock), Arc::clone(&held));
+            std::thread::spawn(move || {
+                let _g = l.lock();
+                h.store(true, Ordering::Release);
+                std::thread::sleep(std::time::Duration::from_millis(120));
+            })
+        };
+        while !held.load(Ordering::Acquire) {
+            std::hint::spin_loop();
+        }
+        let mut waiters = Vec::new();
+        for _ in 0..3 {
+            let l = Arc::clone(&lock);
+            waiters.push(std::thread::spawn(move || {
+                let _g = l.lock();
+            }));
+        }
+        holder.join().unwrap();
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert!(
+            lock.park_count() > 0,
+            "waiters should have parked during a 120ms hold"
+        );
+    }
+
+    #[test]
+    fn never_park_policy_keeps_waiters_spinning() {
+        use std::sync::Arc;
+        let lock = Arc::new(ShflLock::blocking());
+        lock.hooks().install_schedule_waiter(Arc::new(|_| false)); // Never park.
+        let counter = Arc::new(Counter::new(0));
+        let mut handles = Vec::new();
+        for _ in 0..4 {
+            let (l, c) = (Arc::clone(&lock), Arc::clone(&counter));
+            handles.push(std::thread::spawn(move || {
+                for _ in 0..1_000 {
+                    let _g = l.lock();
+                    c.fetch_add(1, Ordering::Relaxed);
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(counter.load(Ordering::Relaxed), 4_000);
+        assert_eq!(lock.park_count(), 0);
     }
 }

@@ -16,9 +16,6 @@ use locks::hooks::NodeView;
 pub const WAITING: u64 = 0;
 /// Node status: granted queue headship.
 pub const GRANTED: u64 = 1;
-/// Node status: parked (blocking variants).
-#[allow(dead_code)]
-pub const PARKED: u64 = 2;
 
 /// One queue node.
 pub struct QNode {
@@ -28,8 +25,6 @@ pub struct QNode {
     pub status: SimWord,
     /// Waiter metadata exposed to policies.
     pub view: Cell<NodeView>,
-    /// Owning task (for park/unpark), as a raw id.
-    pub task: Cell<Option<ksim::TaskId>>,
 }
 
 /// Arena of recyclable queue nodes for one lock.
@@ -58,7 +53,6 @@ impl NodeArena {
             next: SimWord::new(sim, 0),
             status: SimWord::new(sim, 0),
             view: Cell::new(empty_view()),
-            task: Cell::new(None),
         });
         NodeArena {
             sim: sim.clone(),
@@ -78,7 +72,6 @@ impl NodeArena {
                     next: SimWord::new(&self.sim, 0),
                     status: SimWord::new(&self.sim, 0),
                     view: Cell::new(empty_view()),
-                    task: Cell::new(None),
                 }));
                 (nodes.len() - 1) as u32
             }
@@ -88,7 +81,6 @@ impl NodeArena {
         // critical path and cheap relative to the transfers we model).
         node.next.poke(0);
         node.status.poke(WAITING);
-        node.task.set(Some(t.id()));
         node.view.set(NodeView {
             tid: u64::from(t.id().0) + 1,
             cpu: t.cpu().0,

@@ -11,7 +11,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use locks::hooks::{CmpNodeCtx, HookKind, LockEventCtx, ScheduleWaiterCtx, SkipShuffleCtx};
+use locks::hooks::{CmpNodeCtx, HookKind, LockEventCtx, SkipShuffleCtx};
 
 /// A decision plus the virtual-time cost of computing it.
 pub type Decision = (bool, u64);
@@ -23,12 +23,6 @@ pub trait SimPolicy {
 
     /// Whether to skip the shuffle phase entirely.
     fn skip_shuffle(&self, ctx: &SkipShuffleCtx) -> Decision;
-
-    /// Whether the waiter may park (blocking variants).
-    fn schedule_waiter(&self, ctx: &ScheduleWaiterCtx) -> Decision {
-        let _ = ctx;
-        (true, 0)
-    }
 
     /// Profiling hook; returns the cost charged to the event site.
     fn on_event(&self, kind: HookKind, ctx: &LockEventCtx) -> u64 {

@@ -52,16 +52,17 @@ if grep -rn "Jit[M]ode\|C3_JIT_[T]HRESHOLD\|Opt[C]onfig\|prepare_[w]ith\|cbpf::o
 fi
 
 # The real-thread lock crate holds only the locks Concord attaches to
-# (ShflLock, ShflMutex, the neutral rwlock and BRAVO); the baselines live
-# in simlocks alone. Nothing needs a tenant arbiter or a manual clock
+# (ShflLock, spinning or blocking, the neutral rwlock and BRAVO); the
+# baselines live in simlocks alone, and the blocking flavour is not a
+# second shuffle lock. Nothing needs a tenant arbiter or a manual clock
 # mode either, nor a real-thread watchdog (`watchdog::detect` is the
 # classifier), a rollout window sampler, a `trace_printk` buffer, a
 # real-thread priority table or an env override of a gate's seeds.
 # A word match, so the simlocks names (SimTasLock) pass.
 echo "== no unreached real-thread locks, tenant arbiter, manual clock or watchdog wrapper =="
-if grep -rnwE "C[l]hLock|C[n]aLock|S[e]qLock|T[a]sLock|T[i]cketLock|M[c]sLock|P[h]aseFairRwLock|T[e]nantManager|s[e]t_manual|L[o]ckWatchdog|E[n]forceOutcome|W[i]ndowSampler|t[a]ke_traces|s[e]t_task_priority|s[e]eds_from_env" \
+if grep -rnwE "C[l]hLock|C[n]aLock|S[e]qLock|T[a]sLock|T[i]cketLock|M[c]sLock|P[h]aseFairRwLock|T[e]nantManager|s[e]t_manual|L[o]ckWatchdog|E[n]forceOutcome|W[i]ndowSampler|t[a]ke_traces|s[e]t_task_priority|s[e]eds_from_env|S[h]flMutex|s[h]fl_block|r[e]gister_shfl_mutex" \
     crates tests examples scripts; then
-    echo "ci: a deleted lock, the tenant arbiter, the manual clock or a deleted watchdog/knob item is back (see above)" >&2
+    echo "ci: a deleted lock (or a second shuffle lock), the tenant arbiter, the manual clock or a deleted watchdog/knob item is back (see above)" >&2
     exit 1
 fi
 

@@ -5,7 +5,8 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
-use locks::{Bravo, NeutralRwLock, RawLock, RawRwLock, ShflLock, ShflMutex};
+use locks::hooks::CmpNodeCtx;
+use locks::{Bravo, NeutralRwLock, RawLock, RawRwLock, ShflLock};
 
 const THREADS: usize = 8;
 const ITERS: usize = 3_000;
@@ -21,6 +22,12 @@ struct Shared<L> {
 unsafe impl<L: RawLock> Sync for Shared<L> {}
 
 fn stress<L: RawLock + 'static>(lock: L) {
+    stress_holding(lock, |_| {});
+}
+
+/// Runs the stress with `hold(i)` inside the `i`-th critical section of
+/// each thread; returns the shared state for the caller's checks.
+fn stress_holding<L: RawLock + 'static>(lock: L, hold: fn(usize)) -> Arc<Shared<L>> {
     let shared = Arc::new(Shared {
         lock,
         counter: UnsafeCell::new(0),
@@ -31,13 +38,14 @@ fn stress<L: RawLock + 'static>(lock: L) {
         let s = Arc::clone(&shared);
         handles.push(std::thread::spawn(move || {
             locks::topo::pin_thread((t as u32 * 13) % 80);
-            for _ in 0..ITERS {
+            for i in 0..ITERS {
                 let _g = s.lock.lock();
                 assert_eq!(s.inside.fetch_add(1, Ordering::SeqCst), 0);
                 // SAFETY: protected by the lock under test.
                 unsafe {
                     *s.counter.get() += 1;
                 }
+                hold(i);
                 s.inside.fetch_sub(1, Ordering::SeqCst);
             }
         }));
@@ -47,6 +55,7 @@ fn stress<L: RawLock + 'static>(lock: L) {
     }
     // SAFETY: all threads joined.
     assert_eq!(unsafe { *shared.counter.get() }, (THREADS * ITERS) as u64);
+    shared
 }
 
 #[test]
@@ -61,7 +70,25 @@ fn shfl_lock_numa() {
 
 #[test]
 fn shfl_mutex() {
-    stress(ShflMutex::new());
+    stress(ShflLock::blocking());
+}
+
+/// A blocking lock under a `cmp_node` policy: every 64th critical section
+/// sleeps, so waiters behind the head park, and the head's shuffle phases
+/// move parked nodes. Exclusion and the count must survive both.
+#[test]
+fn shfl_lock_blocking_parks_under_shuffling() {
+    let lock = ShflLock::blocking();
+    lock.hooks().install_cmp_node(Arc::new(|c: &CmpNodeCtx| {
+        c.curr.socket == c.shuffler.socket
+    }));
+    let shared = stress_holding(lock, |i| {
+        if i % 64 == 0 {
+            std::thread::sleep(std::time::Duration::from_micros(50));
+        }
+    });
+    assert!(shared.lock.park_count() > 0, "no waiter parked");
+    assert!(shared.lock.shuffle_count() > 0, "no shuffle phase ran");
 }
 
 #[test]

@@ -402,3 +402,83 @@ fn sim_patch_records_carry_virtual_time() {
     assert_eq!(run().0, records, "a second run drains the same records");
     telemetry::set_armed(false);
 }
+
+/// A blocking lock records every acquisition: N uncontended
+/// `lock()`/`unlock()` pairs and one `try_acquire` leave N + 1
+/// `lock_acquired` records, and the analyzer pairs every release with
+/// its hold.
+#[test]
+fn blocking_lock_trace_is_exact() {
+    const N: usize = 100;
+    let _session = trace_session();
+    let lock = ShflLock::blocking();
+    telemetry::set_armed(true);
+    for _ in 0..N {
+        drop(lock.lock());
+    }
+    drop(lock.try_lock().expect("uncontended try_lock succeeds"));
+    telemetry::set_armed(false);
+    let events = telemetry::drain();
+    let acquired = events
+        .iter()
+        .filter(|e| e.a == lock.id() && e.kind == EventKind::LockAcquired)
+        .count();
+    let report = telemetry::analyze::analyze(&events, telemetry::AnalyzeConfig::default());
+    assert_eq!(
+        acquired,
+        N + 1,
+        "an acquisition left no lock_acquired record"
+    );
+    assert_eq!(report.anomalies, 0);
+    assert!(report.exact(), "{}", report.render());
+}
+
+/// `cmp_node` attached to a blocking lock runs: a holder sleeps while six
+/// waiters from two sockets queue behind it, each of them then holds for a
+/// while, and every queue head shuffles the waiters behind it.
+#[test]
+fn blocking_lock_runs_cmp_node() {
+    let _session = trace_session();
+    let c = Concord::new();
+    let lock = Arc::new(ShflLock::blocking());
+    c.registry().register_shfl("blocking", Arc::clone(&lock));
+    let loaded = c.load(concord::policies::numa_aware()).unwrap();
+    let handle = c.attach("blocking", &loaded).unwrap();
+
+    telemetry::set_armed(true);
+    let held = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let holder = {
+        let (l, h) = (Arc::clone(&lock), Arc::clone(&held));
+        std::thread::spawn(move || {
+            locks::topo::pin_thread(0);
+            let _g = l.lock();
+            h.store(true, Ordering::Release);
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        })
+    };
+    while !held.load(Ordering::Acquire) {
+        std::hint::spin_loop();
+    }
+    let mut waiters = Vec::new();
+    for i in 1..7u32 {
+        let l = Arc::clone(&lock);
+        waiters.push(std::thread::spawn(move || {
+            locks::topo::pin_thread((i % 2) * 10 + i);
+            let _g = l.lock();
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }));
+    }
+    holder.join().unwrap();
+    for w in waiters {
+        w.join().unwrap();
+    }
+    telemetry::set_armed(false);
+    let events = telemetry::drain();
+    c.detach(handle).unwrap();
+
+    let cmp_nodes = events
+        .iter()
+        .filter(|e| e.a == lock.id() && e.kind == EventKind::CmpNode)
+        .count();
+    assert!(cmp_nodes > 0, "no cmp_node ran on the blocking lock");
+}
