@@ -27,7 +27,7 @@
 //! (trace-hash pinned, like `chaos::crash_sweep`).
 
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::rc::Rc;
 use std::sync::OnceLock;
@@ -138,16 +138,18 @@ impl fmt::Display for Violation {
 // Monitor: the oracles that watch a fixture run
 // ---------------------------------------------------------------------------
 
+/// Ordered tables throughout: what the oracles report (a conflicting
+/// shared holder is the lowest task id) depends on the events alone.
 #[derive(Default)]
 struct MonState {
     /// lock -> (exclusive owner, shared owners).
-    owners: HashMap<u64, (Option<u32>, HashSet<u32>)>,
+    owners: BTreeMap<u64, (Option<u32>, BTreeSet<u32>)>,
     /// task -> locks currently held (for order edges).
-    held: HashMap<u32, Vec<u64>>,
+    held: BTreeMap<u32, Vec<u64>>,
     /// Directed lock-order edges `held -> wanted`.
-    edges: HashMap<u64, HashSet<u64>>,
-    wait_from: HashMap<(u32, u64), u64>,
-    held_from: HashMap<(u32, u64), u64>,
+    edges: BTreeMap<u64, BTreeSet<u64>>,
+    wait_from: BTreeMap<(u32, u64), u64>,
+    held_from: BTreeMap<(u32, u64), u64>,
     wait: Histogram,
     hold: Histogram,
     max_wait: u64,
@@ -172,16 +174,22 @@ impl Monitor {
     /// edges from every lock it already holds and cycle-checks.
     pub fn acquiring(&self, lock: u64, task: u32, now: u64) {
         let mut s = self.s.borrow_mut();
-        s.wait_from.insert((task, lock), now);
-        let held = s.held.get(&task).cloned().unwrap_or_default();
-        for h in held {
+        let MonState {
+            held,
+            edges,
+            wait_from,
+            violation,
+            ..
+        } = &mut *s;
+        wait_from.insert((task, lock), now);
+        for &h in held.get(&task).into_iter().flatten() {
             if h == lock {
                 continue;
             }
-            s.edges.entry(h).or_default().insert(lock);
+            edges.entry(h).or_default().insert(lock);
             // Edge h -> lock just landed; a path lock ->* h closes a cycle.
-            if s.violation.is_none() && has_path(&s.edges, lock, h) {
-                s.violation = Some(Violation::LockOrder {
+            if violation.is_none() && has_path(edges, lock, h) {
+                *violation = Some(Violation::LockOrder {
                     first: h,
                     then: lock,
                 });
@@ -192,12 +200,18 @@ impl Monitor {
     /// Task `task` entered the critical section of `lock` at `now`.
     pub fn acquired(&self, lock: u64, task: u32, now: u64, exclusive: bool) {
         let mut s = self.s.borrow_mut();
+        let s = &mut *s;
         let (excl, shared) = s.owners.entry(lock).or_default();
         let conflict = if exclusive {
-            excl.or_else(|| shared.iter().next().copied())
+            excl.or_else(|| shared.first().copied())
         } else {
             *excl
         };
+        if exclusive {
+            *excl = Some(task);
+        } else {
+            shared.insert(task);
+        }
         if let Some(holder) = conflict {
             if s.violation.is_none() {
                 s.violation = Some(Violation::Mutex {
@@ -206,12 +220,6 @@ impl Monitor {
                     intruder: task,
                 });
             }
-        }
-        let (excl, shared) = s.owners.entry(lock).or_default();
-        if exclusive {
-            *excl = Some(task);
-        } else {
-            shared.insert(task);
         }
         s.held.entry(task).or_default().push(lock);
         if let Some(from) = s.wait_from.remove(&(task, lock)) {
@@ -260,11 +268,11 @@ impl Monitor {
 }
 
 /// BFS reachability over the lock-order edge set.
-fn has_path(edges: &HashMap<u64, HashSet<u64>>, from: u64, to: u64) -> bool {
+fn has_path(edges: &BTreeMap<u64, BTreeSet<u64>>, from: u64, to: u64) -> bool {
     if from == to {
         return true;
     }
-    let mut seen = HashSet::new();
+    let mut seen = BTreeSet::new();
     let mut stack = vec![from];
     while let Some(n) = stack.pop() {
         if !seen.insert(n) {
@@ -377,12 +385,17 @@ impl Fixture {
     }
 
     /// Runs the fixture's uninjected baseline and returns its window, for
-    /// fixtures whose hazard oracle needs one.
+    /// fixtures whose hazard oracle needs one. The run depends on nothing
+    /// but the fixture and [`BASELINE_SEED`], so it runs once per process.
     pub fn baseline_window(&self) -> Option<WindowStats> {
-        if !self.uses_hazard_oracle() {
-            return None;
+        // One cell per fixture that `uses_hazard_oracle`.
+        static STEAL: OnceLock<WindowStats> = OnceLock::new();
+        match self {
+            Fixture::Steal => {
+                Some(*STEAL.get_or_init(|| self.run(BASELINE_SEED, None, None).window))
+            }
+            _ => None,
         }
-        Some(self.run(BASELINE_SEED, None, None).window)
     }
 
     /// Runs one schedule of this fixture: `seed` seeds the simulator,
@@ -1465,6 +1478,29 @@ mod tests {
                 then: 10
             })
         ));
+    }
+
+    #[test]
+    fn exclusive_acquire_over_readers_names_the_lowest_holder() {
+        // Fresh monitors, so a table whose order varied per instance would
+        // name a different reader across the sixteen.
+        for _ in 0..16 {
+            let m = Monitor::new();
+            for task in [5, 3, 9] {
+                m.acquiring(1, task, 0);
+                m.acquired(1, task, 1, false);
+            }
+            m.acquiring(1, 1, 2);
+            m.acquired(1, 1, 3, true);
+            assert_eq!(
+                m.take_violation(),
+                Some(Violation::Mutex {
+                    lock: 1,
+                    holder: 3,
+                    intruder: 1
+                })
+            );
+        }
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub use exec::{Sim, SimBuilder, SimStats, TaskCtx, TaskId};
 pub use net::{Backoff, NetFaultPlan, NetStats, SimNet};
 pub use rng::SplitMix64;
 pub use sched::{
-    Injection, PctStrategy, RandomDelayStrategy, ReplayStrategy, SchedAction, SchedController,
-    SchedPoint, SchedSite, ScheduleStrategy, MAX_INJECT_NS,
+    task_slot, Injection, PctStrategy, RandomDelayStrategy, ReplayStrategy, SchedAction,
+    SchedController, SchedPoint, SchedSite, ScheduleStrategy, MAX_INJECT_NS,
 };
 pub use stats::Histogram;
 pub use topology::{CpuId, SocketId, Topology};

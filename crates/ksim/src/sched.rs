@@ -16,7 +16,6 @@
 //! artifacts.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use crate::exec::TaskId;
 use crate::rng::SplitMix64;
@@ -158,7 +157,8 @@ pub struct Injection {
 struct ControllerState {
     strategy: Box<dyn ScheduleStrategy>,
     next_index: u64,
-    per_task: HashMap<u32, u64>,
+    /// Next per-task ordinal, indexed by `TaskId.0` (task ids are dense).
+    per_task: Vec<u64>,
     log: Vec<Injection>,
 }
 
@@ -177,7 +177,7 @@ impl SchedController {
             inner: RefCell::new(ControllerState {
                 strategy,
                 next_index: 0,
-                per_task: HashMap::new(),
+                per_task: Vec::new(),
                 log: Vec::new(),
             }),
         }
@@ -206,7 +206,7 @@ impl SchedController {
         let mut st = self.inner.borrow_mut();
         let index = st.next_index;
         st.next_index += 1;
-        let seq = st.per_task.entry(task.0).or_insert(0);
+        let seq = task_slot(&mut st.per_task, task, 0);
         let task_seq = *seq;
         *seq += 1;
         let p = SchedPoint {
@@ -229,6 +229,17 @@ impl SchedController {
         }
         action
     }
+}
+
+/// `task`'s entry in a per-task table, grown with `fill` to reach it: a
+/// sim's task ids are dense, so bookkeeping keyed by task is a `Vec`
+/// indexed by id rather than a map.
+pub fn task_slot<T: Clone>(table: &mut Vec<T>, task: TaskId, fill: T) -> &mut T {
+    let at = task.0 as usize;
+    if at >= table.len() {
+        table.resize(at + 1, fill);
+    }
+    &mut table[at]
 }
 
 /// Bounded random delay injection: at each point, with probability
@@ -278,7 +289,9 @@ pub struct PctStrategy {
     buckets: u64,
     unit_ns: u64,
     change_points: Vec<u64>,
-    priorities: HashMap<u32, u64>,
+    /// Each task's current priority, indexed by `TaskId.0`; `None` until
+    /// the task's first point draws one.
+    priorities: Vec<Option<u64>>,
 }
 
 impl PctStrategy {
@@ -294,25 +307,18 @@ impl PctStrategy {
             buckets: buckets.max(2),
             unit_ns: 2_000,
             change_points,
-            priorities: HashMap::new(),
+            priorities: Vec::new(),
         }
     }
 }
 
 impl ScheduleStrategy for PctStrategy {
     fn decide(&mut self, p: &SchedPoint) -> SchedAction {
+        let prio = task_slot(&mut self.priorities, p.task, None);
         if self.change_points.binary_search(&p.index).is_ok() {
-            let prio = self.rng.next_u64() % self.buckets;
-            self.priorities.insert(p.task.0, prio);
+            *prio = Some(self.rng.next_u64() % self.buckets);
         }
-        let prio = match self.priorities.get(&p.task.0) {
-            Some(v) => *v,
-            None => {
-                let v = self.rng.next_u64() % self.buckets;
-                self.priorities.insert(p.task.0, v);
-                v
-            }
-        };
+        let prio = *prio.get_or_insert_with(|| self.rng.next_u64() % self.buckets);
         if prio == 0 {
             SchedAction::Proceed
         } else {
@@ -330,27 +336,58 @@ impl ScheduleStrategy for PctStrategy {
 /// With the same sim seed this reproduces the recorded run bit-identically
 /// (same trace hash), which is the repro-artifact contract.
 pub struct ReplayStrategy {
-    by_key: HashMap<(u32, u64), SchedAction>,
+    /// The recorded actions keyed by `(task, task_seq)`, sorted by key,
+    /// one row per key: each task's rows in ordinal order.
+    rows: Vec<((u32, u64), SchedAction)>,
+    /// Per arriving task (indexed by `TaskId.0`; a sim's task ids are
+    /// dense), the first row not below its last key; `None` before its
+    /// first point. A task's ordinals only grow, so a lookup moves this
+    /// forward by at most one row.
+    cursor: Vec<Option<usize>>,
 }
 
 impl ReplayStrategy {
-    /// Creates a replay strategy from an injection list.
+    /// Creates a replay strategy from an injection list. Of two rows with
+    /// the same `(task, task_seq)`, the later one wins.
     pub fn new(injections: &[Injection]) -> Self {
+        let mut rows: Vec<_> = injections
+            .iter()
+            .rev()
+            .map(|i| ((i.task, i.task_seq), i.action))
+            .collect();
+        // Stable, so of equal keys the later row (now the earlier) is kept.
+        rows.sort_by_key(|r| r.0);
+        rows.dedup_by_key(|r| r.0);
         ReplayStrategy {
-            by_key: injections
-                .iter()
-                .map(|i| ((i.task, i.task_seq), i.action))
-                .collect(),
+            rows,
+            cursor: Vec::new(),
         }
     }
 }
 
 impl ScheduleStrategy for ReplayStrategy {
     fn decide(&mut self, p: &SchedPoint) -> SchedAction {
-        self.by_key
-            .get(&(p.task.0, p.task_seq))
-            .copied()
-            .unwrap_or(SchedAction::Proceed)
+        let key = (p.task.0, p.task_seq);
+        let cursor = task_slot(&mut self.cursor, p.task, None);
+        let rows = &self.rows;
+        let at = match *cursor {
+            // Every row before the cursor is below `key`: walk forward.
+            Some(at) if at == 0 || rows[at - 1].0 < key => {
+                at + rows[at..].iter().take_while(|r| r.0 < key).count()
+            }
+            // The task's first point, or an ordinal that went back.
+            _ => rows.partition_point(|r| r.0 < key),
+        };
+        match rows.get(at) {
+            Some(&(k, action)) if k == key => {
+                *cursor = Some(at + 1);
+                action
+            }
+            _ => {
+                *cursor = Some(at);
+                SchedAction::Proceed
+            }
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -482,5 +519,53 @@ mod tests {
         assert_eq!(s.decide(&point(0, 2, 3)), SchedAction::Delay(42));
         assert_eq!(s.decide(&point(1, 2, 4)), SchedAction::Proceed);
         assert_eq!(s.decide(&point(2, 1, 3)), SchedAction::Proceed);
+        assert_eq!(s.decide(&point(3, 9, 3)), SchedAction::Proceed);
+
+        // A duplicated `(task, task_seq)` row: the later action wins.
+        let dup = |task_seq, action| Injection {
+            task: 2,
+            task_seq,
+            action,
+        };
+        let inj = [
+            dup(5, SchedAction::Delay(1)),
+            dup(3, SchedAction::Delay(7)),
+            dup(5, SchedAction::Preempt(9)),
+        ];
+        let mut s = ReplayStrategy::new(&inj);
+        assert_eq!(s.decide(&point(0, 2, 3)), SchedAction::Delay(7));
+        assert_eq!(s.decide(&point(1, 2, 5)), SchedAction::Preempt(9));
+        assert_eq!(s.decide(&point(2, 2, 4)), SchedAction::Proceed);
+    }
+
+    #[test]
+    fn replay_cursor_agrees_with_a_scan_in_any_order() {
+        let mut rng = SplitMix64::new(11);
+        let inj: Vec<Injection> = (0..60)
+            .map(|i| Injection {
+                task: (rng.next_u64() % 4) as u32,
+                task_seq: rng.next_u64() % 30,
+                action: SchedAction::Delay(i + 1),
+            })
+            .collect();
+        let scan = |task, task_seq| {
+            inj.iter()
+                .rev()
+                .find(|i| (i.task, i.task_seq) == (task, task_seq))
+                .map_or(SchedAction::Proceed, |i| i.action)
+        };
+        // In ordinal order per task (as a controller calls it), then with
+        // ordinals in random order.
+        let mut s = ReplayStrategy::new(&inj);
+        for seq in 0..32 {
+            for task in 0..5 {
+                assert_eq!(s.decide(&point(0, task, seq)), scan(task, seq));
+            }
+        }
+        let mut s = ReplayStrategy::new(&inj);
+        for _ in 0..500 {
+            let (task, seq) = ((rng.next_u64() % 5) as u32, rng.next_u64() % 32);
+            assert_eq!(s.decide(&point(0, task, seq)), scan(task, seq));
+        }
     }
 }

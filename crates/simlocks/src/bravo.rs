@@ -6,9 +6,9 @@
 //! revoke the bias by scanning the whole table (expensive, and charged as
 //! such), then keep the bias off for `N ×` the measured revocation cost.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell, RefMut};
 
-use ksim::{SchedSite, Sim, SimWord, TaskCtx, TaskId};
+use ksim::{task_slot, SchedSite, Sim, SimWord, TaskCtx, TaskId};
 
 use crate::rw::SimNeutralRwLock;
 
@@ -30,8 +30,9 @@ pub struct SimBravo {
     fast_reads: Cell<u64>,
     slow_reads: Cell<u64>,
     revocations: Cell<u64>,
-    /// Per-task published slot (single-threaded sim bookkeeping).
-    published: std::cell::RefCell<std::collections::HashMap<TaskId, usize>>,
+    /// Per-task published slot, indexed by `TaskId.0` (single-threaded
+    /// sim bookkeeping; a sim's task ids are dense).
+    published: RefCell<Vec<Option<usize>>>,
     bias_allowed: Cell<bool>,
 }
 
@@ -89,6 +90,11 @@ impl SimBravo {
         (x as usize) % VR_SLOTS
     }
 
+    /// `task`'s entry in the published-slot table, grown to hold it.
+    fn published_mut(&self, task: TaskId) -> RefMut<'_, Option<usize>> {
+        RefMut::map(self.published.borrow_mut(), |p| task_slot(p, task, None))
+    }
+
     /// Per-simulation lock identity (schedule points, oracles).
     pub fn lock_id(&self) -> u64 {
         self.id
@@ -101,7 +107,7 @@ impl SimBravo {
             let idx = self.slot_of(t);
             let me = u64::from(t.id().0 + 1);
             debug_assert!(
-                !self.published.borrow().contains_key(&t.id()),
+                self.published_mut(t.id()).is_none(),
                 "nested BRAVO fast reads by one task are not modeled"
             );
             if self.table[idx].compare_exchange(t, 0, me).await.is_ok() {
@@ -111,7 +117,7 @@ impl SimBravo {
                 t.sched_point(SchedSite::Window, self.id).await;
                 // Recheck the bias after publishing.
                 if self.rbias.load(t).await == 1 {
-                    self.published.borrow_mut().insert(t.id(), idx);
+                    *self.published_mut(t.id()) = Some(idx);
                     self.fast_reads.set(self.fast_reads.get() + 1);
                     t.sched_point(SchedSite::Acquired, self.id).await;
                     return;
@@ -132,7 +138,7 @@ impl SimBravo {
     /// Releases shared access.
     pub async fn read_release(&self, t: &TaskCtx) {
         t.sched_point(SchedSite::Release, self.id).await;
-        let slot = self.published.borrow_mut().remove(&t.id());
+        let slot = self.published_mut(t.id()).take();
         match slot {
             Some(idx) => self.table[idx].store(t, 0).await,
             None => self.underlying.read_release(t).await,

@@ -363,15 +363,6 @@ impl SimShflLock {
         }
     }
 
-    /// Attempts the fast path only.
-    pub async fn try_acquire(&self, t: &TaskCtx) -> bool {
-        let ok = self.locked.compare_exchange(t, 0, 1).await.is_ok();
-        if ok {
-            self.owner.set(u64::from(t.id().0) + 1);
-        }
-        ok
-    }
-
     /// One shuffle phase starting at `head_idx` (the shuffler's own node);
     /// returns the final anchor (last node of the batched prefix). The
     /// phase aborts as soon as the shuffler is granted headship.

@@ -44,15 +44,6 @@ impl SimTicketLock {
         debug_assert!(self.next.peek() > s, "release of unheld SimTicketLock");
         self.serving.store(t, s + 1).await;
     }
-
-    /// Attempts to acquire without waiting.
-    pub async fn try_acquire(&self, t: &TaskCtx) -> bool {
-        let serving = self.serving.load(t).await;
-        self.next
-            .compare_exchange(t, serving, serving + 1)
-            .await
-            .is_ok()
-    }
 }
 
 #[cfg(test)]

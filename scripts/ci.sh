@@ -108,6 +108,17 @@ if grep -rn "fail_[a]pply_on\|A[p]pliedSimPolicies\|d[e]tach_sim" crates tests e
     exit 1
 fi
 
+# The DES's own bookkeeping (ksim, the sim locks, the explorer's tables)
+# is ordered or indexed by dense ids: a std hash map there is SipHash on
+# every event and an iteration order drawn from `RandomState`, so what
+# an oracle reports could differ from one run of the same seed to the
+# next.
+echo "== no RandomState maps in the DES =="
+if grep -rnwE "HashMap|HashSet" crates/ksim/src crates/simlocks/src crates/concord/src/explore.rs; then
+    echo "ci: a HashMap/HashSet is in the DES (see above): its bookkeeping stays seed-deterministic and off SipHash; use an ordered or dense table" >&2
+    exit 1
+fi
+
 # Data-plane regression gate: the prepared map_mix speedup over legacy
 # and the compiled tier's over the prepared interpreter stay above their
 # floors, and on the paper's NUMA policy the compiled tier is not slower

@@ -41,6 +41,45 @@ fn every_strategy_finds_every_planted_bug() {
     }
 }
 
+/// FNV-1a, so the pinned constant below depends on nothing but the bytes.
+fn fold(h: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *h ^= u64::from(*b);
+        *h = h.wrapping_mul(0x0100_0000_01b3);
+    }
+}
+
+#[test]
+fn shrunk_repros_are_pinned() {
+    // The nine seed-7 campaigns above, folded into one number: schedules
+    // run, first failing schedule, the violation as printed and the repro
+    // artifact (trace hash and injection rows included). A change to the
+    // explorer's bookkeeping that claims to keep behaviour must leave it
+    // as it is.
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for fixture in Fixture::BROKEN {
+        for strategy in STRATEGIES {
+            let report = campaign(fixture, strategy);
+            fold(&mut h, &report.schedules_run.to_le_bytes());
+            fold(
+                &mut h,
+                &report
+                    .first_bug_schedule
+                    .map_or(u64::MAX, u64::from)
+                    .to_le_bytes(),
+            );
+            let v = report.violation.map(|v| v.to_string()).unwrap_or_default();
+            fold(&mut h, v.as_bytes());
+            let text = report.repro.map(|r| r.to_text()).unwrap_or_default();
+            fold(&mut h, text.as_bytes());
+        }
+    }
+    assert_eq!(
+        h, 0x4577_73ee_31a4_8a52,
+        "explorer outcomes moved: {h:#018x}"
+    );
+}
+
 #[test]
 fn shrunk_repros_replay_bit_identically() {
     for fixture in Fixture::BROKEN {
