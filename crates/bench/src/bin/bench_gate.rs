@@ -120,6 +120,22 @@ fn alu_chain_program() -> Program {
     b.build().unwrap()
 }
 
+fn exit_only_program() -> Program {
+    let mut b = ProgramBuilder::new("exit_only");
+    b.mov_imm(Reg::R0, 0);
+    b.exit();
+    b.build().unwrap()
+}
+
+fn framed_program() -> Program {
+    let mut b = ProgramBuilder::new("exit_framed");
+    b.load(MemSize::Dw, Reg::R2, Reg::R1, 0);
+    b.store(MemSize::Dw, Reg::R10, -8, Reg::R2);
+    b.load(MemSize::Dw, Reg::R0, Reg::R10, -8);
+    b.exit();
+    b.build().unwrap()
+}
+
 /// The paper's NUMA policy as `Concord::load` verifies it, its layout,
 /// and 64 marshalled contexts that take both of its paths.
 fn numa_policy() -> (Program, &'static CtxLayout, Vec<Vec<u8>>) {
@@ -349,17 +365,8 @@ fn main() {
     // without a frame and with one: the second program spills a context
     // field to its frame and reads it back, which the compiler keeps (a
     // frame store nothing reads would be dropped, frame and all).
-    let mut exit_only = ProgramBuilder::new("exit_only");
-    exit_only.mov_imm(Reg::R0, 0);
-    exit_only.exit();
-    let exit_only = exit_only.build().unwrap().prepare(numa_layout);
-    let mut framed = ProgramBuilder::new("exit_framed");
-    framed.load(MemSize::Dw, Reg::R2, Reg::R1, 0);
-    framed.store(MemSize::Dw, Reg::R10, -8, Reg::R2);
-    framed.load(MemSize::Dw, Reg::R0, Reg::R10, -8);
-    framed.exit();
-    let framed = framed.build().unwrap().prepare(numa_layout);
-    assert!(!exit_only.compile_jit().uses_frame() && framed.compile_jit().uses_frame());
+    let exit_only = exit_only_program().prepare(numa_layout);
+    let framed = framed_program().prepare(numa_layout);
     let (entry, framed_entry, _) = alternating(
         cycling(&exit_only, ExecTier::Jit, ctxs.clone(), &env),
         cycling(&framed, ExecTier::Jit, ctxs, &env),
@@ -381,4 +388,54 @@ fn main() {
         std::process::exit(1);
     }
     println!("bench_gate: OK");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The compiled form of every program a wall-clock gate times: each
+    /// step's kind, prefix length and charge, as `JitProgram`'s `Debug`
+    /// prints them. A change to the compiled tier that moves one of these
+    /// moves the floor it is held to. `map_mix` keeps its constant-key
+    /// lookup cache; `alu_chain` folds to one constant; only the framed
+    /// entry program keeps its frame.
+    #[test]
+    fn gate_programs_compile_as_pinned() {
+        let empty = CtxLayout::empty();
+        let numa = hookctx::cmp_node_layout();
+        for (name, prog, layout, want) in [
+            (
+                "map_mix",
+                map_mix_program(),
+                &empty,
+                "JitProgram { steps: [MapLookupBr+cache pre=1 w=5, MapValRmw8 pre=0 w=3, \
+                 Exit pre=1 w=2, Exit pre=1 w=2, Halt pre=0 w=1], lookup_caches: 1, frame: true }",
+            ),
+            (
+                "alu_chain",
+                alu_chain_program(),
+                &empty,
+                "JitProgram { steps: [Exit pre=1 w=85, Halt pre=0 w=1], lookup_caches: 0, \
+                 frame: false }",
+            ),
+            (
+                "exit_only",
+                exit_only_program(),
+                numa,
+                "JitProgram { steps: [Exit pre=1 w=2, Halt pre=0 w=1], lookup_caches: 0, \
+                 frame: false }",
+            ),
+            (
+                "exit_framed",
+                framed_program(),
+                numa,
+                "JitProgram { steps: [Exit pre=3 w=4, Halt pre=0 w=1], lookup_caches: 0, \
+                 frame: true }",
+            ),
+        ] {
+            let jit = prog.prepare(layout).compile_jit();
+            assert_eq!(format!("{jit:?}"), want, "{name}");
+        }
+    }
 }

@@ -37,17 +37,16 @@ pub fn sweep_threads() -> Vec<u32> {
 
 /// Virtual milliseconds each configuration runs for.
 ///
-/// `C3_BENCH_WINDOW_MS` pins the window directly (smoke mode);
-/// otherwise `C3_BENCH_MODE=full` lengthens runs for smoother curves and
-/// the default keeps a full figure under a few minutes on a small host.
+/// `C3_BENCH_WINDOW_MS` pins the window (smoke runs use 1); the default
+/// keeps a full figure under a few minutes on a small host. A value that
+/// does not parse panics, like a bad `C3_BENCH_THREADS`, rather than
+/// silently running the default.
 pub fn run_window_ms() -> u64 {
-    if let Ok(ms) = std::env::var("C3_BENCH_WINDOW_MS") {
-        if let Ok(v) = ms.parse::<u64>() {
-            return v.max(1);
-        }
-    }
-    match std::env::var("C3_BENCH_MODE").as_deref() {
-        Ok("full") => 8,
-        _ => 3,
+    match std::env::var("C3_BENCH_WINDOW_MS") {
+        Ok(ms) => match ms.trim().parse::<u64>() {
+            Ok(v) => v.max(1),
+            Err(_) => panic!("C3_BENCH_WINDOW_MS is not a number of milliseconds: {ms:?}"),
+        },
+        Err(_) => 3,
     }
 }

@@ -8,9 +8,12 @@
 //! `verifier.rs` lean on this: *any accepted program must run without
 //! faulting*.
 //!
-//! There is deliberately no JIT; the paper's §6 discusses eBPF runtime
-//! overhead as an open problem, and the interpreter's per-instruction cost
-//! is what Concord charges to virtual time in the simulator.
+//! This is the legacy reference interpreter: it runs the program as
+//! written, slot by slot. The two tiers that hooks run —
+//! [`crate::prepare`]'s interpreter and the compiled tier
+//! ([`crate::jit`]) — are diffed against it on reports, budgets, faults
+//! and map contents (`tests/prepared_differential.rs`,
+//! `tests/ctx_differential.rs`).
 
 use std::sync::Arc;
 

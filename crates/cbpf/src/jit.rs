@@ -45,24 +45,30 @@
 //! Reads the table refuses stay generic [`JOp::Load`] steps and fault at
 //! run time exactly as the interpreter does.
 //!
-//! Three map specializations ride on the lattice:
+//! # Map steps
 //!
-//! * **Lookup-then-branch.** A `map_lookup` followed by a conditional
-//!   branch that no jump lands on compiles to one [`JOp::MapLookupBr`]
-//!   step — the policy idiom "look up, test for null" under one dispatch.
-//! * **Constant-key lookup caching.** When a `map_lookup`'s map ref and
-//!   key window are compile-time constants *and every key byte is too*,
-//!   the step carries the key bytes and a per-site cache word; hot runs
+//! Every helper and every map-value access has its generic step
+//! ([`JOp::CallMap`], [`JOp::Load`], [`JOp::Store`]), whose run-time
+//! checks are the interpreter's. Two specializations ride on the
+//! lattice, the two the measured programs (the profiling counter and
+//! `bench_gate`'s `map_mix`) compile to:
+//!
+//! * **Lookup-then-branch.** A `map_lookup` whose map ref and key window
+//!   are compile-time constants, followed by a conditional branch that
+//!   no jump lands on, compiles to one [`JOp::MapLookupBr`] step — the
+//!   policy idiom "look up, test for null" under one dispatch, with no
+//!   argument re-validation. When every key byte is a constant too, the
+//!   step carries the key bytes and a per-site cache word; hot runs
 //!   revalidate with one generation load instead of hashing, locking and
-//!   probing the shard (see [`cached_lookup`]).
-//! * **Region-tracked value access.** Along the straight line from
-//!   entry, the compiler counts map-value regions a run has provably
-//!   registered. Falling through `r0 == 0` / jumping on `r0 != 0` after
-//!   a lookup proves a hit, so `r0` becomes a compile-time-constant
-//!   region pointer and subsequent loads/stores through it compile to
-//!   [`JOp::MapValLd`]/[`JOp::MapValSt`] — no tag dispatch, with the
-//!   bounds proven at compile time (the fault paths remain, mirroring
-//!   `Runner::load`/`store` exactly, but are never taken).
+//!   probing the shard (see [`cached_lookup`]). A lookup whose operands
+//!   do not resolve is a `CallMap` step, and its branch a `Jmp` step.
+//! * **Counter update.** Along the straight line from entry, the
+//!   compiler counts map-value regions a run has provably registered.
+//!   Falling through `r0 == 0` after such a lookup proves a hit, so `r0`
+//!   becomes a compile-time-constant region pointer. An aligned 8-byte
+//!   load through it, pure micro-ops, and an 8-byte store back to the
+//!   same word compile to one [`JOp::MapValRmw8`] step. Any other
+//!   map-value access stays a generic step.
 //!
 //! # Weight-table equivalence
 //!
@@ -199,46 +205,13 @@ enum JOp {
         off: u64,
         src: PSrc,
     },
-    /// Load through a compile-time-constant map-value region pointer,
-    /// bounds proven against the value size at compile time.
-    MapValLd {
-        pc: u32,
-        size: MemSize,
-        dst: u8,
-        region: u32,
-        off: u32,
-        addr: u64,
-    },
-    MapValSt {
-        pc: u32,
-        size: MemSize,
-        region: u32,
-        off: u32,
-        addr: u64,
-        src: PSrc,
-    },
-    /// A fused read-modify-write on one map-value region: region-tracked
-    /// load, pure micro-ops, region-tracked store, one charge group.
-    /// Sound to charge up front because every part is compile-time
-    /// proven unfaultable (the fault arms mirror the split steps and are
-    /// unreachable) and the intermediate state is registers only.
-    MapValRmw {
-        pc: u32,
-        ld_size: MemSize,
-        dst: u8,
-        region: u32,
-        ld_off: u32,
-        ld_addr: u64,
-        mid: Box<[Micro]>,
-        st_pc: u32,
-        st_size: MemSize,
-        st_off: u32,
-        st_addr: u64,
-        src: PSrc,
-    },
-    /// [`JOp::MapValRmw`] further narrowed to an aligned 8-byte load and
-    /// store of the *same* value word: one bounds check resolves a slab
-    /// word handle that serves both halves.
+    /// A fused read-modify-write of one 8-byte map-value word: an
+    /// aligned load through a compile-time-constant region pointer, pure
+    /// micro-ops, and a store back to the same word, as one charge group.
+    /// One bounds check resolves a slab word handle that serves both
+    /// halves. Sound to charge up front because the window was proven in
+    /// bounds at compile time (the fault arms mirror `Runner::load` and
+    /// are unreachable) and the intermediate state is registers only.
     MapValRmw8 {
         pc: u32,
         dst: u8,
@@ -276,28 +249,13 @@ enum JOp {
         op: MapOp,
         helper: u32,
     },
-    /// `map_lookup` whose map index and key window are compile-time
-    /// constants: no argument re-validation, no map-def chasing.
-    MapLookupFast {
-        pc: u32,
-        helper: u32,
-        fast: FastLookup,
-    },
-    MapUpdateFast {
-        pc: u32,
-        helper: u32,
-        map: u32,
-        key: StackWin,
-        val: StackWin,
-    },
-    /// `map_lookup` and the branch in the next slot, with the fast-path
-    /// operands when they resolve at compile time. The step's weight
-    /// covers the lookup's group; `jw`, the branch slot's weight, is
-    /// charged after the helper returns.
+    /// `map_lookup` with compile-time operands and the branch in the
+    /// next slot. The step's weight covers the lookup's group; `jw`, the
+    /// branch slot's weight, is charged after the helper returns.
     MapLookupBr {
         pc: u32,
         helper: u32,
-        fast: Option<FastLookup>,
+        fast: FastLookup,
         jw: u64,
         jop: JmpOp,
         jdst: u8,
@@ -330,12 +288,6 @@ pub struct JitProgram {
 }
 
 impl JitProgram {
-    /// Number of direct-threaded steps (a pure prefix and its operation
-    /// count as one).
-    pub fn step_count(&self) -> usize {
-        self.steps.len()
-    }
-
     /// Whether a run needs its 512-byte frame. False when no compiled
     /// step can address it, and then a run's entry zeroes no frame.
     pub fn uses_frame(&self) -> bool {
@@ -354,15 +306,42 @@ impl JitProgram {
     }
 }
 
+/// One entry per step: its kind, the length of its pure prefix and its
+/// charge. `MapLookupBr+cache` is a lookup with a constant-key cache.
 impl std::fmt::Debug for JitProgram {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let micros: usize = self.steps.iter().map(|s| s.pre.len()).sum();
+        let steps: Vec<String> = self
+            .steps
+            .iter()
+            .map(|s| format!("{} pre={} w={}", s.op.kind(), s.pre.len(), s.weight))
+            .collect();
         f.debug_struct("JitProgram")
-            .field("steps", &self.steps.len())
-            .field("micros", &micros)
+            .field("steps", &format_args!("[{}]", steps.join(", ")))
             .field("lookup_caches", &self.caches.len())
             .field("frame", &self.frame)
             .finish()
+    }
+}
+
+impl JOp {
+    fn kind(&self) -> &'static str {
+        match self {
+            JOp::Nop => "Nop",
+            JOp::Load { .. } => "Load",
+            JOp::Store { .. } => "Store",
+            JOp::MapValRmw8 { .. } => "MapValRmw8",
+            JOp::Ja { .. } => "Ja",
+            JOp::Jmp { .. } => "Jmp",
+            JOp::CallEnv0 { .. } => "CallEnv0",
+            JOp::CallEnv1 { .. } => "CallEnv1",
+            JOp::CallTrace { .. } => "CallTrace",
+            JOp::CallMap { .. } => "CallMap",
+            JOp::MapLookupBr { fast, .. } if fast.cached.is_some() => "MapLookupBr+cache",
+            JOp::MapLookupBr { .. } => "MapLookupBr",
+            JOp::Exit => "Exit",
+            JOp::Trap { .. } => "Trap",
+            JOp::Halt { .. } => "Halt",
+        }
     }
 }
 
@@ -378,8 +357,8 @@ struct Consts {
     /// map-value regions have been registered. Known only along the
     /// uninterrupted straight line from entry: leaders reset to `None`
     /// (a jump may arrive with a different count), and any step that
-    /// *may* register a region without the compiler knowing (an
-    /// un-branched lookup) forces `None`.
+    /// *may* register a region without the compiler knowing (a generic
+    /// lookup) forces `None`.
     pushes: Option<u64>,
 }
 
@@ -609,9 +588,7 @@ fn global_strip(steps: &mut [JStep]) {
                     reg_read[base as usize] = true;
                     scan_src(src, &mut reg_read);
                 }
-                JOp::MapValLd { .. } => {}
-                &JOp::MapValSt { src, .. } => scan_src(src, &mut reg_read),
-                JOp::MapValRmw { mid, src, .. } | JOp::MapValRmw8 { mid, src, .. } => {
+                JOp::MapValRmw8 { mid, src, .. } => {
                     for m in mid.iter() {
                         scan_micro(m, &mut reg_read, &mut stack_read);
                     }
@@ -636,27 +613,12 @@ fn global_strip(steps: &mut [JStep]) {
                     }
                     stack_read = true;
                 }
-                JOp::MapLookupFast { fast, .. } => {
-                    if fast.cached.is_none() {
-                        stack_read = true;
-                    }
-                }
-                JOp::MapUpdateFast { .. } => stack_read = true,
                 JOp::MapLookupBr {
                     fast, jdst, jsrc, ..
                 } => {
-                    match fast {
-                        Some(f) => {
-                            if f.cached.is_none() {
-                                stack_read = true;
-                            }
-                        }
-                        None => {
-                            for r in &mut reg_read[1..6] {
-                                *r = true;
-                            }
-                            stack_read = true;
-                        }
+                    // A cached lookup reads its key bytes from the step.
+                    if fast.cached.is_none() {
+                        stack_read = true;
                     }
                     reg_read[*jdst as usize] = true;
                     scan_src(*jsrc, &mut reg_read);
@@ -688,7 +650,7 @@ fn global_strip(steps: &mut [JStep]) {
         };
         for s in steps.iter_mut() {
             strip(&mut s.pre);
-            if let JOp::MapValRmw { mid, .. } | JOp::MapValRmw8 { mid, .. } = &mut s.op {
+            if let JOp::MapValRmw8 { mid, .. } = &mut s.op {
                 strip(mid);
             }
         }
@@ -699,10 +661,11 @@ fn global_strip(steps: &mut [JStep]) {
 }
 
 /// Compiler state: the step stream, the pending pure prefix and its
-/// accumulated weight, the constant lattice, and the map index each
+/// accumulated weight, the constant lattice, the map index each
 /// provably-registered region came from (parallel to `Consts::pushes` —
 /// entry `k` is only ever read while `pushes` has stayed known, which
-/// pins it to the same straight line that wrote it).
+/// pins it to the same straight line that wrote it), and the last
+/// map-value load a store may fuse with.
 struct Cc<'a> {
     steps: Vec<JStep>,
     blk: Vec<Micro>,
@@ -710,8 +673,19 @@ struct Cc<'a> {
     c: Consts,
     caches: u32,
     region_maps: Vec<u32>,
+    rmw_ld: Option<RmwLoad>,
     maps: &'a [Arc<Map>],
     perm: &'a CtxPerm,
+}
+
+/// An aligned 8-byte load of a tracked map-value window, compiled as the
+/// generic [`JOp::Load`] at index `step`: a store of the same word right
+/// behind it fuses the two into [`JOp::MapValRmw8`].
+struct RmwLoad {
+    step: usize,
+    region: u32,
+    off: u32,
+    addr: u64,
 }
 
 impl Cc<'_> {
@@ -826,9 +800,9 @@ fn emit_alu(blk: &mut Vec<Micro>, c: &mut Consts, wide: bool, op: AluOp, dst: u8
 }
 
 /// One load: a pure micro-op when the address resolves to the frame or
-/// to a permitted context field, a region-tracked map-value step when it
-/// resolves to a registered region, else a generic step with the
-/// interpreter's runtime checks.
+/// to a permitted context field, else a generic step with the
+/// interpreter's runtime checks (remembered for [`emit_store`] when it
+/// is an aligned 8-byte read of a registered region).
 fn emit_load(cc: &mut Cc<'_>, pc: u32, w: u64, size: MemSize, base: u8, off: u64, dst: u8) {
     let nb = size.bytes();
     let bv = cc.c.reg(base);
@@ -846,20 +820,16 @@ fn emit_load(cc: &mut Cc<'_>, pc: u32, w: u64, size: MemSize, base: u8, off: u64
         cc.blk_w += w;
         cc.blk.push(Micro::CtxLd { size, dst, off: co });
         cc.c.set(dst, None);
-    } else if let Some((region, mo, addr)) = cc.mapval_win(bv, off, nb) {
-        cc.emit(
-            w,
-            JOp::MapValLd {
-                pc,
-                size,
-                dst,
+    } else {
+        cc.rmw_ld = match cc.mapval_win(bv, off, nb) {
+            Some((region, mo, addr)) if size == MemSize::Dw && mo % 8 == 0 => Some(RmwLoad {
+                step: cc.steps.len(),
                 region,
                 off: mo,
                 addr,
-            },
-        );
-        cc.c.set(dst, None);
-    } else {
+            }),
+            _ => None,
+        };
         cc.emit(
             w,
             JOp::Load {
@@ -901,84 +871,40 @@ fn emit_store(cc: &mut Cc<'_>, pc: u32, w: u64, size: MemSize, base: u8, off: u6
         return;
     }
     let src = cc.c.imm_src(src);
-    if let Some((region, mo, addr)) = cc.mapval_win(bv, off, nb) {
-        // Fuse with an immediately preceding region-tracked load into a
-        // single RMW group. The lattice proving `base` a region pointer
-        // guarantees no join point since that load (leaders reset it),
-        // so no path enters between the two.
-        let fuse = matches!(
-            cc.steps.last(),
-            Some(JStep {
-                op: JOp::MapValLd { region: lr, .. },
-                ..
-            }) if *lr == region
-        );
-        if fuse {
-            let ld = cc.steps.pop().unwrap();
-            let JOp::MapValLd {
-                pc: ld_pc,
-                size: ld_size,
-                dst,
-                region,
-                off: ld_off,
-                addr: ld_addr,
-            } = ld.op
-            else {
-                unreachable!()
-            };
-            let mut mid = std::mem::take(&mut cc.blk);
-            if !mid.is_empty() {
-                dead_strip(&mut mid, false);
-            }
-            let mid = mid.into_boxed_slice();
-            let op = if ld_size == MemSize::Dw && size == MemSize::Dw && ld_off == mo && mo % 8 == 0
-            {
-                let mi = cc.region_maps[region as usize] as usize;
-                JOp::MapValRmw8 {
-                    pc: ld_pc,
-                    dst,
-                    region,
-                    word: mo / 8,
-                    stride: cc.maps[mi].value_stride() as u32,
-                    ld_addr,
-                    mid,
-                    src,
-                }
-            } else {
-                JOp::MapValRmw {
-                    pc: ld_pc,
-                    ld_size,
-                    dst,
-                    region,
-                    ld_off,
-                    ld_addr,
-                    mid,
-                    st_pc: pc,
-                    st_size: size,
-                    st_off: mo,
-                    st_addr: addr,
-                    src,
-                }
-            };
-            cc.steps.push(JStep {
-                weight: ld.weight + cc.blk_w + w,
-                pre: ld.pre,
-                op,
-            });
-            cc.blk_w = 0;
-        } else {
-            cc.emit(
-                w,
-                JOp::MapValSt {
-                    pc,
-                    size,
-                    region,
-                    off: mo,
-                    addr,
-                    src,
-                },
-            );
+    // Fuse with an aligned 8-byte load of the same region word that is
+    // the last step: a single RMW group. The lattice proving `base` a
+    // region pointer guarantees no join point since that load (leaders
+    // reset it), so no path enters between the two.
+    let ld = cc.rmw_ld.take().filter(|ld| {
+        size == MemSize::Dw
+            && ld.step + 1 == cc.steps.len()
+            && cc.mapval_win(bv, off, nb).map(|(r, mo, _)| (r, mo)) == Some((ld.region, ld.off))
+    });
+    if let Some(ld) = ld {
+        let step = cc.steps.pop().unwrap();
+        let JOp::Load { pc, dst, .. } = step.op else {
+            unreachable!()
+        };
+        let mut mid = std::mem::take(&mut cc.blk);
+        if !mid.is_empty() {
+            dead_strip(&mut mid, false);
         }
+        let mi = cc.region_maps[ld.region as usize] as usize;
+        cc.steps.push(JStep {
+            weight: step.weight + cc.blk_w + w,
+            pre: step.pre,
+            op: JOp::MapValRmw8 {
+                pc,
+                dst,
+                region: ld.region,
+                word: ld.off / 8,
+                stride: cc.maps[mi].value_stride() as u32,
+                ld_addr: ld.addr,
+                mid: mid.into_boxed_slice(),
+                src,
+            },
+        });
+        cc.blk_w = 0;
     } else {
         cc.emit(
             w,
@@ -998,34 +924,25 @@ fn emit_store(cc: &mut Cc<'_>, pc: u32, w: u64, size: MemSize, base: u8, off: u6
     }
 }
 
-/// Compile-time fast-path operands for a `map_lookup`-shaped call site:
-/// map index from a constant `r1` map ref, key window from a constant
-/// `r2` frame pointer. `None` falls back to the generic (re-validating)
-/// step.
-fn fast_map_args(c: &Consts, maps: &[Arc<Map>]) -> Option<(u32, StackWin)> {
+/// Compile-time operands for a `map_lookup` call site: map index from a
+/// constant `r1` map ref, key window from a constant `r2` frame pointer,
+/// plus the constant-key slot cache when every key byte is known at
+/// compile time and the map kind benefits (hash maps only — array-kind
+/// slot resolution is already lock- and hash-free). `caches` allocates
+/// one cache word per qualifying site. `None` leaves the site generic.
+fn fast_lookup(c: &Consts, maps: &[Arc<Map>], caches: &mut u32) -> Option<FastLookup> {
     let mref = c.reg(1)?;
     if ptr_tag(mref) != TAG_MAPREF {
         return None;
     }
     let mi = ptr_index(mref) as usize;
-    let def = maps.get(mi)?.def();
-    let key = c.stack_win(c.reg(2), 0, def.key_size)?;
-    Some((
-        mi as u32,
-        StackWin {
-            off: key,
-            len: def.key_size as u16,
-        },
-    ))
-}
-
-/// `fast_map_args` plus the constant-key slot cache when every key byte
-/// is known at compile time and the map kind benefits (hash maps only —
-/// array-kind slot resolution is already lock- and hash-free).
-/// `caches` allocates one cache word per qualifying site.
-fn fast_lookup(c: &Consts, maps: &[Arc<Map>], caches: &mut u32) -> Option<FastLookup> {
-    let (map, key) = fast_map_args(c, maps)?;
-    let cached = if maps[map as usize].probe_generation().is_some() {
+    let map = maps.get(mi)?;
+    let key_size = map.def().key_size;
+    let key = StackWin {
+        off: c.stack_win(c.reg(2), 0, key_size)?,
+        len: key_size as u16,
+    };
+    let cached = if map.probe_generation().is_some() {
         let bytes: Option<Box<[u8]>> = c.stack[key.range()].iter().copied().collect();
         bytes.map(|bytes| {
             let cache = *caches;
@@ -1035,21 +952,11 @@ fn fast_lookup(c: &Consts, maps: &[Arc<Map>], caches: &mut u32) -> Option<FastLo
     } else {
         None
     };
-    Some(FastLookup { map, key, cached })
-}
-
-fn fast_update(c: &Consts, maps: &[Arc<Map>]) -> Option<(u32, StackWin, StackWin)> {
-    let (mi, key) = fast_map_args(c, maps)?;
-    let def = maps[mi as usize].def();
-    let val = c.stack_win(c.reg(3), 0, def.value_size)?;
-    Some((
-        mi,
+    Some(FastLookup {
+        map: mi as u32,
         key,
-        StackWin {
-            off: val,
-            len: def.value_size as u16,
-        },
-    ))
+        cached,
+    })
 }
 
 /// Whether a slot can change `r1`: by naming it as a destination, or by
@@ -1107,6 +1014,7 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
         c: Consts::boundary(r1_fixed),
         caches: 0,
         region_maps: Vec::new(),
+        rmw_ld: None,
         maps: &p.maps,
         perm: &p.perm,
     };
@@ -1216,25 +1124,30 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
                 cc.emit(w, JOp::CallTrace { pc: at, helper });
                 cc.c.clobber_helper();
             }
-            PInsn::CallMap {
-                op: MapOp::Lookup,
-                helper,
-            } => {
-                let fast = fast_lookup(&cc.c, cc.maps, &mut cc.caches);
+            PInsn::CallMap { op, helper } => {
+                // A lookup with resolved operands and the branch on its
+                // result right behind it, with no path entering between,
+                // is one step.
+                let fused = match (op, code[pc + 1]) {
+                    (
+                        MapOp::Lookup,
+                        PInsn::Jmp {
+                            op: jop,
+                            dst: jdst,
+                            src,
+                            target,
+                        },
+                    ) if !lead[pc + 1] => fast_lookup(&cc.c, cc.maps, &mut cc.caches)
+                        .map(|fast| (fast, jop, jdst, src, target)),
+                    _ => None,
+                };
                 cc.c.clobber_helper();
-                match code[pc + 1] {
-                    // No path enters between the lookup and the branch on
-                    // its result, so the pair is one step.
-                    PInsn::Jmp {
-                        op: jop,
-                        dst: jdst,
-                        src,
-                        target,
-                    } if !lead[pc + 1] => {
+                match fused {
+                    Some((fast, jop, jdst, src, target)) => {
                         pc += 1;
                         // The branch reads the post-clobber registers.
                         let jsrc = cc.c.imm_src(src);
-                        let known_map = fast.as_ref().map(|f| f.map);
+                        let map = fast.map;
                         cc.emit(
                             w,
                             JOp::MapLookupBr {
@@ -1248,49 +1161,17 @@ pub(crate) fn compile(p: &PreparedProgram) -> JitProgram {
                                 target,
                             },
                         );
-                        track_lookup_branch(&mut cc, known_map, jdst, jsrc, jop);
+                        track_lookup_branch(&mut cc, map, jdst, jsrc, jop);
                     }
-                    _ => {
-                        cc.emit(
-                            w,
-                            fast.map_or(
-                                JOp::CallMap {
-                                    pc: at,
-                                    op: MapOp::Lookup,
-                                    helper,
-                                },
-                                |fast| JOp::MapLookupFast {
-                                    pc: at,
-                                    helper,
-                                    fast,
-                                },
-                            ),
-                        );
-                        // A hit registers a region; whether it hit is
-                        // unknown.
-                        cc.c.pushes = None;
+                    None => {
+                        cc.emit(w, JOp::CallMap { pc: at, op, helper });
+                        if op == MapOp::Lookup {
+                            // A hit registers a region; whether it hit is
+                            // unknown.
+                            cc.c.pushes = None;
+                        }
                     }
                 }
-            }
-            PInsn::CallMap { op, helper } => {
-                let fast = match op {
-                    MapOp::Update => fast_update(&cc.c, cc.maps),
-                    // Lookups take the arm above.
-                    MapOp::Lookup | MapOp::Delete => None,
-                };
-                cc.emit(
-                    w,
-                    fast.map_or(JOp::CallMap { pc: at, op, helper }, |(map, key, val)| {
-                        JOp::MapUpdateFast {
-                            pc: at,
-                            helper,
-                            map,
-                            key,
-                            val,
-                        }
-                    }),
-                );
-                cc.c.clobber_helper();
             }
             PInsn::Exit => cc.emit(w, JOp::Exit),
             PInsn::Trap { kind } => cc.emit(w, JOp::Trap { pc: at, kind }),
@@ -1342,17 +1223,13 @@ fn reaches_frame(s: &JStep) -> bool {
     }
     s.pre.iter().any(micro)
         || match &s.op {
-            JOp::MapValRmw { mid, .. } | JOp::MapValRmw8 { mid, .. } => mid.iter().any(micro),
+            JOp::MapValRmw8 { mid, .. } => mid.iter().any(micro),
             JOp::Load { .. }
             | JOp::Store { .. }
             | JOp::CallTrace { .. }
             | JOp::CallMap { .. }
-            | JOp::MapLookupFast { .. }
-            | JOp::MapUpdateFast { .. }
             | JOp::MapLookupBr { .. } => true,
             JOp::Nop
-            | JOp::MapValLd { .. }
-            | JOp::MapValSt { .. }
             | JOp::Ja { .. }
             | JOp::Jmp { .. }
             | JOp::CallEnv0 { .. }
@@ -1363,22 +1240,19 @@ fn reaches_frame(s: &JStep) -> bool {
         }
 }
 
-/// Region tracking across a lookup-then-branch pair. Testing `r0`
-/// against zero decides hit-ness on the fall-through path, which keeps
-/// the region count — and on a proven hit makes `r0` a
+/// Region tracking across a lookup-then-branch pair on map `map`.
+/// Testing `r0` against zero decides hit-ness on the fall-through path,
+/// which keeps the region count — and on a proven hit makes `r0` a
 /// compile-time-constant region pointer.
-fn track_lookup_branch(cc: &mut Cc<'_>, known_map: Option<u32>, jdst: u8, jsrc: PSrc, jop: JmpOp) {
+fn track_lookup_branch(cc: &mut Cc<'_>, map: u32, jdst: u8, jsrc: PSrc, jop: JmpOp) {
     match (jdst, jsrc, jop) {
         (0, PSrc::Imm(0), JmpOp::Eq) => {
             // Fall-through ⇒ r0 ≠ 0 ⇒ hit ⇒ one region registered.
-            match (cc.c.pushes, known_map) {
-                (Some(k), Some(mi)) => {
-                    cc.c.set(0, Some(ptr(TAG_MAPVAL, k, 0)));
-                    debug_assert_eq!(cc.region_maps.len() as u64, k);
-                    cc.region_maps.push(mi);
-                    cc.c.pushes = Some(k + 1);
-                }
-                _ => cc.c.pushes = None,
+            if let Some(k) = cc.c.pushes {
+                cc.c.set(0, Some(ptr(TAG_MAPVAL, k, 0)));
+                debug_assert_eq!(cc.region_maps.len() as u64, k);
+                cc.region_maps.push(map);
+                cc.c.pushes = Some(k + 1);
             }
         }
         (0, PSrc::Imm(0), JmpOp::Ne) => {
@@ -1595,97 +1469,6 @@ fn run_steps<const FRAME: usize>(
                 let v = m.src(src);
                 m.store(pc as usize, addr, size, v)?;
             }
-            &JOp::MapValLd {
-                pc,
-                size,
-                dst,
-                region,
-                off,
-                addr,
-            } => {
-                // The fault arms mirror `Runner::load`'s `TAG_MAPVAL`
-                // path exactly; compile-time region/bounds proofs make
-                // them unreachable.
-                let Some((mi, slot)) = m.regions.get(region as usize) else {
-                    return Err(RunError::BadAccess {
-                        pc: pc as usize,
-                        addr,
-                    });
-                };
-                let Some(v) = m.maps[mi as usize].value_load(slot, off as usize, size.bytes())
-                else {
-                    return Err(RunError::BadAccess {
-                        pc: pc as usize,
-                        addr,
-                    });
-                };
-                m.set_reg(dst, v);
-            }
-            &JOp::MapValSt {
-                pc,
-                size,
-                region,
-                off,
-                addr,
-                src,
-            } => {
-                let v = m.src(src);
-                let Some((mi, slot)) = m.regions.get(region as usize) else {
-                    return Err(RunError::BadAccess {
-                        pc: pc as usize,
-                        addr,
-                    });
-                };
-                if !m.maps[mi as usize].value_store(slot, off as usize, size.bytes(), v) {
-                    return Err(RunError::BadAccess {
-                        pc: pc as usize,
-                        addr,
-                    });
-                }
-            }
-            JOp::MapValRmw {
-                pc,
-                ld_size,
-                dst,
-                region,
-                ld_off,
-                ld_addr,
-                mid,
-                st_pc,
-                st_size,
-                st_off,
-                st_addr,
-                src,
-            } => {
-                // Both halves mirror the split MapValLd/MapValSt arms;
-                // the shared region resolution is why the fusion
-                // requires matching regions.
-                let Some((mi, slot)) = m.regions.get(*region as usize) else {
-                    return Err(RunError::BadAccess {
-                        pc: *pc as usize,
-                        addr: *ld_addr,
-                    });
-                };
-                let maps = m.maps;
-                let map = &maps[mi as usize];
-                let Some(v) = map.value_load(slot, *ld_off as usize, ld_size.bytes()) else {
-                    return Err(RunError::BadAccess {
-                        pc: *pc as usize,
-                        addr: *ld_addr,
-                    });
-                };
-                m.set_reg(*dst, v);
-                for op in mid.iter() {
-                    exec_micro(&mut m, *op);
-                }
-                let v = m.src(*src);
-                if !map.value_store(slot, *st_off as usize, st_size.bytes(), v) {
-                    return Err(RunError::BadAccess {
-                        pc: *st_pc as usize,
-                        addr: *st_addr,
-                    });
-                }
-            }
             JOp::MapValRmw8 {
                 pc,
                 dst,
@@ -1801,36 +1584,6 @@ fn run_steps<const FRAME: usize>(
                 m.regs[1..6].fill(0);
                 m.regs[0] = ret;
             }
-            JOp::MapLookupFast { pc, helper, fast } => {
-                if let Some(inj) = injector {
-                    if let Some(fault) = inj.helper_fault(*pc as usize, *helper) {
-                        return Err(fault);
-                    }
-                }
-                let ret = run_fast_lookup(&mut m, jit, fast);
-                m.regs[1..6].fill(0);
-                m.regs[0] = ret;
-            }
-            &JOp::MapUpdateFast {
-                pc,
-                helper,
-                map,
-                key,
-                val,
-            } => {
-                if let Some(inj) = injector {
-                    if let Some(fault) = inj.helper_fault(pc as usize, helper) {
-                        return Err(fault);
-                    }
-                }
-                let ret = {
-                    let mref = &m.maps[map as usize];
-                    let cpu = m.env.cpu_id();
-                    mapops::update(mref, &m.stack[key.range()], &m.stack[val.range()], cpu)
-                };
-                m.regs[1..6].fill(0);
-                m.regs[0] = ret;
-            }
             JOp::MapLookupBr {
                 pc,
                 helper,
@@ -1846,10 +1599,7 @@ fn run_steps<const FRAME: usize>(
                         return Err(fault);
                     }
                 }
-                let ret = match fast {
-                    Some(f) => run_fast_lookup(&mut m, jit, f),
-                    None => m.call_map(*pc as usize, MapOp::Lookup, *helper)?,
-                };
+                let ret = run_fast_lookup(&mut m, jit, fast);
                 m.regs[1..6].fill(0);
                 m.regs[0] = ret;
                 // The branch slot's charge, where the interpreter's loop

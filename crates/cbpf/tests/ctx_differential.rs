@@ -622,7 +622,7 @@ fn frame_cases() -> Vec<(&'static str, Vec<Insn>, bool)> {
             true,
         ),
         (
-            "fast lookup",
+            "unbranched lookup call",
             [&[ldmap][..], &key, &[call(HelperId::MapLookup), Insn::Exit]].concat(),
             false,
         ),
@@ -648,7 +648,7 @@ fn frame_cases() -> Vec<(&'static str, Vec<Insn>, bool)> {
             false,
         ),
         (
-            "fast update",
+            "update call",
             [
                 &[ldmap][..],
                 &key,

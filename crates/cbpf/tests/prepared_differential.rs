@@ -360,9 +360,9 @@ proptest! {
     }
 
     /// Map programs on the compiled tier: identical final map contents
-    /// and env traces. Exercises the jit's region-tracked value access,
-    /// constant-key lookup caching and RMW fusion against the
-    /// interpreter's generic paths.
+    /// and env traces. Exercises the jit's lookup-and-branch step, its
+    /// constant-key lookup caching and RMW fusion, and the generic map
+    /// steps around them, against the interpreter.
     #[test]
     fn jit_preserves_map_side_effects(
         body in proptest::collection::vec(insn_strategy(), 1..16),
@@ -591,19 +591,61 @@ proptest! {
     }
 }
 
+/// What a row of [`counter_shape_agrees_at_every_budget_and_plan`] does
+/// with the map after its constant-key `map_lookup`.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// `event_counter`: null branch, 8-byte read-modify-write of the
+    /// value. Compiles to the lookup-and-branch step and the fused RMW.
+    Counter,
+    /// The same with a 4-byte read and write: generic load and store.
+    Rmw4,
+    /// Null branch, then the value is read and returned: a generic load.
+    Read,
+    /// The result is copied before its null test, so the lookup is a
+    /// generic call and the counter update generic loads and stores.
+    Unbranched,
+    /// No lookup: a constant-operand `map_update` of the key, a generic
+    /// call.
+    Update,
+}
+
+impl Shape {
+    /// Instructions a run executes when the key is present (every map
+    /// but the unseeded hash) and when it is not.
+    fn insns(self, hit: bool) -> u64 {
+        match (self, hit) {
+            (Shape::Counter | Shape::Rmw4, true) => 11,
+            (Shape::Counter | Shape::Rmw4 | Shape::Read, false) | (Shape::Read, true) => 8,
+            (Shape::Unbranched, true) => 12,
+            (Shape::Unbranched, false) => 9,
+            (Shape::Update, _) => 10,
+        }
+    }
+
+    /// The instruction count at which a run reaches its map helper.
+    fn helper_at(self) -> u64 {
+        match self {
+            Shape::Update => 9,
+            _ => 5,
+        }
+    }
+}
+
 /// The counter shape (`event_counter`, what every `lock_profiled` hook
 /// runs): lookup, null branch, read-modify-write of the value. The
 /// compiled tier runs the lookup and the branch as one step, but a
 /// budget that ends on the branch must still run the lookup — consult
 /// the injector and fault if it says so — as the interpreter does. A
 /// step that charged the pair up front would report `BudgetExhausted`
-/// there instead, with one injection fewer.
+/// there instead, with one injection fewer. The other shapes are the
+/// map accesses that compile to generic steps.
 #[test]
 fn counter_shape_agrees_at_every_budget_and_plan() {
     let layout = CtxLayout::builder()
         .field("lock_id", 8, FieldAccess::ReadOnly)
         .build();
-    let counter = |kind: MapKind, seeded: bool| {
+    let counter = |shape: Shape, kind: MapKind, seeded: bool| {
         let map = Arc::new(Map::new(MapDef {
             name: "c".into(),
             kind,
@@ -611,21 +653,55 @@ fn counter_shape_agrees_at_every_budget_and_plan() {
             value_size: 8,
             max_entries: 4,
         }));
+        // The seeded value's low word carries on increment, so a 4-byte
+        // and an 8-byte update of it leave different values.
         if seeded {
-            map.update(&0u32.to_le_bytes(), &41u64.to_le_bytes(), 0)
+            map.update(&0u32.to_le_bytes(), &u64::from(u32::MAX).to_le_bytes(), 0)
                 .unwrap();
         }
         let mut b = ProgramBuilder::new("count");
         let mid = b.register_map(Arc::clone(&map));
+        if let Shape::Update = shape {
+            b.store_imm(MemSize::Dw, Reg::R10, -16, 5);
+        }
         b.ldmap(Reg::R1, mid);
         b.store_imm(MemSize::W, Reg::R10, -4, 0);
         b.mov(Reg::R2, Reg::R10);
         b.alu_imm(AluOp::Add, Reg::R2, -4);
-        b.call(HelperId::MapLookup);
-        b.jmp_imm(JmpOp::Eq, Reg::R0, 0, "out");
-        b.load(MemSize::Dw, Reg::R1, Reg::R0, 0);
-        b.alu_imm(AluOp::Add, Reg::R1, 1);
-        b.store(MemSize::Dw, Reg::R0, 0, Reg::R1);
+        let size = match shape {
+            Shape::Rmw4 => MemSize::W,
+            _ => MemSize::Dw,
+        };
+        match shape {
+            Shape::Counter | Shape::Rmw4 => {
+                b.call(HelperId::MapLookup);
+                b.jmp_imm(JmpOp::Eq, Reg::R0, 0, "out");
+                b.load(size, Reg::R1, Reg::R0, 0);
+                b.alu_imm(AluOp::Add, Reg::R1, 1);
+                b.store(size, Reg::R0, 0, Reg::R1);
+            }
+            Shape::Read => {
+                b.call(HelperId::MapLookup);
+                b.jmp_imm(JmpOp::Eq, Reg::R0, 0, "out");
+                b.load(MemSize::Dw, Reg::R0, Reg::R0, 0);
+                b.exit();
+            }
+            Shape::Unbranched => {
+                b.call(HelperId::MapLookup);
+                b.mov(Reg(6), Reg::R0);
+                b.jmp_imm(JmpOp::Eq, Reg(6), 0, "out");
+                b.load(size, Reg::R1, Reg(6), 0);
+                b.alu_imm(AluOp::Add, Reg::R1, 1);
+                b.store(size, Reg(6), 0, Reg::R1);
+            }
+            Shape::Update => {
+                b.mov(Reg(3), Reg::R10);
+                b.alu_imm(AluOp::Add, Reg(3), -16);
+                b.mov_imm(Reg(4), 0);
+                b.call(HelperId::MapUpdate);
+                b.exit();
+            }
+        }
         b.label("out");
         b.mov_imm(Reg::R0, 0);
         b.exit();
@@ -638,22 +714,35 @@ fn counter_shape_agrees_at_every_budget_and_plan() {
         helper_fault_per_mille: 1000,
         ..FaultPlan::inert(7)
     };
+    let shapes = [
+        Shape::Counter,
+        Shape::Rmw4,
+        Shape::Read,
+        Shape::Unbranched,
+        Shape::Update,
+    ];
     // A hash hit, a hash miss, and the per-CPU array `event_counter` uses.
-    for (kind, seeded, insns) in [
-        (MapKind::Hash, true, 11),
-        (MapKind::Hash, false, 8),
-        (MapKind::PerCpuArray, false, 11),
-    ] {
+    let maps = [
+        (MapKind::Hash, true),
+        (MapKind::Hash, false),
+        (MapKind::PerCpuArray, false),
+    ];
+    for (shape, (kind, seeded)) in shapes
+        .into_iter()
+        .flat_map(|s| maps.into_iter().map(move |m| (s, m)))
+    {
+        let insns = shape.insns(seeded || kind == MapKind::PerCpuArray);
         for plan in [None, Some(always.clone())] {
-            let (legacy_prog, legacy_map) = counter(kind, seeded);
-            let (interp_prog, interp_map) = counter(kind, seeded);
-            let (jit_prog, jit_map) = counter(kind, seeded);
+            let (legacy_prog, legacy_map) = counter(shape, kind, seeded);
+            let (interp_prog, interp_map) = counter(shape, kind, seeded);
+            let (jit_prog, jit_map) = counter(shape, kind, seeded);
             let (interp, jit) = (interp_prog.prepare(&layout), jit_prog.prepare(&layout));
             let inj_interp = plan.clone().map(FaultInjector::new);
             let inj_jit = plan.clone().map(FaultInjector::new);
             let mut finished = 0;
             for budget in 0..=insns + 1 {
-                let at = format!("{kind:?} seeded {seeded} plan {plan:?} budget {budget}");
+                let at =
+                    format!("{shape:?} {kind:?} seeded {seeded} plan {plan:?} budget {budget}");
                 let mut ctx_interp = vec![7u8; layout.size()];
                 let got_interp = interp.run_tier_with_faults(
                     ExecTier::Interp,
@@ -685,13 +774,14 @@ fn counter_shape_agrees_at_every_budget_and_plan() {
                     finished += 1;
                 }
             }
+            let at = format!("{shape:?} {kind:?} seeded {seeded}");
             if let (Some(i), Some(j)) = (&inj_interp, &inj_jit) {
-                assert_eq!(i.injected(), j.injected(), "{kind:?} seeded {seeded}");
-                assert_eq!(i.invocations(), j.invocations(), "{kind:?} seeded {seeded}");
-                // Every budget that reaches the lookup faults there.
-                assert_eq!(i.injected(), insns + 2 - 5, "{kind:?} seeded {seeded}");
+                assert_eq!(i.injected(), j.injected(), "{at}");
+                assert_eq!(i.invocations(), j.invocations(), "{at}");
+                // Every budget that reaches the map helper faults there.
+                assert_eq!(i.injected(), insns + 2 - shape.helper_at(), "{at}");
             } else {
-                assert_eq!(finished, 2, "{kind:?} seeded {seeded}");
+                assert_eq!(finished, 2, "{at}");
             }
         }
     }

@@ -2,7 +2,6 @@
 //! hook dispatcher both fire through.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -384,7 +383,8 @@ pub struct SimBytecodePolicy {
     sim: Sim,
     cmp: Option<VerifiedProgram>,
     skip: Option<VerifiedProgram>,
-    events: HashMap<HookKind, VerifiedProgram>,
+    /// The four event hooks' programs, indexed by [`event_slot`].
+    events: [Option<VerifiedProgram>; 4],
     rng: Cell<u64>,
     dispatch: Dispatch,
 }
@@ -396,7 +396,7 @@ impl SimBytecodePolicy {
             sim: sim.clone(),
             cmp: None,
             skip: None,
-            events: HashMap::new(),
+            events: Default::default(),
             rng: Cell::new(0x243F_6A88_85A3_08D3),
             dispatch: Dispatch::default(),
         }
@@ -415,7 +415,9 @@ impl SimBytecodePolicy {
             // No simulated lock parks, so nothing would run it.
             HookKind::ScheduleWaiter => {}
             k => {
-                self.events.insert(k, prog);
+                if let Some(i) = event_slot(k) {
+                    self.events[i] = Some(prog);
+                }
             }
         }
         self
@@ -505,7 +507,7 @@ impl SimPolicy for SimBytecodePolicy {
     }
 
     fn on_event(&self, kind: HookKind, ctx: &LockEventCtx) -> u64 {
-        match self.events.get(&kind) {
+        match event_slot(kind).and_then(|i| self.events[i].as_ref()) {
             Some(prog) => {
                 let mut buf = hookctx::event_bytes(ctx);
                 let (_, cost) = self.run(kind, prog, &mut buf, ctx.cpu, ctx.tid);
@@ -516,7 +518,19 @@ impl SimPolicy for SimBytecodePolicy {
     }
 
     fn wants_event(&self, kind: HookKind) -> bool {
-        self.events.contains_key(&kind)
+        event_slot(kind).is_some_and(|i| self.events[i].is_some())
+    }
+}
+
+/// Index of an event hook in [`SimBytecodePolicy`]'s program table;
+/// `None` for the three decision hooks.
+fn event_slot(kind: HookKind) -> Option<usize> {
+    match kind {
+        HookKind::LockAcquire => Some(0),
+        HookKind::LockContended => Some(1),
+        HookKind::LockAcquired => Some(2),
+        HookKind::LockRelease => Some(3),
+        HookKind::CmpNode | HookKind::SkipShuffle | HookKind::ScheduleWaiter => None,
     }
 }
 

@@ -51,6 +51,19 @@ if grep -rn "Jit[M]ode\|C3_JIT_[T]HRESHOLD\|Opt[C]onfig\|prepare_[w]ith\|cbpf::o
     exit 1
 fi
 
+# The compiled tier keeps a generic mirror of every slot and the two
+# specializations measured programs compile to: the lookup-and-branch
+# step (its key fully resolved, `fast` not optional) and the fused 8-byte
+# counter update. The value load/store/any-width RMW steps and the
+# un-branched lookup and update steps went because no measured program
+# compiled to them; one comes back with the measurement that needs it.
+echo "== compiled tier: no unmeasured map-step specializations =="
+if grep -rnwE "M[a]pValLd|M[a]pValSt|M[a]pValRmw|M[a]pLookupFast|M[a]pUpdateFast|f[a]st_update" \
+    crates tests scripts || grep -n "fast: O[p]tion<" crates/cbpf/src/jit.rs; then
+    echo "ci: an unmeasured compiled-tier map specialization is back (see above)" >&2
+    exit 1
+fi
+
 # The real-thread lock crate holds only the locks Concord attaches to
 # (ShflLock, spinning or blocking, the neutral rwlock and BRAVO); the
 # baselines live in simlocks alone, and the blocking flavour is not a
@@ -108,13 +121,14 @@ if grep -rn "fail_[a]pply_on\|A[p]pliedSimPolicies\|d[e]tach_sim" crates tests e
     exit 1
 fi
 
-# The DES's own bookkeeping (ksim, the sim locks, the explorer's tables)
-# is ordered or indexed by dense ids: a std hash map there is SipHash on
-# every event and an iteration order drawn from `RandomState`, so what
-# an oracle reports could differ from one run of the same seed to the
-# next.
+# The DES's own bookkeeping (ksim, the sim locks, the explorer's tables,
+# the sim policy set's per-hook programs) is ordered or indexed by dense
+# ids: a std hash map there is SipHash on every event and an iteration
+# order drawn from `RandomState`, so what an oracle reports could differ
+# from one run of the same seed to the next.
 echo "== no RandomState maps in the DES =="
-if grep -rnwE "HashMap|HashSet" crates/ksim/src crates/simlocks/src crates/concord/src/explore.rs; then
+if grep -rnwE "HashMap|HashSet" crates/ksim/src crates/simlocks/src crates/concord/src/explore.rs \
+    crates/concord/src/policy.rs; then
     echo "ci: a HashMap/HashSet is in the DES (see above): its bookkeeping stays seed-deterministic and off SipHash; use an ordered or dense table" >&2
     exit 1
 fi

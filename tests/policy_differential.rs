@@ -11,7 +11,7 @@ use cbpf::interp::DEFAULT_BUDGET;
 use cbpf::{ExecTier, FaultKind};
 use concord::env::RealEnv;
 use concord::policy::BytecodePolicy;
-use concord::{hookctx, policies, Breaker, BreakerConfig, Concord, PolicySpec};
+use concord::{explore, hookctx, policies, Breaker, BreakerConfig, Concord, PolicySpec};
 use ksim::{SimBuilder, SplitMix64};
 use locks::hooks::{CmpNodeCtx, CmpNodeFn, HookKind, NodeView, ScheduleWaiterCtx};
 use locks::ShflLock;
@@ -235,29 +235,56 @@ fn two_field_policies_match_native_on_both_tiers() {
 /// (six, with a generic load, if the lookup and the branch come apart).
 /// Only the counter reaches its frame (its key lives there); the six
 /// context-only policies run without one, so their entry zeroes none.
+/// The explorer's default schedule policy, which runs at every schedule
+/// point of `des_explore`, is pinned beside them: each step's kind,
+/// prefix length and charge, as `JitProgram`'s `Debug` prints them.
 #[test]
 fn two_field_policies_compile_without_a_load_step() {
+    const CMP: &str = "JitProgram { steps: [Jmp pre=3 w=4, Nop pre=1 w=1, Exit pre=0 w=1, \
+                       Halt pre=0 w=1], lookup_caches: 0, frame: false }";
+    const ONE_FIELD: &str = "JitProgram { steps: [Jmp pre=2 w=4, Nop pre=1 w=1, \
+                             Exit pre=0 w=1, Halt pre=0 w=1], lookup_caches: 0, frame: false }";
     let others = [
-        (policies::scheduler_cooperative(10_000), false),
-        (policies::amp_aware(16), false),
-        (policies::adaptive_parking(50_000), false),
+        (policies::scheduler_cooperative(10_000), ONE_FIELD),
+        (
+            policies::amp_aware(16),
+            "JitProgram { steps: [Jmp pre=2 w=3, Nop pre=1 w=1, Exit pre=0 w=1, \
+             Halt pre=0 w=1], lookup_caches: 0, frame: false }",
+        ),
+        (policies::adaptive_parking(50_000), ONE_FIELD),
         (
             policies::event_counter(HookKind::LockAcquired, policies::counter_map("acq")),
-            true,
+            "JitProgram { steps: [MapLookupBr pre=2 w=5, MapValRmw8 pre=0 w=3, \
+             Exit pre=1 w=2, Halt pre=0 w=1], lookup_caches: 0, frame: true }",
         ),
     ];
-    for (spec, frame) in two_field_policies()
-        .map(|(spec, _)| (spec, false))
+    for (spec, want) in two_field_policies()
+        .map(|(spec, _)| (spec, CMP))
         .into_iter()
         .chain(others)
     {
         let name = spec.name.clone();
         let loaded = Concord::new().load(spec).expect("prebuilt policy verifies");
         let jit = loaded.prog.prepared().compile_jit();
-        assert_eq!(jit.step_count(), 4, "{name}: {jit:?}");
-        assert_eq!(jit.generic_load_count(), 0, "{name}: {jit:?}");
-        assert_eq!(jit.uses_frame(), frame, "{name}: {jit:?}");
+        assert_eq!(format!("{jit:?}"), want, "{name}");
     }
+    // One generic load: the second read of `site`, after the join point
+    // where the lattice forgets that `r6` holds the context pointer.
+    let layout = explore::sched_ctx_layout();
+    let sched = cbpf::compile_dsl("sched_policy", explore::default_policy_src(), layout)
+        .expect("default schedule policy compiles")
+        .prepare(layout)
+        .compile_jit();
+    assert_eq!(
+        format!("{sched:?}"),
+        "JitProgram { steps: [CallEnv1 pre=4 w=5, Jmp pre=5 w=6, Ja pre=1 w=2, Nop pre=1 w=1, \
+         Jmp pre=0 w=1, Jmp pre=8 w=10, Ja pre=1 w=2, Nop pre=1 w=1, Jmp pre=0 w=1, \
+         Ja pre=1 w=2, Nop pre=1 w=1, Jmp pre=0 w=1, Exit pre=8 w=12, Ja pre=0 w=1, \
+         Load pre=0 w=1, Jmp pre=3 w=4, Ja pre=1 w=2, Nop pre=1 w=1, Jmp pre=0 w=1, \
+         Jmp pre=8 w=10, Ja pre=1 w=2, Nop pre=1 w=1, Jmp pre=0 w=1, Ja pre=1 w=2, \
+         Nop pre=1 w=1, Jmp pre=0 w=1, Exit pre=1 w=7, Ja pre=0 w=1, Exit pre=1 w=2, \
+         Exit pre=1 w=2, Halt pre=0 w=1], lookup_caches: 0, frame: true }"
+    );
 }
 
 /// The real-thread and the DES hook paths are one dispatcher over two
