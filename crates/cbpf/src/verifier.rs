@@ -20,6 +20,7 @@
 //! decision-only.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::ctx::CtxLayout;
 use crate::error::VerifyError;
@@ -81,6 +82,46 @@ enum Slot {
     Bytes(u8),
     /// A full 8-byte register spill (possibly a pointer).
     Spill(RType),
+}
+
+/// The explored-state set's hasher: FxHash's rotate-xor-multiply, one
+/// step a word. The states are the verifier's own, not an adversary's
+/// keys, so a keyed SipHash buys nothing here; which states the set holds
+/// (and so the `states` count) depends on `Eq` alone, not on the hash.
+#[derive(Default)]
+struct StateHasher(u64);
+
+impl Hasher for StateHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u8(b);
+        }
+    }
+
+    #[inline]
+    fn write_u8(&mut self, n: u8) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -239,7 +280,7 @@ pub fn verify_with_rules(
     }
 
     let mut worklist: Vec<(usize, VState)> = vec![(0, VState::entry(layout.size() > 0))];
-    let mut visited: HashSet<(usize, VState)> = HashSet::new();
+    let mut visited: HashSet<(usize, VState), BuildHasherDefault<StateHasher>> = HashSet::default();
     let mut states = 0usize;
 
     while let Some((pc, state)) = worklist.pop() {
@@ -1177,6 +1218,33 @@ mod tests {
             rejects(&b.build().unwrap()),
             VerifyError::UninitStack { .. }
         ));
+    }
+
+    /// `n` diamonds, each branching on a fresh unknown scalar and setting
+    /// bit `i` of `r6` on one side: `2^n` distinct states reach the exit.
+    fn diamonds(n: i32) -> Program {
+        let mut b = ProgramBuilder::new("diamonds");
+        b.mov_imm(Reg::R6, 0);
+        for i in 0..n {
+            b.call(HelperId::CpuId);
+            b.jmp_imm(JmpOp::Eq, Reg::R0, 0, format!("d{i}"));
+            b.alu_imm(AluOp::Or, Reg::R6, 1 << i);
+            b.label(format!("d{i}"));
+        }
+        b.mov_imm(Reg::R0, 0);
+        b.exit();
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn path_explosion_is_too_complex_at_the_budget() {
+        ok(&diamonds(12));
+        assert_eq!(
+            rejects(&diamonds(20)),
+            VerifyError::TooComplex {
+                states: STATE_BUDGET + 1
+            }
+        );
     }
 
     #[test]

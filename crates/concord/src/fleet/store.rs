@@ -14,8 +14,11 @@
 //! ([`Bindings`]) is a fixed spine of `Arc`-shared chunks, and a commit
 //! rebuilds only the chunks its delta touches, sharing every other chunk
 //! with its base. A publish therefore costs O(delta), not O(fleet), and
-//! a version costs the memory of what it changed. A reader (or the
-//! transport) holding version `v` still keeps a complete, internally
+//! a version costs the memory of what it changed. The delta reaches its
+//! chunks by one counting pass, with no copy or sort of the whole delta,
+//! so even a bulk bind of the whole fleet holds only 4 bytes a binding
+//! beside the table it builds (`tests/fleet_bulk_alloc.rs`). A reader
+//! (or the transport) holding version `v` still keeps a complete, internally
 //! consistent table no matter what later writers do — which is what
 //! makes the host-side apply torn-free: a host installs a whole snapshot
 //! with one pointer swap or not at all.
@@ -44,8 +47,9 @@ use parking_lot::Mutex;
 use telemetry::{self, EventKind};
 
 /// Spine width of [`Bindings`]. A publish clones the spine (`CHUNKS`
-/// reference counts) and rebuilds one chunk of `tenants / CHUNKS`
-/// entries per touched chunk: at 1 024 a 50 k-tenant fleet has ≈ 49
+/// reference counts), routes its delta with a stack array of `CHUNKS`
+/// counters and rebuilds one chunk of `tenants / CHUNKS` entries per
+/// touched chunk: at 1 024 a 50 k-tenant fleet has ≈ 49
 /// entries a chunk and a 1 M-tenant fleet ≈ 977, so both the copy and
 /// the lookup's binary search stay small at either scale.
 const CHUNKS: usize = 1024;
@@ -105,35 +109,75 @@ impl Bindings {
     }
 
     /// This map with `delta` applied in order (the last write to a
-    /// tenant wins). Each touched chunk is rebuilt once, by one merge of
-    /// its sorted entries with its share of the delta; `self` is left as
-    /// it was and every other chunk is shared with it.
+    /// tenant wins); `self` is left as it was and every chunk the delta
+    /// does not touch is shared with it.
+    ///
+    /// One counting pass over `chunk_of` routes the delta: count each
+    /// chunk's share, then lay out the delta's positions grouped by
+    /// chunk. That is 4 bytes of scratch a delta entry and a stack array
+    /// of counters; no step walks the chunks the delta does not touch.
+    /// Each touched chunk is then rebuilt once, by one merge of its
+    /// sorted entries with its share sorted by tenant: a binary search
+    /// and a copy per write, so a one-binding publish copies the chunk
+    /// and compares `log2` of it.
     fn with(&self, delta: &[(u64, u64)]) -> Bindings {
-        let mut routed: Vec<(usize, u64, u64)> =
-            delta.iter().map(|&(t, p)| (chunk_of(t), t, p)).collect();
-        // Stable: writes to one tenant keep their delta order.
-        routed.sort_by_key(|&(c, t, _)| (c, t));
+        let mut count = [0u32; CHUNKS];
+        let mut touched = Vec::with_capacity(delta.len().min(CHUNKS));
+        for &(t, _) in delta {
+            let c = chunk_of(t);
+            if count[c] == 0 {
+                touched.push(c);
+            }
+            count[c] += 1;
+        }
+        // Groups in chunk order, so the rebuilt chunks are allocated in the
+        // order the spine lists them: `count[c]` becomes the end of c's.
+        touched.sort_unstable();
+        let mut end = 0;
+        for &c in &touched {
+            end += count[c];
+            count[c] = end;
+        }
+        // Back to front, so each group lists its positions in delta order
+        // (a bulk bind's then come sorted); `count[c]` counts down to the
+        // start of c's group.
+        let mut routed = vec![0u32; delta.len()];
+        for (i, &(t, _)) in delta.iter().enumerate().rev() {
+            let c = chunk_of(t);
+            count[c] -= 1;
+            routed[count[c] as usize] = u32::try_from(i).expect("a delta fits u32 positions");
+        }
+
         let mut next = self.clone();
-        for group in routed.chunk_by(|a, b| a.0 == b.0) {
-            let old = &self.chunks[group[0].0];
-            let mut new = Vec::with_capacity(old.len() + group.len());
-            let mut kept = 0;
-            for (i, &(_, t, p)) in group.iter().enumerate() {
-                if group.get(i + 1).is_some_and(|later| later.1 == t) {
+        for (k, &c) in touched.iter().enumerate() {
+            let end = touched
+                .get(k + 1)
+                .map_or(delta.len(), |&d| count[d] as usize);
+            let share = &mut routed[count[c] as usize..end];
+            // Positions are unique, so one tenant's writes keep delta order.
+            share.sort_unstable_by_key(|&i| (delta[i as usize].0, i));
+            let old = &self.chunks[c];
+            let mut new = Vec::with_capacity(old.len() + share.len());
+            let mut rest = &old[..];
+            for (j, &i) in share.iter().enumerate() {
+                let (t, p) = delta[i as usize];
+                if share
+                    .get(j + 1)
+                    .is_some_and(|&later| delta[later as usize].0 == t)
+                {
                     continue;
                 }
-                let upto = kept + old[kept..].partition_point(|(o, _)| *o < t);
-                new.extend_from_slice(&old[kept..upto]);
-                kept = upto;
-                if old.get(kept).is_some_and(|(o, _)| *o == t) {
-                    kept += 1;
-                } else {
-                    next.len += 1;
+                let below = rest.partition_point(|&(o, _)| o < t);
+                new.extend_from_slice(&rest[..below]);
+                rest = &rest[below..];
+                if rest.first().is_some_and(|&(o, _)| o == t) {
+                    rest = &rest[1..];
                 }
                 new.push((t, p));
             }
-            new.extend_from_slice(&old[kept..]);
-            next.chunks[group[0].0] = Arc::new(new);
+            new.extend_from_slice(rest);
+            next.len += new.len() - old.len();
+            next.chunks[c] = Arc::new(new);
         }
         next
     }
@@ -695,14 +739,24 @@ mod tests {
         assert_ne!(swapped(1, 2), swapped(2, 1));
     }
 
+    /// Tenant ids a bulk-sized model delta draws from: a few per chunk,
+    /// so a delta of hundreds to thousands of entries writes one tenant
+    /// more than once and one chunk many times.
+    const BULK_TENANTS: u64 = 3_000;
+
     proptest! {
         /// The persistent map against a `BTreeMap` over random delta
-        /// sequences, with repeats inside a delta and re-binds across
-        /// deltas; deriving a version never disturbs its base.
+        /// sequences, small ones over a few tenants and bulk-sized ones
+        /// over a few thousand, with repeats inside a delta and re-binds
+        /// across deltas. Deriving a version never disturbs its base, and
+        /// it shares exactly the chunks its delta does not touch.
         #[test]
         fn bindings_match_a_btreemap_model(
             deltas in proptest::collection::vec(
-                proptest::collection::vec((0u64..96, 0u64..8), 0..24),
+                prop_oneof![
+                    proptest::collection::vec((0u64..96, 0u64..8), 0..24),
+                    proptest::collection::vec((0u64..BULK_TENANTS, 0u64..8), 100..3_000),
+                ],
                 1..12,
             ),
         ) {
@@ -713,6 +767,13 @@ mod tests {
                 let next = map.with(delta);
                 prop_assert_eq!(map.iter().collect::<Vec<_>>(), base);
                 prop_assert_eq!(map.len(), model.len());
+                let mut touched = [false; CHUNKS];
+                for &(t, _) in delta {
+                    touched[chunk_of(t)] = true;
+                }
+                for (c, hit) in touched.into_iter().enumerate() {
+                    prop_assert_eq!(Arc::ptr_eq(&map.chunks[c], &next.chunks[c]), !hit);
+                }
                 model.extend(delta.iter().copied());
                 map = next;
 
@@ -720,7 +781,7 @@ mod tests {
                 prop_assert_eq!(map.is_empty(), model.is_empty());
                 prop_assert_eq!(&map.iter().collect::<BTreeMap<_, _>>(), &model);
                 prop_assert_eq!(map.iter().count(), model.len());
-                for t in 0..96 {
+                for t in 0..BULK_TENANTS {
                     prop_assert_eq!(map.get(t), model.get(&t).copied());
                 }
             }

@@ -188,6 +188,13 @@ cargo run -p c3-bench --release --bin schedule_gate
 echo "== fleet_gate (C3_BENCH_GATE=${C3_BENCH_GATE:-1}) =="
 C3_BENCH_GATE="${C3_BENCH_GATE:-1}" cargo run -p c3-bench --release --bin fleet_gate
 
+# The fleet tables EXPERIMENTS.md quotes (propagation over the gate seeds,
+# store throughput at 100k and 1M tenants) come from this run. Its numbers
+# are wall-clock and have no floor; what fails it is a seed that does not
+# converge or a resolve sweep that misses a bound tenant.
+echo "== fleet_gate --bench =="
+cargo run -p c3-bench --release --bin fleet_gate -- --bench
+
 # The benchmark (BENCHMARK.json, benchmark/): its harness's own unit tests,
 # then every workload for one second, end to end and traced. The numbers
 # of a one-second run mean nothing; what is held here is each run's result
