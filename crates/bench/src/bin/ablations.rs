@@ -3,7 +3,7 @@
 //! 1. interconnect cost (`cross_socket`) vs the NUMA policy's win —
 //!    the policy should matter more as the machine gets "wider";
 //! 2. patched-entry cost vs Fig. 2(c) worst-case overhead — the
-//!    calibration knob behind `TRAMPOLINE_NS`;
+//!    calibration knob behind `CostModel::SEED.entry_ns`;
 //! 3. the `MAX_BATCH` fairness bound vs throughput and fairness —
 //!    the cost of the §4.2 starvation guard;
 //! 4. armed fault containment (breaker check + inert fault injector on
@@ -18,17 +18,20 @@
 //!    lock hot path, so the two columns must agree exactly as well.
 //!
 //! Each ablation's configurations are independent simulations, fanned out
-//! across the sweep worker pool; rows print in configuration order.
+//! across the sweep worker pool; rows print in configuration order. The
+//! simulations run the workload loops of `c3_bench::workloads`: the
+//! contended-lock loop (1 and 3) and the Fig. 2(c) hash table (2, 4–6).
 
-use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use c3_bench::run_window_ms;
 use c3_bench::sweep::run_points;
+use c3_bench::workloads::{contended_counts, hashtable_with, run_hashtable, HtSeries, SimMutex};
+use concord::policy::AttachedNoopPolicy;
 use ksim::{LatencyModel, SimBuilder};
 use simlocks::{NativePolicy, SimMcsLock, SimShflLock};
 
-const THREADS: usize = 60;
+const THREADS: u32 = 60;
 
 fn lat(cross: u64) -> LatencyModel {
     LatencyModel {
@@ -44,41 +47,15 @@ fn sweep_cross_socket(window: u64) {
     println!("|---|---|---|---|");
     let run = |cross: u64, numa: bool| {
         let sim = SimBuilder::new().seed(42).latency(lat(cross)).build();
-        let ops = Rc::new(Cell::new(0u64));
-        enum L {
-            M(SimMcsLock),
-            S(SimShflLock),
-        }
-        let lock = Rc::new(if numa {
+        let lock = if numa {
             let l = SimShflLock::new(&sim);
             l.set_policy(Rc::new(NativePolicy::numa_aware()));
-            L::S(l)
+            SimMutex::Shfl(l)
         } else {
-            L::M(SimMcsLock::new(&sim))
-        });
-        for cpu in sim.topology().compact_placement(THREADS) {
-            let (l, o) = (Rc::clone(&lock), Rc::clone(&ops));
-            sim.spawn_on(cpu, move |t| async move {
-                while t.now() < window {
-                    match &*l {
-                        L::M(m) => {
-                            m.acquire(&t).await;
-                            t.advance(300).await;
-                            m.release(&t).await;
-                        }
-                        L::S(s) => {
-                            s.acquire(&t).await;
-                            t.advance(300).await;
-                            s.release(&t).await;
-                        }
-                    }
-                    o.set(o.get() + 1);
-                    t.advance(150 + t.rng_u64() % 600).await;
-                }
-            });
-        }
-        sim.run();
-        ops.get() as f64 / window_ms
+            SimMutex::Mcs(SimMcsLock::new(&sim))
+        };
+        let ops: u64 = contended_counts(&sim, lock, THREADS, window).iter().sum();
+        ops as f64 / window_ms
     };
     let crosses = [110u64, 220, 440, 880];
     let points: Vec<(u64, bool)> = crosses
@@ -94,46 +71,17 @@ fn sweep_cross_socket(window: u64) {
 }
 
 fn sweep_patched_entry(window: u64) {
-    use c3_bench::workloads::{run_hashtable, HtSeries};
     use concord::policy::PatchedEntryPolicy;
 
-    let window_ms = window as f64 / 1e6;
     println!("### Ablation 2: patched-entry cost vs Fig. 2(c) overhead (8 threads)");
     println!("| entry cost ns | normalized throughput |");
     println!("|---|---|");
     let base = run_hashtable(8, HtSeries::Baseline, window, 42);
     let run = |cost: u64| {
-        // Reuse the hashtable workload with a custom-cost policy by
-        // constructing the lock by hand.
-        let sim = SimBuilder::new().seed(42).build();
-        let lock = Rc::new(SimShflLock::new(&sim));
-        lock.set_policy(Rc::new(PatchedEntryPolicy(cost)));
-        let table = Rc::new(RefCell::new(c3_bench::hashtable::HashTable::new(1024)));
-        for k in 0..4096u64 {
-            table.borrow_mut().insert(k, k);
-        }
-        let ops = Rc::new(Cell::new(0u64));
-        for cpu in sim.topology().compact_placement(8) {
-            let (l, tb, o) = (Rc::clone(&lock), Rc::clone(&table), Rc::clone(&ops));
-            sim.spawn_on(cpu, move |t| async move {
-                while t.now() < window {
-                    let r = t.rng_u64();
-                    let key = r % 4096;
-                    l.acquire(&t).await;
-                    let cost = match r % 10 {
-                        0 => tb.borrow_mut().insert(key, r).0,
-                        1 => tb.borrow_mut().remove(key).0,
-                        _ => tb.borrow().lookup(key).0,
-                    };
-                    t.advance(cost).await;
-                    l.release(&t).await;
-                    o.set(o.get() + 1);
-                    t.advance(250).await;
-                }
-            });
-        }
-        sim.run();
-        ops.get() as f64 / window_ms
+        hashtable_with(8, window, 42, |_, lock| {
+            lock.set_policy(Rc::new(PatchedEntryPolicy(cost)));
+        })
+        .0
     };
     let costs = [0u64, 15, 45, 90, 180];
     let vals = run_points(&costs, |&c| run(c));
@@ -150,24 +98,10 @@ fn sweep_max_batch(window: u64) {
     println!("|---|---|---|");
     let run = |batch: u32| {
         let sim = SimBuilder::new().seed(42).build();
-        let lock = Rc::new(SimShflLock::new(&sim));
+        let lock = SimShflLock::new(&sim);
         lock.set_policy(Rc::new(NativePolicy::numa_aware()));
         lock.set_max_batch(batch);
-        let per_task = Rc::new(RefCell::new(vec![0u64; 40]));
-        for (i, cpu) in sim.topology().compact_placement(40).into_iter().enumerate() {
-            let (l, pt) = (Rc::clone(&lock), Rc::clone(&per_task));
-            sim.spawn_on(cpu, move |t| async move {
-                while t.now() < window {
-                    l.acquire(&t).await;
-                    t.advance(300).await;
-                    l.release(&t).await;
-                    pt.borrow_mut()[i] += 1;
-                    t.advance(150 + t.rng_u64() % 600).await;
-                }
-            });
-        }
-        sim.run();
-        let pt = per_task.borrow();
+        let pt = contended_counts(&sim, SimMutex::Shfl(lock), 40, window);
         let total: u64 = pt.iter().sum();
         (total, *pt.iter().min().unwrap(), *pt.iter().max().unwrap())
     };
@@ -183,8 +117,6 @@ fn sweep_max_batch(window: u64) {
 }
 
 fn sweep_containment(window: u64) {
-    use c3_bench::workloads::{run_hashtable, HtSeries};
-
     println!("### Ablation 4: armed-containment overhead on the Fig. 2(c) worst case");
     println!("| threads | no-op ops/ms | contained ops/ms | contained/no-op |");
     println!("|---|---|---|---|");
@@ -215,8 +147,6 @@ fn sweep_containment(window: u64) {
 }
 
 fn sweep_telemetry(window: u64) {
-    use c3_bench::workloads::{run_hashtable, HtSeries};
-
     println!("### Ablation 5: trace-plane cost on the Fig. 2(c) worst case");
     println!("| threads | disarmed ops/ms | armed ops/ms | armed/disarmed |");
     println!("|---|---|---|---|");
@@ -249,7 +179,6 @@ fn sweep_telemetry(window: u64) {
 }
 
 fn sweep_rollout(window: u64) {
-    use concord::policy::AttachedNoopPolicy;
     use concord::rollout::{
         AlwaysGreen, ChaosInjector, Rollout, RolloutLog, RolloutOutcome, RolloutPlan, SimTarget,
     };
@@ -257,66 +186,40 @@ fn sweep_rollout(window: u64) {
     use locks::hooks::HookKind;
     use simlocks::policy::SimPolicy;
 
-    let window_ms = window as f64 / 1e6;
     println!("### Ablation 6: armed-rollout overhead on the Fig. 2(c) worst case");
     println!("| threads | direct ops/ms | rollout ops/ms | rollout/direct |");
     println!("|---|---|---|---|");
     // Both columns run the exact Fig. 2(c) worst-case loop with the no-op
     // policy attached; they differ only in how the policy got there —
-    // `set_policy` directly, or a committed staged rollout whose intent
-    // log stays live for the whole measurement.
-    let run = |threads: usize, via_rollout: bool| {
-        let sim = SimBuilder::new().seed(42).build();
-        let lock = Rc::new(SimShflLock::new(&sim));
-        if via_rollout {
-            let target = SimTarget::new(
-                Rc::new(SimPatches::new(&sim)),
-                vec![("ht".to_string(), Rc::clone(&lock))],
-                |_| Ok(Rc::new(AttachedNoopPolicy) as Rc<dyn SimPolicy>),
-            );
-            let plan = RolloutPlan::staged(1, "noop", HookKind::CmpNode, &["ht".to_string()], &[]);
-            let log = RolloutLog::new();
-            let out = Rollout::run(
-                plan,
-                &log,
-                &target,
-                &mut AlwaysGreen,
-                &ChaosInjector::inert(),
-            )
-            .expect("rollout ran");
-            assert_eq!(out, RolloutOutcome::Committed, "rollout must commit");
-        } else {
-            lock.set_policy(Rc::new(AttachedNoopPolicy));
-        }
-        let table = Rc::new(RefCell::new(c3_bench::hashtable::HashTable::new(1024)));
-        for k in 0..4096u64 {
-            table.borrow_mut().insert(k, k);
-        }
-        let ops = Rc::new(Cell::new(0u64));
-        for cpu in sim.topology().compact_placement(threads) {
-            let (l, tb, o) = (Rc::clone(&lock), Rc::clone(&table), Rc::clone(&ops));
-            sim.spawn_on(cpu, move |t| async move {
-                while t.now() < window {
-                    let r = t.rng_u64();
-                    let key = r % 4096;
-                    l.acquire(&t).await;
-                    let cost = match r % 10 {
-                        0 => tb.borrow_mut().insert(key, r).0,
-                        1 => tb.borrow_mut().remove(key).0,
-                        _ => tb.borrow().lookup(key).0,
-                    };
-                    t.advance(cost).await;
-                    l.release(&t).await;
-                    o.set(o.get() + 1);
-                    t.advance(250).await;
-                }
-            });
-        }
-        sim.run();
-        ops.get() as f64 / window_ms
+    // `set_policy` directly, or a committed staged rollout.
+    let run = |threads: u32, via_rollout: bool| {
+        hashtable_with(threads, window, 42, |sim, lock| {
+            if via_rollout {
+                let target = SimTarget::new(
+                    Rc::new(SimPatches::new(sim)),
+                    vec![("ht".to_string(), Rc::clone(lock))],
+                    |_| Ok(Rc::new(AttachedNoopPolicy) as Rc<dyn SimPolicy>),
+                );
+                let plan =
+                    RolloutPlan::staged(1, "noop", HookKind::CmpNode, &["ht".to_string()], &[]);
+                let log = RolloutLog::new();
+                let out = Rollout::run(
+                    plan,
+                    &log,
+                    &target,
+                    &mut AlwaysGreen,
+                    &ChaosInjector::inert(),
+                )
+                .expect("rollout ran");
+                assert_eq!(out, RolloutOutcome::Committed, "rollout must commit");
+            } else {
+                lock.set_policy(Rc::new(AttachedNoopPolicy));
+            }
+        })
+        .0
     };
-    let threads = [1usize, 4, 8, 16, 28];
-    let points: Vec<(usize, bool)> = threads
+    let threads = [1u32, 4, 8, 16, 28];
+    let points: Vec<(u32, bool)> = threads
         .iter()
         .flat_map(|&n| [(n, false), (n, true)])
         .collect();

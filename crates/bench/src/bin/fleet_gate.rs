@@ -120,11 +120,16 @@ fn bench_store(tenants: usize) -> StoreCosts {
         .expect("bulk publish");
     let bulk = t.elapsed();
 
-    const INCREMENTAL: u64 = 64;
+    // Enough publishes that the median holds still run to run. They
+    // cycle through `POLICIES` ids: every publish copies the head's
+    // artifact table, so with a new id each the median would time that
+    // copy at thousands of policies rather than the one-binding publish.
+    const INCREMENTAL: u64 = 4_096;
+    const POLICIES: u64 = 64;
     let mut incr: Vec<u64> = (0..INCREMENTAL)
         .map(|i| {
-            let delta =
-                Delta::bind_all(&[i * 17 % tenants as u64], 2000 + i, Arc::clone(&artifact));
+            let policy = 2000 + i % POLICIES;
+            let delta = Delta::bind_all(&[i * 17 % tenants as u64], policy, Arc::clone(&artifact));
             let t = Instant::now();
             store.publish(&delta).expect("incremental publish");
             t.elapsed().as_nanos() as u64

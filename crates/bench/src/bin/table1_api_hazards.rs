@@ -12,6 +12,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use c3_bench::workloads::{contended_counts, run_contended, SimMutex};
 use concord::watchdog::{detect, WatchdogConfig, WindowStats};
 use concord::{Concord, SimPatches};
 use ksim::{Histogram, SimBuilder};
@@ -51,35 +52,15 @@ impl SimPolicy for HeavyProfiling {
     }
 }
 
-/// Runs a contended sim workload; returns (ops/ms, per-task min, max).
+/// Runs the contended-lock loop; returns (ops/ms, per-task min, max).
 fn contended_run(policy: Option<Rc<dyn SimPolicy>>, n: u32) -> (f64, u64, u64) {
     const WINDOW: u64 = 3_000_000;
     let sim = SimBuilder::new().seed(7).build();
-    let lock = Rc::new(SimShflLock::new(&sim));
+    let lock = SimShflLock::new(&sim);
     if let Some(p) = policy {
         lock.set_policy(p);
     }
-    let per_task = Rc::new(RefCell::new(vec![0u64; n as usize]));
-    for (i, cpu) in sim
-        .topology()
-        .compact_placement(n as usize)
-        .into_iter()
-        .enumerate()
-    {
-        let (l, pt) = (Rc::clone(&lock), Rc::clone(&per_task));
-        sim.spawn_on(cpu, move |t| async move {
-            while t.now() < WINDOW {
-                l.acquire(&t).await;
-                t.advance(300).await;
-                l.release(&t).await;
-                pt.borrow_mut()[i] += 1;
-                t.advance(150 + t.rng_u64() % 600).await;
-            }
-        });
-    }
-    let stats = sim.run();
-    assert!(stats.stuck_tasks.is_empty());
-    let pt = per_task.borrow();
+    let pt = contended_counts(&sim, SimMutex::Shfl(lock), n, WINDOW);
     let total: u64 = pt.iter().sum();
     (
         total as f64 / (WINDOW as f64 / 1e6),
@@ -202,32 +183,21 @@ const WINDOW_LOCK: &str = "table1_lock";
 /// distilled stats and the patch stack that holds the policy, for
 /// quarantining.
 fn observed_window(policy: Option<Rc<dyn SimPolicy>>) -> (WindowStats, SimPatches, u64) {
-    const TASKS: usize = 40;
+    const TASKS: u32 = 40;
     const WINDOW: u64 = 3_000_000;
     let sim = SimBuilder::new().seed(11).build();
-    let lock = Rc::new(SimShflLock::new(&sim));
+    let lock = SimShflLock::new(&sim);
     let patches = SimPatches::new(&sim);
     if let Some(p) = policy {
         patches.attach(WINDOW_LOCK, &lock, p);
     }
     let wait = Rc::new(RefCell::new(Histogram::new()));
     let hold = Rc::new(RefCell::new(Histogram::new()));
-    for cpu in sim.topology().compact_placement(TASKS) {
-        let (l, w, h) = (Rc::clone(&lock), Rc::clone(&wait), Rc::clone(&hold));
-        sim.spawn_on(cpu, move |t| async move {
-            while t.now() < WINDOW {
-                let t0 = t.now();
-                l.acquire(&t).await;
-                let t1 = t.now();
-                w.borrow_mut().record(t1 - t0);
-                t.advance(300).await;
-                l.release(&t).await;
-                h.borrow_mut().record(t.now() - t1);
-                t.advance(150 + t.rng_u64() % 600).await;
-            }
-        });
-    }
-    let stats = sim.run();
+    let (w, h) = (Rc::clone(&wait), Rc::clone(&hold));
+    let stats = run_contended(&sim, SimMutex::Shfl(lock), TASKS, WINDOW, move |op| {
+        w.borrow_mut().record(op.acquired_ns - op.start_ns);
+        h.borrow_mut().record(op.released_ns - op.acquired_ns);
+    });
     let window = WindowStats::from_hists(&wait.borrow(), &hold.borrow());
     (window, patches, stats.final_time_ns)
 }

@@ -4,9 +4,13 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
+use concord::policy::AttachedNoopPolicy;
 use concord::{Concord, SimPatches};
 use ksim::{Sim, SimBuilder, SimStats, TaskCtx};
-use simlocks::{NativePolicy, SimBravo, SimMcsLock, SimNeutralRwLock, SimShflLock};
+use simlocks::{
+    NativePolicy, SimBravo, SimMcsLock, SimNeutralRwLock, SimShflLock, SimTasLock, SimTicketLock,
+};
+use telemetry::CostModel;
 
 use crate::hashtable::HashTable;
 
@@ -40,10 +44,9 @@ pub const HT_BUCKETS: usize = 1_024;
 /// Think time between hash-table operations.
 pub const HT_THINK_NS: u64 = 250;
 
-/// Extra per-operation cost of a live-switched (Concord-patched) lock
-/// entry point: the patched function is reached through one level of
-/// indirection on acquire and one on release.
-pub const SWITCHED_ENTRY_NS: u64 = 30;
+/// [`CostModel::switched_entry_ns`] of the seed model, under the name the
+/// benchmark harness's replica of Fig. 2(a) imports.
+pub const SWITCHED_ENTRY_NS: u64 = CostModel::SEED.switched_entry_ns;
 
 /// Series of Fig. 2(a).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -88,6 +91,102 @@ fn sim_for(seed: u64) -> Sim {
 
 fn placement(sim: &Sim, n: u32) -> Vec<ksim::CpuId> {
     sim.topology().compact_placement(n as usize)
+}
+
+/// The simulated mutexes the lock loops drive.
+pub enum SimMutex {
+    /// Test-and-set.
+    Tas(SimTasLock),
+    /// Ticket.
+    Ticket(SimTicketLock),
+    /// MCS (`qspinlock` analog).
+    Mcs(SimMcsLock),
+    /// ShflLock, with whatever policy its slot holds.
+    Shfl(SimShflLock),
+}
+
+impl SimMutex {
+    async fn acquire(&self, t: &TaskCtx) {
+        match self {
+            SimMutex::Tas(l) => l.acquire(t).await,
+            SimMutex::Ticket(l) => l.acquire(t).await,
+            SimMutex::Mcs(l) => l.acquire(t).await,
+            SimMutex::Shfl(l) => l.acquire(t).await,
+        }
+    }
+
+    async fn release(&self, t: &TaskCtx) {
+        match self {
+            SimMutex::Tas(l) => l.release(t).await,
+            SimMutex::Ticket(l) => l.release(t).await,
+            SimMutex::Mcs(l) => l.release(t).await,
+            SimMutex::Shfl(l) => l.release(t).await,
+        }
+    }
+}
+
+/// One operation of the contended-lock loop, in virtual ns.
+#[derive(Clone, Copy, Debug)]
+pub struct LockOp {
+    /// The task's index in placement order.
+    pub task: usize,
+    /// When the task began to acquire.
+    pub start_ns: u64,
+    /// When it held the lock.
+    pub acquired_ns: u64,
+    /// When its release returned.
+    pub released_ns: u64,
+}
+
+/// The contended-lock loop of the ablations, the lock zoo and Table 1:
+/// `threads` tasks placed compactly on `sim` each acquire `lock`, hold
+/// it 300 ns, release it and think 150 ns plus up to 600 ns of seeded
+/// jitter, until `window_ns`. `on_op` sees every operation on the host:
+/// it charges no virtual time and draws no random number, so what it
+/// records cannot change the run.
+pub fn run_contended(
+    sim: &Sim,
+    lock: SimMutex,
+    threads: u32,
+    window_ns: u64,
+    on_op: impl Fn(LockOp) + 'static,
+) -> SimStats {
+    let (lock, on_op) = (Rc::new(lock), Rc::new(on_op));
+    for (task, cpu) in placement(sim, threads).into_iter().enumerate() {
+        let (l, f) = (Rc::clone(&lock), Rc::clone(&on_op));
+        sim.spawn_on(cpu, move |t| async move {
+            while t.now() < window_ns {
+                let start_ns = t.now();
+                l.acquire(&t).await;
+                let acquired_ns = t.now();
+                t.advance(300).await;
+                l.release(&t).await;
+                f(LockOp {
+                    task,
+                    start_ns,
+                    acquired_ns,
+                    released_ns: t.now(),
+                });
+                t.advance(150 + t.rng_u64() % 600).await;
+            }
+        });
+    }
+    let stats = sim.run();
+    assert!(
+        stats.stuck_tasks.is_empty(),
+        "deadlock in the contended-lock loop"
+    );
+    stats
+}
+
+/// [`run_contended`]'s acquisitions, per task in placement order.
+pub fn contended_counts(sim: &Sim, lock: SimMutex, threads: u32, window_ns: u64) -> Vec<u64> {
+    let counts = Rc::new(RefCell::new(vec![0u64; threads as usize]));
+    let c = Rc::clone(&counts);
+    run_contended(sim, lock, threads, window_ns, move |op| {
+        c.borrow_mut()[op.task] += 1;
+    });
+    counts.take()
 }
 
 /// Runs `sim` to completion; returns operations per virtual millisecond
@@ -171,7 +270,9 @@ pub fn page_fault2_point(
         RwSeries::Stock => RwLockImpl::Stock(SimNeutralRwLock::new(&sim)),
         RwSeries::Bravo => RwLockImpl::Bravo(SimBravo::new(&sim), 0),
         // Live-switched BRAVO pays the patched-entry indirection.
-        RwSeries::ConcordBravo => RwLockImpl::Bravo(SimBravo::new(&sim), SWITCHED_ENTRY_NS),
+        RwSeries::ConcordBravo => {
+            RwLockImpl::Bravo(SimBravo::new(&sim), CostModel::SEED.switched_entry_ns)
+        }
     });
     let ops = Rc::new(Cell::new(0u64));
     for cpu in placement(&sim, threads) {
@@ -213,16 +314,12 @@ pub fn lock2_point(threads: u32, series: SpinSeries, window_ns: u64, seed: u64) 
             .collect(),
     );
 
-    enum SpinImpl {
-        Mcs(SimMcsLock),
-        Shfl(SimShflLock),
-    }
     let lock = Rc::new(match series {
-        SpinSeries::StockMcs => SpinImpl::Mcs(SimMcsLock::new(&sim)),
+        SpinSeries::StockMcs => SimMutex::Mcs(SimMcsLock::new(&sim)),
         SpinSeries::ShflNuma => {
             let l = SimShflLock::new(&sim);
             l.set_policy(Rc::new(NativePolicy::numa_aware()));
-            SpinImpl::Shfl(l)
+            SimMutex::Shfl(l)
         }
         SpinSeries::ConcordShflNuma => {
             let l = SimShflLock::new(&sim);
@@ -232,7 +329,7 @@ pub fn lock2_point(threads: u32, series: SpinSeries, window_ns: u64, seed: u64) 
                 .expect("prebuilt policy verifies");
             let policy = concord.make_sim_policy(&sim, &[&loaded]);
             SimPatches::new(&sim).attach("lock2", &l, Rc::new(policy));
-            SpinImpl::Shfl(l)
+            SimMutex::Shfl(l)
         }
     });
 
@@ -240,24 +337,12 @@ pub fn lock2_point(threads: u32, series: SpinSeries, window_ns: u64, seed: u64) 
         let (l, o, d) = (Rc::clone(&lock), Rc::clone(&ops), Rc::clone(&data));
         sim.spawn_on(cpu, move |t| async move {
             while t.now() < window_ns {
-                match &*l {
-                    SpinImpl::Mcs(m) => {
-                        m.acquire(&t).await;
-                        for w in d.iter() {
-                            w.fetch_add(&t, 1).await;
-                        }
-                        t.advance(LOCK2_CS_NS).await;
-                        m.release(&t).await;
-                    }
-                    SpinImpl::Shfl(s) => {
-                        s.acquire(&t).await;
-                        for w in d.iter() {
-                            w.fetch_add(&t, 1).await;
-                        }
-                        t.advance(LOCK2_CS_NS).await;
-                        s.release(&t).await;
-                    }
+                l.acquire(&t).await;
+                for w in d.iter() {
+                    w.fetch_add(&t, 1).await;
                 }
+                t.advance(LOCK2_CS_NS).await;
+                l.release(&t).await;
                 o.set(o.get() + 1);
                 t.advance(LOCK2_THINK_NS + t.rng_u64() % LOCK2_JITTER_NS)
                     .await;
@@ -280,13 +365,9 @@ pub fn hashtable_point(
     window_ns: u64,
     seed: u64,
 ) -> (f64, SimStats) {
-    let sim = sim_for(seed);
-    let lock = Rc::new(SimShflLock::new(&sim));
-    match series {
+    hashtable_with(threads, window_ns, seed, |sim, lock| match series {
         HtSeries::Baseline => {}
-        HtSeries::ConcordNoop => {
-            lock.set_policy(Rc::new(concord::policy::AttachedNoopPolicy));
-        }
+        HtSeries::ConcordNoop => lock.set_policy(Rc::new(AttachedNoopPolicy)),
         HtSeries::ConcordNoopContained => {
             use cbpf::fault::{FaultInjector, FaultPlan};
             use concord::containment::{Breaker, BreakerConfig, ContainedPolicy};
@@ -294,13 +375,27 @@ pub fn hashtable_point(
             let breaker = Arc::new(Breaker::new(BreakerConfig::default()));
             let injector = Arc::new(FaultInjector::new(FaultPlan::inert(seed)));
             lock.set_policy(Rc::new(ContainedPolicy::new(
-                &sim,
-                Rc::new(concord::policy::AttachedNoopPolicy),
+                sim,
+                Rc::new(AttachedNoopPolicy),
                 breaker,
                 Some(injector),
             )));
         }
-    }
+    })
+}
+
+/// The Fig. 2(c) hash-table loop on a ShflLock that `attach` sets up
+/// (it gets the machine and the lock before any task runs); returns
+/// operations per virtual millisecond and the run's statistics.
+pub fn hashtable_with(
+    threads: u32,
+    window_ns: u64,
+    seed: u64,
+    attach: impl FnOnce(&Sim, &Rc<SimShflLock>),
+) -> (f64, SimStats) {
+    let sim = sim_for(seed);
+    let lock = Rc::new(SimShflLock::new(&sim));
+    attach(&sim, &lock);
     let table = Rc::new(RefCell::new(HashTable::new(HT_BUCKETS)));
     // Pre-populate to the steady-state load factor.
     {
@@ -370,6 +465,17 @@ mod tests {
             let tp = run_hashtable(4, series, W, 1);
             assert!(tp > 0.0, "{series:?} produced no throughput");
         }
+    }
+
+    #[test]
+    fn patched_entry_at_the_seed_cost_is_the_noop_series() {
+        use concord::policy::PatchedEntryPolicy;
+        let entry = CostModel::SEED.entry_ns;
+        let (tp, stats) = hashtable_with(8, W, 3, |_, lock| {
+            lock.set_policy(Rc::new(PatchedEntryPolicy(entry)));
+        });
+        let (want_tp, want) = hashtable_point(8, HtSeries::ConcordNoop, W, 3);
+        assert_eq!((tp, stats.events), (want_tp, want.events));
     }
 
     #[test]

@@ -31,11 +31,6 @@ use simlocks::policy::{Decision, SimPolicy};
 
 use crate::policy::Dispatch;
 
-/// Modeled cost of the armed-containment check on a hook invocation: one
-/// relaxed state load plus a counter update. This is what the
-/// `containment_overhead` ablation charges on the Fig. 2(c) worst case.
-pub const BREAKER_CHECK_NS: u64 = 2;
-
 /// The default decision each hook degrades to on a policy fault — the
 /// unpatched lock's behavior (`locks::hooks` vacant-slot semantics):
 /// `cmp_node` → 0 (no reorder), `skip_shuffle` → 1 (skip, plain FIFO),
@@ -294,10 +289,10 @@ pub(crate) fn flight_record() -> Vec<telemetry::TraceEvent> {
 /// Containment wrapper for simulated locks: a [`SimPolicy`] that guards
 /// an inner policy with a breaker and optional deterministic fault
 /// injection through the hook dispatcher ([`crate::policy`]), which
-/// charges [`BREAKER_CHECK_NS`] of virtual time per guarded invocation. An
-/// open breaker serves fail-safe defaults instead of consulting the inner
-/// policy — graceful degradation between the trip and the quarantine
-/// sweep (or the cooldown re-arm).
+/// charges `CostModel::SEED.breaker_ns` of virtual time per guarded
+/// invocation. An open breaker serves fail-safe defaults instead of
+/// consulting the inner policy — graceful degradation between the trip
+/// and the quarantine sweep (or the cooldown re-arm).
 pub struct ContainedPolicy {
     inner: Rc<dyn SimPolicy>,
     dispatch: Dispatch,
@@ -353,10 +348,10 @@ impl SimPolicy for ContainedPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::HOOK_CALL_NS;
     use cbpf::fault::FaultPlan;
     use locks::hooks::NodeView;
     use simlocks::policy::FifoPolicy;
+    use telemetry::CostModel;
 
     fn view() -> NodeView {
         NodeView {
@@ -450,14 +445,14 @@ mod tests {
         // Every invocation faults → fail-safe decision, breaker counts.
         let (d, c) = p.cmp_node(&ctx);
         assert!(!d);
-        assert_eq!(c, BREAKER_CHECK_NS + HOOK_CALL_NS);
+        assert_eq!(c, CostModel::SEED.breaker_ns + CostModel::SEED.call_ns);
         assert_eq!(breaker.state(), BreakerState::Closed);
         let _ = p.cmp_node(&ctx);
         assert_eq!(breaker.state(), BreakerState::Open, "threshold 2 tripped");
         // Open: inner never consulted, cost is the bare check.
         let (d, c) = p.cmp_node(&ctx);
         assert!(!d);
-        assert_eq!(c, BREAKER_CHECK_NS);
+        assert_eq!(c, CostModel::SEED.breaker_ns);
         // Decision hooks degrade to the vacant-slot defaults.
         let (skip, _) = p.skip_shuffle(&SkipShuffleCtx {
             lock_id: 1,

@@ -61,14 +61,12 @@ pub mod rollout;
 pub mod watchdog;
 mod workflow;
 
-pub use containment::{
-    Breaker, BreakerConfig, BreakerState, ContainedPolicy, QuarantineRecord, BREAKER_CHECK_NS,
-};
+pub use containment::{Breaker, BreakerConfig, BreakerState, ContainedPolicy, QuarantineRecord};
 pub use explore::{
     explore, ExploreConfig, ExploreError, ExploreReport, Fixture, Monitor, PolicySchedStrategy,
     Repro, RunOutcome, StrategySpec, Violation, ZooLock,
 };
-pub use policy::{BytecodePolicy, SimBytecodePolicy, HOOK_CALL_NS, NS_PER_INSN, TRAMPOLINE_NS};
+pub use policy::{BytecodePolicy, SimBytecodePolicy};
 pub use registry::{LockClass, LockHandle, LockRegistry};
 pub use rollout::{
     ChaosInjector, ChaosPlan, HealthEvaluator, HealthVerdict, MetricsHealth, RealTarget,

@@ -17,21 +17,11 @@ use locks::hooks::{
     ScheduleWaiterFn, SkipShuffleCtx, SkipShuffleFn,
 };
 use simlocks::policy::{Decision, SimPolicy};
+use telemetry::CostModel;
 
-use crate::containment::{fail_safe_default, Breaker, BREAKER_CHECK_NS};
+use crate::containment::{fail_safe_default, Breaker};
 use crate::env::{RealEnv, SimHookEnv};
 use crate::hookctx;
-
-/// Modeled cost of a live-patched lock *function* entry: redirection
-/// through the patch site, epoch pin and register shuffling. This is the
-/// cost an attached-but-trivial policy still pays on every acquire and
-/// release — the source of the worst-case slowdown in Fig. 2(c).
-pub const TRAMPOLINE_NS: u64 = 45;
-
-/// The hook-cost model the DES charges per policy invocation and per
-/// executed instruction; defined once, beside the analyzer that
-/// estimates hook spans with it.
-pub use telemetry::analyze::{HOOK_CALL_NS, NS_PER_INSN};
 
 /// Instruction budget per hook invocation (second-layer guard; verified
 /// policies are loop-free and cannot come close).
@@ -210,16 +200,17 @@ impl Dispatch {
         self.ran(Fired::Native { ret, cost })
     }
 
-    /// Virtual time a fire costs the DES: [`BREAKER_CHECK_NS`] when a
-    /// breaker is armed, plus the call and its instructions for a
+    /// Virtual time a fire costs the DES, from [`CostModel::SEED`]: the
+    /// breaker check when a breaker is armed, plus the fire cost of a
     /// completed run (a native policy's own cost), the call alone for a
     /// fault, and nothing for a bypass.
     pub(crate) fn charge(&self, fired: Fired) -> u64 {
-        self.breaker.as_ref().map_or(0, |_| BREAKER_CHECK_NS)
+        let model = CostModel::SEED;
+        self.breaker.as_ref().map_or(0, |_| model.breaker_ns)
             + match fired {
-                Fired::Ran(report) => HOOK_CALL_NS + report.insns * NS_PER_INSN,
+                Fired::Ran(report) => model.fire_ns(report.insns),
                 Fired::Native { cost, .. } => cost,
-                Fired::Faulted => HOOK_CALL_NS,
+                Fired::Faulted => model.call_ns,
                 Fired::Bypassed => 0,
             }
     }
@@ -425,7 +416,7 @@ impl SimBytecodePolicy {
 
     /// Arms the policy set with a circuit `breaker` and an optional
     /// deterministic fault `injector`. Every hook invocation then charges
-    /// [`BREAKER_CHECK_NS`] of virtual time on top of the interpreter cost,
+    /// the breaker check of [`CostModel::SEED`] on top of the fire cost,
     /// faults degrade to the fail-safe defaults, and an open breaker
     /// bypasses the programs entirely.
     pub fn with_containment(
@@ -502,7 +493,7 @@ impl SimPolicy for SimBytecodePolicy {
             // No explicit skip program: shuffle exactly when a cmp_node
             // program is attached; consulting the vacant patched slot still
             // costs an indirect call.
-            None => (self.cmp.is_none(), HOOK_CALL_NS),
+            None => (self.cmp.is_none(), CostModel::SEED.call_ns),
         }
     }
 
@@ -534,35 +525,17 @@ fn event_slot(kind: HookKind) -> Option<usize> {
     }
 }
 
-/// A no-op attached policy for the simulator: the lock's acquire and
-/// release functions have been live-patched (one indirection each), and
-/// the shuffler consults a patched decision slot — but no user code runs.
-/// This is the paper's Fig. 2(c) "worst-case scenario when no userspace
-/// code is executed".
-pub struct AttachedNoopPolicy;
-
-impl SimPolicy for AttachedNoopPolicy {
-    fn cmp_node(&self, _ctx: &CmpNodeCtx) -> Decision {
-        (false, TRAMPOLINE_NS)
-    }
-
-    fn skip_shuffle(&self, _ctx: &SkipShuffleCtx) -> Decision {
-        (true, TRAMPOLINE_NS)
-    }
-
-    fn on_event(&self, _kind: HookKind, _ctx: &LockEventCtx) -> u64 {
-        TRAMPOLINE_NS
-    }
-
-    fn wants_event(&self, kind: HookKind) -> bool {
-        // One patched entry point on the acquire path, one on release.
-        matches!(kind, HookKind::LockAcquire | HookKind::LockRelease)
-    }
-}
-
-/// Like [`AttachedNoopPolicy`] but with a configurable per-entry cost —
-/// the knob for the Fig. 2(c) sensitivity ablation.
+/// A patched lock with no user code: its acquire and release functions
+/// have been live-patched (one indirection each) and the shuffler
+/// consults a patched decision slot, each at a per-entry cost of `.0`
+/// virtual ns. The Fig. 2(c) sensitivity ablation sweeps that cost.
 pub struct PatchedEntryPolicy(pub u64);
+
+/// The paper's Fig. 2(c) "worst-case scenario when no userspace code is
+/// executed": a [`PatchedEntryPolicy`] at [`CostModel::SEED`]'s entry
+/// cost. A constant, so it is written as the unit value it used to be.
+#[allow(non_upper_case_globals)]
+pub const AttachedNoopPolicy: PatchedEntryPolicy = PatchedEntryPolicy(CostModel::SEED.entry_ns);
 
 impl SimPolicy for PatchedEntryPolicy {
     fn cmp_node(&self, _ctx: &CmpNodeCtx) -> Decision {
@@ -578,6 +551,7 @@ impl SimPolicy for PatchedEntryPolicy {
     }
 
     fn wants_event(&self, kind: HookKind) -> bool {
+        // One patched entry point on the acquire path, one on release.
         matches!(kind, HookKind::LockAcquire | HookKind::LockRelease)
     }
 }
@@ -718,14 +692,17 @@ mod tests {
         };
         let (decision, cost) = p.cmp_node(&ctx);
         assert!(decision);
-        assert!(cost > HOOK_CALL_NS, "instruction cost must be charged");
+        assert!(
+            cost > CostModel::SEED.call_ns,
+            "instruction cost must be charged"
+        );
         // skip_shuffle with cmp attached but no skip program: shuffle.
         let (skip, sc) = p.skip_shuffle(&SkipShuffleCtx {
             lock_id: 1,
             shuffler: view(12),
         });
         assert!(!skip);
-        assert_eq!(sc, HOOK_CALL_NS);
+        assert_eq!(sc, CostModel::SEED.call_ns);
         assert_eq!(p.stats().1, 0);
     }
 
@@ -738,7 +715,7 @@ mod tests {
             curr: view(1),
         });
         assert!(!d);
-        assert_eq!(c, TRAMPOLINE_NS);
+        assert_eq!(c, CostModel::SEED.entry_ns);
         // One patched entry on the acquire path, one on release.
         assert!(p.wants_event(HookKind::LockAcquire));
         assert!(p.wants_event(HookKind::LockRelease));

@@ -139,13 +139,19 @@ pub(crate) mod testutil {
                 crate::topo::pin_thread(t as u32 % 80);
                 for _ in 0..iters {
                     let _g = s.lock.lock();
-                    let was = s.inside.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    // Relaxed on purpose: the holder count must add no
+                    // ordering of its own, or it would order each holder
+                    // after the last whatever the lock does, and a lock
+                    // whose acquire does not pair with the previous
+                    // release would pass. An RMW still reads the latest
+                    // count, so two holders at once still fail.
+                    let was = s.inside.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     assert_eq!(was, 0, "two threads inside the critical section");
                     // SAFETY: protected by `lock`.
                     unsafe {
                         *s.counter.get() += 1;
                     }
-                    s.inside.fetch_sub(1, std::sync::atomic::Ordering::SeqCst);
+                    s.inside.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
                 }
             }));
         }

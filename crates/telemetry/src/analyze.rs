@@ -55,6 +55,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 
+use crate::cost::CostModel;
 use crate::event::{fnv64, EventKind, TraceEvent, EVENT_BYTES};
 use crate::ring::NR_RINGS;
 
@@ -62,17 +63,6 @@ use crate::ring::NR_RINGS;
 /// holder segment (the lock was in handoff, or the holder's records were
 /// outside the trace). Rendered as `handoff`.
 pub const HANDOFF_TENANT: u64 = u64::MAX;
-
-/// Modeled cost of invoking a policy at a hook site (indirect call +
-/// context marshalling); the program itself is JIT-compiled, as kernel
-/// eBPF is. One hook-cost model serves the DES (`concord::policy`
-/// charges it to virtual time), hook-span estimates here and the
-/// chrome-trace exporter.
-pub const HOOK_CALL_NS: u64 = 15;
-
-/// Modeled cost per bytecode instruction after JIT compilation (~2× native
-/// per the usual eBPF JIT experience); see [`HOOK_CALL_NS`].
-pub const NS_PER_INSN: u64 = 2;
 
 /// Maximum blocking-chain depth followed before a chain is cut off.
 pub const MAX_CHAIN_DEPTH: u32 = 16;
@@ -384,8 +374,8 @@ pub struct HookCost {
     pub calls: u64,
     /// Executed instructions, summed.
     pub insns: u64,
-    /// Estimated dispatch nanoseconds
-    /// (`calls * HOOK_CALL_NS + insns * NS_PER_INSN`).
+    /// Estimated dispatch nanoseconds: [`CostModel::fire_ns`] of each
+    /// span, summed.
     pub est_ns: u64,
     /// Smallest remaining budget seen (how close the policy came to its
     /// instruction ceiling).
@@ -402,7 +392,7 @@ impl HookCost {
         };
         self.calls += 1;
         self.insns += insns;
-        self.est_ns += HOOK_CALL_NS + insns * NS_PER_INSN;
+        self.est_ns += CostModel::SEED.fire_ns(insns);
     }
 
     /// Folds in the spans `other` counted.
@@ -1509,7 +1499,8 @@ mod tests {
         let c = &r.hook_costs[&(7, 1, UNPATCHED.to_string())];
         assert_eq!(c.calls, 2);
         assert_eq!(c.insns, 30);
-        assert_eq!(c.est_ns, 2 * HOOK_CALL_NS + 30 * NS_PER_INSN);
+        let cost = CostModel::SEED;
+        assert_eq!(c.est_ns, 2 * cost.call_ns + 30 * cost.insn_ns);
         assert_eq!(c.min_budget, 80);
     }
 

@@ -12,7 +12,8 @@
 //! `flamegraph.pl` / inferno input format, weighted in nanoseconds of
 //! blocked time).
 
-use crate::analyze::{Report, NS_PER_INSN};
+use crate::analyze::Report;
+use crate::cost::CostModel;
 use crate::event::{EventKind, TraceEvent};
 use std::fmt::Write as _;
 
@@ -49,7 +50,7 @@ pub fn to_chrome_json(events: &[TraceEvent]) -> String {
         let _ = write!(out, "\",\"cat\":\"c3\",\"pid\":1,\"tid\":{}", ev.cpu);
         match ev.kind {
             EventKind::HookSpan => {
-                let dur_us = (ev.c * NS_PER_INSN) as f64 / 1000.0;
+                let dur_us = (ev.c * CostModel::SEED.insn_ns) as f64 / 1000.0;
                 let _ = write!(out, ",\"ph\":\"X\",\"ts\":{ts_us},\"dur\":{dur_us}");
             }
             _ => {

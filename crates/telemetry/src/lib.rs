@@ -27,12 +27,14 @@
 
 pub mod analyze;
 pub mod clock;
+pub mod cost;
 pub mod event;
 pub mod export;
 pub mod metrics;
 pub mod ring;
 
 pub use analyze::{AnalyzeConfig, Analyzer, EventFilter, Report};
+pub use cost::CostModel;
 pub use event::{EventKind, TraceEvent, EVENT_BYTES, MAX_PAYLOAD};
 pub use metrics::{AtomicHistogram, Counter, Gauge, MetricsRegistry};
 pub use ring::{Plane, Ring};

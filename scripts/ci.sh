@@ -133,6 +133,29 @@ if grep -rnwE "HashMap|HashSet" crates/ksim/src crates/simlocks/src crates/conco
     exit 1
 fi
 
+# What the simulator charges for a patched entry, a hook call, an
+# instruction and a breaker check is a field of one `telemetry::CostModel`
+# value, `CostModel::SEED`; the constants that used to hold them stay gone.
+# The Fig. 2(a) entry cost keeps one alias in `workloads.rs`, because the
+# benchmark harness imports it. The ablations, the lock zoo and Table 1 run
+# the workload loops of `crates/bench/src/workloads.rs`, not loops of
+# their own.
+echo "== one cost model, each simulated workload written once =="
+if grep -rnwE "TRAMPOLINE_NS|HOOK_CALL_NS|NS_PER_INSN|BREAKER_CHECK_NS" crates tests examples; then
+    echo "ci: a cost constant outside CostModel is back (see above)" >&2
+    exit 1
+fi
+if grep -rnw "SWITCHED_ENTRY_NS" crates tests examples |
+    grep -v "^crates/bench/src/workloads.rs:[0-9]*:pub const SWITCHED_ENTRY_NS: u64 = CostModel::SEED.switched_entry_ns;$"; then
+    echo "ci: SWITCHED_ENTRY_NS is used beyond its one alias line (see above)" >&2
+    exit 1
+fi
+if grep -n "spawn_on" crates/bench/src/bin/ablations.rs crates/bench/src/bin/lockzoo.rs \
+    crates/bench/src/bin/table1_api_hazards.rs; then
+    echo "ci: a figure bin runs a lock loop of its own (see above); use crates/bench/src/workloads.rs" >&2
+    exit 1
+fi
+
 # Data-plane regression gate: the prepared map_mix speedup over legacy
 # and the compiled tier's over the prepared interpreter stay above their
 # floors, and on the paper's NUMA policy the compiled tier is not slower
