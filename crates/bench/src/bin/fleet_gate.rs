@@ -18,14 +18,22 @@
 //! With `--bench`, regenerates the EXPERIMENTS.md propagation table
 //! instead: p50/p99 propagation latency (virtual time, commit →
 //! host-applied) over the gate seeds, plus control-plane store
-//! throughput at 100 k and 1 M tenants.
+//! throughput at 100 k and 1 M tenants and what one host change costs
+//! (apply a version to 8 locks, revert the one beneath it).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-use concord::fleet::{fleet_sweep, run_fleet, seal_demo_artifact, Delta, FleetConfig, PolicyStore};
+use concord::fleet::{
+    fleet_sweep, run_fleet, seal_demo_artifact, DeliverOutcome, Delta, FleetConfig, PolicyStore,
+    RealFleetHost,
+};
 use concord::rollout::chaos::SweepReport;
 use concord::rollout::ChaosPlan;
+use concord::Concord;
+use locks::hooks::HookKind;
+use locks::ShflLock;
 
 const SEEDS: &[u64] = &[3, 7, 42];
 
@@ -155,6 +163,47 @@ fn bench_store(tenants: usize) -> StoreCosts {
     }
 }
 
+/// Median wall time, microseconds, of a [`RealFleetHost`]'s two steps
+/// in one change on 8 locks: `apply` of version `v` (open and verify
+/// the artifact, build and attach 8 policies) and `revert` of version
+/// `v - 1` from under it, over `RUNS` changes.
+fn bench_host() -> (f64, f64) {
+    const LOCKS: u64 = 8;
+    const RUNS: u64 = 512;
+    let concord = Concord::new();
+    let mut lock_of = BTreeMap::new();
+    for tenant in 0..LOCKS {
+        let name = format!("host_lock_{tenant}");
+        concord
+            .registry()
+            .register_shfl(&name, Arc::new(ShflLock::new()));
+        lock_of.insert(tenant, name);
+    }
+    let host = RealFleetHost::new(&concord, HookKind::CmpNode, lock_of);
+    let store = PolicyStore::new(LOCKS as usize);
+    let tenants: Vec<u64> = (0..LOCKS).collect();
+    store
+        .publish(&Delta::bind_all(&tenants, 1, seal_demo_artifact()))
+        .expect("host bind publishes");
+    let snap = store.head_snapshot();
+    assert_eq!(host.apply(1, &snap), Ok(DeliverOutcome::Applied));
+    let (mut apply, mut revert) = (Vec::new(), Vec::new());
+    for v in 2..RUNS + 2 {
+        let t = Instant::now();
+        assert_eq!(host.apply(v, &snap), Ok(DeliverOutcome::Applied));
+        apply.push(t.elapsed().as_nanos() as u64);
+        let t = Instant::now();
+        host.revert(v - 1).expect("host reverts");
+        revert.push(t.elapsed().as_nanos() as u64);
+    }
+    apply.sort_unstable();
+    revert.sort_unstable();
+    (
+        percentile(&apply, 0.5) as f64 / 1e3,
+        percentile(&revert, 0.5) as f64 / 1e3,
+    )
+}
+
 /// A one-binding publish must not grow with the fleet: at most
 /// [`PUBLISH_SCALING_BOUND`]× from 100 k to 1 M tenants, both measured
 /// here, in one process, under the same host noise. (Copying the table
@@ -179,7 +228,8 @@ fn gate_publish_scaling() -> bool {
     true
 }
 
-/// `--bench`: the EXPERIMENTS.md propagation + store-throughput tables.
+/// `--bench`: the EXPERIMENTS.md propagation, store-throughput and
+/// host-change tables.
 fn bench() {
     let mut samples: Vec<u64> = Vec::new();
     let mut retries = 0u64;
@@ -214,6 +264,12 @@ fn bench() {
             c.resolves_per_s / 1e6,
         );
     }
+    let (apply_us, revert_us) = bench_host();
+    println!();
+    println!("| host change, 8 locks | median (µs) |");
+    println!("|---|---|");
+    println!("| `RealFleetHost::apply` | {apply_us:.1} |");
+    println!("| `revert` of the version beneath | {revert_us:.1} |");
 }
 
 fn main() {

@@ -59,8 +59,12 @@ impl VerifiedProgram {
     /// instructions, the maps' [`MapDef`](crate::map::MapDef)s, the
     /// layout and the rules — it never looks at a map's contents — and
     /// all four are copied unchanged; only the lowering, which captures
-    /// the map instances, is redone.
+    /// the map instances, is redone. A program without maps has no state
+    /// to keep apart, so it comes back shared, lowering and all.
     pub fn with_fresh_maps(&self) -> VerifiedProgram {
+        if self.prog.maps().is_empty() {
+            return self.clone();
+        }
         let maps = self
             .prog
             .maps()
@@ -240,6 +244,14 @@ mod tests {
         let value = |m: &Map| m.lookup_copy(&0u32.to_le_bytes(), 0);
         assert_eq!(value(old), Some(7u64.to_le_bytes().to_vec()));
         assert_eq!(value(new), Some(0u64.to_le_bytes().to_vec()));
+    }
+
+    #[test]
+    fn a_program_without_maps_stays_shared() {
+        let first = verified();
+        let second = first.with_fresh_maps();
+        assert!(Arc::ptr_eq(first.program(), second.program()));
+        assert!(Arc::ptr_eq(first.prepared(), second.prepared()));
     }
 
     #[test]

@@ -126,12 +126,12 @@ impl<'a> RealFleetHost<'a> {
             .tagged_locks(&version_tag(version), self.hook, self.locks.values())
     }
 
-    /// Reverts every `version` fleet patch on this host and rolls the
-    /// served version back to `version - 1`.
+    /// Reverts every `version` fleet patch on this host, in one unwind,
+    /// and rolls the served version back to `version - 1`.
     ///
     /// # Errors
     ///
-    /// The first revert error (remaining patches stay applied).
+    /// The revert error; every patch then stays applied.
     pub fn revert(&self, version: u64) -> Result<(), String> {
         self.concord
             .revert_tagged(&version_tag(version), self.hook, self.locks.values())

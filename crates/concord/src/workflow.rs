@@ -423,12 +423,14 @@ impl Concord {
     }
 
     /// Reverts the live `{tag}{lock}/{hook}` patch of each of `locks`
-    /// that has one, wherever it sits on the stack (patches above it are
-    /// re-applied), and returns the locks it reverted.
+    /// that has one, wherever it sits on the stack, in one unwind
+    /// (patches above the lowest are re-applied once), and returns the
+    /// locks it reverted.
     ///
     /// # Errors
     ///
-    /// The first revert error; the locks before it stay reverted.
+    /// The revert error, when a patch found by name is gone before the
+    /// transaction takes the stack; no lock is then reverted.
     pub(crate) fn revert_tagged<L: AsRef<str>>(
         &self,
         tag: &str,
@@ -693,12 +695,13 @@ impl SimPatches {
     }
 
     /// Reverts the live `{tag}{lock}/policy` patch of each of `locks`
-    /// that has one, wherever it sits on the stack, and returns the locks
-    /// it reverted.
+    /// that has one, wherever it sits on the stack, in one unwind, and
+    /// returns the locks it reverted.
     ///
     /// # Errors
     ///
-    /// The first revert error; the locks before it stay reverted.
+    /// The revert error, when a patch found by name is gone before the
+    /// transaction takes the stack; no lock is then reverted.
     pub fn revert_tagged<L: AsRef<str>>(
         &self,
         tag: &str,
@@ -776,22 +779,30 @@ fn tagged_locks<O: ?Sized + OpBound, L: AsRef<str>>(
 }
 
 /// Reverts the live `{tag}{lock}/{slot}` patch of each of `locks` that
-/// has one, wherever it sits on the stack, and returns the locks it
-/// reverted.
+/// has one, wherever it sits on the stack, as one revert transaction
+/// (one unwind, all or nothing), and returns the locks it reverted. A
+/// lock listed twice has its two topmost such patches reverted.
 fn revert_tagged<O: ?Sized + OpBound, L: AsRef<str>>(
     patches: &PatchManager<O>,
     tag: &str,
     slot: &str,
     locks: impl IntoIterator<Item = L>,
 ) -> Result<Vec<String>, PatchError> {
+    let locks: Vec<L> = locks.into_iter().collect();
+    let found = patches.find_distinct(
+        locks
+            .iter()
+            .map(|lock| patch_name(tag, lock.as_ref(), slot)),
+    );
     let mut reverted = Vec::new();
-    for lock in locks {
-        let lock = lock.as_ref();
-        if let Some(handle) = patches.find(&patch_name(tag, lock, slot)) {
-            patches.revert_transaction(handle)?;
-            reverted.push(lock.to_string());
+    let mut handles = Vec::new();
+    for (lock, handle) in locks.iter().zip(found) {
+        if let Some(handle) = handle {
+            handles.push(handle);
+            reverted.push(lock.as_ref().to_string());
         }
     }
+    patches.revert_transaction(&handles)?;
     Ok(reverted)
 }
 
@@ -1015,6 +1026,40 @@ mod tests {
         assert!(!lock.hooks().is_active(HookKind::CmpNode));
         assert_eq!(c.registry().quarantines("l").len(), 1);
         assert!(c.sweep_breakers().is_empty(), "sweep is idempotent");
+    }
+
+    /// A fleet host's revert: version 1 is pulled from under version 2
+    /// on eight locks. One unwind reverts each lock's two patches once
+    /// and re-applies version 2's once, so each `cmp_node` point moves
+    /// three times; a pull per lock moved lock `k`'s `2k + 17` times.
+    #[test]
+    fn revert_tagged_unwinds_once() {
+        let c = Concord::new();
+        let loaded = c.load(trivial_spec("p", HookKind::CmpNode, 1)).unwrap();
+        let locks: Vec<String> = (0..8).map(|i| format!("l{i}")).collect();
+        let points: Vec<_> = locks
+            .iter()
+            .map(|name| {
+                let lock = Arc::new(ShflLock::new());
+                c.registry().register_shfl(name, Arc::clone(&lock));
+                Arc::clone(&lock.hooks().cmp_node)
+            })
+            .collect();
+        let bytecode = BytecodePolicy::new(loaded.prog.clone(), loaded.hook, Arc::clone(&c.env));
+        for tag in ["v1:", "v2:"] {
+            let items = locks.iter().map(|lock| {
+                Ok::<_, ConcordError>((lock, LockPolicy::Bytecode(Arc::clone(&bytecode))))
+            });
+            c.attach_tagged(tag, items).unwrap();
+        }
+        let before: Vec<u64> = points.iter().map(|p| p.generation()).collect();
+        let reverted = c.revert_tagged("v1:", HookKind::CmpNode, &locks).unwrap();
+        assert_eq!(reverted, locks);
+        for (k, p) in points.iter().enumerate() {
+            assert_eq!(p.generation() - before[k], 3, "lock {k}'s point");
+        }
+        let v2: Vec<String> = locks.iter().map(|l| format!("v2:{l}/cmp_node")).collect();
+        assert_eq!(c.live_patches(), v2);
     }
 
     #[test]

@@ -188,6 +188,13 @@ impl Patch {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PatchHandle(u64);
 
+/// One handle is a set of one, for [`PatchManager::revert_transaction`].
+impl AsRef<[PatchHandle]> for PatchHandle {
+    fn as_ref(&self) -> &[PatchHandle] {
+        std::slice::from_ref(self)
+    }
+}
+
 struct Applied<O: ?Sized> {
     id: u64,
     name: String,
@@ -318,6 +325,29 @@ impl<O: ?Sized + OpBound> PatchManager<O> {
             .map(|p| PatchHandle(p.id))
     }
 
+    /// [`PatchManager::find`] for each of `names`, in order, under one
+    /// hold of the stack, skipping the patches earlier names took: a name
+    /// listed twice gets its two topmost patches, as a find, a revert and
+    /// a second find would.
+    pub fn find_distinct<S: AsRef<str>>(
+        &self,
+        names: impl IntoIterator<Item = S>,
+    ) -> Vec<Option<PatchHandle>> {
+        let stack = self.stack.lock();
+        let mut taken = Vec::new();
+        names
+            .into_iter()
+            .map(|name| {
+                let p = stack
+                    .iter()
+                    .rev()
+                    .find(|p| p.name == name.as_ref() && !taken.contains(&p.id))?;
+                taken.push(p.id);
+                Some(PatchHandle(p.id))
+            })
+            .collect()
+    }
+
     /// Names of live patches whose name starts with `prefix`, bottom to
     /// top.
     #[cfg(test)]
@@ -365,52 +395,78 @@ impl<O: ?Sized + OpBound> PatchManager<O> {
         }
     }
 
-    /// Reverts `handle` even when it is buried mid-stack, as a
-    /// transaction: every patch stacked above it is reverted (top-down),
-    /// the target is reverted, and the others are re-applied in their
-    /// original order. Returns the names of the re-applied patches.
+    /// Reverts every patch `handles` names, wherever each sits on the
+    /// stack, as one transaction: it finds the lowest target, detaches it
+    /// and everything above it, reverts that tail once (top-down, each
+    /// patch's sites in reverse apply order) and re-applies the patches
+    /// that were not targets once, in their original order and keeping
+    /// their ids, so their handles stay valid. Returns the names of the
+    /// re-applied patches. A single handle is the one-element set.
+    ///
+    /// All or nothing: unless every handle names a distinct live patch,
+    /// the call fails before it touches anything. Each target gets one
+    /// `PatchRevert` record, in the order of `handles`.
     ///
     /// This is the quarantine primitive: a faulting policy can be pulled
     /// without forcing unrelated patches (profilers, other tenants) off
-    /// the lock. Note that a patch re-applied above the target keeps the
+    /// the lock. Note that a patch re-applied above a target keeps the
     /// restore values it captured at construction — if its restore chain
-    /// referenced the quarantined patch's state, a later revert of *that*
-    /// patch restores the pre-quarantine value (see DESIGN.md).
+    /// referenced a pulled patch's state, a later revert of *that* patch
+    /// restores the pre-pull value (see DESIGN.md).
     ///
     /// # Errors
     ///
-    /// Returns [`PatchError::UnknownPatch`] when `handle` is not live.
-    pub fn revert_transaction(&self, handle: PatchHandle) -> Result<Vec<String>, PatchError> {
+    /// Returns [`PatchError::UnknownPatch`] when a handle is not live or
+    /// appears twice; the stack and every patched site are then as they
+    /// were.
+    pub fn revert_transaction(
+        &self,
+        handles: impl AsRef<[PatchHandle]>,
+    ) -> Result<Vec<String>, PatchError> {
+        let handles = handles.as_ref();
         let mut stack = self.stack.lock();
-        let pos = stack
-            .iter()
-            .position(|p| p.id == handle.0)
-            .ok_or(PatchError::UnknownPatch)?;
-        // Detach the target and everything above it while holding the
-        // lock, so no patch can interleave mid-transaction.
-        let mut tail: Vec<Applied<O>> = stack.drain(pos..).collect();
-        let target = tail.remove(0);
-        // Unwind top-down: the patches above the target first, each
-        // reverting its sites in reverse apply order.
+        // Ids only grow up the stack (a push takes a fresh id, and a
+        // transaction re-pushes its survivors in order), so a handle's
+        // position is a binary search away.
+        let mut at = Vec::with_capacity(handles.len());
+        for h in handles {
+            let pos = stack
+                .binary_search_by_key(&h.0, |p| p.id)
+                .map_err(|_| PatchError::UnknownPatch)?;
+            at.push(pos);
+        }
+        let Some(&low) = at.iter().min() else {
+            return Ok(Vec::new());
+        };
+        let mut pulled = vec![false; stack.len() - low];
+        for &pos in &at {
+            if std::mem::replace(&mut pulled[pos - low], true) {
+                return Err(PatchError::UnknownPatch);
+            }
+        }
+        // Detach the tail while holding the lock, so no patch can
+        // interleave mid-transaction, and unwind it once, top-down.
+        let tail: Vec<Applied<O>> = stack.drain(low..).collect();
         for patch in tail.iter().rev() {
             for op in patch.ops.iter().rev() {
                 (op.revert)();
             }
         }
-        for op in target.ops.iter().rev() {
-            (op.revert)();
+        for &pos in &at {
+            let target = &tail[pos - low];
+            trace_patch(
+                telemetry::EventKind::PatchRevert,
+                &*self.clock,
+                &target.name,
+                target.ops.len() as u64,
+                target.id,
+            );
         }
-        trace_patch(
-            telemetry::EventKind::PatchRevert,
-            &*self.clock,
-            &target.name,
-            target.ops.len() as u64,
-            target.id,
-        );
-        // Re-apply the survivors in their original order, keeping their
-        // ids so existing handles stay valid.
-        let mut names = Vec::with_capacity(tail.len());
-        for patch in tail {
+        let mut names = Vec::with_capacity(tail.len() - at.len());
+        for (patch, pulled) in tail.into_iter().zip(pulled) {
+            if pulled {
+                continue;
+            }
             for op in &patch.ops {
                 (op.apply)();
             }
@@ -509,6 +565,59 @@ mod tests {
         assert_eq!(mgr.revert_transaction(h).unwrap(), Vec::<String>::new());
         assert_eq!(*x.get(), 0);
         assert!(mgr.live().is_empty());
+    }
+
+    #[test]
+    fn revert_transaction_with_a_dead_handle_touches_nothing() {
+        let x = Arc::new(PatchPoint::new(0u32));
+        let y = Arc::new(PatchPoint::new(0u32));
+        let mgr = PatchManager::new();
+        let mut p1 = Patch::new("p1");
+        p1.swap(&x, 1, 0);
+        let mut p2 = Patch::new("p2");
+        p2.swap(&y, 2, 0);
+        let mut p3 = Patch::new("p3");
+        p3.swap(&x, 3, 1);
+        let h1 = mgr.apply(p1);
+        let h2 = mgr.apply(p2);
+        let h3 = mgr.apply(p3);
+        mgr.revert(h3).unwrap();
+        let (gx, gy) = (x.generation(), y.generation());
+        for set in [vec![h1, h3], vec![h3, h2], vec![h2, h2]] {
+            assert_eq!(mgr.revert_transaction(&set), Err(PatchError::UnknownPatch));
+            assert_eq!(mgr.live(), vec!["p1", "p2"]);
+            assert_eq!((*x.get(), *y.get()), (1, 2));
+            assert_eq!((x.generation(), y.generation()), (gx, gy), "no site ran");
+        }
+        // Both handles still name their patches.
+        assert_eq!(
+            mgr.revert_transaction([h2, h1]).unwrap(),
+            Vec::<String>::new()
+        );
+        assert_eq!((*x.get(), *y.get()), (0, 0));
+        assert!(mgr.live().is_empty());
+    }
+
+    #[test]
+    fn two_targets_on_one_point_leave_the_survivor_below() {
+        // base, a, b and c stack on one point, each restoring what it
+        // found. Pulling b then c one at a time would end on c's restore,
+        // b's value; one unwind ends on a's, the live patch below.
+        let x = Arc::new(PatchPoint::new(0u32));
+        let mgr = PatchManager::new();
+        let handles: Vec<PatchHandle> = (1..=3u32)
+            .map(|v| {
+                let mut p = Patch::new(format!("p{v}"));
+                p.swap(&x, v, v - 1);
+                mgr.apply(p)
+            })
+            .collect();
+        assert!(mgr
+            .revert_transaction([handles[1], handles[2]])
+            .unwrap()
+            .is_empty());
+        assert_eq!(*x.get(), 1);
+        assert_eq!(mgr.live(), vec!["p1"]);
     }
 
     #[test]
@@ -616,6 +725,16 @@ mod tests {
             vec!["rollout-g1:a", "rollout-g1:b"]
         );
         assert!(mgr.live_with_prefix("rollout-g2:").is_empty());
+    }
+
+    #[test]
+    fn find_distinct_takes_each_patch_once() {
+        let mgr = PatchManager::new();
+        let [low, other, high] = ["a", "b", "a"].map(|name| mgr.apply(Patch::new(name)));
+        assert_eq!(
+            mgr.find_distinct(["a", "c", "a", "b", "a"]),
+            vec![Some(high), None, Some(low), Some(other), None]
+        );
     }
 
     #[test]
